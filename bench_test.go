@@ -449,10 +449,9 @@ func BenchmarkPipelineSharded(b *testing.B) {
 // per-segment flate compression; V4 stores field-striped column runs,
 // inflated one segment ahead of the decode on the serial path. The
 // Parallel variants fan segment decode across worker goroutines and shard
-// the collector groups — V2Parallel through the single order-preserving
-// reassembly-dispatch goroutine, V3Parallel and V4Parallel through the
-// direct decode-to-shard delivery (Reader.ReadAllSharded), which is the
-// path -mode analyze -parallel runs; on v4 the decoded columns ride along
+// the collector groups, all through the direct decode-to-shard delivery
+// (Reader.ReadAllSharded) that -mode analyze -parallel runs — V2Parallel
+// with a statically sharded sink; on v4 the decoded columns ride along
 // and single-column collectors sweep them flat. On a single-core host the
 // parallel variants measure the coordination floor; the fan-out adds its
 // speedup only with real cores. Every bench also reports the on-disk
@@ -544,14 +543,16 @@ func BenchmarkAnalyzeV3(b *testing.B) {
 	})
 }
 
-// BenchmarkAnalyzeV2Parallel is the legacy parallel path: indexed segment
-// decode on 4 workers funneled through the single order-preserving
-// reassembly-dispatch goroutine into sharded collector groups.
+// BenchmarkAnalyzeV2Parallel is the parallel path on the uncompressed
+// indexed format: segment decode on 4 workers delivering straight into
+// statically sharded collector groups. (It keeps the name the committed
+// baselines gate on; before the read paths were unified it measured a
+// separate reassembly-dispatch path.)
 func BenchmarkAnalyzeV2Parallel(b *testing.B) {
 	_, raw, _, _ := analyzeTraceRaw(b)
 	benchAnalyze(b, len(raw), func(s *analysis.Suite) (int64, error) {
 		sink, closeSink := s.Sink(4)
-		n, err := trace.NewReader(bytes.NewReader(raw)).ReadAllParallel(sink, 4)
+		n, err := trace.NewReader(bytes.NewReader(raw)).ReadAllSharded(sink, 4)
 		closeSink()
 		return n, err
 	})

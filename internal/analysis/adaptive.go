@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -56,16 +57,6 @@ const (
 	maxAutoShardWorkers = 5
 )
 
-// shardUnit is one movable set of collectors: the granularity at which the
-// adaptive shard reassigns work. cost is owned by whichever worker
-// currently runs the unit and read by the enqueuer only across a quiesce
-// barrier.
-type shardUnit struct {
-	name  string
-	sweep func(*shardBlock)
-	cost  time.Duration // cumulative sweep time since the last rebalance
-}
-
 // Rebalance records one unit migration performed by an adaptive shard.
 type Rebalance struct {
 	// Block is the fan-out block count at which the move fired.
@@ -76,118 +67,43 @@ type Rebalance struct {
 	From, To int
 }
 
-// adaptiveUnits splits the suite's collectors into movable units. The
-// split is finer than the static groups — every collector that can stand
-// alone does — so the rebalancer has real freedom; the initial assignment
-// in newAdaptive recovers the static grouping's shape by contiguous
-// chunking.
-func adaptiveUnits(s *Suite) []*shardUnit {
-	units := []*shardUnit{
-		{name: "count", sweep: func(b *shardBlock) { s.Count.HandleBatch(b.recs) }},
-		{name: "sizes", sweep: func(b *shardBlock) {
-			if b.cols != nil {
-				s.Sizes.HandleColumns(b.cols)
-			} else {
-				s.Sizes.HandleBatch(b.recs)
-			}
-		}},
-		{name: "flows", sweep: func(b *shardBlock) { s.Flows.HandleBatch(b.recs) }},
-		{name: "kinds", sweep: func(b *shardBlock) { s.Kinds.HandleBatch(b.recs) }},
-		{name: "minutes", sweep: func(b *shardBlock) { s.Minutes.HandleBatch(b.recs) }},
-		{name: "vt", sweep: func(b *shardBlock) { s.VT.HandleBatch(b.recs) }},
-		{name: "windows", sweep: func(b *shardBlock) {
-			for _, w := range s.Windows {
-				w.HandleBatch(b.recs)
-			}
-		}},
-	}
-	if s.sorted != nil {
-		// Unsorted input: the sort stage is one indivisible unit. Its
-		// downstream (Gaps, Tick) is either inline behind the SortBuffer
-		// or split onto dedicated down workers by newAdaptive — in both
-		// cases it is not independently movable, because its blocks come
-		// from whichever worker runs the sort, not from the enqueuer.
-		units = append(units, &shardUnit{name: "order", sweep: func(b *shardBlock) { s.sorted.HandleBatch(b.recs) }})
-	} else {
-		units = append(units,
-			&shardUnit{name: "gaps", sweep: func(b *shardBlock) {
-				if b.cols != nil {
-					s.Gaps.HandleColumns(b.cols)
-				} else {
-					s.Gaps.HandleBatch(b.recs)
-				}
-			}},
-			&shardUnit{name: "tick", sweep: func(b *shardBlock) { s.Tick.HandleBatch(b.recs) }})
-	}
-	return units
-}
-
 // ShardAdaptive wraps a freshly built Suite in adaptive sharded mode with
 // up to workers goroutines (clamped to the movable units; values below 2
-// still shard with 2). Results are byte-identical to Shard and to the
-// plain Suite at every setting — the adaptive layer re-homes collector
-// units between workers at quiesced epoch boundaries, it never changes
-// what a collector sees. The caller must not feed the inner Suite directly
-// afterwards.
+// still shard with 2). The movable units are finer than the static groups
+// — every collector that can stand alone does — so the rebalancer has real
+// freedom. Results are byte-identical to Shard and to the plain Suite at
+// every setting — the adaptive layer re-homes collector units between
+// workers at quiesced epoch boundaries, it never changes what a collector
+// sees. The caller must not feed the inner Suite directly afterwards.
 func ShardAdaptive(s *Suite, workers int) *ShardedSuite {
-	return newAdaptive(s, adaptiveUnits(s), workers)
+	return newAdaptive(s, nil, workers)
 }
 
-// newAdaptive assembles the adaptive engine over an explicit unit list
-// (tests inject synthetic units here).
+// newAdaptive assembles the engine with rebalancing on, over the suite's
+// own units or — when units is non-nil — an explicit list (tests inject
+// synthetic units here). The down workers newSharded splits off are not
+// part of the adaptive set: their feed is the sort worker's output, not
+// the enqueuer's fan-out.
 func newAdaptive(s *Suite, units []*shardUnit, workers int) *ShardedSuite {
-	sh := &ShardedSuite{Suite: s, pending: getShardBlock(), adaptive: true, epochLen: shardEpochBlocks}
-
-	// With an unsorted suite and enough workers, split the sort stage's
-	// downstream onto dedicated down workers exactly as the static shard
-	// does; those workers are not part of the adaptive set (their feed is
-	// the sort worker's output, not the enqueuer's fan-out).
-	if s.sorted != nil && workers >= 4 {
-		gaps := func(b *shardBlock) {
-			if b.cols != nil {
-				s.Gaps.HandleColumns(b.cols)
-			} else {
-				s.Gaps.HandleBatch(b.recs)
-			}
-		}
-		tick := func(b *shardBlock) { s.Tick.HandleBatch(b.recs) }
-		if workers >= 5 {
-			sh.down = []*shardWorker{
-				newShardWorker("gaps", gaps),
-				newShardWorker("tick", tick),
-			}
-		} else {
-			sh.down = []*shardWorker{newShardWorker("gaps+tick", gaps, tick)}
-		}
-		workers -= len(sh.down)
-		s.orderOut.h = &sortedFan{down: sh.down}
-		for _, w := range sh.down {
-			sh.downWg.Add(1)
-			go w.run(&sh.downWg)
+	sh, groups, workers := newSharded(s, workers)
+	sh.adaptive, sh.epochLen = true, shardEpochBlocks
+	if units == nil {
+		for _, g := range groups {
+			units = append(units, g.units...)
 		}
 	}
-
-	if workers < 2 {
-		workers = 2
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
+	workers = min(max(workers, 2), len(units))
 	// Initial assignment: contiguous even chunks. The unit list is ordered
 	// by the static cost-profile grouping, so the chunks start close to
 	// the hand-tuned split and the feedback loop refines from there.
-	counts := sched.Split(len(units), workers)
 	next := 0
-	for w := 0; w < workers; w++ {
-		wk := newShardWorker("")
-		wk.units = append(wk.units, units[next:next+counts[w]]...)
-		next += counts[w]
-		sh.ingest = append(sh.ingest, wk)
+	for _, n := range sched.Split(len(units), workers) {
+		// Cloned: a rebalance appends to one worker's list in place, which
+		// must not run into its neighbour's slots of the shared array.
+		sh.ingest = append(sh.ingest, newShardWorker("", slices.Clone(units[next:next+n])...))
+		next += n
 	}
-	for _, w := range sh.ingest {
-		sh.wg.Add(1)
-		go w.run(&sh.wg)
-	}
+	startWorkers(sh.ingest, &sh.wg)
 	sh.snapshotDepths()
 	return sh
 }

@@ -9,15 +9,18 @@ import (
 	"cstrace/internal/trace"
 )
 
-// Sharded mode: the suite's collectors split into groups with no shared
-// state, each group owned by one worker goroutine, and every incoming block
-// fans out to all ingest groups over bounded channels. Because each
-// collector sees every record in exactly the stream order (channels are
-// FIFO and each collector lives in exactly one group), sharded results are
-// byte-identical to single-threaded results — the parallelism only overlaps
-// the groups' sweeps in time.
+// Sharded mode: the suite's collectors split into units with no shared
+// state (shardUnit), every unit is assigned to one worker goroutine, and
+// every incoming block fans out to all ingest workers over bounded
+// channels. Because each collector sees every record in exactly the stream
+// order (channels are FIFO and each collector lives in exactly one unit,
+// each unit on exactly one worker), sharded results are byte-identical to
+// single-threaded results — the parallelism only overlaps the sweeps in
+// time. One engine serves both constructors: Shard seats the units in the
+// static groups below and leaves them there; ShardAdaptive (adaptive.go)
+// deals them out evenly and moves them as measured depths dictate.
 //
-// The natural split is by collector cost profile:
+// The static split is by collector cost profile:
 //
 //	counts — Counters, SizeDist, FlowBandwidth, KindBreakdown
 //	series — MinuteSeries, VarTime, IntervalWindows
@@ -111,23 +114,31 @@ func (g GroupDepth) MeanDepth() float64 {
 	return float64(g.SumDepth) / float64(g.Blocks)
 }
 
-// shardWorker is one collector group: a bounded channel, the sweeps that
-// run on its goroutine, and depth statistics owned by its single enqueuer.
+// shardUnit is one closed set of collectors swept together: the granularity
+// at which work is assigned to (and, in adaptive mode, moved between)
+// workers. cost is owned by whichever worker currently runs the unit and
+// read by the enqueuer only across a quiesce barrier.
+type shardUnit struct {
+	name  string
+	sweep func(*shardBlock)
+	cost  time.Duration // cumulative sweep time since the last rebalance
+}
+
+// shardWorker is one collector group: a bounded channel, the units swept on
+// its goroutine, and depth statistics owned by its single enqueuer. The
+// enqueuer mutates units only at quiesced epoch boundaries (adaptive mode);
+// the worker times each unit's sweep for the rebalance decision.
 type shardWorker struct {
-	depth  GroupDepth
-	ch     chan *shardBlock
-	sweeps []func(*shardBlock)
-	// units is the adaptive-mode assignment (exactly one of sweeps/units
-	// is populated): the enqueuer mutates it at quiesced epoch boundaries
-	// and the worker times each unit's sweep for the rebalance decision.
+	depth GroupDepth
+	ch    chan *shardBlock
 	units []*shardUnit
 }
 
-func newShardWorker(name string, sweeps ...func(*shardBlock)) *shardWorker {
+func newShardWorker(name string, units ...*shardUnit) *shardWorker {
 	return &shardWorker{
-		depth:  GroupDepth{Name: name},
-		ch:     make(chan *shardBlock, ShardChanDepth),
-		sweeps: sweeps,
+		depth: GroupDepth{Name: name},
+		ch:    make(chan *shardBlock, ShardChanDepth),
+		units: units,
 	}
 }
 
@@ -145,15 +156,29 @@ func (w *shardWorker) send(blk *shardBlock) {
 	w.ch <- blk
 }
 
+// fanOut enqueues one block to every worker of a channel set, refcounted so
+// the last sweep to finish recycles it.
+func fanOut(ws []*shardWorker, blk *shardBlock) {
+	blk.refs.Store(int32(len(ws)))
+	for _, w := range ws {
+		w.send(blk)
+	}
+}
+
+// startWorkers launches each worker's goroutine, tracked by wg.
+func startWorkers(ws []*shardWorker, wg *sync.WaitGroup) {
+	for _, w := range ws {
+		wg.Add(1)
+		go w.run(wg)
+	}
+}
+
 func (w *shardWorker) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for blk := range w.ch {
 		if blk.barrier != nil {
 			blk.barrier.Done()
 			continue
-		}
-		for _, sweep := range w.sweeps {
-			sweep(blk)
 		}
 		for _, u := range w.units {
 			t0 := time.Now()
@@ -203,118 +228,118 @@ func (f *sortedFan) HandleBatch(rs []trace.Record) {
 	}
 	blk := getShardBlock()
 	blk.recs = append(blk.recs, rs...)
-	blk.refs.Store(int32(len(f.down)))
-	for _, w := range f.down {
-		w.send(blk)
-	}
+	fanOut(f.down, blk)
 }
 
-// Shard wraps a freshly built Suite in sharded mode with up to workers
-// goroutines (clamped to the available collector groups; values below 2
-// still shard with 2 workers — use the plain Suite for single-threaded
-// runs). The caller must not feed the inner Suite directly afterwards.
-func Shard(s *Suite, workers int) *ShardedSuite {
+// unitGroup is one of the static cost-profile groups: the units a worker
+// sweeps together under the group's -depths name.
+type unitGroup struct {
+	name  string
+	units []*shardUnit
+}
+
+// newSharded is the part of the engine both constructors share: it builds
+// the suite's collector units, grouped in static cost-profile order (counts,
+// series, then the order-sensitive tail), and — for an unsorted suite with
+// at least four workers — splits the sort stage's downstream onto dedicated
+// down workers, which it starts. It returns the engine, the ingest groups,
+// and how many of the workers are left for them.
+func newSharded(s *Suite, workers int) (*ShardedSuite, []unitGroup, int) {
+	unit := func(name string, sweep func(*shardBlock)) *shardUnit {
+		return &shardUnit{name: name, sweep: sweep}
+	}
 	// Column-aware sweeps: when a block carries its columns (v4 column
 	// delivery), collectors that consume a single field — SizeDist reads
 	// direction+size, Interarrival direction+timestamp — sweep the dense
 	// column arrays instead of striding through the interleaved records.
 	// Results are identical either way; only the memory traffic shrinks.
-	counts := func(b *shardBlock) {
-		s.Count.HandleBatch(b.recs)
-		if b.cols != nil {
-			s.Sizes.HandleColumns(b.cols)
-		} else {
-			s.Sizes.HandleBatch(b.recs)
-		}
-		s.Flows.HandleBatch(b.recs)
-		s.Kinds.HandleBatch(b.recs)
+	groups := []unitGroup{
+		{"counts", []*shardUnit{
+			unit("count", func(b *shardBlock) { s.Count.HandleBatch(b.recs) }),
+			unit("sizes", func(b *shardBlock) {
+				if b.cols != nil {
+					s.Sizes.HandleColumns(b.cols)
+				} else {
+					s.Sizes.HandleBatch(b.recs)
+				}
+			}),
+			unit("flows", func(b *shardBlock) { s.Flows.HandleBatch(b.recs) }),
+			unit("kinds", func(b *shardBlock) { s.Kinds.HandleBatch(b.recs) }),
+		}},
+		{"series", []*shardUnit{
+			unit("minutes", func(b *shardBlock) { s.Minutes.HandleBatch(b.recs) }),
+			unit("vt", func(b *shardBlock) { s.VT.HandleBatch(b.recs) }),
+			unit("windows", func(b *shardBlock) {
+				for _, w := range s.Windows {
+					w.HandleBatch(b.recs)
+				}
+			}),
+		}},
 	}
-	series := func(b *shardBlock) {
-		s.Minutes.HandleBatch(b.recs)
-		s.VT.HandleBatch(b.recs)
-		for _, w := range s.Windows {
-			w.HandleBatch(b.recs)
-		}
-	}
-	gaps := func(b *shardBlock) {
+	gaps := unit("gaps", func(b *shardBlock) {
 		if b.cols != nil {
 			s.Gaps.HandleColumns(b.cols)
 		} else {
 			s.Gaps.HandleBatch(b.recs)
 		}
-	}
-	tick := func(b *shardBlock) { s.Tick.HandleBatch(b.recs) }
+	})
+	tick := unit("tick", func(b *shardBlock) { s.Tick.HandleBatch(b.recs) })
 
 	sh := &ShardedSuite{Suite: s, pending: getShardBlock()}
 	if s.sorted == nil {
 		// Sorted input: no sort stage; the order-sensitive collectors are
-		// ordinary ingest groups.
-		switch {
-		case workers <= 2:
-			sh.ingest = []*shardWorker{
-				newShardWorker("counts+series", counts, series),
-				newShardWorker("gaps+tick", gaps, tick),
-			}
-		case workers == 3:
-			sh.ingest = []*shardWorker{
-				newShardWorker("counts", counts),
-				newShardWorker("series", series),
-				newShardWorker("gaps+tick", gaps, tick),
-			}
-		default:
-			sh.ingest = []*shardWorker{
-				newShardWorker("counts", counts),
-				newShardWorker("series", series),
-				newShardWorker("gaps", gaps),
-				newShardWorker("tick", tick),
-			}
-		}
-	} else {
-		order := func(b *shardBlock) { s.sorted.HandleBatch(b.recs) }
-		switch {
-		case workers <= 2:
-			sh.ingest = []*shardWorker{
-				newShardWorker("counts+series", counts, series),
-				newShardWorker("order+gaps+tick", order),
-			}
-		case workers == 3:
-			sh.ingest = []*shardWorker{
-				newShardWorker("counts", counts),
-				newShardWorker("series", series),
-				newShardWorker("order+gaps+tick", order),
-			}
-		case workers == 4:
+		// ordinary ingest units.
+		return sh, append(groups, unitGroup{"gaps", []*shardUnit{gaps}}, unitGroup{"tick", []*shardUnit{tick}}), workers
+	}
+	// Unsorted input: the sort stage is one indivisible unit. Its downstream
+	// (Gaps, Tick) runs inline behind the SortBuffer, or — with workers to
+	// spare — on down workers fed by the sort worker's sorted fan-out; either
+	// way it is not an ingest unit, because its blocks come from whichever
+	// worker runs the sort, not from the enqueuer.
+	order := unitGroup{"order+gaps+tick", []*shardUnit{
+		unit("order", func(b *shardBlock) { s.sorted.HandleBatch(b.recs) }),
+	}}
+	if workers >= 4 {
+		order.name = "order"
+		if workers >= 5 {
+			sh.down = []*shardWorker{newShardWorker("gaps", gaps), newShardWorker("tick", tick)}
+		} else {
 			sh.down = []*shardWorker{newShardWorker("gaps+tick", gaps, tick)}
-			sh.ingest = []*shardWorker{
-				newShardWorker("counts", counts),
-				newShardWorker("series", series),
-				newShardWorker("order", order),
-			}
-		default:
-			sh.down = []*shardWorker{
-				newShardWorker("gaps", gaps),
-				newShardWorker("tick", tick),
-			}
-			sh.ingest = []*shardWorker{
-				newShardWorker("counts", counts),
-				newShardWorker("series", series),
-				newShardWorker("order", order),
-			}
 		}
-		if len(sh.down) > 0 {
-			// Split order group: rewire the SortBuffer's downstream from the
-			// inline Tee to the fan-out, and start the downstream workers.
-			s.orderOut.h = &sortedFan{down: sh.down}
-			for _, w := range sh.down {
-				sh.downWg.Add(1)
-				go w.run(&sh.downWg)
-			}
-		}
+		// Rewire the SortBuffer's downstream from the inline Tee to the
+		// fan-out, and start the downstream workers.
+		s.orderOut.h = &sortedFan{down: sh.down}
+		startWorkers(sh.down, &sh.downWg)
 	}
-	for _, w := range sh.ingest {
-		sh.wg.Add(1)
-		go w.run(&sh.wg)
+	return sh, append(groups, order), workers - len(sh.down)
+}
+
+// Shard wraps a freshly built Suite in sharded mode with up to workers
+// goroutines (clamped to the available collector groups; values below 2
+// still shard with 2 workers — use the plain Suite for single-threaded
+// runs). The unit→worker assignment is the static table in the file
+// comment and never changes (ShardAdaptive is the same engine with
+// rebalancing on). The caller must not feed the inner Suite directly
+// afterwards.
+func Shard(s *Suite, workers int) *ShardedSuite {
+	sh, groups, workers := newSharded(s, workers)
+	merge := func(i int) {
+		groups[i].name += "+" + groups[i+1].name
+		groups[i].units = append(groups[i].units, groups[i+1].units...)
+		groups = append(groups[:i+1], groups[i+2:]...)
 	}
+	// Short of a worker per group, the cheap tail pair (gaps, tick) shares
+	// one first, then the head pair (counts, series).
+	if workers < 4 && len(groups) == 4 {
+		merge(2)
+	}
+	if workers < 3 {
+		merge(0)
+	}
+	for _, g := range groups {
+		sh.ingest = append(sh.ingest, newShardWorker(g.name, g.units...))
+	}
+	startWorkers(sh.ingest, &sh.wg)
 	return sh
 }
 
@@ -352,10 +377,13 @@ func (sh *ShardedSuite) flush() {
 		return
 	}
 	sh.pending = getShardBlock()
-	blk.refs.Store(int32(len(sh.ingest)))
-	for _, w := range sh.ingest {
-		w.send(blk)
-	}
+	sh.fan(blk)
+}
+
+// fan enqueues one block to every ingest group and advances the adaptive
+// epoch clock.
+func (sh *ShardedSuite) fan(blk *shardBlock) {
+	fanOut(sh.ingest, blk)
 	sh.fanned()
 }
 
@@ -374,11 +402,7 @@ func (sh *ShardedSuite) IngestBlock(blk *trace.Block) {
 	sh.flush() // records re-batched earlier must stay ahead of this block
 	b := ownedWrapPool.Get().(*shardBlock)
 	b.recs, b.owned = *blk, blk
-	b.refs.Store(int32(len(sh.ingest)))
-	for _, w := range sh.ingest {
-		w.send(b)
-	}
-	sh.fanned()
+	sh.fan(b)
 }
 
 // IngestColumns implements trace.ColumnIngester: a column-decoded segment
@@ -396,11 +420,7 @@ func (sh *ShardedSuite) IngestColumns(cb *trace.ColumnBlock) {
 	b := getShardBlock()
 	b.recs = cb.AppendRecords(b.recs)
 	b.cols = cb
-	b.refs.Store(int32(len(sh.ingest)))
-	for _, w := range sh.ingest {
-		w.send(b)
-	}
-	sh.fanned()
+	sh.fan(b)
 }
 
 // Close flushes pending records, drains and stops the workers, then

@@ -2,6 +2,7 @@ package metricstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"cstrace/internal/analysis"
 	"cstrace/internal/gamesim"
 	"cstrace/internal/scenario"
+	"cstrace/internal/sched"
 	"cstrace/internal/trace"
 )
 
@@ -186,6 +188,10 @@ func TestStoreTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// TestIngestSalvagesCrashedCapture: a torn capture ingests as its exact
+// intact prefix, and — the store row being content-addressed — as the same
+// row whatever parallelism read it: one record count, one warning, one
+// summary.
 func TestIngestSalvagesCrashedCapture(t *testing.T) {
 	path := testTrace(t, "crash.cst", false, 6000, time.Millisecond)
 	data, err := os.ReadFile(path)
@@ -196,19 +202,40 @@ func TestIngestSalvagesCrashedCapture(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)*6/10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st := openStore(t, filepath.Join(t.TempDir(), "m.csms"))
-	run, added, err := IngestTraceFile(st, path, IngestOptions{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !added {
-		t.Fatal("salvaged ingest not added")
-	}
-	if run.Warning == "" {
-		t.Fatal("salvaged ingest carries no warning")
-	}
-	if run.Records == 0 || run.Records >= 6000 {
-		t.Fatalf("salvaged records = %d, want 0 < n < 6000", run.Records)
+	var first *Run
+	var firstSummary []byte
+	for _, par := range []int{1, 2, sched.Auto} {
+		st := openStore(t, filepath.Join(t.TempDir(), "m.csms"))
+		run, added, err := IngestTraceFile(st, path, IngestOptions{Parallelism: par})
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		if !added {
+			t.Fatalf("parallelism %d: salvaged ingest not added", par)
+		}
+		if run.Warning == "" {
+			t.Fatalf("parallelism %d: salvaged ingest carries no warning", par)
+		}
+		if run.Records == 0 || run.Records >= 6000 {
+			t.Fatalf("parallelism %d: salvaged records = %d, want 0 < n < 6000", par, run.Records)
+		}
+		summary, err := json.Marshal(run.Summary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first, firstSummary = run, summary
+			continue
+		}
+		if run.Records != first.Records {
+			t.Errorf("parallelism %d: %d records, parallelism 1 ingested %d", par, run.Records, first.Records)
+		}
+		if run.Warning != first.Warning {
+			t.Errorf("parallelism %d: warning %q, parallelism 1 said %q", par, run.Warning, first.Warning)
+		}
+		if !bytes.Equal(summary, firstSummary) {
+			t.Errorf("parallelism %d: summary diverges from parallelism 1:\n got %s\nwant %s", par, summary, firstSummary)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package trace
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // The block-oriented fast path. The per-record Handler interface costs one
 // virtual call per record through every pipeline layer; at the paper's scale
@@ -26,8 +29,15 @@ var blockPool = sync.Pool{
 	},
 }
 
+// poolOut counts pooled blocks — Block and ColumnBlock alike — handed out
+// and not yet returned. It is a test hook: a read path that errors out
+// mid-file must still return every decoded-but-undelivered block, which is
+// observable only as this balance coming back to where it started.
+var poolOut atomic.Int64
+
 // NewBlock returns an empty block with capacity BlockSize from the pool.
 func NewBlock() *Block {
+	poolOut.Add(1)
 	b := blockPool.Get().(*Block)
 	*b = (*b)[:0]
 	return b
@@ -38,6 +48,7 @@ func FreeBlock(b *Block) {
 	if b == nil || cap(*b) == 0 {
 		return
 	}
+	poolOut.Add(-1)
 	blockPool.Put(b)
 }
 

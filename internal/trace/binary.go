@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"time"
 
@@ -98,7 +99,7 @@ const (
 // decodable segments, each segment's payload is field-striped and
 // compressed per column when that makes it smaller (tunable via
 // CompressLevel), and the file ends with a segment index + footer, so
-// Reader.ReadAllParallel can fan decode out across goroutines. Setting
+// Reader.ReadAllSharded can fan decode out across goroutines. Setting
 // Workers moves compression off the Write path onto a worker pool. Flush
 // seals the file and must be called exactly once, after the last Write.
 type Writer struct {
@@ -675,19 +676,20 @@ func (w *Writer) Flush() error {
 
 // Reader streams records from the binary trace format, accepting every
 // version (v1–v4) transparently: ReadAll / ReadAllPrefetch scan any version
-// serially, and ReadAllParallel / ReadAllSharded additionally decode
-// indexed segments on worker goroutines when the source is seekable,
+// serially, and ReadAllSharded / ReadRange additionally run indexed (v2+)
+// segments through the indexed decode engine when the source is seekable,
 // falling back to the serial scan (with a Warning) when it is not or the
 // index is unreadable.
 type Reader struct {
-	// Salvage, when set before the first read, makes the indexed read paths
-	// (ReadAllParallel, ReadAllSharded) fall back to Recover when the
-	// footer or index is missing or damaged: the forward scan rebuilds an
-	// index over the intact segment prefix and decode proceeds as if the
-	// file were sealed, delivering exactly the validated records with no
-	// error and the degradation note in Warning. The zero value keeps the
-	// strict behavior: a damaged index degrades to the serial scan, which
-	// surfaces the corruption it runs into.
+	// Salvage, when set before the first read, makes the planned read paths
+	// (ReadAllSharded, ReadRange) fall back to Recover when the footer or
+	// index of a seekable v2+ file is missing or damaged, whatever the
+	// worker count: the forward scan rebuilds an index over the intact
+	// segment prefix and decode proceeds as if the file were sealed,
+	// delivering exactly the validated records with no error and the
+	// degradation note in Warning. The zero value keeps the strict
+	// behavior: a damaged index degrades to the serial scan, which surfaces
+	// the corruption it runs into.
 	Salvage bool
 
 	src     io.Reader // the unbuffered source, for the indexed read path
@@ -729,8 +731,8 @@ func (r *Reader) Version() int { return int(r.version) }
 func (r *Reader) Err() error { return r.err }
 
 // Warning returns a human-readable note when a read path degraded (e.g.
-// ReadAllParallel fell back to a serial scan because the index was
-// truncated), or "" if none.
+// ReadAllSharded fell back to a serial scan because the index was
+// truncated, or salvaged a torn file's intact prefix), or "" if none.
 func (r *Reader) Warning() string { return r.warn }
 
 // latch records err as the underlying cause and returns the sentinel.
@@ -858,18 +860,28 @@ func (r *Reader) fillSegmentQueue() {
 // ReadAll drains the stream into h in BlockSize batches, returning the
 // record count. On error, records decoded before the error still reach h.
 func (r *Reader) ReadAll(h Handler) (int64, error) {
+	return r.readSpan(0, math.MaxInt64, h)
+}
+
+// readSpan is the per-record reference scan: it decodes from the current
+// position, delivers the records with from ≤ T < to, and stops at the first
+// record at or past to — the format stores records in time order, so
+// nothing later can be in range.
+func (r *Reader) readSpan(from, to time.Duration, h Handler) (int64, error) {
 	bat := NewBatcher(Batch(h))
 	defer bat.Close()
 	var n int64
 	for {
 		rec, err := r.Read()
-		if err == io.EOF {
+		if err == io.EOF || err == nil && rec.T >= to {
 			return n, nil
 		}
 		if err != nil {
 			return n, err
 		}
-		bat.Handle(rec)
-		n++
+		if rec.T >= from {
+			bat.Handle(rec)
+			n++
+		}
 	}
 }

@@ -1,11 +1,10 @@
 package trace
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
@@ -73,6 +72,35 @@ func checkColHeader(p []byte, si SegmentInfo) ([4]int, error) {
 	return lens, nil
 }
 
+// storedColHeaders parses and validates the run-length headers of a
+// columnar payload as stored on disk, returning the raw (decoded) and
+// stored size of each run and the offset of the first stored run. An
+// uncompressed payload stores its runs raw behind the one header; a
+// compressed one carries a second header of stored sizes, each run either
+// literal (stored == raw) or a flate stream (stored < raw).
+func storedColHeaders(p []byte, si SegmentInfo) (rawL, stoL [4]int, runsOff int, err error) {
+	if !si.Compressed() {
+		rawL, err = checkColHeader(p, si)
+		return rawL, rawL, colHeaderLen, err
+	}
+	if len(p) < 2*colHeaderLen {
+		return rawL, stoL, 0, fmt.Errorf("%w: compressed columnar payload truncated inside its headers", ErrCorrupt)
+	}
+	if rawL, err = checkColHeader(p, si); err != nil {
+		return rawL, stoL, 0, err
+	}
+	stoL, stoSum := parseColHeader(p[colHeaderLen:])
+	if 2*colHeaderLen+stoSum != si.PayloadLen {
+		return rawL, stoL, 0, fmt.Errorf("%w: stored column runs sum to %d bytes, segment payload is %d", ErrCorrupt, 2*colHeaderLen+stoSum, si.PayloadLen)
+	}
+	for c := range rawL {
+		if stoL[c] > rawL[c] {
+			return rawL, stoL, 0, fmt.Errorf("%w: %s column stores %d bytes for %d raw", ErrCorrupt, colNames[c], stoL[c], rawL[c])
+		}
+	}
+	return rawL, stoL, 2 * colHeaderLen, nil
+}
+
 // clampRun slices run c out of a possibly-truncated payload: the run's
 // declared byte range, cut short at the end of the available bytes.
 func clampRun(p []byte, off, length int) []byte {
@@ -86,211 +114,31 @@ func clampRun(p []byte, off, length int) []byte {
 	return p[off:end]
 }
 
-// newBlocksFor returns pooled blocks pre-sized to hold count records.
-func newBlocksFor(count int) []*Block {
-	blocks := make([]*Block, 0, (count+BlockSize-1)/BlockSize)
-	for count > 0 {
-		c := count
-		if c > BlockSize {
-			c = BlockSize
-		}
-		blk := NewBlock()
-		*blk = (*blk)[:c]
-		blocks = append(blocks, blk)
-		count -= c
-	}
-	return blocks
+// blocksFor returns how many BlockSize blocks hold n records.
+func blocksFor(n int) int { return (n + BlockSize - 1) / BlockSize }
+
+// errColTruncated reports column c (in payload order) running out of bytes
+// at record i.
+func errColTruncated(c, i int) error {
+	return fmt.Errorf("%w: truncated %s column at record %d", ErrCorrupt, colNames[c], i)
 }
 
-// truncateBlocks trims a pre-sized block list down to its first keep
-// records, recycling what falls off.
-func truncateBlocks(blocks []*Block, keep int) []*Block {
-	out := blocks[:0]
-	for _, blk := range blocks {
-		if keep == 0 {
-			FreeBlock(blk)
-			continue
-		}
-		if len(*blk) > keep {
-			*blk = (*blk)[:keep]
-		}
-		keep -= len(*blk)
-		out = append(out, blk)
-	}
-	return out
-}
-
-func errColTruncated(col string, i int) error {
-	return fmt.Errorf("%w: truncated %s column at record %d", ErrCorrupt, col, i)
-}
-
-func errColTrailing(col string, n int) error {
-	return fmt.Errorf("%w: %d trailing bytes in %s column", ErrCorrupt, n, col)
-}
-
-// decodeColumnarBlocks decodes a (possibly truncated) raw columnar payload
-// into pooled blocks — four tight per-column passes writing straight into
-// the Record slabs, no intermediate interleaved buffer. On damage it
-// returns the records complete in every column before the first error,
-// preserving records-before-error delivery; header-level damage (truncated
-// header, column-length mismatch, run sizes disagreeing with the segment)
-// fails closed with no records, like an implausible frame header.
-func decodeColumnarBlocks(p []byte, si SegmentInfo) ([]*Block, error) {
-	lens, err := checkColHeader(p, si)
-	if err != nil {
-		return nil, err
-	}
-	blocks := newBlocksFor(si.Count)
-	off := colHeaderLen
-	nT, errT := decodeDeltaRun(clampRun(p, off, lens[0]), si, blocks)
-	off += lens[0]
-	nF, errF := decodeFlagsRun(clampRun(p, off, lens[1]), blocks)
-	off += lens[1]
-	nC, errC := decodeClientRun(clampRun(p, off, lens[2]), blocks)
-	off += lens[2]
-	nA, errA := decodeAppRun(clampRun(p, off, lens[3]), blocks)
-
-	complete := nT
-	for _, n := range [...]int{nF, nC, nA} {
-		if n < complete {
-			complete = n
-		}
-	}
-	blocks = truncateBlocks(blocks, complete)
-	for _, e := range [...]error{errT, errF, errC, errA} {
-		if e != nil {
-			return blocks, e
-		}
-	}
-	return blocks, nil
-}
-
-// decodeDeltaRun decodes the timestamp column into the pre-sized blocks,
-// returning how many records got a timestamp. A fully decoded column is
-// cross-checked against the segment's MinT/MaxT, exactly as the interleaved
-// decoder does.
-func decodeDeltaRun(run []byte, si SegmentInfo, blocks []*Block) (int, error) {
-	last := si.BaseT
-	i := 0
-	for _, blk := range blocks {
-		recs := *blk
-		for j := range recs {
-			// One-byte varints dominate every column on a busy server;
-			// peeling that case off the generic decode loop is worth a few
-			// ns/record on the serial sweep.
-			var delta uint64
-			if len(run) != 0 && run[0] < 0x80 {
-				delta, run = uint64(run[0]), run[1:]
-			} else if d, n := binary.Uvarint(run); n > 0 {
-				delta, run = d, run[n:]
-			} else {
-				return i, errColTruncated("delta", i)
-			}
-			if delta > uint64(MaxSpan) || last+time.Duration(delta) > MaxSpan {
-				return i, fmt.Errorf("%w: timestamp jump past the span cap at record %d", ErrCorrupt, i)
-			}
-			last += time.Duration(delta)
-			recs[j].T = last
-			i++
-		}
-	}
-	if len(run) != 0 {
-		return i, errColTrailing("delta", len(run))
-	}
-	if len(blocks) > 0 {
-		if first := (*blocks[0])[0].T; first != si.MinT {
-			return i, fmt.Errorf("%w: first record at %v, header says %v", ErrCorrupt, first, si.MinT)
-		}
-		if last != si.MaxT {
-			return i, fmt.Errorf("%w: last record at %v, header says %v", ErrCorrupt, last, si.MaxT)
-		}
-	}
-	return i, nil
-}
-
-// decodeFlagsRun decodes the flags column (one byte per record).
-func decodeFlagsRun(run []byte, blocks []*Block) (int, error) {
-	i := 0
-	for _, blk := range blocks {
-		recs := *blk
-		for j := range recs {
-			if i >= len(run) {
-				return i, errColTruncated("flags", i)
-			}
-			f := run[i]
-			recs[j].Dir = Direction(f & 1)
-			recs[j].Kind = Kind(f >> 1 & 0x7)
-			i++
-		}
-	}
-	return i, nil
-}
-
-// decodeClientRun decodes the client-id column.
-func decodeClientRun(run []byte, blocks []*Block) (int, error) {
-	i := 0
-	for _, blk := range blocks {
-		recs := *blk
-		for j := range recs {
-			var client uint64
-			if len(run) != 0 && run[0] < 0x80 {
-				client, run = uint64(run[0]), run[1:]
-			} else if v, n := binary.Uvarint(run); n > 0 {
-				client, run = v, run[n:]
-			} else {
-				return i, errColTruncated("client", i)
-			}
-			if client > 1<<32-1 {
-				return i, fmt.Errorf("%w: out-of-range client at record %d", ErrCorrupt, i)
-			}
-			recs[j].Client = uint32(client)
-			i++
-		}
-	}
-	if len(run) != 0 {
-		return i, errColTrailing("client", len(run))
-	}
-	return i, nil
-}
-
-// decodeAppRun decodes the app-size column.
-func decodeAppRun(run []byte, blocks []*Block) (int, error) {
-	i := 0
-	for _, blk := range blocks {
-		recs := *blk
-		for j := range recs {
-			var app uint64
-			if len(run) > 1 && run[0] >= 0x80 && run[1] < 0x80 {
-				// App sizes cluster in the two-byte band (128–16383).
-				app, run = uint64(run[0]&0x7f)|uint64(run[1])<<7, run[2:]
-			} else if len(run) != 0 && run[0] < 0x80 {
-				app, run = uint64(run[0]), run[1:]
-			} else if v, n := binary.Uvarint(run); n > 0 {
-				app, run = v, run[n:]
-			} else {
-				return i, errColTruncated("app", i)
-			}
-			if app > 1<<16-1 {
-				return i, fmt.Errorf("%w: out-of-range app at record %d", ErrCorrupt, i)
-			}
-			recs[j].App = uint16(app)
-			i++
-		}
-	}
-	if len(run) != 0 {
-		return i, errColTrailing("app", len(run))
-	}
-	return i, nil
-}
-
-// decodeSegmentPayload decodes a raw in-memory segment payload on the
-// layout the segment's flags announce: field-striped columns (v4) or the
-// interleaved record stream (v1–v3).
+// decodeSegmentPayload decodes a raw in-memory segment payload into pooled
+// record blocks on the layout the segment's flags announce: the interleaved
+// record stream (v1–v3) directly, field-striped columns (v4) through the
+// column decoder with each block interleaved as it comes out.
 func decodeSegmentPayload(p []byte, si SegmentInfo) ([]*Block, error) {
-	if si.Columnar() {
-		return decodeColumnarBlocks(p, si)
+	if !si.Columnar() {
+		return decodePayload(p, si)
 	}
-	return decodePayload(p, si)
+	blocks := make([]*Block, 0, blocksFor(si.Count))
+	err := decodeColumnar(p, si, func(cb *ColumnBlock) {
+		blk := NewBlock()
+		*blk = cb.AppendRecords(*blk)
+		blocks = append(blocks, blk)
+		FreeColumnBlock(cb)
+	})
+	return blocks, err
 }
 
 // ColumnBlock is the struct-of-arrays counterpart of Block: one decoded
@@ -309,17 +157,19 @@ func (cb *ColumnBlock) Len() int { return len(cb.T) }
 
 // AppendRecords interleaves the columns into dst as full Records.
 func (cb *ColumnBlock) AppendRecords(dst []Record) []Record {
-	for i, t := range cb.T {
-		f := cb.Flags[i]
-		dst = append(dst, Record{
-			T:      t,
-			Dir:    Direction(f & 1),
-			Kind:   Kind(f >> 1 & 0x7),
-			Client: cb.Client[i],
-			App:    cb.App[i],
-		})
+	n := len(cb.T)
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	ts, fs, cs, as := cb.T[:n], cb.Flags[:n], cb.Client[:n], cb.App[:n]
+	for i := range out {
+		r := &out[i]
+		r.T = ts[i]
+		r.Dir = Direction(fs[i] & 1)
+		r.Kind = Kind(fs[i] >> 1 & 0x7)
+		r.Client = cs[i]
+		r.App = as[i]
 	}
-	return dst
+	return dst[:len(dst)+n]
 }
 
 var columnBlockPool = sync.Pool{
@@ -336,6 +186,7 @@ var columnBlockPool = sync.Pool{
 // NewColumnBlock returns an empty column block with capacity BlockSize from
 // the pool.
 func NewColumnBlock() *ColumnBlock {
+	poolOut.Add(1)
 	cb := columnBlockPool.Get().(*ColumnBlock)
 	cb.truncate(0)
 	return cb
@@ -346,6 +197,7 @@ func FreeColumnBlock(cb *ColumnBlock) {
 	if cb == nil || cap(cb.T) == 0 {
 		return
 	}
+	poolOut.Add(-1)
 	columnBlockPool.Put(cb)
 }
 
@@ -356,174 +208,179 @@ func (cb *ColumnBlock) truncate(n int) {
 	cb.App = cb.App[:n]
 }
 
-// newColumnBlocksFor returns pooled column blocks pre-sized for count
-// records.
-func newColumnBlocksFor(count int) []*ColumnBlock {
-	cbs := make([]*ColumnBlock, 0, (count+BlockSize-1)/BlockSize)
-	for count > 0 {
-		c := count
-		if c > BlockSize {
-			c = BlockSize
-		}
-		cb := NewColumnBlock()
-		cb.truncate(c)
-		cbs = append(cbs, cb)
-		count -= c
-	}
-	return cbs
+// colDecoder is the one decoder of raw columnar payloads. It walks the four
+// runs a block at a time — up to BlockSize values of each column per step,
+// so a block's columns are still cache-hot when the record path interleaves
+// them — carrying each run's undecoded remainder between steps.
+type colDecoder struct {
+	si    SegmentInfo
+	runs  [4][]byte     // undecoded remainder of each column run
+	first time.Duration // first decoded timestamp, for the MinT cross-check
+	last  time.Duration // delta base for the next timestamp
+	n     int           // records decoded so far
 }
 
-// truncateColumnBlocks trims a pre-sized column-block list to keep records.
-func truncateColumnBlocks(cbs []*ColumnBlock, keep int) []*ColumnBlock {
-	out := cbs[:0]
-	for _, cb := range cbs {
-		if keep == 0 {
-			FreeColumnBlock(cb)
-			continue
-		}
-		if cb.Len() > keep {
-			cb.truncate(keep)
-		}
-		keep -= cb.Len()
-		out = append(out, cb)
+// decodeColumnar decodes a (possibly truncated) raw columnar payload,
+// handing each decoded block to emit, which takes ownership (and must
+// eventually FreeColumnBlock it). On damage the records complete in every
+// column before the first error are still emitted, preserving
+// records-before-error delivery; header-level damage (truncated header,
+// column-length mismatch, run sizes disagreeing with the segment) fails
+// closed with no records, like an implausible frame header.
+func decodeColumnar(p []byte, si SegmentInfo, emit func(*ColumnBlock)) error {
+	lens, err := checkColHeader(p, si)
+	d := colDecoder{si: si, last: si.BaseT}
+	off := colHeaderLen
+	for c, l := range lens {
+		d.runs[c] = clampRun(p, off, l)
+		off += l
 	}
-	return out
+	for err == nil && d.n < si.Count {
+		cb := NewColumnBlock()
+		err = d.next(cb)
+		if cb.Len() == 0 {
+			FreeColumnBlock(cb)
+		} else {
+			emit(cb)
+		}
+	}
+	return err
 }
 
 // decodeColumnarColumns decodes a raw columnar payload into pooled
 // ColumnBlocks, preserving the on-disk field separation for column-aware
-// sinks. Same validation and records-before-error semantics as
-// decodeColumnarBlocks.
+// sinks.
 func decodeColumnarColumns(p []byte, si SegmentInfo) ([]*ColumnBlock, error) {
-	lens, err := checkColHeader(p, si)
-	if err != nil {
-		return nil, err
-	}
-	cbs := newColumnBlocksFor(si.Count)
-	off := colHeaderLen
-	nT, errT := decodeDeltaCols(clampRun(p, off, lens[0]), si, cbs)
-	off += lens[0]
-	nF, errF := decodeFlagsCols(clampRun(p, off, lens[1]), cbs)
-	off += lens[1]
-	nC, errC := decodeClientCols(clampRun(p, off, lens[2]), cbs)
-	off += lens[2]
-	nA, errA := decodeAppCols(clampRun(p, off, lens[3]), cbs)
+	cbs := make([]*ColumnBlock, 0, blocksFor(si.Count))
+	err := decodeColumnar(p, si, func(cb *ColumnBlock) { cbs = append(cbs, cb) })
+	return cbs, err
+}
 
-	complete := nT
-	for _, n := range [...]int{nF, nC, nA} {
-		if n < complete {
-			complete = n
-		}
+// next decodes the next min(BlockSize, remaining) records into cb, which
+// ends up holding the records complete in every column. After the segment's
+// last record the fully decoded columns are cross-checked — no trailing run
+// bytes, first/last timestamp equal to the header's MinT/MaxT — exactly as
+// the interleaved decoder does.
+func (d *colDecoder) next(cb *ColumnBlock) error {
+	cb.truncate(min(BlockSize, d.si.Count-d.n))
+	nT, errT := d.deltas(cb.T)
+	if d.n == 0 && nT > 0 {
+		d.first = cb.T[0]
 	}
-	cbs = truncateColumnBlocks(cbs, complete)
+	nF, errF := d.flags(cb.Flags)
+	nC, errC := d.clients(cb.Client)
+	nA, errA := d.apps(cb.App)
+	cb.truncate(min(nT, nF, nC, nA))
+	d.n += cb.Len()
 	for _, e := range [...]error{errT, errF, errC, errA} {
 		if e != nil {
-			return cbs, e
+			return e
 		}
 	}
-	return cbs, nil
+	if d.n < d.si.Count {
+		return nil
+	}
+	for c, run := range d.runs {
+		if len(run) != 0 {
+			return fmt.Errorf("%w: %d trailing bytes in %s column", ErrCorrupt, len(run), colNames[c])
+		}
+	}
+	if d.first != d.si.MinT {
+		return fmt.Errorf("%w: first record at %v, header says %v", ErrCorrupt, d.first, d.si.MinT)
+	}
+	if d.last != d.si.MaxT {
+		return fmt.Errorf("%w: last record at %v, header says %v", ErrCorrupt, d.last, d.si.MaxT)
+	}
+	return nil
 }
 
-func decodeDeltaCols(run []byte, si SegmentInfo, cbs []*ColumnBlock) (int, error) {
-	last := si.BaseT
-	i := 0
-	for _, cb := range cbs {
-		ts := cb.T
-		for j := range ts {
-			var delta uint64
-			if len(run) != 0 && run[0] < 0x80 {
-				delta, run = uint64(run[0]), run[1:]
-			} else if d, n := binary.Uvarint(run); n > 0 {
-				delta, run = d, run[n:]
-			} else {
-				return i, errColTruncated("delta", i)
-			}
-			if delta > uint64(MaxSpan) || last+time.Duration(delta) > MaxSpan {
-				return i, fmt.Errorf("%w: timestamp jump past the span cap at record %d", ErrCorrupt, i)
-			}
-			last += time.Duration(delta)
-			ts[j] = last
-			i++
+// deltas decodes the next len(ts) timestamps, returning how many it got.
+func (d *colDecoder) deltas(ts []time.Duration) (n int, err error) {
+	run, last := d.runs[0], d.last
+	for n < len(ts) {
+		// One-byte varints dominate every column on a busy server; peeling
+		// that case off the generic decode loop is worth a few ns/record on
+		// the serial sweep.
+		var delta uint64
+		if len(run) != 0 && run[0] < 0x80 {
+			delta, run = uint64(run[0]), run[1:]
+		} else if v, w := binary.Uvarint(run); w > 0 {
+			delta, run = v, run[w:]
+		} else {
+			err = errColTruncated(0, d.n+n)
+			break
 		}
-	}
-	if len(run) != 0 {
-		return i, errColTrailing("delta", len(run))
-	}
-	if len(cbs) > 0 {
-		if first := cbs[0].T[0]; first != si.MinT {
-			return i, fmt.Errorf("%w: first record at %v, header says %v", ErrCorrupt, first, si.MinT)
+		if delta > uint64(MaxSpan) || last+time.Duration(delta) > MaxSpan {
+			err = fmt.Errorf("%w: timestamp jump past the span cap at record %d", ErrCorrupt, d.n+n)
+			break
 		}
-		if last != si.MaxT {
-			return i, fmt.Errorf("%w: last record at %v, header says %v", ErrCorrupt, last, si.MaxT)
-		}
+		last += time.Duration(delta)
+		ts[n] = last
+		n++
 	}
-	return i, nil
+	d.runs[0], d.last = run, last
+	return n, err
 }
 
-func decodeFlagsCols(run []byte, cbs []*ColumnBlock) (int, error) {
-	i := 0
-	for _, cb := range cbs {
-		n := copy(cb.Flags, run[i:])
-		i += n
-		if n < len(cb.Flags) {
-			return i, errColTruncated("flags", i)
-		}
+// flags decodes the next len(fs) flag bytes (one per record).
+func (d *colDecoder) flags(fs []uint8) (int, error) {
+	n := copy(fs, d.runs[1])
+	d.runs[1] = d.runs[1][n:]
+	if n < len(fs) {
+		return n, errColTruncated(1, d.n+n)
 	}
-	return i, nil
+	return n, nil
 }
 
-func decodeClientCols(run []byte, cbs []*ColumnBlock) (int, error) {
-	i := 0
-	for _, cb := range cbs {
-		cs := cb.Client
-		for j := range cs {
-			var client uint64
-			if len(run) != 0 && run[0] < 0x80 {
-				client, run = uint64(run[0]), run[1:]
-			} else if v, n := binary.Uvarint(run); n > 0 {
-				client, run = v, run[n:]
-			} else {
-				return i, errColTruncated("client", i)
-			}
-			if client > 1<<32-1 {
-				return i, fmt.Errorf("%w: out-of-range client at record %d", ErrCorrupt, i)
-			}
-			cs[j] = uint32(client)
-			i++
+// clients decodes the next len(cs) client ids.
+func (d *colDecoder) clients(cs []uint32) (n int, err error) {
+	run := d.runs[2]
+	for n < len(cs) {
+		var client uint64
+		if len(run) != 0 && run[0] < 0x80 {
+			client, run = uint64(run[0]), run[1:]
+		} else if v, w := binary.Uvarint(run); w > 0 {
+			client, run = v, run[w:]
+		} else {
+			err = errColTruncated(2, d.n+n)
+			break
 		}
+		if client > 1<<32-1 {
+			err = fmt.Errorf("%w: out-of-range client at record %d", ErrCorrupt, d.n+n)
+			break
+		}
+		cs[n] = uint32(client)
+		n++
 	}
-	if len(run) != 0 {
-		return i, errColTrailing("client", len(run))
-	}
-	return i, nil
+	d.runs[2] = run
+	return n, err
 }
 
-func decodeAppCols(run []byte, cbs []*ColumnBlock) (int, error) {
-	i := 0
-	for _, cb := range cbs {
-		as := cb.App
-		for j := range as {
-			var app uint64
-			if len(run) > 1 && run[0] >= 0x80 && run[1] < 0x80 {
-				app, run = uint64(run[0]&0x7f)|uint64(run[1])<<7, run[2:]
-			} else if len(run) != 0 && run[0] < 0x80 {
-				app, run = uint64(run[0]), run[1:]
-			} else if v, n := binary.Uvarint(run); n > 0 {
-				app, run = v, run[n:]
-			} else {
-				return i, errColTruncated("app", i)
-			}
-			if app > 1<<16-1 {
-				return i, fmt.Errorf("%w: out-of-range app at record %d", ErrCorrupt, i)
-			}
-			as[j] = uint16(app)
-			i++
+// apps decodes the next len(as) app sizes.
+func (d *colDecoder) apps(as []uint16) (n int, err error) {
+	run := d.runs[3]
+	for n < len(as) {
+		var app uint64
+		if len(run) > 1 && run[0] >= 0x80 && run[1] < 0x80 {
+			// App sizes cluster in the two-byte band (128–16383).
+			app, run = uint64(run[0]&0x7f)|uint64(run[1])<<7, run[2:]
+		} else if len(run) != 0 && run[0] < 0x80 {
+			app, run = uint64(run[0]), run[1:]
+		} else if v, w := binary.Uvarint(run); w > 0 {
+			app, run = v, run[w:]
+		} else {
+			err = errColTruncated(3, d.n+n)
+			break
 		}
+		if app > 1<<16-1 {
+			err = fmt.Errorf("%w: out-of-range app at record %d", ErrCorrupt, d.n+n)
+			break
+		}
+		as[n] = uint16(app)
+		n++
 	}
-	if len(run) != 0 {
-		return i, errColTrailing("app", len(run))
-	}
-	return i, nil
+	d.runs[3] = run
+	return n, err
 }
 
 // inflateColumnarInto reconstructs the raw columnar payload of a compressed
@@ -533,25 +390,14 @@ func decodeAppCols(run []byte, cbs []*ColumnBlock) (int, error) {
 // recovered before the error, so the column decoders can deliver the
 // records complete in every column up to the damage.
 func (sc *segScratch) inflateColumnarInto(dst, p []byte, si SegmentInfo) ([]byte, error) {
-	if len(p) < 2*colHeaderLen {
-		return dst[:0], fmt.Errorf("%w: compressed columnar payload truncated inside its headers", ErrCorrupt)
-	}
-	rawL, rawSum := parseColHeader(p)
-	stoL, stoSum := parseColHeader(p[colHeaderLen:])
-	if colHeaderLen+rawSum != si.RawLen {
-		return dst[:0], fmt.Errorf("%w: column runs sum to %d raw bytes, segment declares %d", ErrCorrupt, colHeaderLen+rawSum, si.RawLen)
-	}
-	if 2*colHeaderLen+stoSum != si.PayloadLen {
-		return dst[:0], fmt.Errorf("%w: stored runs sum to %d bytes, segment payload is %d", ErrCorrupt, 2*colHeaderLen+stoSum, si.PayloadLen)
+	rawL, stoL, poff, err := storedColHeaders(p, si)
+	if err != nil {
+		return dst[:0], err
 	}
 	copy(dst[:colHeaderLen], p[:colHeaderLen])
 	off := colHeaderLen
-	poff := 2 * colHeaderLen
 	for c := range rawL {
 		raw, sto := rawL[c], stoL[c]
-		if sto > raw {
-			return dst[:off], fmt.Errorf("%w: %s column stores %d bytes for %d raw", ErrCorrupt, colNames[c], sto, raw)
-		}
 		stored := clampRun(p, poff, sto)
 		if sto == raw {
 			n := copy(dst[off:off+raw], stored)
@@ -568,25 +414,6 @@ func (sc *segScratch) inflateColumnarInto(dst, p []byte, si SegmentInfo) ([]byte
 		poff += sto
 	}
 	return dst[:off], nil
-}
-
-// inflateRun inflates one stored column run into dst, requiring the stream
-// to end exactly at len(dst).
-func (sc *segScratch) inflateRun(dst, stored []byte) (int, error) {
-	if sc.fr == nil {
-		sc.fr = flate.NewReader(bytes.NewReader(stored))
-	} else if err := sc.fr.(flate.Resetter).Reset(bytes.NewReader(stored), nil); err != nil {
-		return 0, fmt.Errorf("flate reset: %w", err)
-	}
-	n, err := io.ReadFull(sc.fr, dst)
-	if err != nil {
-		return n, err
-	}
-	var one [1]byte
-	if m, _ := sc.fr.Read(one[:]); m != 0 {
-		return n, fmt.Errorf("run inflates past its declared %d bytes", len(dst))
-	}
-	return n, nil
 }
 
 // ColumnStats aggregates the per-column footprint of a trace's columnar

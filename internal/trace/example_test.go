@@ -46,8 +46,8 @@ func ExampleWriter() {
 }
 
 // ExampleReader decodes a trace with the parallel read path: indexed
-// segments fan out across worker goroutines and reassemble in file order,
-// so the delivered stream is identical to a serial ReadAll. On a v1 trace
+// segments fan out across worker goroutines and deliver in file order, so
+// the delivered stream is identical to a serial ReadAll. On a v1 trace
 // or a non-seekable source the same call degrades to the serial scan.
 func ExampleReader() {
 	var buf bytes.Buffer
@@ -66,7 +66,7 @@ func ExampleReader() {
 
 	var got trace.Collect
 	rd := trace.NewReader(bytes.NewReader(buf.Bytes()))
-	n, err := rd.ReadAllParallel(&got, 4)
+	n, err := rd.ReadAllSharded(&got, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func Example_compressedTrace() {
 
 	var got trace.Collect
 	rd := trace.NewReader(bytes.NewReader(buf.Bytes()))
-	n, err := rd.ReadAllParallel(&got, 4)
+	n, err := rd.ReadAllSharded(&got, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

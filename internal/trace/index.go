@@ -4,18 +4,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 )
 
-// The segment index and footer of the indexed formats (v2+), and the
-// parallel read path built on them. The index ("CSIX" frame) duplicates
-// every segment's frame header plus its file offset; the fixed-size footer
-// at the end of the file points back at the index, so an indexed reader
-// needs exactly two reads (footer, then index) before it can fan segment
-// decode out across workers. The index is advisory: a serial scanner never
-// needs it, and an unreadable index degrades to the serial scan (see
-// Reader.ReadAllParallel).
+// The segment index and footer of the indexed formats (v2+), and the read
+// planner built on them. The index ("CSIX" frame) duplicates every segment's
+// frame header plus its file offset; the fixed-size footer at the end of the
+// file points back at the index, so an indexed reader needs exactly two
+// reads (footer, then index) before it can fan segment decode out across
+// workers. The index is advisory: a serial scanner never needs it, and an
+// unreadable index degrades to a rebuilt one (Reader.Salvage) or to the
+// serial scan (see Reader.plan).
 
 // Index is the parsed segment index of an indexed (v2+) trace.
 type Index struct {
@@ -230,168 +229,71 @@ func sourceSize(s io.Seeker) (int64, error) {
 	return size, err
 }
 
-// resolveIndex locates and validates the segment index of an indexed trace,
-// or explains in Warning why the indexed read paths must degrade to a
-// serial scan (non-seekable source, unknown size, damaged index/footer).
-func (r *Reader) resolveIndex() (*Index, bool) {
+// readPlan is the planner's verdict on how a Reader's stream gets read:
+// through the indexed decode engine (decodeIndexed) over ix on workers
+// goroutines, or — ix nil — by the serial scan.
+type readPlan struct {
+	ra      io.ReaderAt
+	ix      *Index
+	workers int
+}
+
+// plan is the one place a Reader decides between the indexed engine and the
+// serial scan; every entry point that can use an index (ReadAllSharded,
+// ReadRange) asks it. needIndex says the caller gains from an index even on
+// one worker (a range read seeks by it). The ladder, top to bottom:
+//
+//	v1                                   serial, silent (no index can exist)
+//	workers ≤ 1, !needIndex, !Salvage    serial, silent (the caller's choice)
+//	source not seekable / size unknown   serial + Warning
+//	index valid                          indexed at max(1, workers) — except
+//	                                     workers ≤ 1 && !needIndex: serial,
+//	                                     silent (a sealed file scans fastest
+//	                                     through the prefetch pipeline)
+//	index damaged, Salvage, Recover ok   indexed over the rebuilt index at
+//	                                     max(1, workers) + Warning
+//	index damaged otherwise              serial + Warning
+//
+// Salvage is consulted before the worker count, so one torn file yields one
+// record count and one Warning however many workers read it.
+func (r *Reader) plan(workers int, needIndex bool) (readPlan, error) {
+	if !r.init {
+		if err := r.readHeader(); err != nil {
+			return readPlan{}, err
+		}
+	}
+	serialAsked := workers <= 1 && !needIndex
+	if r.version == version1 || serialAsked && !r.Salvage {
+		return readPlan{}, nil
+	}
 	sa, ok := r.src.(seekerAt)
 	if !ok {
-		r.warn = "parallel decode needs a seekable source; using serial scan"
-		return nil, false
+		r.warn = "indexed read needs a seekable source; using serial scan"
+		return readPlan{}, nil
 	}
 	size, err := sourceSize(sa)
 	if err != nil {
-		r.warn = fmt.Sprintf("parallel decode: source size unavailable (%v); using serial scan", err)
-		return nil, false
+		r.warn = fmt.Sprintf("indexed read: source size unavailable (%v); using serial scan", err)
+		return readPlan{}, nil
 	}
-	ix, err := ReadIndex(sa, size)
-	if err != nil {
-		if r.Salvage {
-			// Salvage mode: rebuild the index over the intact segment
-			// prefix and decode through it as if the file were sealed; the
-			// torn tail is dropped rather than surfaced as corruption.
-			if rix, rep, rerr := Recover(sa, size); rerr == nil {
-				r.warn = fmt.Sprintf("segment index unreadable (%v); salvaged %d intact segments (%d records, %d bytes dropped)",
-					err, rep.Segments, rep.Records, rep.DroppedBytes())
-				return rix, true
-			}
+	indexed := readPlan{ra: sa, workers: max(1, workers)}
+	if indexed.ix, err = ReadIndex(sa, size); err == nil {
+		if serialAsked {
+			return readPlan{}, nil
 		}
-		r.warn = fmt.Sprintf("segment index unreadable (%v); using serial scan", err)
-		return nil, false
+		return indexed, nil
 	}
-	return ix, true
-}
-
-// ReadAllParallel drains the stream into h exactly as ReadAll does, but for
-// an indexed (v2/v3) trace on a seekable source (an *os.File, a
-// *bytes.Reader, …) it decodes file segments on up to workers goroutines:
-// an order-preserving reassembly stage delivers each segment's pooled
-// blocks to h in file order, so the delivered stream — and any report
-// computed from it — is byte-identical to the serial paths.
-//
-// Degraded cases fall back to the serial ReadAllPrefetch scan, latching an
-// explanation in Warning when the degradation is unexpected: a
-// non-seekable source, or a truncated/corrupt index or footer. A v1 trace
-// (no index can exist) and workers ≤ 1 select the serial scan silently.
-// Call it on a fresh Reader.
-//
-// When h can consume whole decoded blocks in-place, ReadAllSharded removes
-// the reassembly stage's per-record copy as well.
-func (r *Reader) ReadAllParallel(h Handler, workers int) (int64, error) {
-	if !r.init {
-		if err := r.readHeader(); err != nil {
-			return 0, err
+	if r.Salvage {
+		// Rebuild the index over the intact segment prefix and decode
+		// through it as if the file were sealed; the torn tail is dropped
+		// rather than surfaced as corruption.
+		if rix, rep, rerr := Recover(sa, size); rerr == nil {
+			r.warn = fmt.Sprintf("segment index unreadable (%v); salvaged %d intact segments (%d records, %d bytes dropped)",
+				err, rep.Segments, rep.Records, rep.DroppedBytes())
+			indexed.ix = rix
+			return indexed, nil
 		}
 	}
-	if r.version == version1 || workers <= 1 {
-		return r.ReadAllPrefetch(h)
-	}
-	ix, ok := r.resolveIndex()
-	if !ok {
-		return r.ReadAllPrefetch(h)
-	}
-	n, err := parallelDecode(r.src.(seekerAt), ix, workers, Batch(h))
-	if err != nil && r.err == nil {
-		// Same contract as the serial paths: the full wrapped error (which
-		// preserves the I/O cause via %w) is reachable from Err even when
-		// the caller only inspects the ErrCorrupt sentinel.
-		r.err = err
-	}
-	return n, err
-}
-
-// segResult carries one decoded segment from a worker to the reassembly
-// stage. On error the blocks decoded before the corruption are still
-// delivered, preserving ReadAll's records-before-error semantics.
-type segResult struct {
-	blocks []*Block
-	err    error
-}
-
-// parallelDecode fans segment decode out across workers and reassembles in
-// file order. In-flight segments are bounded by a token budget so decode
-// cannot run arbitrarily ahead of a slow consumer.
-func parallelDecode(ra io.ReaderAt, ix *Index, workers int, bh BatchHandler) (int64, error) {
-	segs := ix.Segments
-	if len(segs) == 0 {
-		return 0, nil
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-
-	results := make([]chan segResult, len(segs))
-	for i := range results {
-		results[i] = make(chan segResult, 1)
-	}
-	jobs := make(chan int)
-	stop := make(chan struct{})
-	// tokens bounds in-flight segments (decoding or decoded-but-undelivered)
-	// to roughly 2× the worker count.
-	tokens := make(chan struct{}, 2*workers)
-	go func() {
-		defer close(jobs)
-		for i := range segs {
-			select {
-			case tokens <- struct{}{}:
-			case <-stop:
-				return
-			}
-			select {
-			case jobs <- i:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc segScratch
-			for i := range jobs {
-				var res segResult
-				res.blocks, res.err = readSegmentAt(ra, segs[i], ix.Version, &sc)
-				results[i] <- res
-			}
-		}()
-	}
-
-	var n int64
-	var firstErr error
-	for i := 0; i < len(segs) && firstErr == nil; i++ {
-		res := <-results[i]
-		// Blocks decoded before a mid-segment corruption still deliver.
-		for _, blk := range res.blocks {
-			bh.HandleBatch(*blk)
-			n += int64(len(*blk))
-			FreeBlock(blk)
-		}
-		if res.err != nil {
-			firstErr = res.err
-			close(stop)
-		} else {
-			<-tokens
-		}
-	}
-	if firstErr != nil {
-		// Undispatched segments never produce a result, so the in-order
-		// loop must not wait on them; workers finish their outstanding
-		// jobs (result channels are buffered) and the stragglers' blocks
-		// are recycled off-path.
-		go func() {
-			wg.Wait()
-			for _, ch := range results {
-				select {
-				case res := <-ch:
-					for _, blk := range res.blocks {
-						FreeBlock(blk)
-					}
-				default:
-				}
-			}
-		}()
-	}
-	return n, firstErr
+	r.warn = fmt.Sprintf("segment index unreadable (%v); using serial scan", err)
+	return readPlan{}, nil
 }

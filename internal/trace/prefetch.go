@@ -7,8 +7,8 @@ import "io"
 // ReadAllPrefetch moves decoding to its own goroutine, sending pooled
 // blocks over a bounded channel — the next block decodes while the current
 // one is being analyzed, overlapping file I/O and analysis. It is the
-// serial scan every degraded case of ReadAllParallel falls back to: v1
-// traces (no index exists), non-seekable sources, and v2 files with a
+// serial scan every degraded case of ReadAllSharded falls back to: v1
+// traces (no index exists), non-seekable sources, and v2+ files with a
 // damaged index or footer.
 
 // prefetchDepth bounds the decoded-but-unconsumed block queue.
@@ -24,10 +24,10 @@ type prefetchMsg struct {
 // ReadAllPrefetch drains the stream into h exactly as ReadAll does, but
 // decodes up to prefetchDepth blocks ahead on a separate goroutine. The
 // delivered stream, record count and error behavior are identical to
-// ReadAll: records decoded before an error still reach h. For indexed
-// (v2/v3) traces the decode goroutine additionally works segment-at-a-time
-// out of an in-memory slab — inflating compressed v3 segments first —
-// instead of per-record reader calls, which roughly triples decode
+// ReadAll: records decoded before an error still reach h. For indexed (v2+)
+// traces the decode goroutine additionally works segment-at-a-time out of
+// an in-memory slab — compressed segments inflated ahead by a third
+// goroutine — instead of per-record reader calls, which roughly triples decode
 // throughput (see BenchmarkAnalyzeV1 vs BenchmarkAnalyzeV2).
 func (r *Reader) ReadAllPrefetch(h Handler) (int64, error) {
 	ch := make(chan prefetchMsg, prefetchDepth)

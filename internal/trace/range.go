@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,8 +11,8 @@ import (
 	"time"
 )
 
-// Time-range reads. The v2/v3 segment index stores each segment's MinT/MaxT,
-// and the format guarantees records are in non-decreasing time order (the
+// Time-range reads. The segment index stores each segment's MinT/MaxT, and
+// the format guarantees records are in non-decreasing time order (the
 // Writer rejects anything else), so both MinT and MaxT are non-decreasing
 // across segments: the segments overlapping a time range form one
 // contiguous run findable by binary search, and only that run needs to be
@@ -23,126 +22,39 @@ import (
 // and BlockSize-bounded batches, returning how many were delivered.
 //
 // For an indexed (v2+) trace on a seekable source it binary-searches the
-// segment index and decodes (inflating where compressed) only the
-// overlapping segments — reading a one-hour slice of a
-// week-long trace costs I/O and decode proportional to the hour, not the
-// week. On a columnar (v4) trace the closing boundary segment is inflated
-// only up to the cut. Degraded inputs (v1, non-seekable source, damaged
-// index) fall back
-// to a serial scan that decodes from the start and stops at the first
-// record past the range, latching an explanation in Warning when the
-// degradation is unexpected. Call it on a fresh Reader.
+// segment index and runs the indexed decode engine over only the
+// overlapping segments — reading a one-hour slice of a week-long trace
+// costs I/O and decode proportional to the hour, not the week. On a
+// columnar (v4) trace the closing boundary segment is inflated only up to
+// the cut (v3 boundary segments inflate whole — their single interleaved
+// flate stream has no per-column structure to cut). Degraded inputs (v1,
+// non-seekable source, damaged index without Salvage) fall back to a serial
+// scan that decodes from the start and stops at the first record past the
+// range, latching an explanation in Warning when the degradation is
+// unexpected. Call it on a fresh Reader.
 func (r *Reader) ReadRange(from, to time.Duration, h Handler) (int64, error) {
 	if to <= from || to <= 0 {
 		return 0, nil
 	}
-	if from < 0 {
-		from = 0
+	from = max(from, 0)
+	p, err := r.plan(1, true)
+	if err != nil {
+		return 0, err
 	}
-	if !r.init {
-		if err := r.readHeader(); err != nil {
-			return 0, err
-		}
+	if p.ix != nil {
+		segs := p.ix.Segments
+		lo := sort.Search(len(segs), func(i int) bool { return segs[i].MaxT >= from })
+		hi := sort.Search(len(segs), func(i int) bool { return segs[i].MinT >= to })
+		return r.runIndexed(p, segs[lo:hi], from, to, h)
 	}
-	if r.version >= version2 {
-		if sa, ok := r.src.(seekerAt); ok {
-			size, err := sourceSize(sa)
-			if err != nil {
-				r.warn = fmt.Sprintf("range read: source size unavailable (%v); using serial scan", err)
-			} else if ix, err := ReadIndex(sa, size); err != nil {
-				r.warn = fmt.Sprintf("segment index unreadable (%v); using serial scan", err)
-			} else {
-				n, err := readRangeIndexed(sa, ix, from, to, Batch(h))
-				if err != nil && r.err == nil {
-					r.err = err
-				}
-				return n, err
-			}
-		} else {
-			r.warn = "range read needs a seekable source; using serial scan"
-		}
-	}
-
-	// Serial scan: decode from the start, filter, and stop at the first
-	// record at or past to — the format stores records in time order, so
-	// nothing later can be in range.
-	bat := NewBatcher(Batch(h))
-	defer bat.Close()
-	var n int64
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if rec.T >= to {
-			return n, nil
-		}
-		if rec.T >= from {
-			bat.Handle(rec)
-			n++
-		}
-	}
+	return r.readSpan(from, to, h)
 }
 
 // rangeRawBytes counts raw payload bytes materialized (inflated, or read
-// out of an uncompressed run) by indexed range reads. It is a test hook:
-// the partial inflate-to-cut on the closing boundary segment is observable
-// only through how few bytes it touches.
+// out of an uncompressed run) by the indexed decode engine. It is a test
+// hook: the partial inflate-to-cut on a range read's closing boundary
+// segment is observable only through how few bytes it touches.
 var rangeRawBytes atomic.Int64
-
-// readRangeIndexed decodes exactly the segments overlapping [from, to),
-// filtering only the (at most two) boundary segments that straddle a range
-// edge; interior segments deliver whole. A columnar (v4) closing boundary
-// segment is not decoded wholesale: readColumnarCut inflates each column
-// run only up to the first record at or past to, so a tight range pays
-// decode cost for the records it returns, not the full segment. (v3
-// boundary segments still inflate whole — their single interleaved flate
-// stream has no per-column structure to cut.)
-func readRangeIndexed(ra io.ReaderAt, ix *Index, from, to time.Duration, bh BatchHandler) (int64, error) {
-	segs := ix.Segments
-	lo := sort.Search(len(segs), func(i int) bool { return segs[i].MaxT >= from })
-	var scratch segScratch
-	var filtered Block
-	var n int64
-	for si := lo; si < len(segs) && segs[si].MinT < to; si++ {
-		seg := segs[si]
-		var blocks []*Block
-		var err error
-		cut := seg.Columnar() && seg.MaxT >= to
-		if cut {
-			blocks, err = readColumnarCut(ra, seg, ix.Version, &scratch, to)
-		} else {
-			blocks, err = readSegmentAt(ra, seg, ix.Version, &scratch)
-			rangeRawBytes.Add(int64(seg.RawLen))
-		}
-		whole := seg.MinT >= from && (cut || seg.MaxT < to)
-		for _, blk := range blocks {
-			if whole {
-				bh.HandleBatch(*blk)
-				n += int64(len(*blk))
-			} else {
-				filtered = filtered[:0]
-				for _, rec := range *blk {
-					if rec.T >= from && rec.T < to {
-						filtered = append(filtered, rec)
-					}
-				}
-				if len(filtered) > 0 {
-					bh.HandleBatch(filtered)
-					n += int64(len(filtered))
-				}
-			}
-			FreeBlock(blk)
-		}
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
 
 // countingReader feeds rangeRawBytes as raw column bytes come out of a
 // run's literal bytes or flate stream.
@@ -169,33 +81,9 @@ func readColumnarCut(ra io.ReaderAt, si SegmentInfo, version int, sc *segScratch
 		return nil, err
 	}
 
-	// Locate the four stored runs and their raw sizes, mirroring the
-	// validation the wholesale decoders perform on the payload headers.
-	var rawL, stoL [4]int
-	runsOff := colHeaderLen
-	if si.Compressed() {
-		if len(payload) < 2*colHeaderLen {
-			return nil, fmt.Errorf("%w: compressed columnar payload truncated inside its headers", ErrCorrupt)
-		}
-		var rawSum, stoSum int
-		rawL, rawSum = parseColHeader(payload)
-		stoL, stoSum = parseColHeader(payload[colHeaderLen:])
-		if colHeaderLen+rawSum != si.RawLen {
-			return nil, fmt.Errorf("%w: column runs sum to %d bytes, segment declares %d raw", ErrCorrupt, colHeaderLen+rawSum, si.RawLen)
-		}
-		if 2*colHeaderLen+stoSum != si.PayloadLen {
-			return nil, fmt.Errorf("%w: stored column runs sum to %d bytes, segment declares %d", ErrCorrupt, 2*colHeaderLen+stoSum, si.PayloadLen)
-		}
-		if rawL[1] != si.Count {
-			return nil, fmt.Errorf("%w: flags column holds %d bytes for %d records", ErrCorrupt, rawL[1], si.Count)
-		}
-		runsOff = 2 * colHeaderLen
-	} else {
-		lens, err := checkColHeader(payload, si)
-		if err != nil {
-			return nil, err
-		}
-		rawL, stoL = lens, lens
+	rawL, stoL, runsOff, err := storedColHeaders(payload, si)
+	if err != nil {
+		return nil, err
 	}
 
 	// openRun points br at column c's value stream: the stored bytes
@@ -204,18 +92,13 @@ func readColumnarCut(ra io.ReaderAt, si SegmentInfo, version int, sc *segScratch
 	// so one buffered reader and one flate reader serve all four.
 	br := bufio.NewReaderSize(nil, 512)
 	openRun := func(c int) error {
-		if stoL[c] > rawL[c] {
-			return fmt.Errorf("%w: %s column stored in %d bytes, larger than its %d raw", ErrCorrupt, colNames[c], stoL[c], rawL[c])
-		}
 		stored := payload[runsOff : runsOff+stoL[c]]
 		runsOff += stoL[c]
 		if stoL[c] == rawL[c] {
 			br.Reset(countingReader{bytes.NewReader(stored)})
 			return nil
 		}
-		if sc.fr == nil {
-			sc.fr = flate.NewReader(bytes.NewReader(stored))
-		} else if err := sc.fr.(flate.Resetter).Reset(bytes.NewReader(stored), nil); err != nil {
+		if err := sc.resetFlate(stored); err != nil {
 			return fmt.Errorf("%w: %s column: %v", ErrCorrupt, colNames[c], err)
 		}
 		br.Reset(countingReader{sc.fr})
@@ -227,102 +110,75 @@ func readColumnarCut(ra io.ReaderAt, si SegmentInfo, version int, sc *segScratch
 		return nil, err
 	}
 	last := si.BaseT
-	times := make([]time.Duration, 0, 1024)
-	for len(times) < si.Count {
+	recs := make([]Record, 0, 1024)
+	for len(recs) < si.Count {
 		delta, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, errColTruncated("delta", len(times))
+			return nil, errColTruncated(0, len(recs))
 		}
 		if delta > uint64(MaxSpan) || last+time.Duration(delta) > MaxSpan {
-			return nil, fmt.Errorf("%w: timestamp jump past the span cap at record %d", ErrCorrupt, len(times))
+			return nil, fmt.Errorf("%w: timestamp jump past the span cap at record %d", ErrCorrupt, len(recs))
 		}
 		last += time.Duration(delta)
-		if len(times) == 0 && last != si.MinT {
+		if len(recs) == 0 && last != si.MinT {
 			return nil, fmt.Errorf("%w: first record at %v, header says %v", ErrCorrupt, last, si.MinT)
 		}
 		if last >= to {
 			break
 		}
-		times = append(times, last)
+		recs = append(recs, Record{T: last})
 	}
-	k := len(times)
-	if k == si.Count {
+	if len(recs) == si.Count {
 		// Every delta decoded without reaching to, yet the caller cut this
 		// segment because its indexed MaxT is at or past to.
 		return nil, fmt.Errorf("%w: segment ends at %v, index says %v", ErrCorrupt, last, si.MaxT)
 	}
-	if k == 0 {
-		return nil, nil
-	}
-
-	blocks := newBlocksFor(k)
-	i := 0
-	for _, blk := range blocks {
-		recs := *blk
-		for j := range recs {
-			recs[j].T = times[i]
-			i++
-		}
-	}
-	fail := func(err error) ([]*Block, error) {
-		for _, blk := range blocks {
-			FreeBlock(blk)
-		}
-		return nil, err
-	}
 
 	// Flags, client, and app passes: first k values of each run.
 	if err := openRun(1); err != nil {
-		return fail(err)
+		return nil, err
 	}
-	i = 0
-	for _, blk := range blocks {
-		recs := *blk
-		for j := range recs {
-			f, err := br.ReadByte()
-			if err != nil {
-				return fail(errColTruncated("flags", i))
-			}
-			recs[j].Dir = Direction(f & 1)
-			recs[j].Kind = Kind(f >> 1 & 0x7)
-			i++
+	for i := range recs {
+		f, err := br.ReadByte()
+		if err != nil {
+			return nil, errColTruncated(1, i)
 		}
+		recs[i].Dir, recs[i].Kind = Direction(f&1), Kind(f>>1&0x7)
 	}
 	if err := openRun(2); err != nil {
-		return fail(err)
+		return nil, err
 	}
-	i = 0
-	for _, blk := range blocks {
-		recs := *blk
-		for j := range recs {
-			client, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fail(errColTruncated("client", i))
-			}
-			if client > 1<<32-1 {
-				return fail(fmt.Errorf("%w: out-of-range client at record %d", ErrCorrupt, i))
-			}
-			recs[j].Client = uint32(client)
-			i++
+	for i := range recs {
+		client, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, errColTruncated(2, i)
 		}
+		if client > 1<<32-1 {
+			return nil, fmt.Errorf("%w: out-of-range client at record %d", ErrCorrupt, i)
+		}
+		recs[i].Client = uint32(client)
 	}
 	if err := openRun(3); err != nil {
-		return fail(err)
+		return nil, err
 	}
-	i = 0
-	for _, blk := range blocks {
-		recs := *blk
-		for j := range recs {
-			app, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fail(errColTruncated("app", i))
-			}
-			if app > 1<<16-1 {
-				return fail(fmt.Errorf("%w: out-of-range app at record %d", ErrCorrupt, i))
-			}
-			recs[j].App = uint16(app)
-			i++
+	for i := range recs {
+		app, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, errColTruncated(3, i)
 		}
+		if app > 1<<16-1 {
+			return nil, fmt.Errorf("%w: out-of-range app at record %d", ErrCorrupt, i)
+		}
+		recs[i].App = uint16(app)
+	}
+
+	// Only a fully decoded cut reaches the pooled blocks the engine delivers.
+	blocks := make([]*Block, 0, blocksFor(len(recs)))
+	for len(recs) > 0 {
+		blk := NewBlock()
+		*blk = append(*blk, recs[:min(len(recs), BlockSize)]...)
+		recs = recs[len(*blk):]
+		blocks = append(blocks, blk)
 	}
 	return blocks, nil
 }

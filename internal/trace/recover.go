@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
@@ -13,8 +14,8 @@ import (
 // still self-describing (that is the point of duplicating the index fields
 // into every frame header), so Recover walks them forward, validates each
 // one by fully decoding it, and rebuilds the index the Flush never wrote.
-// The existing parallel/sharded read paths then treat the salvaged prefix
-// exactly like a sealed file; see docs/FORMAT.md §Recovery rules for what a
+// The indexed decode engine then treats the salvaged prefix exactly like a
+// sealed file; see docs/FORMAT.md §Recovery rules for what a
 // reader may and may not trust without a footer.
 
 // RecoverReport describes what Recover salvaged and why it stopped.
@@ -203,25 +204,16 @@ func Recover(ra io.ReaderAt, size int64) (*Index, *RecoverReport, error) {
 // decoded blocks. It is the acceptance test a segment must pass before
 // Recover will vouch for it.
 func validateSegment(ra io.ReaderAt, si SegmentInfo, ver int, sc *segScratch) error {
-	payload, err := fetchSegmentPayload(ra, si, ver, sc)
-	if err != nil {
-		return err
-	}
-	blocks, derr := decodeSegmentPayload(payload, si)
-	for _, blk := range blocks {
-		FreeBlock(blk)
-	}
-	return derr
+	d, err := readSegmentAt(ra, si, ver, sc, true)
+	d.free()
+	return err
 }
 
 // DecodeIndex streams every record of the segments listed in ix — typically
 // one rebuilt by Recover — from ra into h in file order, decoding segments
 // on up to workers goroutines (min 1). It is the salvage pipeline's decode
-// stage: the same order-preserving parallel decode ReadAllParallel runs on
-// a sealed file, minus the footer lookup.
+// stage: the indexed decode engine ReadAllSharded runs on a sealed file,
+// minus the footer lookup.
 func DecodeIndex(ra io.ReaderAt, ix *Index, h Handler, workers int) (int64, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	return parallelDecode(ra, ix, workers, Batch(h))
+	return decodeIndexed(ra, ix.Version, ix.Segments, 0, math.MaxInt64, h, workers)
 }

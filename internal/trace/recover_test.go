@@ -278,52 +278,65 @@ func TestSalvageRewriteByteIdentical(t *testing.T) {
 	}
 }
 
-// TestReaderSalvageFallback: with Salvage set, the parallel and sharded
-// read paths treat a torn file as the sealed prefix — full decode, no
-// error, the degradation explained in Warning.
+// TestReaderSalvageFallback: with Salvage set, ReadAllSharded treats a torn
+// file as the sealed prefix — full decode, no error, the degradation
+// explained in Warning — and does so identically at every worker count and
+// through either delivery surface, wherever in the segment the tear lands
+// (the last case falls inside the app run, the payload's final column).
 func TestReaderSalvageFallback(t *testing.T) {
 	recs, raw := versionStream(t, 4, 6000, 512)
 	g := geometry(t, raw)
 	midSeg := g.ix.Segments[len(g.ix.Segments)/2]
-	cut := midSeg.Offset + int64(midSeg.frameHeaderLen(4)) + int64(midSeg.PayloadLen)/3
-	wantSegs, wantRecs := g.intactPrefix(cut)
-	torn := raw[:cut]
+	payloadOff := midSeg.Offset + int64(midSeg.frameHeaderLen(4))
+	for _, tear := range []struct {
+		name     string
+		num, den int64
+	}{{"third", 1, 3}, {"half", 1, 2}, {"app-run", 97, 100}} {
+		cut := payloadOff + int64(midSeg.PayloadLen)*tear.num/tear.den
+		wantSegs, wantRecs := g.intactPrefix(cut)
+		torn := raw[:cut]
 
-	for _, sharded := range []bool{false, true} {
-		var n int64
-		var err error
 		var warn string
-		got := &blockCollect{}
-		r := NewReader(bytes.NewReader(torn))
-		r.Salvage = true
-		if sharded {
-			n, err = r.ReadAllSharded(got, 4)
-		} else {
-			n, err = r.ReadAllParallel(got, 4)
-		}
-		warn = r.Warning()
-		if err != nil {
-			t.Fatalf("sharded=%v: %v", sharded, err)
-		}
-		if n != wantRecs || len(got.records) != int(wantRecs) {
-			t.Fatalf("sharded=%v: delivered %d records, want %d (%d intact segments)", sharded, n, wantRecs, wantSegs)
-		}
-		for i := range got.records {
-			if got.records[i] != recs[i] {
-				t.Fatalf("sharded=%v: record %d mismatch", sharded, i)
+		for _, workers := range []int{1, 2, 4} {
+			for _, ingest := range []bool{false, true} {
+				name := fmt.Sprintf("%s workers=%d ingest=%v", tear.name, workers, ingest)
+				got := &blockCollect{}
+				var sink Handler = got
+				if !ingest {
+					sink = batchOnly{got}
+				}
+				r := NewReader(bytes.NewReader(torn))
+				r.Salvage = true
+				n, err := r.ReadAllSharded(sink, workers)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if n != wantRecs || len(got.records) != int(wantRecs) {
+					t.Fatalf("%s: delivered %d records, want %d (%d intact segments)", name, n, wantRecs, wantSegs)
+				}
+				for i := range got.records {
+					if got.records[i] != recs[i] {
+						t.Fatalf("%s: record %d mismatch", name, i)
+					}
+				}
+				if r.Warning() == "" {
+					t.Fatalf("%s: salvage fallback left no Warning", name)
+				}
+				if warn == "" {
+					warn = r.Warning()
+				} else if r.Warning() != warn {
+					t.Fatalf("%s: Warning %q, other worker counts said %q", name, r.Warning(), warn)
+				}
+			}
+
+			// Without Salvage the same torn file must keep the strict
+			// contract: fall back to the serial scan and surface the
+			// mid-segment truncation.
+			var strict Collect
+			if _, err := NewReader(bytes.NewReader(torn)).ReadAllSharded(&strict, workers); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s workers=%d: strict reader on torn file: err = %v, want ErrCorrupt", tear.name, workers, err)
 			}
 		}
-		if warn == "" {
-			t.Fatalf("sharded=%v: salvage fallback left no Warning", sharded)
-		}
-	}
-
-	// Without Salvage the same torn file must keep the strict contract:
-	// fall back to the serial scan and surface the mid-segment truncation.
-	var strict Collect
-	r := NewReader(bytes.NewReader(torn))
-	if _, err := r.ReadAllParallel(&strict, 4); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("strict reader on torn file: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -312,38 +312,50 @@ type segScratch struct {
 	fr    io.ReadCloser
 }
 
-// inflateInto decompresses a whole-payload flate stream (v3 layout) into
-// dst (len si.RawLen), returning the decompressed bytes. On a truncated or
-// damaged stream it returns the bytes recovered before the damage alongside
-// an ErrCorrupt-wrapped error, so callers can decode the partial prefix and
-// preserve records-before-error delivery.
-func (sc *segScratch) inflateInto(dst, p []byte, si SegmentInfo) ([]byte, error) {
-	if sc.fr == nil {
-		sc.fr = flate.NewReader(bytes.NewReader(p))
-	} else if err := sc.fr.(flate.Resetter).Reset(bytes.NewReader(p), nil); err != nil {
-		return dst[:0], fmt.Errorf("%w: flate reset: %w", ErrCorrupt, err)
+// inflateRun inflates one flate stream — a v3 payload, or one stored v4
+// column run — into dst through the scratch flate reader (reset per stream
+// instead of reallocating its window), requiring the stream to end exactly
+// at len(dst): the sizes come from the headers, so trailing compressed data
+// is corruption, not slack. It returns how many bytes landed in dst.
+func (sc *segScratch) inflateRun(dst, stored []byte) (int, error) {
+	if err := sc.resetFlate(stored); err != nil {
+		return 0, fmt.Errorf("flate reset: %w", err)
 	}
 	n, err := io.ReadFull(sc.fr, dst)
 	if err != nil {
-		return dst[:n], fmt.Errorf("%w: compressed payload damaged after %d of %d raw bytes: %w", ErrCorrupt, n, si.RawLen, err)
+		return n, err
 	}
-	// The stream must end exactly at RawLen: the sizes come from the frame
-	// header, so trailing compressed data is corruption, not slack.
 	var one [1]byte
 	if m, _ := sc.fr.Read(one[:]); m != 0 {
-		return dst, fmt.Errorf("%w: compressed payload inflates past the declared %d bytes", ErrCorrupt, si.RawLen)
+		return n, fmt.Errorf("stream inflates past its declared %d bytes", len(dst))
 	}
-	return dst, nil
+	return n, nil
+}
+
+// resetFlate points the scratch flate reader at a new stream.
+func (sc *segScratch) resetFlate(stored []byte) error {
+	if sc.fr == nil {
+		sc.fr = flate.NewReader(bytes.NewReader(stored))
+		return nil
+	}
+	return sc.fr.(flate.Resetter).Reset(bytes.NewReader(stored), nil)
 }
 
 // decompressInto reconstructs a compressed segment's raw payload into dst
 // (len si.RawLen) on the layout its flags announce: per-run columnar
-// streams (v4) or one whole-payload flate stream (v3).
+// streams (v4) or one whole-payload flate stream (v3). On a truncated or
+// damaged stream it returns the bytes recovered before the damage alongside
+// an ErrCorrupt-wrapped error, so callers can decode the partial prefix and
+// preserve records-before-error delivery.
 func (sc *segScratch) decompressInto(dst, p []byte, si SegmentInfo) ([]byte, error) {
 	if si.Columnar() {
 		return sc.inflateColumnarInto(dst, p, si)
 	}
-	return sc.inflateInto(dst, p, si)
+	n, err := sc.inflateRun(dst, p)
+	if err != nil {
+		return dst[:n], fmt.Errorf("%w: compressed payload damaged after %d of %d raw bytes: %w", ErrCorrupt, n, si.RawLen, err)
+	}
+	return dst, nil
 }
 
 // decompress is decompressInto over the scratch raw slab.
@@ -389,29 +401,12 @@ func (r *Reader) loadSegment(sc *segScratch) ([]*Block, error) {
 	}
 }
 
-// fetchSegmentPayload reads one segment's frame from an io.ReaderAt into
-// the worker's scratch buffers and returns its raw (decompressed) payload.
-// The frame header re-read from the file is cross-checked against the index
-// entry, so a file whose index and segments disagree surfaces as ErrCorrupt
-// rather than silently mis-decoding. Header-level failures return a nil
-// payload; damage inside a compressed payload returns the recovered raw
-// prefix alongside the error, so callers can decode it and preserve
-// records-before-error delivery.
-func fetchSegmentPayload(ra io.ReaderAt, si SegmentInfo, version int, sc *segScratch) ([]byte, error) {
-	payload, err := fetchSegmentFrame(ra, si, version, sc)
-	if err != nil {
-		return nil, err
-	}
-	if si.Compressed() {
-		return sc.decompress(payload, si)
-	}
-	return payload, nil
-}
-
-// fetchSegmentFrame reads and cross-checks one segment's frame like
-// fetchSegmentPayload but returns the payload exactly as stored on disk —
-// still compressed when the segment is flagged so. Range reads use it to
-// inflate a boundary segment only up to the cut instead of wholesale.
+// fetchSegmentFrame reads one segment's frame from an io.ReaderAt into the
+// worker's scratch buffers and returns the payload exactly as stored on
+// disk — still compressed when the segment is flagged so. The frame header
+// re-read from the file is cross-checked against the index entry, so a file
+// whose index and segments disagree surfaces as ErrCorrupt rather than
+// silently mis-decoding.
 func fetchSegmentFrame(ra io.ReaderAt, si SegmentInfo, version int, sc *segScratch) ([]byte, error) {
 	hl := si.frameHeaderLen(version)
 	need := hl + si.PayloadLen
@@ -443,33 +438,30 @@ func fetchSegmentFrame(ra io.ReaderAt, si SegmentInfo, version int, sc *segScrat
 }
 
 // readSegmentAt reads and decodes one segment from an io.ReaderAt using the
-// worker's scratch buffers; see fetchSegmentPayload for the validation and
-// partial-delivery story.
-func readSegmentAt(ra io.ReaderAt, si SegmentInfo, version int, sc *segScratch) ([]*Block, error) {
-	payload, ferr := fetchSegmentPayload(ra, si, version, sc)
-	if payload == nil {
-		return nil, ferr
-	}
-	blocks, derr := decodeSegmentPayload(payload, si)
+// worker's scratch buffers — into ColumnBlocks when cols is set and the
+// segment is field-striped (keeping the on-disk field separation for
+// column-aware sinks), into record blocks otherwise. Header-level failures
+// yield nothing; damage inside a compressed payload still decodes the
+// recovered raw prefix, preserving records-before-error delivery.
+func readSegmentAt(ra io.ReaderAt, si SegmentInfo, version int, sc *segScratch, cols bool) (segData, error) {
+	payload, ferr := fetchSegmentFrame(ra, si, version, sc)
 	if ferr != nil {
-		// Report the read/inflate failure as the cause; the decode of the
+		return segData{}, ferr
+	}
+	if si.Compressed() {
+		payload, ferr = sc.decompress(payload, si)
+	}
+	var d segData
+	var derr error
+	if cols && si.Columnar() {
+		d.cols, derr = decodeColumnarColumns(payload, si)
+	} else {
+		d.blocks, derr = decodeSegmentPayload(payload, si)
+	}
+	if ferr != nil {
+		// Report the inflate failure as the cause; the decode of the
 		// recovered prefix necessarily hit its truncation point too.
-		return blocks, ferr
+		return d, ferr
 	}
-	return blocks, derr
-}
-
-// readSegmentColumnsAt reads one columnar segment and decodes it into
-// ColumnBlocks, keeping the on-disk field separation for column-aware
-// sinks. Same validation and partial-delivery semantics as readSegmentAt.
-func readSegmentColumnsAt(ra io.ReaderAt, si SegmentInfo, version int, sc *segScratch) ([]*ColumnBlock, error) {
-	payload, ferr := fetchSegmentPayload(ra, si, version, sc)
-	if payload == nil {
-		return nil, ferr
-	}
-	cbs, derr := decodeColumnarColumns(payload, si)
-	if ferr != nil {
-		return cbs, ferr
-	}
-	return cbs, derr
+	return d, derr
 }

@@ -63,7 +63,7 @@ func TestV2ParallelMatchesSerial(t *testing.T) {
 			for _, workers := range []int{1, 2, 3, 8} {
 				var got Collect
 				rd := NewReader(bytes.NewReader(raw))
-				pn, err := rd.ReadAllParallel(&got, workers)
+				pn, err := rd.ReadAllSharded(&got, workers)
 				if err != nil {
 					t.Fatalf("v%d n=%d workers=%d: %v", version, n, workers, err)
 				}
@@ -99,6 +99,14 @@ func (b *blockCollect) IngestBlock(blk *Block) {
 	FreeBlock(blk)
 }
 
+// batchOnly hides a sink's ingest interfaces, so the indexed engine decodes
+// records and delivers them through its HandleBatch adapter — the path
+// plain sinks take — even when the wrapped sink could ingest blocks.
+type batchOnly struct{ h Handler }
+
+func (b batchOnly) Handle(r Record)         { b.h.Handle(r) }
+func (b batchOnly) HandleBatch(rs []Record) { Dispatch(b.h, rs) }
+
 // TestReadAllShardedMatchesSerial: direct block delivery must produce the
 // exact serial stream — same records, same order — at every worker count,
 // and must actually take the ingest path on an indexed trace.
@@ -133,14 +141,15 @@ func TestReadAllShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestReadAllShardedFallbacks: without an ingest-capable sink, with one
-// worker, on a v1 file, or on a non-seekable source, ReadAllSharded behaves
-// exactly like ReadAllParallel's fallback ladder.
+// TestReadAllShardedFallbacks: without an ingest-capable sink the engine
+// delivers through its HandleBatch adapter; with one worker, on a v1 file,
+// or on a non-seekable source, ReadAllSharded takes the serial scan — the
+// same stream every time.
 func TestReadAllShardedFallbacks(t *testing.T) {
 	const n = 3000
 	recs, raw := versionStream(t, 3, n, 1<<10)
 
-	// Plain Handler sink: same records via the reassembly path.
+	// Plain Handler sink: same records via the HandleBatch adapter.
 	var plain Collect
 	if pn, err := NewReader(bytes.NewReader(raw)).ReadAllSharded(&plain, 4); err != nil || pn != int64(n) {
 		t.Fatalf("plain sink: %d, %v", pn, err)
@@ -310,7 +319,7 @@ func TestV3CompressOff(t *testing.T) {
 				ix.Version, version, ix.CompressedSegments(), ix.PayloadBytes(), ix.RawBytes())
 		}
 		var got Collect
-		if pn, err := NewReader(bytes.NewReader(buf.Bytes())).ReadAllParallel(&got, 4); err != nil || pn != n {
+		if pn, err := NewReader(bytes.NewReader(buf.Bytes())).ReadAllSharded(&got, 4); err != nil || pn != n {
 			t.Fatalf("v%d read back: %d, %v", version, pn, err)
 		}
 		for i := range recs {
@@ -353,7 +362,7 @@ func TestParallelFallsBackSerial(t *testing.T) {
 	for name, src := range cases {
 		rd := NewReader(src)
 		var got Collect
-		pn, err := rd.ReadAllParallel(&got, 4)
+		pn, err := rd.ReadAllSharded(&got, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -403,7 +412,7 @@ func TestV2CorruptPayload(t *testing.T) {
 	mut[seg.Offset+segHeaderLen+5] ^= 0xFF
 	var par Collect
 	prd := NewReader(bytes.NewReader(mut))
-	pn, perr := prd.ReadAllParallel(&par, 4)
+	pn, perr := prd.ReadAllSharded(&par, 4)
 	if !errors.Is(perr, ErrCorrupt) {
 		t.Fatalf("parallel err = %v, want ErrCorrupt", perr)
 	}
@@ -492,7 +501,7 @@ func TestV3CorruptCompressed(t *testing.T) {
 			path string
 			run  func(rd *Reader, h Handler) (int64, error)
 		}{
-			{"parallel", func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllParallel(h, 4) }},
+			{"parallel", func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllSharded(batchOnly{h}, 4) }},
 			{"sharded", func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllSharded(h, 4) }},
 		} {
 			got := &blockCollect{}
@@ -547,7 +556,7 @@ func TestV3RawLenMismatch(t *testing.T) {
 		if _, err := NewReader(bytes.NewReader(mut)).ReadAllPrefetch(&Collect{}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: serial err = %v, want ErrCorrupt", name, err)
 		}
-		if _, err := NewReader(bytes.NewReader(mut)).ReadAllParallel(&Collect{}, 4); !errors.Is(err, ErrCorrupt) {
+		if _, err := NewReader(bytes.NewReader(mut)).ReadAllSharded(&Collect{}, 4); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: parallel err = %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -608,7 +617,7 @@ func TestV2IndexSegmentDisagreement(t *testing.T) {
 	mut := append([]byte{}, raw...)
 	off := ix.Segments[1].Offset
 	binary.LittleEndian.PutUint32(mut[off+8:], uint32(ix.Segments[1].Count+1))
-	_, perr := NewReader(bytes.NewReader(mut)).ReadAllParallel(&Collect{}, 4)
+	_, perr := NewReader(bytes.NewReader(mut)).ReadAllSharded(&Collect{}, 4)
 	if !errors.Is(perr, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", perr)
 	}
@@ -644,7 +653,7 @@ func TestEmptyIndexedTrace(t *testing.T) {
 		if _, err := NewReader(bytes.NewReader(buf.Bytes())).Read(); err != io.EOF {
 			t.Fatalf("v%d Read = %v, want io.EOF", version, err)
 		}
-		pn, err := NewReader(bytes.NewReader(buf.Bytes())).ReadAllParallel(&Collect{}, 4)
+		pn, err := NewReader(bytes.NewReader(buf.Bytes())).ReadAllSharded(&Collect{}, 4)
 		if err != nil || pn != 0 {
 			t.Fatalf("v%d parallel = %d, %v", version, pn, err)
 		}
@@ -715,8 +724,8 @@ func TestVersionPolicy(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader(future)).Read(); err != ErrBadVersion {
 		t.Fatalf("Read = %v, want ErrBadVersion", err)
 	}
-	if _, err := NewReader(bytes.NewReader(future)).ReadAllParallel(&Collect{}, 4); err != ErrBadVersion {
-		t.Fatalf("ReadAllParallel = %v, want ErrBadVersion", err)
+	if _, err := NewReader(bytes.NewReader(future)).ReadAllSharded(&Collect{}, 4); err != ErrBadVersion {
+		t.Fatalf("ReadAllSharded = %v, want ErrBadVersion", err)
 	}
 	if _, err := ReadIndex(bytes.NewReader(future), int64(len(future))); err != ErrBadVersion {
 		// ReadIndex sees a file too small before it sees the version;
@@ -740,12 +749,12 @@ func TestVersionPolicy(t *testing.T) {
 	if _, err := ReadIndex(bytes.NewReader(v1.Bytes()), int64(v1.Len())); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("ReadIndex(v1) = %v, want ErrNoIndex", err)
 	}
-	// A v1 trace through ReadAllParallel silently uses the serial path —
+	// A v1 trace through ReadAllSharded silently uses the serial path —
 	// that is the documented fallback, not a warning case.
 	rd := NewReader(bytes.NewReader(v1.Bytes()))
-	pn, err := rd.ReadAllParallel(&Collect{}, 4)
+	pn, err := rd.ReadAllSharded(&Collect{}, 4)
 	if err != nil || pn != 100 {
-		t.Fatalf("v1 via ReadAllParallel = %d, %v", pn, err)
+		t.Fatalf("v1 via ReadAllSharded = %d, %v", pn, err)
 	}
 }
 
@@ -924,7 +933,7 @@ func TestRoundTripEquality(t *testing.T) {
 		paths := map[string]func(rd *Reader, h Handler) (int64, error){
 			"readall":  func(rd *Reader, h Handler) (int64, error) { return rd.ReadAll(h) },
 			"prefetch": func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllPrefetch(h) },
-			"parallel": func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllParallel(h, 4) },
+			"parallel": func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllSharded(batchOnly{h}, 4) },
 			"sharded":  func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllSharded(h, 4) },
 		}
 		for path, read := range paths {

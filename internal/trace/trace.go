@@ -18,16 +18,16 @@
 // bounded-disorder streams for order-sensitive consumers.
 //
 // Writer/Reader persist streams in a delta-encoded binary format
-// (docs/FORMAT.md is the byte-level spec). NewWriter emits format v3:
+// (docs/FORMAT.md is the byte-level spec). NewWriter emits format v4:
 // records chunk into independently-decodable segments — each payload
-// flate-compressed when that makes it smaller — with a segment index and
-// footer, so Reader.ReadAllParallel can fan segment decode out across
-// worker goroutines with order-preserving reassembly, and
-// Reader.ReadAllSharded can hand the decoded blocks straight to a
-// BlockIngester (the sharded analysis suite) with no re-batching copy.
-// Both fall back to the serial Reader.ReadAllPrefetch scan (which decodes
-// ahead on one goroutine, overlapping file I/O with analysis) for v1
-// files, non-seekable sources and damaged indexes. PCAP{,NG}Writer and
+// field-striped and compressed per column when that makes it smaller —
+// with a segment index and footer, so Reader.ReadAllSharded can fan
+// segment decode out across worker goroutines with in-order delivery,
+// handing the decoded blocks straight to a BlockIngester (the sharded
+// analysis suite) with no re-batching copy. It falls back to the serial
+// Reader.ReadAllPrefetch scan (which inflates and decodes ahead on their
+// own goroutines, overlapping file I/O with analysis) for v1 files,
+// non-seekable sources and damaged indexes. PCAP{,NG}Writer and
 // ReadPCAP{,NG} exchange traces with standard capture tooling. See
 // docs/ARCHITECTURE.md for the end-to-end data flow.
 package trace
@@ -199,30 +199,3 @@ func (c *Collect) Handle(r Record) { c.Records = append(c.Records, r) }
 
 // HandleBatch implements BatchHandler.
 func (c *Collect) HandleBatch(rs []Record) { c.Records = append(c.Records, rs...) }
-
-// Merge interleaves multiple individually time-sorted record slices into a
-// single time-sorted stream delivered to h in BlockSize batches. Ties
-// preserve argument order.
-func Merge(h Handler, streams ...[]Record) {
-	idx := make([]int, len(streams))
-	bat := NewBatcher(Batch(h))
-	defer bat.Close()
-	for {
-		best := -1
-		var bestT time.Duration
-		for i, s := range streams {
-			if idx[i] >= len(s) {
-				continue
-			}
-			t := s[idx[i]].T
-			if best == -1 || t < bestT {
-				best, bestT = i, t
-			}
-		}
-		if best == -1 {
-			return
-		}
-		bat.Handle(streams[best][idx[best]])
-		idx[best]++
-	}
-}

@@ -48,23 +48,6 @@ func TestTeeAndFilter(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	s1 := []Record{{T: 1, Client: 1}, {T: 3, Client: 1}, {T: 5, Client: 1}}
-	s2 := []Record{{T: 2, Client: 2}, {T: 3, Client: 2}}
-	var out Collect
-	Merge(&out, s1, s2)
-	if len(out.Records) != 5 {
-		t.Fatalf("merged %d records", len(out.Records))
-	}
-	wantT := []time.Duration{1, 2, 3, 3, 5}
-	wantC := []uint32{1, 2, 1, 2, 1} // tie at T=3 preserves stream order
-	for i, r := range out.Records {
-		if r.T != wantT[i] || r.Client != wantC[i] {
-			t.Errorf("record %d = %+v", i, r)
-		}
-	}
-}
-
 func TestBinaryRoundTrip(t *testing.T) {
 	recs := []Record{
 		{T: 0, Dir: In, Kind: KindHandshake, Client: 1, App: 12},

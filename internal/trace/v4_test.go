@@ -245,7 +245,7 @@ func TestV4ReservedFlagBit(t *testing.T) {
 	}
 	for _, workers := range []int{4} {
 		for name, read := range map[string]func(rd *Reader, h Handler) (int64, error){
-			"parallel": func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllParallel(h, workers) },
+			"parallel": func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllSharded(batchOnly{h}, workers) },
 			"sharded":  func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllSharded(h, workers) },
 		} {
 			got := &columnCollect{}
@@ -311,7 +311,7 @@ func TestV4ColumnHeaderMismatch(t *testing.T) {
 			t.Fatalf("%s: serial delivered %d records, want exactly %d (header damage fails closed)", name, sn, minDelivered)
 		}
 		for path, read := range map[string]func(rd *Reader, h Handler) (int64, error){
-			"parallel": func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllParallel(h, 4) },
+			"parallel": func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllSharded(batchOnly{h}, 4) },
 			"sharded":  func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllSharded(h, 4) },
 		} {
 			got := &columnCollect{}
@@ -385,7 +385,7 @@ func TestV4CorruptColumnRuns(t *testing.T) {
 			continue // no index survives: every path is the same serial scan
 		}
 		for path, read := range map[string]func(rd *Reader, h Handler) (int64, error){
-			"parallel": func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllParallel(h, 4) },
+			"parallel": func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllSharded(batchOnly{h}, 4) },
 			"sharded":  func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllSharded(h, 4) },
 		} {
 			got := &columnCollect{}

@@ -271,7 +271,7 @@ func TestWriterReleaseSeals(t *testing.T) {
 	full := fw.Bytes()
 	var all Collect
 	r := NewReader(bytes.NewReader(full))
-	total, err := r.ReadAllParallel(&all, 2)
+	total, err := r.ReadAllSharded(&all, 2)
 	if err != nil || total != int64(n) {
 		t.Fatalf("sealed file after Release: %d records, err %v, want %d", total, err, n)
 	}
