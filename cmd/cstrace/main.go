@@ -580,10 +580,9 @@ func runScenario(seed uint64, servers int, duration, stagger time.Duration, spik
 	cfg.PerServer = perMode
 
 	// -out persists the merged fleet stream as an indexed, compressed v4
-	// trace. The merge's cross-server disorder is bounded by one tick
-	// window (≤ 100 ms), so the Writer's own 200 ms SortWindow restores the
-	// strict order the format requires — no separate SortBuffer stage, and
-	// compression rides the worker pool instead of the merge path.
+	// trace. The merge emits strict time order, which is what the Writer
+	// requires (it fails the run otherwise), and compression rides the
+	// worker pool instead of the merge path.
 	var w *trace.Writer
 	if out != "" {
 		f, err := os.Create(out)
@@ -592,7 +591,6 @@ func runScenario(seed uint64, servers int, duration, stagger time.Duration, spik
 		}
 		defer f.Close()
 		w = trace.NewWriter(f)
-		w.SortWindow = 200 * time.Millisecond
 		w.Workers = parallel
 		cfg.Extra = w
 	}

@@ -102,7 +102,9 @@ func main() {
 	mu.Lock()
 	captured := records
 	mu.Unlock()
-	suite, err := analysis.NewSuite(analysis.DefaultSuiteConfig(playFor))
+	sc := analysis.DefaultSuiteConfig(playFor)
+	sc.SortedInput = true // the SortBuffer below restores order once
+	suite, err := analysis.NewSuite(sc)
 	if err != nil {
 		log.Fatal(err)
 	}

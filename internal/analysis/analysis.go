@@ -350,9 +350,9 @@ type IntervalWindow struct {
 }
 
 // windowDoneSlack is how far past the window's end the stream must have
-// moved before blocks are skipped wholesale. Stream disorder is bounded by
-// one server tick (≤ 100 ms) for generated streams and by the sorting slack
-// (200 ms) for merged ones; 10 s is beyond anything the pipeline produces.
+// moved before blocks are skipped wholesale. Generated, stored and merged
+// streams are time-ordered and a raw live capture is disordered by a few
+// server ticks at most; 10 s is beyond anything the pipeline produces.
 const windowDoneSlack = 10 * time.Second
 
 // NewIntervalWindow creates a window of n bins of the given width.

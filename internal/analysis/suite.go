@@ -25,8 +25,9 @@ type SuiteConfig struct {
 	// order, so the order-sensitive collectors (Interarrival, Periodicity)
 	// are fed directly instead of through the suite's internal SortBuffer —
 	// the single most expensive stage of an unsorted sweep. The generator
-	// emits sorted streams and the binary trace format stores them sorted;
-	// only cross-server merges (scenario aggregates) still need the buffer.
+	// emits sorted streams, the binary trace format stores them sorted and
+	// the scenario merge emits them sorted; only raw live captures still
+	// need the buffer.
 	// Feeding a sorted suite out-of-order records corrupts only those two
 	// collectors' results; everything else is order-insensitive.
 	SortedInput bool

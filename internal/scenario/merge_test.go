@@ -2,14 +2,22 @@ package scenario
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"cstrace/internal/trace"
 )
 
-// Reference k-way merge: the container/heap implementation the loser tree
-// replaced, kept verbatim as the test oracle. Property tests assert the
-// tournament emits exactly the sequence this does, element for element.
+// Reference k-way *block* merge: the container/heap loop the tournament
+// grew out of, kept as the order oracle. The record merge must emit exactly
+// what this does once its whole-block output — disordered across servers by
+// up to a tick — has been put through a trace.SortBuffer: the (T, arrival)
+// total order every consumer of the fleet stream used to restore for itself.
 
 type refHead struct {
 	blk    *fleetBlock
@@ -35,14 +43,9 @@ func (h *refHeap) Pop() any {
 	return it
 }
 
-type emitted struct {
-	blk    *fleetBlock
-	server int
-}
-
-// refMerge drains the streams with the reference heap.
-func refMerge(chans []chan *fleetBlock) []emitted {
-	var out []emitted
+// refMerge drains the streams with the reference heap, in block order.
+func refMerge(chans []chan *fleetBlock) []*fleetBlock {
+	var out []*fleetBlock
 	var h refHeap
 	for i, ch := range chans {
 		if blk, ok := <-ch; ok {
@@ -52,7 +55,7 @@ func refMerge(chans []chan *fleetBlock) []emitted {
 	heap.Init(&h)
 	for h.Len() > 0 {
 		head := h[0]
-		out = append(out, emitted{blk: head.blk, server: head.server})
+		out = append(out, head.blk)
 		if blk, ok := <-chans[head.server]; ok {
 			h[0] = refHead{blk: blk, server: head.server}
 			heap.Fix(&h, 0)
@@ -63,95 +66,148 @@ func refMerge(chans []chan *fleetBlock) []emitted {
 	return out
 }
 
-// treeMerge drains the streams with the loser tree under test.
-func treeMerge(chans []chan *fleetBlock) []emitted {
-	var out []emitted
-	lt := newLoserTree(chans)
-	for {
-		blk, server, ok := lt.next()
-		if !ok {
-			return out
-		}
-		out = append(out, emitted{blk: blk, server: server})
+// oracle is the old pipeline: block merge → SortBuffer → flush. slack must
+// exceed the longest block span among the streams (200 ms covered the
+// ≤ 100 ms ticks the block merge was limited to).
+func oracle(streams [][]*fleetBlock, slack time.Duration) []trace.Record {
+	var got trace.Collect
+	sb := trace.NewSortBuffer(slack, &got)
+	for _, blk := range refMerge(feed(streams, nil)) {
+		sb.HandleBatch(blk.recs)
 	}
+	sb.Flush()
+	return got.Records
 }
 
-// randomStreams builds k per-stream block sequences with seeded random
-// lengths and non-decreasing minT values (real streams are time-ordered),
-// deliberately including duplicate timestamps across streams so the
-// server-index tiebreak is exercised, and empty streams.
-func randomStreams(rng *rand.Rand, k, maxLen int) [][]*fleetBlock {
-	streams := make([][]*fleetBlock, k)
+// shape describes one random fleet for randomStreams.
+type shape struct {
+	k, maxBlocks, maxRecs int
+	ticks                 []time.Duration
+	stagger               time.Duration // server i starts at (i % 4)·stagger
+}
+
+// maxTick is the shape's longest block span.
+func (sh shape) maxTick() time.Duration { return slices.Max(sh.ticks) }
+
+// randomStreams builds k sorted per-server block streams the way gamesim
+// does: server i emits one block per tick of ticks[i % len], each holding
+// 1..maxRecs records inside that tick window. Timestamps sit on a 10 ms
+// grid, so exact-T ties across servers, within a server and across a
+// server's block boundary are all common. Stream lengths are random, so
+// streams end early and some are empty. Every record is unique — Client is
+// the server, App the record's position in its stream — so comparing merged
+// streams compares orders exactly.
+func randomStreams(rng *rand.Rand, sh shape) [][]*fleetBlock {
+	const grid = 10 * time.Millisecond
+	streams := make([][]*fleetBlock, sh.k)
 	for i := range streams {
-		n := rng.Intn(maxLen + 1)
-		var t time.Duration
-		for j := 0; j < n; j++ {
-			// Coarse quantization: collisions across streams are common.
-			t += time.Duration(rng.Intn(4)) * 50 * time.Millisecond
-			streams[i] = append(streams[i], &fleetBlock{minT: t})
+		tick := sh.ticks[i%len(sh.ticks)]
+		start := time.Duration(i%4) * sh.stagger
+		var seq uint16
+		for j, n := 0, rng.Intn(sh.maxBlocks+1); j < n; j++ {
+			blk := &fleetBlock{}
+			t := start + time.Duration(j)*tick
+			for r, m := 0, 1+rng.Intn(sh.maxRecs); r < m; r++ {
+				// A random step of up to half of what is left of the window.
+				left := start + time.Duration(j+1)*tick - grid - t
+				t += time.Duration(rng.Int63n(int64(left/grid)/2+1)) * grid
+				blk.recs = append(blk.recs, trace.Record{T: t, Client: uint32(i), App: seq})
+				seq++
+			}
+			blk.minT = blk.recs[0].T
+			streams[i] = append(streams[i], blk)
 		}
 	}
 	return streams
 }
 
-// feed replays the pre-built streams into fresh channels.
-func feed(streams [][]*fleetBlock) []chan *fleetBlock {
+// feed replays copies of the pre-built streams into fresh channels (the
+// merge recycles the blocks it consumes); wg, if non-nil, tracks the senders.
+func feed(streams [][]*fleetBlock, wg *sync.WaitGroup) []chan *fleetBlock {
 	chans := make([]chan *fleetBlock, len(streams))
 	for i, s := range streams {
 		chans[i] = make(chan *fleetBlock, streamDepth)
+		if wg != nil {
+			wg.Add(1)
+		}
 		go func(ch chan *fleetBlock, blocks []*fleetBlock) {
 			for _, b := range blocks {
-				ch <- b
+				ch <- &fleetBlock{recs: slices.Clone(b.recs), minT: b.minT}
 			}
 			close(ch)
+			if wg != nil {
+				wg.Done()
+			}
 		}(chans[i], s)
 	}
 	return chans
 }
 
-func assertSameMerge(t *testing.T, streams [][]*fleetBlock) {
+// recordMerge drains the streams with the tournament under test.
+func recordMerge(t *testing.T, streams [][]*fleetBlock) []trace.Record {
 	t.Helper()
-	want := refMerge(feed(streams))
-	got := treeMerge(feed(streams))
+	var got trace.Collect
+	if err := mergeStreams(feed(streams, nil), &got); err != nil {
+		t.Fatal(err)
+	}
+	return got.Records
+}
+
+func assertSameMerge(t *testing.T, streams [][]*fleetBlock, slack time.Duration) {
+	t.Helper()
+	want := oracle(streams, slack)
+	got := recordMerge(t, streams)
 	if len(got) != len(want) {
-		t.Fatalf("loser tree emitted %d blocks, reference heap %d", len(got), len(want))
+		t.Fatalf("record merge emitted %d records, block merge + sort %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].blk != want[i].blk || got[i].server != want[i].server {
-			t.Fatalf("emission %d: tree gave stream %d block %p (minT %v), heap gave stream %d block %p (minT %v)",
-				i, got[i].server, got[i].blk, got[i].blk.minT,
-				want[i].server, want[i].blk, want[i].blk.minT)
+		if got[i] != want[i] {
+			t.Fatalf("record %d: tournament gave %+v, block merge + sort gave %+v", i, got[i], want[i])
 		}
+	}
+	if !slices.IsSortedFunc(got, func(a, b trace.Record) int { return int(a.T - b.T) }) {
+		t.Fatal("merged stream not time-ordered")
 	}
 }
 
 // TestLoserTreeMatchesHeapMerge is the property test: across seeded random
-// fleet shapes — stream counts, lengths, timestamp collisions, empty
-// streams — the tournament's emission sequence equals the reference heap's
-// element for element (same block pointer, same stream, same position).
+// fleet shapes — stream counts around every power-of-two boundary, lengths,
+// forced exact-T ties, empty streams, streams that end early, staggered
+// starts, mixed ticks (including a 250 ms one the block merge could not
+// take) and single-record blocks — the tournament's stream equals the
+// reference block merge put through a SortBuffer, record for record.
 func TestLoserTreeMatchesHeapMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		k := 1 + rng.Intn(17) // 1..17 covers power-of-two boundaries 1,2,4,8,16
-		streams := randomStreams(rng, k, 40)
-		assertSameMerge(t, streams)
+	paper := []time.Duration{50 * time.Millisecond}
+	mixed := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond, 30 * time.Millisecond}
+	for trial := 0; trial < 60; trial++ {
+		sh := shape{k: 1 + rng.Intn(17), maxBlocks: 40, maxRecs: 6, ticks: paper}
+		switch trial % 4 {
+		case 1:
+			sh.stagger = 70 * time.Millisecond
+		case 2:
+			sh.ticks, sh.stagger = mixed, 20*time.Millisecond
+		case 3:
+			sh.maxRecs = 1
+		}
+		if fixed := []int{1, 2, 3, 8}; trial < len(fixed) {
+			sh.k = fixed[trial]
+		}
+		assertSameMerge(t, randomStreams(rng, sh), max(200*time.Millisecond, 2*sh.maxTick()))
 	}
 }
 
 // TestLoserTreeSingleStream pins the N=1 degenerate case: the tree is a
-// bare leaf and must drain the stream in channel order.
+// bare leaf and must pass the stream through in channel order.
 func TestLoserTreeSingleStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	streams := randomStreams(rng, 1, 100)
-	got := treeMerge(feed(streams))
-	if len(got) != len(streams[0]) {
-		t.Fatalf("emitted %d of %d blocks", len(got), len(streams[0]))
+	streams := randomStreams(rng, shape{k: 1, maxBlocks: 100, maxRecs: 6, ticks: []time.Duration{50 * time.Millisecond}})
+	var want []trace.Record
+	for _, blk := range streams[0] {
+		want = append(want, blk.recs...)
 	}
-	for i, e := range got {
-		if e.blk != streams[0][i] || e.server != 0 {
-			t.Fatalf("emission %d: got stream %d block %p, want stream 0 block %p",
-				i, e.server, e.blk, streams[0][i])
-		}
+	if got := recordMerge(t, streams); !slices.Equal(got, want) {
+		t.Fatalf("one-stream merge is not a pass-through: %d records out, %d in", len(got), len(want))
 	}
 }
 
@@ -160,15 +216,81 @@ func TestLoserTreeSingleStream(t *testing.T) {
 // streams drain) still merge in exact reference order.
 func TestLoserTreeThousandStreams(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	streams := randomStreams(rng, 1000, 3)
-	assertSameMerge(t, streams)
+	sh := shape{k: 1000, maxBlocks: 3, maxRecs: 4, ticks: []time.Duration{50 * time.Millisecond, 100 * time.Millisecond}}
+	assertSameMerge(t, randomStreams(rng, sh), 200*time.Millisecond)
 }
 
 // TestLoserTreeAllEmpty: a fleet whose every stream closes without a block
 // must terminate immediately.
 func TestLoserTreeAllEmpty(t *testing.T) {
-	streams := make([][]*fleetBlock, 5)
-	if got := treeMerge(feed(streams)); len(got) != 0 {
-		t.Fatalf("emitted %d blocks from empty streams", len(got))
+	if got := recordMerge(t, make([][]*fleetBlock, 5)); len(got) != 0 {
+		t.Fatalf("emitted %d records from empty streams", len(got))
+	}
+}
+
+// TestLoserTreeExhaustedLosesTies: an exhausted leaf sorts at the maximum
+// timestamp; a live record that carries that very timestamp, on a higher
+// stream index, must still come out.
+func TestLoserTreeExhaustedLosesTies(t *testing.T) {
+	last := trace.Record{T: math.MaxInt64, Client: 1}
+	streams := [][]*fleetBlock{nil, {{recs: trace.Block{last}, minT: last.T}}}
+	if got := recordMerge(t, streams); !slices.Equal(got, []trace.Record{last}) {
+		t.Fatalf("merged %v, want the one record at the maximum timestamp", got)
+	}
+}
+
+// TestMergeRejectsRegressingStream: order is checked, not assumed. A stream
+// that goes back in time — inside a block or across a block boundary — ends
+// the merge with an error naming the server and both timestamps, after
+// every record that precedes the regression has been delivered, and with the
+// senders able to finish.
+func TestMergeRejectsRegressingStream(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	block := func(server uint32, ts ...int) *fleetBlock {
+		blk := &fleetBlock{minT: ms(ts[0])}
+		for _, n := range ts {
+			blk.recs = append(blk.recs, trace.Record{T: ms(n), Client: server})
+		}
+		return blk
+	}
+	// More blocks after the fault than the channel holds: a sender the
+	// merge abandoned would block forever.
+	tail := func(server uint32) []*fleetBlock {
+		var bs []*fleetBlock
+		for i := 0; i < 3*streamDepth; i++ {
+			bs = append(bs, block(server, 1000+i))
+		}
+		return bs
+	}
+	for _, tc := range []struct {
+		name   string
+		faulty []*fleetBlock
+	}{
+		{"within a block", []*fleetBlock{block(1, 10, 60, 40, 70)}},
+		{"across blocks", []*fleetBlock{block(1, 10, 60), block(1, 40, 70)}},
+	} {
+		streams := [][]*fleetBlock{
+			append([]*fleetBlock{block(0, 0, 50, 100)}, tail(0)...),
+			append(tc.faulty, tail(1)...),
+		}
+		var got trace.Collect
+		var wg sync.WaitGroup
+		err := mergeStreams(feed(streams, &wg), &got)
+		wg.Wait()
+		if err == nil {
+			t.Fatalf("%s: regressing stream merged without error", tc.name)
+		}
+		for _, want := range []string{"server 1", "40ms", "60ms"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
+			}
+		}
+		var ts []time.Duration
+		for _, r := range got.Records {
+			ts = append(ts, r.T)
+		}
+		if want := []time.Duration{0, ms(10), ms(50), ms(60)}; !slices.Equal(ts, want) {
+			t.Errorf("%s: delivered %v before the error, want %v", tc.name, ts, want)
+		}
 	}
 }

@@ -18,10 +18,10 @@ const streamDepth = 4
 
 // fleetBlock is one per-tick block from one server, tagged for the merge.
 // Per-server block order needs no tag: each stream's channel is FIFO and
-// the merge holds exactly one head block per stream.
+// the merge holds exactly one current block per stream.
 type fleetBlock struct {
 	recs trace.Block
-	minT time.Duration // minimum timestamp in recs (offset applied)
+	minT time.Duration // recs[0].T (offset applied): the merge's tie-break
 }
 
 var fleetBlockPool = sync.Pool{
@@ -58,13 +58,9 @@ func (s *serverSink) HandleBatch(rs []trace.Record) {
 			blk.recs[i].T += s.offset
 		}
 	}
-	minT := blk.recs[0].T
-	for _, r := range blk.recs[1:] {
-		if r.T < minT {
-			minT = r.T
-		}
-	}
-	blk.minT = minT
+	// The generator emits in time order, so the first record is the
+	// minimum; the merge checks that as it consumes the block.
+	blk.minT = blk.recs[0].T
 	s.out <- blk
 }
 
@@ -127,11 +123,14 @@ type Result struct {
 	Rebalances []analysis.Rebalance
 }
 
-// Run simulates the fleet: every server generates on its own goroutine, the
-// per-tick blocks merge deterministically by (min timestamp, server index),
-// and the merged stream drives the aggregate suite. The merge order depends
-// only on the generated data, never on goroutine scheduling, so results are
-// byte-identical across runs and Parallelism settings.
+// Run simulates the fleet: every server generates on its own goroutine, a
+// record-level tournament merges the streams into one strictly time-ordered
+// stream (ties by block minimum timestamp, then server index), and that
+// stream drives the aggregate suite and Config.Extra. The merge order and
+// the merged stream's block boundaries depend only on the generated data,
+// never on goroutine scheduling, so results are byte-identical across runs
+// and Parallelism settings. A server whose stream goes back in time is an
+// error; everything merged before it has reached the sinks by then.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -140,6 +139,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Suite.Duration == 0 {
 		cfg.Suite = analysis.DefaultSuiteConfig(horizon)
 	}
+	cfg.Suite.SortedInput = true // the merge's output is strictly ordered
 	suite, err := analysis.NewSuite(cfg.Suite)
 	if err != nil {
 		return nil, err
@@ -223,22 +223,10 @@ func Run(cfg Config) (*Result, error) {
 		}(i, sp, res.Servers[i].Suite, res.Servers[i].Slim)
 	}
 
-	// K-way merge on this goroutine: hold one head block per live stream,
-	// repeatedly emit the (minT, server) minimum and refill that stream.
-	// Channels are FIFO, so per-server block order is preserved no matter
-	// what the tags say; the tournament only decides the interleave.
-	lt := newLoserTree(chans)
-	for {
-		blk, _, ok := lt.next()
-		if !ok {
-			break
-		}
-		trace.Dispatch(sink, blk.recs)
-		fleetBlockPool.Put(blk)
-	}
+	mergeErr := mergeStreams(chans, sink) // on this goroutine
 	wg.Wait()
 
-	for _, err := range errs {
+	for _, err := range append(errs, mergeErr) {
 		if err != nil {
 			closeSink()
 			return nil, err

@@ -1,8 +1,8 @@
 // Package scenario runs multi-server fleet simulations: N independent
 // gamesim servers — each with its own seed, slot count, tickrate, diurnal
 // phase and start offset — generated concurrently on worker goroutines and
-// merged into one time-ordered record stream by a deterministic k-way merge
-// of their per-tick blocks.
+// merged into one strictly time-ordered record stream by a deterministic
+// record-level k-way merge.
 //
 // This is the "Microsoft or Sony launch" scale the paper's provisioning
 // argument (§V) gestures at: the single busy server the paper measured is
@@ -13,13 +13,14 @@
 // produced for the fleet aggregate; per-server suites can be collected
 // alongside for per-box vs aggregate comparison.
 //
-// The merge is deterministic by construction: each server's per-tick blocks
-// are tagged with their minimum timestamp and interleaved in (minimum
-// timestamp, server index) order, with per-server block order preserved by
-// the streams' FIFO channels, so the merged stream — and therefore the
-// rendered report — is byte-identical across runs and across Parallelism
-// settings. A one-server scenario degenerates to exactly the stream plain
-// Reproduce sees.
+// The merge is deterministic by construction: a tournament over the
+// streams' next records emits them in (timestamp, minimum timestamp of the
+// record's per-tick block, server index) order, with per-server order
+// preserved by the streams' FIFO channels, and re-blocks the result at fixed
+// size, so the merged stream — and therefore the rendered report and any
+// trace file written from it — is byte-identical across runs and across
+// Parallelism settings. A one-server scenario degenerates to exactly the
+// records plain Reproduce sees.
 package scenario
 
 import (
@@ -63,9 +64,7 @@ type Spec struct {
 	// size class runs at the paper's per-slot utilization.
 	SlotMix []int
 	// TickMix assigns server i TickMix[i % len] as snapshot broadcast
-	// period; nil keeps the paper's 50 ms. Ticks above 100 ms are
-	// rejected: the merged stream's disorder must stay within the
-	// analysis suite's sorting slack.
+	// period; nil keeps the paper's 50 ms.
 	TickMix []time.Duration
 
 	// Stagger starts server i's recorded window i·Stagger into the fleet
@@ -91,10 +90,6 @@ type Spec struct {
 	// the escape hatch for anything the declarative fields don't cover.
 	Tune func(i int, cfg *gamesim.Config)
 }
-
-// maxTick bounds per-server tick intervals so cross-server block disorder
-// stays within the analysis suite's 200 ms sorting slack.
-const maxTick = 100 * time.Millisecond
 
 // serverSeed derives independent per-server seeds (splitmix increment).
 func serverSeed(seed uint64, i int) uint64 {
@@ -212,12 +207,9 @@ type Config struct {
 	// PerServer selects per-box collection: nothing, the full paper suite,
 	// or the slim counters+minutes set.
 	PerServer PerServerMode
-	// Extra, if non-nil, receives the merged record stream — e.g. a
-	// trace.Writer behind a 200 ms trace.SortBuffer to persist the fleet
-	// trace as an indexed v2 file (`cstrace -mode scenario -out`): the
-	// merge's cross-server disorder is bounded by one tick window
-	// (≤ 100 ms), so that slack restores the strict order the Writer
-	// requires.
+	// Extra, if non-nil, receives the merged record stream, strictly
+	// time-ordered, in trace.BlockSize blocks — e.g. a plain trace.Writer
+	// to persist the fleet trace (`cstrace -mode scenario -out`).
 	Extra trace.Handler
 }
 
@@ -232,10 +224,6 @@ func (c *Config) Validate() error {
 	for i, s := range c.Servers {
 		if err := s.Game.Validate(); err != nil {
 			return fmt.Errorf("scenario: server %d (%s): %w", i, s.Name, err)
-		}
-		if s.Game.TickInterval > maxTick {
-			return fmt.Errorf("scenario: server %d (%s): TickInterval %v exceeds %v (merge disorder bound)",
-				i, s.Name, s.Game.TickInterval, maxTick)
 		}
 		if s.StartOffset < 0 {
 			return fmt.Errorf("scenario: server %d (%s): negative StartOffset", i, s.Name)

@@ -59,54 +59,48 @@ func TestBuildExpandsSpec(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsCoarseTicks: the merge's disorder bound depends on the
-// tick interval staying within the suite's sorting slack.
-func TestValidateRejectsCoarseTicks(t *testing.T) {
+// TestBuildRejectsZeroTick: a zero tick must come back as an error from
+// Build, not a divide-by-zero panic.
+func TestBuildRejectsZeroTick(t *testing.T) {
 	sp := testSpec(1, 2)
-	sp.TickMix = []time.Duration{200 * time.Millisecond}
-	servers, err := sp.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Servers: servers}
-	if err := cfg.Validate(); err == nil {
-		t.Error("200ms tick accepted; merge disorder bound not enforced")
-	}
-
-	// A zero tick must come back as an error from Build, not a
-	// divide-by-zero panic.
 	sp.TickMix = []time.Duration{0}
 	if _, err := sp.Build(); err == nil {
 		t.Error("zero tick interval accepted by Build")
 	}
 }
 
-// TestMergedStreamDisorderBounded feeds the merged stream through an Extra
-// handler and asserts the disorder the downstream SortBuffer must absorb
-// stays under the suite's 200 ms slack, and that timestamps cover the
-// staggered horizon.
-func TestMergedStreamDisorderBounded(t *testing.T) {
-	servers, err := testSpec(4, 3).Build()
+// TestMergedStreamStrictlyOrdered feeds the merged stream of a staggered,
+// mixed-tick fleet — one server on a 250 ms tick, coarser than anything the
+// old block merge could take — through an Extra handler and asserts what
+// every consumer now relies on: timestamps never decrease, every generated
+// record arrives exactly once, and the stream covers the staggered horizon.
+func TestMergedStreamStrictlyOrdered(t *testing.T) {
+	sp := testSpec(4, 3)
+	sp.TickMix = []time.Duration{50 * time.Millisecond, 250 * time.Millisecond, 100 * time.Millisecond}
+	servers, err := sp.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Servers: servers}
-	var maxSeen, maxDisorder, last time.Duration
+	var last time.Duration
+	var n, regressions int64
 	cfg.Extra = trace.HandlerFunc(func(r trace.Record) {
-		if r.T > maxSeen {
-			maxSeen = r.T
-		}
-		if d := maxSeen - r.T; d > maxDisorder {
-			maxDisorder = d
+		if r.T < last {
+			regressions++
 		}
 		last = r.T
+		n++
 	})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if maxDisorder >= 200*time.Millisecond {
-		t.Errorf("merged stream disorder %v exceeds the suite's 200ms sorting slack", maxDisorder)
+	if regressions != 0 {
+		t.Errorf("merged stream goes back in time %d times", regressions)
+	}
+	if want := res.Stats.PacketsIn + res.Stats.PacketsOut; n != want || res.Suite.Count.Packets() != want {
+		t.Errorf("Extra saw %d records, the aggregate suite %d, the generators emitted %d",
+			n, res.Suite.Count.Packets(), want)
 	}
 	if horizon := cfg.Horizon(); last < horizon-time.Minute {
 		t.Errorf("last record at %v, staggered horizon %v: offsets not applied", last, horizon)

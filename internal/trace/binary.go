@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"time"
 
 	"cstrace/internal/sched"
@@ -174,8 +173,8 @@ type Writer struct {
 	cs   compScratch   // segment compressor state (sync path)
 	pipe *compPipeline // async compression pipeline, nil until started
 
-	pend    []Record // SortWindow reorder buffer
-	elig    []Record // scratch for the release sort
+	pend    []Record // SortWindow reorder buffer, in arrival order
+	sorter  timeSorter
 	pendMax time.Duration
 
 	buf [3*binary.MaxVarintLen64 + 1]byte
@@ -361,34 +360,10 @@ func (w *Writer) bufferSorted(r Record) error {
 }
 
 // releasePending encodes every buffered record with T ≤ watermark in total
-// (T, arrival) order: arrival order is maintained by the buffer and the
-// sort is stable, so ties keep it.
+// (T, arrival) order: the buffer holds arrival order and the sort is stable,
+// so ties keep it.
 func (w *Writer) releasePending(watermark time.Duration) error {
-	if len(w.pend) == 0 {
-		return nil
-	}
-	elig := w.elig[:0]
-	keep := w.pend[:0]
-	for _, r := range w.pend {
-		if r.T <= watermark {
-			elig = append(elig, r)
-		} else {
-			keep = append(keep, r)
-		}
-	}
-	w.pend = keep
-	slices.SortStableFunc(elig, func(a, b Record) int {
-		switch {
-		case a.T < b.T:
-			return -1
-		case a.T > b.T:
-			return 1
-		default:
-			return 0
-		}
-	})
-	w.elig = elig[:0]
-	for _, r := range elig {
+	for _, r := range w.sorter.take(&w.pend, watermark) {
 		if err := w.encode(r); err != nil {
 			return err
 		}

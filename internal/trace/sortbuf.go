@@ -1,13 +1,14 @@
 package trace
 
 import (
+	"cmp"
 	"container/heap"
 	"slices"
 	"time"
 )
 
 // SortBuffer restores strict time order to a record stream whose disorder is
-// bounded (the generator interleaves per-client schedules within one server
+// bounded (a live capture interleaves per-client datagrams within one server
 // tick). Records are released once the stream's high-water mark has moved
 // slack past them; ties release in arrival order.
 //
@@ -16,23 +17,21 @@ import (
 // out the eligible records and sorts just those — the input is nearly sorted,
 // so the sort is close to linear, and it touches each record once instead of
 // paying a heap sift on every insert. Both paths share one total order
-// (timestamp, then arrival sequence), so they interleave freely and emit
-// identical streams.
+// (timestamp, then arrival), so they interleave freely and emit identical
+// streams.
 //
 // Consumers that need exact ordering — the binary trace writer, the NAT
 // queueing model — sit behind a SortBuffer; order-insensitive collectors
 // (histograms, binners) do not pay for one.
 type SortBuffer struct {
-	slack    time.Duration
-	next     Handler
-	maxSeen  time.Duration
-	h        sortHeap   // record-path arrivals (heap order)
-	pend     []sortItem // batch-path arrivals (unsorted)
-	seq      uint64
-	scratch  Block      // reused downstream release buffer
-	eligible []sortItem // reused partition buffer
-	keys     []uint64   // reused packed sort keys
-	sorted   []sortItem // reused gather buffer
+	slack   time.Duration
+	next    Handler
+	maxSeen time.Duration
+	h       sortHeap // record-path arrivals (heap order)
+	pend    []Record // batch-path arrivals, in arrival order; all newer than h
+	seq     uint64   // arrival number of the next heap entry
+	sorter  timeSorter
+	scratch Block // reused downstream release buffer
 }
 
 // NewSortBuffer creates a buffer releasing records slack behind the
@@ -43,15 +42,15 @@ func NewSortBuffer(slack time.Duration, next Handler) *SortBuffer {
 
 // Handle implements Handler.
 func (s *SortBuffer) Handle(r Record) {
-	if len(s.pend) > 0 {
-		// Mixed feeds: fold pending batch arrivals into the heap once,
-		// so the per-record path keeps its O(log n) cost instead of
-		// rescanning the pending buffer on every packet.
-		for _, it := range s.pend {
-			s.h.pushItem(it)
-		}
-		s.pend = s.pend[:0]
+	// Mixed feeds: fold pending batch arrivals into the heap once, so the
+	// per-record path keeps its O(log n) cost instead of rescanning the
+	// pending buffer on every packet. They fold in arrival order, so every
+	// heap entry stays older than anything a later batch leaves pending.
+	for _, p := range s.pend {
+		s.h.pushItem(sortItem{r: p, seq: s.seq})
+		s.seq++
 	}
+	s.pend = s.pend[:0]
 	heap.Push(&s.h, sortItem{r: r, seq: s.seq})
 	s.seq++
 	if r.T > s.maxSeen {
@@ -65,87 +64,33 @@ func (s *SortBuffer) Handle(r Record) {
 // HandleBatch implements BatchHandler.
 func (s *SortBuffer) HandleBatch(rs []Record) {
 	for _, r := range rs {
-		s.pend = append(s.pend, sortItem{r: r, seq: s.seq})
-		s.seq++
 		if r.T > s.maxSeen {
 			s.maxSeen = r.T
 		}
 	}
+	s.pend = append(s.pend, rs...)
 	s.release(s.maxSeen - s.slack)
 }
 
 // release emits every buffered record with T <= watermark, in total order,
 // delivering them downstream in blocks.
 func (s *SortBuffer) release(watermark time.Duration) {
-	// Partition the pending buffer: eligible records move to the reusable
-	// side buffer, the rest compact in place. The same pass tracks the
-	// eligible time range and whether any inversion exists at all.
-	elig := s.eligible[:0]
-	var minT, maxT time.Duration
-	inverted := false
-	if len(s.pend) > 0 {
-		keep := s.pend[:0]
-		prevT := time.Duration(-1 << 62)
-		for _, it := range s.pend {
-			if it.r.T <= watermark {
-				if len(elig) == 0 {
-					minT, maxT = it.r.T, it.r.T
-				} else {
-					if it.r.T < prevT {
-						inverted = true
-					}
-					if it.r.T < minT {
-						minT = it.r.T
-					}
-					if it.r.T > maxT {
-						maxT = it.r.T
-					}
-				}
-				prevT = it.r.T
-				elig = append(elig, it)
-			} else {
-				keep = append(keep, it)
-			}
-		}
-		s.pend = keep
-	}
-	heapReady := len(s.h) > 0 && s.h[0].r.T <= watermark
-	if len(elig) == 0 && !heapReady {
-		s.eligible = elig
-		return
-	}
-	if inverted {
-		elig = s.sortEligible(elig, minT, maxT)
-	}
-
+	elig := s.sorter.take(&s.pend, watermark)
 	if cap(s.scratch) == 0 {
 		s.scratch = make(Block, 0, BlockSize)
 	}
 	blk := s.scratch[:0]
-	i := 0
 	for {
-		heapReady = len(s.h) > 0 && s.h[0].r.T <= watermark
-		pendReady := i < len(elig)
-		if !heapReady && !pendReady {
+		var r Record
+		// A heap entry predates every pending one, so it wins a tie.
+		if len(s.h) > 0 && s.h[0].r.T <= watermark && (len(elig) == 0 || s.h[0].r.T <= elig[0].T) {
+			r = s.h.popItem().r
+		} else if len(elig) > 0 {
+			r, elig = elig[0], elig[1:]
+		} else {
 			break
 		}
-		var it sortItem
-		switch {
-		case heapReady && pendReady:
-			if s.h[0].r.T < elig[i].r.T ||
-				(s.h[0].r.T == elig[i].r.T && s.h[0].seq < elig[i].seq) {
-				it = s.h.popItem()
-			} else {
-				it = elig[i]
-				i++
-			}
-		case heapReady:
-			it = s.h.popItem()
-		default:
-			it = elig[i]
-			i++
-		}
-		blk = append(blk, it.r)
+		blk = append(blk, r)
 		if len(blk) == cap(blk) {
 			Dispatch(s.next, blk)
 			blk = blk[:0]
@@ -153,41 +98,63 @@ func (s *SortBuffer) release(watermark time.Duration) {
 	}
 	Dispatch(s.next, blk)
 	s.scratch = blk[:0]
-	s.eligible = elig[:0]
 }
 
-// sortEligible stable-sorts the eligible records by timestamp. Entries
-// arrive in sequence order, so a stable sort by T alone reproduces the
-// (T, seq) total order. The common case packs (T−minT, index) into native
-// uint64 keys and sorts those — no comparison closure — falling back to a
-// comparator sort when the range or count overflows the packing.
-func (s *SortBuffer) sortEligible(elig []sortItem, minT, maxT time.Duration) []sortItem {
+// timeSorter is the package's one stable time-sort, shared by both reorder
+// buffers (SortBuffer's batch path and Writer.SortWindow): partition a
+// pending buffer at a watermark and put the eligible records in (T, arrival)
+// order.
+type timeSorter struct {
+	elig   []Record // reused partition buffer
+	keys   []uint64 // reused packed sort keys
+	gather []Record // reused sorted output
+}
+
+// take removes every record with T <= watermark from *pend, compacting the
+// rest in place, and returns them stable-sorted by T: pend holds records in
+// arrival order, so that is the (T, arrival) total order. The partition pass
+// also finds whether any inversion exists at all — a stream already in order
+// costs one copy and no sort. Otherwise the common case packs (T−minT,
+// index) into native uint64 keys and sorts those — no comparison closure —
+// falling back to a comparator sort when the range or count overflows the
+// packing. The result is valid until the next call.
+func (ts *timeSorter) take(pend *[]Record, watermark time.Duration) []Record {
+	elig, keep := ts.elig[:0], (*pend)[:0]
+	var minT, maxT time.Duration
+	inverted := false
+	for _, r := range *pend {
+		switch {
+		case r.T > watermark:
+			keep = append(keep, r)
+			continue
+		case len(elig) == 0:
+			minT, maxT = r.T, r.T
+		case r.T >= maxT:
+			maxT = r.T
+		default:
+			inverted = true
+			minT = min(minT, r.T)
+		}
+		elig = append(elig, r)
+	}
+	*pend, ts.elig = keep, elig[:0]
+	if !inverted {
+		return elig
+	}
 	const idxBits = 16
-	n := len(elig)
-	if n <= 1<<idxBits && uint64(maxT-minT) < 1<<(64-idxBits-1) {
-		keys := s.keys[:0]
-		for i, it := range elig {
-			keys = append(keys, uint64(it.r.T-minT)<<idxBits|uint64(i))
+	if len(elig) <= 1<<idxBits && uint64(maxT-minT) < 1<<(64-idxBits-1) {
+		keys, out := ts.keys[:0], ts.gather[:0]
+		for i, r := range elig {
+			keys = append(keys, uint64(r.T-minT)<<idxBits|uint64(i))
 		}
 		slices.Sort(keys)
-		out := s.sorted[:0]
 		for _, k := range keys {
 			out = append(out, elig[k&(1<<idxBits-1)])
 		}
-		s.keys = keys[:0]
-		s.sorted, s.eligible = elig[:0], out[:0] // swap the reusable buffers
+		ts.keys, ts.gather = keys[:0], out[:0]
 		return out
 	}
-	slices.SortStableFunc(elig, func(a, b sortItem) int {
-		switch {
-		case a.r.T < b.r.T:
-			return -1
-		case a.r.T > b.r.T:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortStableFunc(elig, func(a, b Record) int { return cmp.Compare(a.T, b.T) })
 	return elig
 }
 

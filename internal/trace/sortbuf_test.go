@@ -1,6 +1,11 @@
 package trace
 
 import (
+	"bytes"
+	"cmp"
+	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -88,5 +93,73 @@ func TestSortBufferProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReorderBuffersAgree: Writer.SortWindow and SortBuffer share one
+// stable time-sort, so a disordered stream written through a SortWindow
+// writer is byte-identical to the same stream put through a SortBuffer of
+// the same slack into a strict writer — ties included — and both are the
+// stable time order. The cases cover the
+// packed-key sort, both comparator fallbacks (more than 2^16 eligible records
+// in one release; a time range too wide to pack), and input already in order.
+func TestReorderBuffersAgree(t *testing.T) {
+	// jittered walks a 1 ms grid (so exact-T ties are common) with every
+	// record displaced by up to 40 grid steps; Client numbers arrivals.
+	jittered := func(n int, seed int64) []Record {
+		rng := rand.New(rand.NewSource(seed))
+		recs := make([]Record, n)
+		var tm time.Duration
+		for i := range recs {
+			tm += time.Duration(rng.Intn(3)) * time.Millisecond
+			recs[i] = Record{T: tm + time.Duration(rng.Intn(41))*time.Millisecond, Client: uint32(i)}
+		}
+		return recs
+	}
+	inOrder := jittered(20000, 3)
+	slices.SortStableFunc(inOrder, func(a, b Record) int { return cmp.Compare(a.T, b.T) })
+	for _, tc := range []struct {
+		name   string
+		recs   []Record
+		window time.Duration
+		batch  int
+	}{
+		{"jitter", jittered(50000, 1), 50 * time.Millisecond, BlockSize},
+		{"jitter, per-tick batches", jittered(50000, 2), 50 * time.Millisecond, 37},
+		{"one huge batch", jittered(70000, 4), 50 * time.Millisecond, 70000},
+		{"already in order", inOrder, 50 * time.Millisecond, BlockSize},
+		{"range too wide to pack", []Record{{T: 41 * time.Hour, Client: 1}, {T: time.Hour, Client: 2}, {T: time.Hour, Client: 3}, {T: 0, Client: 4}}, 50 * time.Hour, 4},
+	} {
+		var direct, staged bytes.Buffer
+		dw := NewWriter(&direct)
+		dw.SortWindow = tc.window
+		sw := NewWriter(&staged)
+		sb := NewSortBuffer(tc.window, sw)
+		for i := 0; i < len(tc.recs); i += tc.batch {
+			chunk := tc.recs[i:min(i+tc.batch, len(tc.recs))]
+			dw.HandleBatch(chunk)
+			sb.HandleBatch(chunk)
+		}
+		sb.Flush()
+		if err := errors.Join(dw.Flush(), sw.Flush()); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if dw.Count() != int64(len(tc.recs)) {
+			t.Fatalf("%s: wrote %d of %d records", tc.name, dw.Count(), len(tc.recs))
+		}
+		if !bytes.Equal(direct.Bytes(), staged.Bytes()) {
+			t.Errorf("%s: SortWindow writer and SortBuffer → strict writer disagree (%d vs %d bytes)",
+				tc.name, direct.Len(), staged.Len())
+		}
+		// Both share the sort, so pin it to the library's stable sort too.
+		want := slices.Clone(tc.recs)
+		slices.SortStableFunc(want, func(a, b Record) int { return cmp.Compare(a.T, b.T) })
+		var got Collect
+		if _, err := NewReader(&direct).ReadAll(&got); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(got.Records, want) {
+			t.Errorf("%s: written order is not the stable time order", tc.name)
+		}
 	}
 }

@@ -55,7 +55,8 @@ type ScenarioConfig struct {
 	// vs aggregate comparison; PerServerSlim collects only counters and
 	// minute series per box, cheap enough for very large fleets.
 	PerServer PerServerMode
-	// Extra, if non-nil, receives the merged fleet record stream.
+	// Extra, if non-nil, receives the merged fleet record stream, strictly
+	// time-ordered, in trace.BlockSize blocks.
 	Extra trace.Handler
 }
 
@@ -90,9 +91,10 @@ type ScenarioResults struct {
 }
 
 // RunScenario simulates the fleet described by cfg: every server generates
-// on its own goroutine, the per-tick blocks merge into one time-ordered
-// stream, and the full paper suite runs over the aggregate. Results are
-// deterministic: byte-identical across runs and Parallelism settings.
+// on its own goroutine, the streams merge record by record into one
+// strictly time-ordered stream, and the full paper suite runs over the
+// aggregate. Results are deterministic: byte-identical across runs and
+// Parallelism settings.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResults, error) {
 	servers := cfg.Servers
 	if servers == nil {

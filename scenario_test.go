@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"cstrace/internal/analysis"
+	"cstrace/internal/metricstore"
 	"cstrace/internal/scenario"
+	"cstrace/internal/trace"
 )
 
 // scenarioSpec returns a small heterogeneous fleet for tests: mixed sizes,
@@ -152,6 +154,49 @@ func TestScenarioSlimPerServer(t *testing.T) {
 				t.Errorf("server %d: minute %d diverges: %v vs %v", i, m, fk[m], sk[m])
 				break
 			}
+		}
+	}
+}
+
+// TestScenarioExtraStreamIsTheFile: Extra receives the merged fleet stream
+// strictly time-ordered, so a strict trace.Writer (no SortWindow) persists
+// it as is and the content hash `-mode scenario -store` takes of the stream
+// as it flows equals the hash of the records read back from the `-out` file
+// — at every Parallelism/GenWorkers setting, with identical file bytes.
+func TestScenarioExtraStreamIsTheFile(t *testing.T) {
+	var wantSum string
+	var wantFile []byte
+	for _, workers := range []int{1, 4, AutoWorkers} {
+		var file bytes.Buffer
+		w := trace.NewWriter(&file)
+		w.Workers = workers
+		flowing := metricstore.NewStreamHasher()
+		_, err := RunScenario(ScenarioConfig{
+			Spec:        scenarioSpec(7, 3),
+			Parallelism: workers,
+			GenWorkers:  workers,
+			PerServer:   PerServerSlim,
+			Extra:       trace.Tee(w, flowing),
+		})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatalf("workers %d: strict writer refused the merged stream: %v", workers, err)
+		}
+		if wantFile == nil {
+			wantSum, wantFile = flowing.Sum(), file.Bytes()
+		} else if flowing.Sum() != wantSum || !bytes.Equal(file.Bytes(), wantFile) {
+			t.Errorf("workers %d: merged stream or trace file differs from the serial run's", workers)
+		}
+		readBack := metricstore.NewStreamHasher()
+		n, err := trace.NewReader(bytes.NewReader(file.Bytes())).ReadAll(readBack)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if n != flowing.Records() || readBack.Sum() != flowing.Sum() {
+			t.Errorf("workers %d: file holds %d records hashing to %s, Extra saw %d hashing to %s",
+				workers, n, readBack.Sum(), flowing.Records(), flowing.Sum())
 		}
 	}
 }
