@@ -10,10 +10,9 @@
 // population, modem-capped per-client bandwidth with a few "l337" high-rate
 // players, rate-limited logo/map downloads, and brief network outages.
 //
-// PaperConfig returns parameters calibrated against the paper's Tables I-III
-// (the derivations are reproduced in DESIGN.md §4); the calibration is
-// asserted by tests in this package and the full-week results are recorded
-// in EXPERIMENTS.md.
+// PaperConfig returns parameters calibrated against the paper's Tables I-III;
+// calibration_test.go asserts the derivations, and the full-week results are
+// recorded in EXPERIMENTS.md.
 package gamesim
 
 import (
@@ -38,9 +37,11 @@ type Config struct {
 	Workers int
 	// Warmup runs the server for this long before recording starts, so the
 	// trace begins on a busy server exactly as the paper's did ("after a
-	// brief warm-up period, we recorded the traffic"). Records, statistics
-	// and timestamps all refer to the recorded window only. Must be a
-	// multiple of TickInterval.
+	// brief warm-up period, we recorded the traffic"). Only the session
+	// control plane runs through it; players still connected at its end
+	// then have their packet schedules advanced once, so its cost follows
+	// their ages, not its length. Records, statistics and timestamps all
+	// refer to the recorded window only. Must be a multiple of TickInterval.
 	Warmup time.Duration
 
 	// Server.
@@ -175,7 +176,7 @@ func (c *Config) Validate() error {
 const PaperDuration = 626477 * time.Second
 
 // PaperConfig returns the configuration calibrated to the paper's trace
-// (see DESIGN.md §4 for the derivations from Tables I-III).
+// (calibration_test.go asserts the derivations from Tables I-III).
 func PaperConfig(seed uint64) Config {
 	return Config{
 		Seed:     seed,

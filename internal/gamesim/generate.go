@@ -17,8 +17,8 @@ import (
 //	plan  — the coordinator walks every player's schedule across the tick
 //	        window once, appending a skeleton record (time, direction, kind,
 //	        client; payload size where it is already determined) per packet.
-//	        Schedule jitter draws come from a dedicated sequential stream, so
-//	        planning is identical no matter how the fill stage runs.
+//	        Jitter draws come from each session's own stream, so planning is
+//	        identical however the fill stage runs or a schedule is advanced.
 //	fill  — the skeleton is sorted into strict time order and the open
 //	        payload sizes (snapshots, client commands) are sampled in record
 //	        order from the window's own RNG stream, derived by index from a

@@ -2,6 +2,7 @@ package gamesim
 
 import (
 	"math"
+	"math/rand/v2"
 	"time"
 
 	"cstrace/internal/dist"
@@ -91,6 +92,7 @@ type player struct {
 
 	nextCmd  time.Duration
 	cmdGap   time.Duration
+	jit      rand.PCG      // command-gap jitter: the session's own stream, held inline
 	nextSnap time.Duration // used by elites and the desync ablation
 	snapGap  time.Duration
 
@@ -109,10 +111,10 @@ type sim struct {
 	ev     EventFunc
 	kernel eventsim.Sim
 
-	rng      *dist.RNG     // control-plane randomness
-	schedRNG *dist.RNG     // schedule jitter (sequential; consumed by the planner)
+	rng      *dist.RNG     // control-plane randomness (consumed only by kernel events)
 	sizes    dist.Splitter // per-window payload-size streams (indexed by tick)
-	roundRNG *dist.RNG     // round schedule (advanced only while generating traffic)
+	jitter   dist.Splitter // per-session schedule-jitter streams (indexed by session id)
+	roundRNG *dist.RNG     // round schedule
 	zipf     *dist.Zipf
 
 	players     []*player
@@ -120,7 +122,9 @@ type sim struct {
 	nextTourist uint32
 	paused      bool // map changeover in progress
 	outage      bool
-	warm        bool // recording has started
+	warm        bool            // recording has started
+	flips       []time.Duration // window starts where paused toggled in warm-up
+	logoGap     time.Duration   // spacing of rate-limited logo packets
 
 	window time.Duration // current emission window start
 
@@ -154,8 +158,17 @@ func Run(cfg Config, h trace.Handler, ev EventFunc) (Stats, error) {
 		cfg.Workers = lease.Workers()
 		defer lease.Release()
 	}
-	if err := cfg.Validate(); err != nil {
+	s, err := newSim(cfg, h, ev)
+	if err != nil {
 		return Stats{}, err
+	}
+	return s.run(), nil
+}
+
+// newSim returns a simulation at time zero with its first events scheduled.
+func newSim(cfg Config, h trace.Handler, ev EventFunc) (*sim, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	s := &sim{
 		cfg:           cfg,
@@ -164,18 +177,19 @@ func Run(cfg Config, h trace.Handler, ev EventFunc) (Stats, error) {
 		rng:           dist.NewRNG(cfg.Seed),
 		uniqueAttempt: make(map[uint32]bool),
 		uniqueEst:     make(map[uint32]bool),
+		logoGap:       time.Duration(float64(cfg.LogoPacket) / cfg.LogoRate * float64(time.Second)),
 	}
-	s.schedRNG = s.rng.Split()
+	// Packets draw neither from the control-plane stream nor from one they
+	// share: window sizes are a function of (seed, tick), a player's schedule
+	// of (seed, session, connect time, pause spans) — so catchUp can be lazy.
+	schedRNG := s.rng.Split()
 	s.roundRNG = s.rng.Split()
-	// Key the per-window size streams off the schedule stream, not the
-	// control-plane stream: the control plane consumes exactly the draws it
-	// did before the traffic plane was batch-native, keeping session-level
-	// behavior for a given seed stable across that refactor.
-	s.sizes = s.schedRNG.NewSplitter()
+	s.sizes = schedRNG.NewSplitter()
+	s.jitter = schedRNG.NewSplitter()
 	var err error
 	s.zipf, err = dist.NewZipf(cfg.Population, cfg.PopularityExp)
 	if err != nil {
-		return Stats{}, err
+		return nil, err
 	}
 
 	s.warm = cfg.Warmup == 0
@@ -189,22 +203,26 @@ func Run(cfg Config, h trace.Handler, ev EventFunc) (Stats, error) {
 		s.kernel.At(cfg.Warmup+o.At, func(now time.Duration) { s.outageStart(o.Duration) })
 	}
 	s.newRound(0)
+	return s, nil
+}
 
+// run emits the recorded windows. Warm-up has none: the first RunUntil runs
+// its control plane through to startRecording, which catches the survivors up.
+func (s *sim) run() Stats {
+	cfg := &s.cfg
 	total := cfg.Warmup + cfg.Duration
-	if h == nil {
+	if s.h == nil {
 		// Control plane only: no per-tick traffic.
 		s.kernel.RunUntil(total)
 	} else {
 		var gp *genPipeline
 		if cfg.Workers > 1 {
-			gp = newGenPipeline(&s.cfg, s.sizes, h, cfg.Workers)
+			gp = newGenPipeline(cfg, s.sizes, s.h, cfg.Workers)
 		}
 		dt := cfg.TickInterval
-		var tick uint64
-		for t := time.Duration(0); t < total; t += dt {
+		for t := cfg.Warmup; t < total; t += dt {
 			s.window = t
-			s.cur = newTickPlan(tick)
-			tick++
+			s.cur = newTickPlan(uint64(t / dt)) // size streams are keyed from time zero
 			s.kernel.RunUntil(t)
 			end := t + dt
 			if end > total {
@@ -218,12 +236,12 @@ func Run(cfg Config, h trace.Handler, ev EventFunc) (Stats, error) {
 		}
 	}
 	s.finish()
-	return s.stats, nil
+	return s.stats
 }
 
 // finishWindow hands the planned window to the fill stage: inline for a
-// serial run, onto the worker pipeline otherwise. Empty windows (warm-up,
-// outages, an idle server) are recycled without dispatch.
+// serial run, onto the worker pipeline otherwise. Empty windows (outages,
+// an idle server) are recycled without dispatch.
 func (s *sim) finishWindow(gp *genPipeline) {
 	p := s.cur
 	s.cur = nil
@@ -253,8 +271,14 @@ func (s *sim) addTotals(tt tickTotals) {
 // sessions already in progress stop counting toward session-length figures
 // (they established before the trace began).
 func (s *sim) startRecording(now time.Duration) {
+	if s.h != nil {
+		s.catchUp(now)
+	}
 	s.warm = true
 	s.stats = Stats{}
+	if !s.paused {
+		s.stats.MapsPlayed = 1 // the map in progress as the trace begins
+	}
 	s.uniqueAttempt = make(map[uint32]bool)
 	s.uniqueEst = make(map[uint32]bool)
 	s.lastCount = now
@@ -266,6 +290,52 @@ func (s *sim) startRecording(now time.Duration) {
 	}
 	if len(s.players) > s.stats.MaxConcurrent {
 		s.stats.MaxConcurrent = len(s.players)
+	}
+}
+
+// tickCeil rounds t up to the tick grid: a window runs the events at or
+// before its start, then plans, so the first to see a change at t starts there.
+func (s *sim) tickCeil(t time.Duration) time.Duration {
+	dt := s.cfg.TickInterval
+	return (t + dt - 1) / dt * dt
+}
+
+// setPaused flips the map-change pause. During warm-up, where no window is
+// planned, it notes the window that would first have seen the flip.
+func (s *sim) setPaused(now time.Duration, paused bool) {
+	if !s.warm {
+		at := s.tickCeil(now)
+		if paused {
+			s.replayRounds(at) // before the unpause draws its own round
+		}
+		s.flips = append(s.flips, at)
+	}
+	s.paused = paused
+}
+
+// replayRounds starts the rounds the unpaused windows before upTo would
+// have started: each at the first tick at or after the previous round's end.
+func (s *sim) replayRounds(upTo time.Duration) {
+	for t := s.tickCeil(s.roundEnd); t < upTo; t = s.tickCeil(s.roundEnd) {
+		s.newRound(t)
+	}
+}
+
+// catchUp brings the traffic plane to the recording point as if every warm-up
+// window had been planned: the round schedule, and each surviving player's
+// schedules, pause span by pause span, from the first window to see the player.
+func (s *sim) catchUp(now time.Duration) {
+	if !s.paused {
+		s.replayRounds(now)
+	}
+	s.flips = append(s.flips, now)
+	for _, p := range s.players {
+		first := s.tickCeil(p.connectedAt)
+		for i, to := range s.flips { // the server starts unpaused: odd spans are pauses
+			if to > first {
+				s.advance(p, 0, to, i%2 == 1, nil, false)
+			}
+		}
 	}
 }
 
@@ -381,6 +451,8 @@ func (s *sim) connect(now time.Duration, client uint32) {
 		connectedAt: now,
 		elite:       s.rng.Bool(s.cfg.EliteFrac),
 	}
+	key := s.jitter.Stream(uint64(p.session))
+	p.jit.Seed(key.Uint64(), key.Uint64())
 	rate := s.cfg.CmdRate
 	if p.elite {
 		rate = s.cfg.EliteCmdRate
@@ -447,7 +519,7 @@ func (s *sim) scheduleMapCycle(start time.Duration) {
 	s.stats.MapsPlayed++
 	end := start + s.cfg.MapDuration
 	s.kernel.At(end, func(now time.Duration) {
-		s.paused = true
+		s.setPaused(now, true)
 		// Some players quit rather than sit through the change.
 		for i := len(s.players) - 1; i >= 0; i-- {
 			if s.rng.Bool(s.cfg.MapLeaveProb) {
@@ -455,7 +527,7 @@ func (s *sim) scheduleMapCycle(start time.Duration) {
 			}
 		}
 		s.kernel.After(s.cfg.MapChangePause, func(now time.Duration) {
-			s.paused = false
+			s.setPaused(now, false)
 			s.newRound(now)
 			s.scheduleMapCycle(now)
 		})
@@ -523,15 +595,14 @@ func (s *sim) outageStart(d time.Duration) {
 // skeleton record per packet to the current plan. Payload sizes that
 // depend on the window RNG stream (snapshots, commands) are left open for
 // the fill stage; fixed sizes (downloads, handshakes appended by emit) are
-// final. During warm-up the schedules advance but nothing is recorded, so
-// the fill stage never runs for discarded traffic.
+// final.
 func (s *sim) buildWindow(start, end time.Duration) {
 	if s.outage {
 		// Total connectivity loss: nothing reaches the tap. Client-side
 		// schedules still advance so streams resume naturally.
 		for _, p := range s.players {
 			for p.nextCmd < end {
-				p.nextCmd += s.jitteredGap(p.cmdGap)
+				p.nextCmd += s.jitteredGap(p)
 			}
 			for p.nextSnap < end {
 				p.nextSnap += p.snapGap
@@ -540,102 +611,100 @@ func (s *sim) buildWindow(start, end time.Duration) {
 		return
 	}
 
-	serverUp := !s.paused
-	var act float64
-	if serverUp {
-		act = s.activity(start)
-	}
-	w := s.cfg.Warmup
 	plan := s.cur
-	plan.n = len(s.players)
-	plan.act = act
+	plan.n, plan.act = len(s.players), 0
+	if !s.paused {
+		plan.act = s.activity(start)
+	}
 	record := s.warm
 
 	// Synchronous snapshot broadcast: one packet per ordinary client, sent
 	// back-to-back at the tick instant (the paper's 50 ms bursts).
-	if record && serverUp && !s.cfg.DesynchronizeTicks {
-		burst := 0
+	if record && !s.paused && !s.cfg.DesynchronizeTicks {
+		t := start - s.cfg.Warmup
 		for _, p := range s.players {
 			if p.elite {
 				continue
 			}
-			t := start + time.Duration(burst)*s.cfg.BurstSpacing
-			plan.append(trace.Record{T: t - w, Dir: trace.Out, Kind: trace.KindGame, Client: p.session}, tagSnap)
-			burst++
+			plan.append(trace.Record{T: t, Dir: trace.Out, Kind: trace.KindGame, Client: p.session}, tagSnap)
+			t += s.cfg.BurstSpacing
 		}
 	}
 
 	for _, p := range s.players {
-		// Inbound command stream (throttled to keepalives during the
-		// map-change pause while the client sits at the loading screen).
-		gapScale := time.Duration(1)
-		if s.paused {
-			gapScale = keepaliveDivisor
-		}
-		for p.nextCmd < end {
-			if record && p.nextCmd >= start {
-				plan.append(trace.Record{T: p.nextCmd - w, Dir: trace.In, Kind: trace.KindGame, Client: p.session}, tagCmd)
-			}
-			p.nextCmd += s.jitteredGap(p.cmdGap) * gapScale
-		}
-
-		// Per-client snapshot schedules: elites at their elevated rate,
-		// and everyone when the desync ablation is on.
-		if serverUp && (p.elite || s.cfg.DesynchronizeTicks) {
-			tag := uint8(tagSnap)
-			if p.elite {
-				tag = tagSnapElite
-			}
-			for p.nextSnap < end {
-				if record && p.nextSnap >= start {
-					plan.append(trace.Record{T: p.nextSnap - w, Dir: trace.Out, Kind: trace.KindGame, Client: p.session}, tag)
-				}
-				p.nextSnap += p.snapGap
-			}
-		} else if !serverUp {
-			for p.nextSnap < end {
-				p.nextSnap += p.snapGap
-			}
-		}
-
-		// Rate-limited logo transfers.
-		if serverUp && p.dlOut > 0 {
-			gap := time.Duration(float64(s.cfg.LogoPacket) / s.cfg.LogoRate * float64(time.Second))
-			for p.dlOut > 0 && p.dlNextOut < end {
-				sz := s.cfg.LogoPacket
-				if sz > p.dlOut {
-					sz = p.dlOut
-				}
-				p.dlOut -= sz
-				if record && p.dlNextOut >= start {
-					plan.append(trace.Record{T: p.dlNextOut - w, Dir: trace.Out, Kind: trace.KindDownload, Client: p.session, App: uint16(sz)}, tagFixed)
-				}
-				p.dlNextOut += gap
-			}
-		}
-		if serverUp && p.dlIn > 0 {
-			gap := time.Duration(float64(s.cfg.LogoPacket) / s.cfg.LogoRate * float64(time.Second))
-			for p.dlIn > 0 && p.dlNextIn < end {
-				sz := s.cfg.LogoPacket
-				if sz > p.dlIn {
-					sz = p.dlIn
-				}
-				p.dlIn -= sz
-				if record && p.dlNextIn >= start {
-					plan.append(trace.Record{T: p.dlNextIn - w, Dir: trace.In, Kind: trace.KindDownload, Client: p.session, App: uint16(sz)}, tagFixed)
-				}
-				p.dlNextIn += gap
-			}
-		}
+		s.advance(p, start, end, s.paused, plan, record)
 	}
 }
 
-// jitteredGap applies symmetric fractional jitter to a base interval. Jitter
-// draws come from the planner's own sequential stream, so schedule advance is
-// identical however the fill stage runs.
-func (s *sim) jitteredGap(base time.Duration) time.Duration {
-	j := 1 + s.cfg.CmdJitter*(2*s.schedRNG.Float64()-1)
-	return time.Duration(float64(base) * j)
+// advance moves p's packet schedules across [start, end), the server paused or
+// not throughout, appending a skeleton record per packet due at or after start
+// when record is set. It is the only code that schedules packets: a recorded
+// window calls it per tick, catchUp once per pause span. Each loop runs until
+// its next-due time reaches end and draws only from p's own stream, so a span
+// advances as its ticks would one by one and a span already covered is a no-op.
+func (s *sim) advance(p *player, start, end time.Duration, paused bool, plan *tickPlan, record bool) {
+	w := s.cfg.Warmup
+	// Inbound command stream (throttled to keepalives during the map-change
+	// pause while the client sits at the loading screen).
+	gapScale := time.Duration(1)
+	if paused {
+		gapScale = keepaliveDivisor
+	}
+	for p.nextCmd < end {
+		if record && p.nextCmd >= start {
+			plan.append(trace.Record{T: p.nextCmd - w, Dir: trace.In, Kind: trace.KindGame, Client: p.session}, tagCmd)
+		}
+		p.nextCmd += s.jitteredGap(p) * gapScale
+	}
+
+	if paused {
+		// No snapshots and no logo packets; the snapshot phase keeps time.
+		for p.nextSnap < end {
+			p.nextSnap += p.snapGap
+		}
+		return
+	}
+
+	// Per-client snapshot schedules: elites at their elevated rate, and
+	// everyone when the desync ablation is on.
+	if p.elite || s.cfg.DesynchronizeTicks {
+		tag := uint8(tagSnap)
+		if p.elite {
+			tag = tagSnapElite
+		}
+		for p.nextSnap < end {
+			if record && p.nextSnap >= start {
+				plan.append(trace.Record{T: p.nextSnap - w, Dir: trace.Out, Kind: trace.KindGame, Client: p.session}, tag)
+			}
+			p.nextSnap += p.snapGap
+		}
+	}
+
+	// Rate-limited logo transfers.
+	for p.dlOut > 0 && p.dlNextOut < end {
+		sz := min(s.cfg.LogoPacket, p.dlOut)
+		p.dlOut -= sz
+		if record && p.dlNextOut >= start {
+			plan.append(trace.Record{T: p.dlNextOut - w, Dir: trace.Out, Kind: trace.KindDownload, Client: p.session, App: uint16(sz)}, tagFixed)
+		}
+		p.dlNextOut += s.logoGap
+	}
+	for p.dlIn > 0 && p.dlNextIn < end {
+		sz := min(s.cfg.LogoPacket, p.dlIn)
+		p.dlIn -= sz
+		if record && p.dlNextIn >= start {
+			plan.append(trace.Record{T: p.dlNextIn - w, Dir: trace.In, Kind: trace.KindDownload, Client: p.session, App: uint16(sz)}, tagFixed)
+		}
+		p.dlNextIn += s.logoGap
+	}
+}
+
+// jitteredGap draws p's next inter-command interval: the base gap under
+// symmetric fractional jitter from the session's own generator (inline in the
+// player: a heap RNG each costs three cache misses per player per window).
+func (s *sim) jitteredGap(p *player) time.Duration {
+	u := float64(p.jit.Uint64()>>11) / (1 << 53) // uniform in [0, 1)
+	return time.Duration(float64(p.cmdGap) * (1 + s.cfg.CmdJitter*(2*u-1)))
 }
 
 func (s *sim) finish() {

@@ -1,6 +1,7 @@
 package gamesim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -310,35 +311,62 @@ func TestMapChangeStopsSnapshots(t *testing.T) {
 }
 
 func TestMapsPlayedCount(t *testing.T) {
-	cfg := shortConfig(19, 21*time.Minute) // 5min maps + 10s pause
-	st, err := Run(cfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Maps start at 0, ~5:10, ~10:20, ~15:30, ~20:40 => 5 plays.
-	if st.MapsPlayed != 5 {
-		t.Errorf("MapsPlayed = %d, want 5", st.MapsPlayed)
+	// 5 min maps + 10 s pause: maps start at 0, 5:10, 10:20, 15:30, 20:40,
+	// 25:50 on the server's clock. A map in progress as recording starts is
+	// one of the maps played; a changeover in progress is not.
+	// Every 21-minute window below therefore plays five.
+	for _, c := range []struct {
+		name   string
+		warmup time.Duration
+	}{
+		{"no warm-up", 0}, // 0 … 20:40
+		{"recording starts mid-map", 2 * time.Minute},                 // the first map, 5:10 … 20:40
+		{"recording starts mid-pause", 5*time.Minute + 5*time.Second}, // 5:10 … 25:50
+		{"recording starts with a map", 5*time.Minute + 10*time.Second},
+		{"recording starts just into a map", 5*time.Minute + 11*time.Second}, // the second map, 10:20 … 25:50
+	} {
+		cfg := shortConfig(19, 21*time.Minute)
+		cfg.Warmup = c.warmup
+		st, err := Run(cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.MapsPlayed != 5 {
+			t.Errorf("%s: MapsPlayed = %d, want 5", c.name, st.MapsPlayed)
+		}
 	}
 }
 
+// TestControlPlaneOnlyRunIsCheapAndEquivalent pins what lazy warm-up relies
+// on: the control-plane stream is consumed only by kernel events, so every
+// session-level statistic and the whole event sequence are the same whether
+// or not a packet is ever planned — through a warm-up longer than a map
+// cycle included.
 func TestControlPlaneOnlyRunIsCheapAndEquivalent(t *testing.T) {
-	// h=nil must produce identical session statistics to a full run.
-	cfg := shortConfig(23, 10*time.Minute)
-	full, err := Run(cfg, trace.HandlerFunc(func(trace.Record) {}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := Run(cfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Attempts != ctrl.Attempts || full.Established != ctrl.Established ||
-		full.Refused != ctrl.Refused || full.MapsPlayed != ctrl.MapsPlayed ||
-		full.MaxConcurrent != ctrl.MaxConcurrent {
-		t.Errorf("control-plane stats diverge:\nfull: %+v\nctrl: %+v", full, ctrl)
-	}
-	if ctrl.PacketsIn != 0 || ctrl.PacketsOut != 0 {
-		t.Error("control-plane run should not count packets")
+	for _, warmup := range []time.Duration{0, 6*time.Minute + 30*time.Second} {
+		cfg := shortConfig(23, 10*time.Minute)
+		cfg.Warmup = warmup
+		cfg.Outages = []Outage{{At: 4 * time.Minute, Duration: 10 * time.Second}}
+		var fullEv, ctrlEv []SessionEvent
+		full, err := Run(cfg, trace.HandlerFunc(func(trace.Record) {}), func(ev SessionEvent) { fullEv = append(fullEv, ev) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl, err := Run(cfg, nil, func(ev SessionEvent) { ctrlEv = append(ctrlEv, ev) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.PacketsIn == 0 || full.PacketsOut == 0 {
+			t.Fatal("full run generated no traffic")
+		}
+		want := full // but for the packets a control-plane run never counts
+		want.PacketsIn, want.PacketsOut, want.AppBytesIn, want.AppBytesOut = 0, 0, 0, 0
+		if ctrl != want {
+			t.Errorf("Warmup=%v: control-plane stats diverge:\nfull: %+v\nctrl: %+v", warmup, full, ctrl)
+		}
+		if len(ctrlEv) == 0 || !slices.Equal(fullEv, ctrlEv) {
+			t.Errorf("Warmup=%v: event sequences differ (%d events with traffic, %d without)", warmup, len(fullEv), len(ctrlEv))
+		}
 	}
 }
 
