@@ -12,13 +12,15 @@
 //	    [-cadence 2s] [-window 1m] [-parallel auto] [-label node7] [-for 0]
 //
 // The daemon stops on SIGINT/SIGTERM (or after -for, when set), flushing
-// the partial window and the service row before exiting.
+// the partial window and the service row and printing the row's summary
+// before exiting.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -45,12 +47,12 @@ func main() {
 		forDur      = flag.Duration("for", 0, "exit after this long (0 = run until SIGINT/SIGTERM)")
 	)
 	flag.Parse()
-	if err := run(*storePath, *spool, *cadence, *report, *window, *parallelStr, *label, *forDur); err != nil {
+	if err := run(os.Stdout, *storePath, *spool, *cadence, *report, *window, *parallelStr, *label, *forDur); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(storePath, spool string, cadence, report, window time.Duration, parallelStr, label string, forDur time.Duration) error {
+func run(out io.Writer, storePath, spool string, cadence, report, window time.Duration, parallelStr, label string, forDur time.Duration) error {
 	if storePath == "" || spool == "" {
 		return fmt.Errorf("-store and -spool are both required")
 	}
@@ -71,7 +73,7 @@ func run(storePath, spool string, cadence, report, window time.Duration, paralle
 		Window:      window,
 		Parallelism: parallel,
 		Label:       label,
-		Report:      os.Stdout,
+		Report:      out,
 		Logf:        log.Printf,
 	})
 	if err != nil {
@@ -98,5 +100,6 @@ func run(storePath, spool string, cadence, report, window time.Duration, paralle
 		return nil
 	}
 	log.Printf("session %s recorded: %d records, %d windows", svc.ID, svc.Records, eng.Windows())
+	svc.WriteText(out)
 	return nil
 }

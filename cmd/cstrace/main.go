@@ -30,10 +30,6 @@
 //	cstrace -mode trend -store m.csms -metric p95kbs -last 20
 //	                                       metric trajectory across stored runs
 //	                                       (-metric help lists the registry)
-//	cstrace -mode serve -store m.csms -spool dir/
-//	                                       continuous-analysis daemon: watch a spool
-//	                                       directory, ingest new traces, record rolling
-//	                                       windows and a service summary
 package main
 
 import (
@@ -64,7 +60,7 @@ func main() {
 	log.SetPrefix("cstrace: ")
 
 	var (
-		mode        = flag.String("mode", "quick", "week | quick | nat | gen | analyze | index | salvage | pcap | web | aggregate | provision | scenario | ingest | list | show | trend | serve")
+		mode        = flag.String("mode", "quick", "week | quick | nat | gen | analyze | index | salvage | pcap | web | aggregate | provision | scenario | ingest | list | show | trend")
 		seed        = flag.Uint64("seed", 1, "simulation seed")
 		duration    = flag.Duration("duration", 0, "override trace duration (gen/quick/pcap/web/scenario)")
 		inFile      = flag.String("in", "", "input trace file (analyze/index)")
@@ -82,16 +78,12 @@ func main() {
 		depths      = flag.Bool("depths", false, "print collector-group channel-depth stats (and any adaptive rebalances) after a sharded run (week/quick/analyze/scenario)")
 		from        = flag.Duration("from", 0, "analyze only records at or after this offset (analyze)")
 		to          = flag.Duration("to", 0, "analyze only records before this offset (analyze; 0 = end of trace)")
-		storePath   = flag.String("store", "", "metrics store file (ingest/list/show/trend/serve; scenario: also record the run)")
+		storePath   = flag.String("store", "", "metrics store file (ingest/list/show/trend; scenario: also record the run)")
 		runID       = flag.String("run", "", "run ID or content-hash prefix (show)")
 		metric      = flag.String("metric", "meankbs", "trend metric; \"help\" lists the registry (trend)")
 		last        = flag.Int("last", 20, "keep the last N runs (trend; <=0 keeps all)")
 		kinds       = flag.String("kinds", "", "comma-separated run-kind filter, e.g. scenario (trend)")
-		label       = flag.String("label", "", "operator tag recorded on new runs (ingest/serve/scenario)")
-		spool       = flag.String("spool", "", "directory watched for .cst traces (serve)")
-		cadence     = flag.Duration("cadence", 2*time.Second, "spool poll cadence (serve)")
-		window      = flag.Duration("window", time.Minute, "rolling trace-time window width (serve)")
-		forDur      = flag.Duration("for", 0, "stop serving after this long (serve; 0 = until SIGINT/SIGTERM)")
+		label       = flag.String("label", "", "operator tag recorded on new runs (ingest/scenario)")
 		jsonOut     = flag.Bool("json", false, "machine-readable output (list/show/trend)")
 	)
 	flag.Parse()
@@ -149,8 +141,6 @@ func main() {
 		err = runShow(*storePath, *runID, *jsonOut)
 	case "trend":
 		err = runTrend(*storePath, *metric, *last, *kinds, *jsonOut)
-	case "serve":
-		err = runServe(*storePath, *spool, *label, *cadence, *window, *forDur, parallel)
 	default:
 		err = fmt.Errorf("unknown mode %q", *mode)
 	}
@@ -222,8 +212,12 @@ func runGen(seed uint64, d time.Duration, out string, format, compress, genWorke
 	if d == 0 {
 		d = time.Hour
 	}
+	cfg := gamesim.PaperConfig(seed)
+	cfg.Duration = d
+	cfg.Outages = nil
+	cfg.Workers = genWorkers
+	// Every rejection comes before os.Create truncates an existing trace.
 	if format < 1 || format > 4 {
-		// Validate before os.Create truncates an existing trace.
 		return fmt.Errorf("gen: unknown -format %d (want 1, 2, 3 or 4)", format)
 	}
 	if compress < -1 || compress > 9 {
@@ -232,16 +226,15 @@ func runGen(seed uint64, d time.Duration, out string, format, compress, genWorke
 	if compress != 0 && format < 3 {
 		return fmt.Errorf("gen: -compress needs -format 3 or 4 (v1/v2 have no compression)")
 	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("gen: %w", err)
+	}
 	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 
-	cfg := gamesim.PaperConfig(seed)
-	cfg.Duration = d
-	cfg.Outages = nil
-	cfg.Workers = genWorkers
 	w := trace.NewWriter(f)
 	switch format {
 	case 1:
@@ -272,6 +265,10 @@ func runGen(seed uint64, d time.Duration, out string, format, compress, genWorke
 func runAnalyze(in string, parallel int, from, to time.Duration, depths bool) error {
 	if in == "" {
 		return fmt.Errorf("analyze: -in required")
+	}
+	if to != 0 && to <= from {
+		// An inverted or empty slice would print an all-zero report.
+		return fmt.Errorf("analyze: -from must precede -to")
 	}
 	f, err := os.Open(in)
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -119,5 +120,58 @@ func TestDepthsEndToEnd(t *testing.T) {
 	// the same fan-out, so they must have enqueued the same block count.
 	if rows[0].blocks != rows[1].blocks {
 		t.Errorf("ingest groups disagree on block count: %d vs %d", rows[0].blocks, rows[1].blocks)
+	}
+}
+
+// TestRejectedInvocations is the table of command lines that must fail
+// before they touch anything: a rejected gen leaves a pre-existing -out
+// file byte-for-byte alone, and a rejected analyze prints no report.
+func TestRejectedInvocations(t *testing.T) {
+	traceFile := filepath.Join(t.TempDir(), "existing.cst")
+	if err := runGen(5, time.Minute, traceFile, 4, 0, 1); err != nil {
+		t.Fatalf("gen: %v", err)
+	}
+	before, err := os.ReadFile(traceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"gen negative duration", func() error { return runGen(5, -time.Minute, traceFile, 4, 0, 1) },
+			"gen: gamesim: Duration must be positive"},
+		{"gen bad genworkers", func() error { return runGen(5, time.Minute, traceFile, 4, 0, -7) },
+			"gen: gamesim: Workers"},
+		{"gen unknown format", func() error { return runGen(5, time.Minute, traceFile, 9, 0, 1) },
+			"gen: unknown -format 9"},
+		{"gen bad compress", func() error { return runGen(5, time.Minute, traceFile, 4, 11, 1) },
+			"gen: invalid -compress 11"},
+		{"gen compress on v2", func() error { return runGen(5, time.Minute, traceFile, 2, 6, 1) },
+			"gen: -compress needs -format 3 or 4"},
+		{"analyze inverted slice", func() error { return runAnalyze(traceFile, 1, 90*time.Second, 30*time.Second, false) },
+			"analyze: -from must precede -to"},
+		{"analyze empty slice", func() error { return runAnalyze(traceFile, 1, 30*time.Second, 30*time.Second, false) },
+			"analyze: -from must precede -to"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var runErr error
+			out := captureStdout(t, func() error { runErr = tc.run(); return nil })
+			if runErr == nil || !strings.Contains(runErr.Error(), tc.want) {
+				t.Errorf("error %v, want one containing %q", runErr, tc.want)
+			}
+			if out != "" {
+				t.Errorf("rejected invocation printed a report:\n%s", out)
+			}
+			after, err := os.ReadFile(traceFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatalf("pre-existing trace went from %d to %d bytes", len(before), len(after))
+			}
+		})
 	}
 }

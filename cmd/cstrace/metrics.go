@@ -1,23 +1,17 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"log"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"cstrace/internal/metricstore"
-	"cstrace/internal/metricsvc"
 )
 
 // The metrics-store modes: ingest/list/show/trend query and grow the
-// single-file run database (internal/metricstore), serve runs the
-// continuous-analysis daemon (internal/metricsvc) in-process.
+// single-file run database (internal/metricstore). The continuous-analysis
+// daemon over the same store is cmd/csmetricsd.
 
 func openMetricStore(path string) (*metricstore.Store, error) {
 	if path == "" {
@@ -133,55 +127,5 @@ func runTrend(storePath, metric string, last int, kinds string, jsonOut bool) er
 		return enc.Encode(pts)
 	}
 	metricstore.WriteTrend(os.Stdout, metric, pts)
-	return nil
-}
-
-// runServe is the in-process daemon: watch a spool directory, ingest new
-// traces as they land, record completed windows, and on shutdown (signal
-// or -for deadline) flush the service row.
-func runServe(storePath, spool, label string, cadence, window, forDur time.Duration, parallel int) error {
-	if spool == "" {
-		return fmt.Errorf("serve: -spool required (directory watched for %s files)", metricsvc.TraceSuffix)
-	}
-	st, err := openMetricStore(storePath)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	eng, err := metricsvc.New(metricsvc.Config{
-		Store:       st,
-		Spool:       spool,
-		Poll:        cadence,
-		Window:      window,
-		Parallelism: parallel,
-		Label:       label,
-		Report:      os.Stdout,
-		Logf:        log.Printf,
-	})
-	if err != nil {
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if forDur > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, forDur)
-		defer cancel()
-	}
-	log.Printf("serving: spool %s -> store %s (poll %v, window %v)", spool, storePath, cadence, window)
-	if err := eng.Run(ctx); err != nil && err != context.Canceled && err != context.DeadlineExceeded {
-		eng.Close()
-		return err
-	}
-	svc, err := eng.Close()
-	if err != nil {
-		return err
-	}
-	if svc == nil {
-		log.Printf("no traces ingested; no service row recorded")
-		return nil
-	}
-	fmt.Printf("service session %s: %d windows recorded\n", svc.ID, eng.Windows())
-	svc.WriteText(os.Stdout)
 	return nil
 }

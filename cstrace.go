@@ -13,10 +13,9 @@
 // That trace is long gone, so this package pairs a mechanism-level workload
 // generator calibrated to the paper's published aggregates (internal/gamesim)
 // with a streaming implementation of every analysis in the paper's
-// evaluation (internal/analysis), a queueing model of the NAT experiment
-// (internal/nat), and the route-caching exploration of §IV-B
-// (internal/routecache). A real UDP game server and bots
-// (internal/gameserver) exercise the same pipeline over the loopback.
+// evaluation (internal/analysis) and a queueing model of the NAT experiment
+// (internal/nat). A real UDP game server and bots (internal/gameserver)
+// exercise the same pipeline over the loopback.
 //
 // Quick start:
 //
@@ -24,8 +23,10 @@
 //	if err != nil { ... }
 //	res.WriteReport(os.Stdout)
 //
-// Reproduce(Full(seed)) regenerates every table and figure of the paper;
-// see EXPERIMENTS.md for the paper-vs-measured record.
+// Reproduce(Full(seed)) regenerates every table and figure of the paper
+// (`cstrace -mode week` prints them); the paper's numbers and the
+// tolerances the model is held to are the constants in
+// internal/gamesim/calibration_test.go.
 package cstrace
 
 import (

@@ -13,9 +13,9 @@ import (
 // ExampleReproduce runs the 30-minute busy-server reproduction and checks
 // the paper's headline number: per-player-slot bandwidth sits in the
 // saturated-modem band the paper measured (~40 kbs). Use Full(seed) for the
-// week-long run behind EXPERIMENTS.md, and Config.Parallelism to shard the
-// collectors across cores; res.WriteReport renders Tables I-III and every
-// figure.
+// week-long run that `cstrace -mode week` prints, and Config.Parallelism to
+// shard the collectors across cores; res.WriteReport renders Tables I-III
+// and every figure.
 func ExampleReproduce() {
 	res, err := cstrace.Reproduce(cstrace.Quick(1))
 	if err != nil {

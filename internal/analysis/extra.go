@@ -15,7 +15,7 @@ import (
 // the same structure quantitative — outbound times split between ~0 (within
 // a broadcast burst) and the 50 ms tick, while inbound times look like a
 // smooth superposition of independent client streams — and it is what
-// source models (Borella; internal/sourcemodel) consume.
+// source models (Borella) consume.
 type Interarrival struct {
 	last [2]time.Duration
 	seen [2]bool

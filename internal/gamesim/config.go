@@ -11,8 +11,9 @@
 // players, rate-limited logo/map downloads, and brief network outages.
 //
 // PaperConfig returns parameters calibrated against the paper's Tables I-III;
-// calibration_test.go asserts the derivations, and the full-week results are
-// recorded in EXPERIMENTS.md.
+// calibration_test.go holds the paper's numbers and asserts the model
+// against them within stated tolerances; `cstrace -mode week` prints the
+// full-week results.
 package gamesim
 
 import (

@@ -1,5 +1,5 @@
 // Package metricsvc is the continuous-analysis daemon behind
-// `cstrace -mode serve` and cmd/csmetricsd: it watches a spool directory
+// cmd/csmetricsd: it watches a spool directory
 // for trace files, ingests each new file through the metricstore path
 // (content-addressed, so re-delivery is free), and threads every record
 // through service-wide state — a cumulative analysis suite and a rolling

@@ -28,7 +28,7 @@ type prefetchMsg struct {
 // traces the decode goroutine additionally works segment-at-a-time out of
 // an in-memory slab — compressed segments inflated ahead by a third
 // goroutine — instead of per-record reader calls, which roughly triples decode
-// throughput (see BenchmarkAnalyzeV1 vs BenchmarkAnalyzeV2).
+// throughput.
 func (r *Reader) ReadAllPrefetch(h Handler) (int64, error) {
 	ch := make(chan prefetchMsg, prefetchDepth)
 	go func() {
