@@ -30,12 +30,12 @@ func TestAutoParallelByteIdentical(t *testing.T) {
 		RateScale:  5,
 	}
 	modes := []struct {
-		name     string
-		par, gen int
+		name string
+		par  int
 	}{
-		{"serial", 1, 1},
-		{"tuned", 4, 4},
-		{"auto", AutoWorkers, AutoWorkers},
+		{"serial", 1},
+		{"tuned", 4},
+		{"auto", AutoWorkers},
 	}
 
 	prev := runtime.GOMAXPROCS(0)
@@ -48,12 +48,11 @@ func TestAutoParallelByteIdentical(t *testing.T) {
 			var traceBuf bytes.Buffer
 			w := trace.NewWriter(&traceBuf)
 			w.SortWindow = 200 * time.Millisecond
-			w.Workers = m.gen
+			w.Workers = m.par
 
 			res, err := RunScenario(ScenarioConfig{
 				Spec:        spec,
 				Parallelism: m.par,
-				GenWorkers:  m.gen,
 				Extra:       w,
 			})
 			if err != nil {

@@ -68,8 +68,7 @@ func main() {
 		format      = flag.Int("format", 4, "trace format version to write (gen): 4 = columnar compressed, 3 = compressed+indexed, 2 = indexed, 1 = legacy")
 		compress    = flag.Int("compress", 0, "v3/v4 segment compression (gen): 0 = default flate level, 1-9 = explicit level, -1 = store uncompressed")
 		players     = flag.Int("players", 100000, "target concurrent players (provision)")
-		parallelStr = flag.String("parallel", "auto", "analysis worker goroutines (week/quick/analyze/scenario; 1 = single-threaded, \"auto\" = self-tuned from the worker budget)")
-		genStr      = flag.String("genworkers", "auto", "generator fill-stage goroutines (week/quick/gen/scenario; 1 = serial, \"auto\" = split the worker budget; results identical)")
+		parallelStr = flag.String("parallel", "auto", "worker goroutines: collector shards and segment decode (week/quick/analyze/scenario/ingest), trace-writer compression (gen/scenario -out); 1 = single-threaded, \"auto\" = self-tuned from the worker budget; results identical")
 		servers     = flag.Int("servers", 8, "fleet size (scenario)")
 		stagger     = flag.Duration("stagger", 0, "per-server launch stagger (scenario)")
 		spike       = flag.Float64("spike", 6, "launch-day arrival surge multiplier (scenario; <=1 disables)")
@@ -92,21 +91,17 @@ func main() {
 	if err != nil {
 		log.Fatalf("-parallel: %v", err)
 	}
-	genWorkers, err := sched.ParseWorkers(*genStr)
-	if err != nil {
-		log.Fatalf("-genworkers: %v", err)
-	}
 
 	start := time.Now()
 	switch *mode {
 	case "week":
-		err = runReproduce(cstrace.Full(*seed), *duration, parallel, genWorkers, *depths)
+		err = runReproduce(cstrace.Full(*seed), *duration, parallel, *depths)
 	case "quick":
-		err = runReproduce(cstrace.Quick(*seed), *duration, parallel, genWorkers, *depths)
+		err = runReproduce(cstrace.Quick(*seed), *duration, parallel, *depths)
 	case "nat":
 		err = runNAT(*seed)
 	case "gen":
-		err = runGen(*seed, *duration, *outFile, *format, *compress, genWorkers)
+		err = runGen(*seed, *duration, *outFile, *format, *compress, parallel)
 	case "analyze":
 		err = runAnalyze(*inFile, parallel, *from, *to, *depths)
 	case "index":
@@ -128,7 +123,7 @@ func main() {
 		} else if *perServer {
 			perMode = cstrace.PerServerFull
 		}
-		err = runScenario(*seed, *servers, *duration, *stagger, *spike, parallel, genWorkers, perMode, *outFile, *depths, *storePath, *label)
+		err = runScenario(*seed, *servers, *duration, *stagger, *spike, parallel, perMode, *outFile, *depths, *storePath, *label)
 	case "ingest":
 		files := flag.Args()
 		if *inFile != "" {
@@ -150,13 +145,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "cstrace: %s mode finished in %v\n", *mode, time.Since(start).Round(time.Millisecond))
 }
 
-func runReproduce(cfg cstrace.Config, override time.Duration, parallel, genWorkers int, depths bool) error {
+func runReproduce(cfg cstrace.Config, override time.Duration, parallel int, depths bool) error {
 	if override > 0 {
 		cfg.Game.Duration = override
 		cfg.Suite = analysis.DefaultSuiteConfig(override)
 	}
 	cfg.Parallelism = parallel
-	cfg.Game.Workers = genWorkers
 	res, err := cstrace.Reproduce(cfg)
 	if err != nil {
 		return err
@@ -205,7 +199,7 @@ func runNAT(seed uint64) error {
 	return nil
 }
 
-func runGen(seed uint64, d time.Duration, out string, format, compress, genWorkers int) error {
+func runGen(seed uint64, d time.Duration, out string, format, compress, parallel int) error {
 	if out == "" {
 		return fmt.Errorf("gen: -out required")
 	}
@@ -215,7 +209,6 @@ func runGen(seed uint64, d time.Duration, out string, format, compress, genWorke
 	cfg := gamesim.PaperConfig(seed)
 	cfg.Duration = d
 	cfg.Outages = nil
-	cfg.Workers = genWorkers
 	// Every rejection comes before os.Create truncates an existing trace.
 	if format < 1 || format > 4 {
 		return fmt.Errorf("gen: unknown -format %d (want 1, 2, 3 or 4)", format)
@@ -247,7 +240,7 @@ func runGen(seed uint64, d time.Duration, out string, format, compress, genWorke
 	w.CompressLevel = compress
 	// Deflate sealed segments on a worker pool so compression stays off
 	// the generator's write path; the bytes are identical either way.
-	w.Workers = genWorkers
+	w.Workers = parallel
 	// The generator emits a strictly time-ordered stream — exactly what
 	// the Writer requires — so records encode as they are produced.
 	st, err := gamesim.Run(cfg, w, nil)
@@ -565,7 +558,7 @@ func runAggregate(seed uint64) error {
 	return nil
 }
 
-func runScenario(seed uint64, servers int, duration, stagger time.Duration, spike float64, parallel, genWorkers int, perMode cstrace.PerServerMode, out string, depths bool, storePath, label string) error {
+func runScenario(seed uint64, servers int, duration, stagger time.Duration, spike float64, parallel int, perMode cstrace.PerServerMode, out string, depths bool, storePath, label string) error {
 	cfg := cstrace.LaunchDay(seed, servers)
 	if duration > 0 {
 		cfg.Spec.Duration = duration
@@ -573,7 +566,6 @@ func runScenario(seed uint64, servers int, duration, stagger time.Duration, spik
 	cfg.Spec.Stagger = stagger
 	cfg.Spec.SpikeMult = spike
 	cfg.Parallelism = parallel
-	cfg.GenWorkers = genWorkers
 	cfg.PerServer = perMode
 
 	// -out persists the merged fleet stream as an indexed, compressed v4

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,6 +15,54 @@ import (
 	"cstrace/internal/analysis"
 	"cstrace/internal/sched"
 )
+
+// TestMain lets a test run the real command line: re-executed with
+// CSTRACE_TEST_CLI set, the test binary is cstrace itself.
+func TestMain(m *testing.M) {
+	if os.Getenv("CSTRACE_TEST_CLI") != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestRemovedFlagsAreUnknown: a flag whose mechanism is gone is rejected by
+// name, not accepted and ignored (-genworkers sized the deleted worker-pool
+// fill stage).
+func TestRemovedFlagsAreUnknown(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-mode", "quick", "-duration", "1m", "-genworkers", "4")
+	cmd.Env = append(os.Environ(), "CSTRACE_TEST_CLI=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("-genworkers was accepted:\n%s", out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -genworkers") {
+		t.Errorf("-genworkers failed for another reason (%v):\n%s", err, out)
+	}
+}
+
+// TestGenBytesIdenticalAcrossParallel: -mode gen sizes the writer's
+// compression pool from -parallel, and the file is the same bytes at every
+// value.
+func TestGenBytesIdenticalAcrossParallel(t *testing.T) {
+	dir := t.TempDir()
+	var want []byte
+	for _, parallel := range []int{1, 4, sched.Auto} {
+		path := filepath.Join(dir, fmt.Sprintf("gen-%d.cst", parallel))
+		if err := runGen(5, 2*time.Minute, path, 4, 0, parallel); err != nil {
+			t.Fatalf("-parallel %d: %v", parallel, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("-parallel %d: %d-byte trace differs from the -parallel 1 file (%d bytes)", parallel, len(got), len(want))
+		}
+	}
+}
 
 // captureStdout runs fn with os.Stdout redirected through a pipe and
 // returns what it printed.
@@ -143,8 +192,6 @@ func TestRejectedInvocations(t *testing.T) {
 	}{
 		{"gen negative duration", func() error { return runGen(5, -time.Minute, traceFile, 4, 0, 1) },
 			"gen: gamesim: Duration must be positive"},
-		{"gen bad genworkers", func() error { return runGen(5, time.Minute, traceFile, 4, 0, -7) },
-			"gen: gamesim: Workers"},
 		{"gen unknown format", func() error { return runGen(5, time.Minute, traceFile, 9, 0, 1) },
 			"gen: unknown -format 9"},
 		{"gen bad compress", func() error { return runGen(5, time.Minute, traceFile, 4, 11, 1) },

@@ -59,22 +59,17 @@ type Config struct {
 	// budget and self-tunes the shard assignment at run time (adaptive
 	// sharding — serial on a one-core budget). Results are byte-identical
 	// across all settings; on multi-core hardware sharding overlaps the
-	// collector sweeps with generation.
-	//
-	// Generation-side parallelism is configured separately on
-	// Game.Workers: the payload-size fill stage of the generator runs on
-	// that many goroutines (AutoWorkers resolves it from the same
-	// budget), again with byte-identical results. The two knobs compose —
-	// a fully parallel reproduction sets both.
+	// collector sweeps with generation. The generator itself is one
+	// goroutine and charges one token of that budget (gamesim.Run).
 	Parallelism int
 }
 
 // AutoWorkers is the worker-count sentinel meaning "resolve from the
 // process-wide worker budget" (internal/sched): concurrent stages split the
 // machine once instead of each assuming it owns GOMAXPROCS. Valid for
-// Config.Parallelism, gamesim.Config.Workers, trace.Writer.Workers,
-// ScenarioConfig.Parallelism/GenWorkers and the AnalyzeTrace parallelism
-// argument. Worker counts change speed, never results.
+// Config.Parallelism, trace.Writer.Workers, ScenarioConfig.Parallelism and
+// the AnalyzeTrace parallelism argument. Worker counts change speed, never
+// results.
 const AutoWorkers = sched.Auto
 
 // Full returns the full-week reproduction configuration.

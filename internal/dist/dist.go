@@ -18,26 +18,33 @@ import (
 // RNG is a deterministic, seedable random source. It wraps math/rand/v2's
 // PCG so that a given seed always yields the same stream on every platform.
 type RNG struct {
-	r *rand.Rand
+	r   *rand.Rand
+	pcg *rand.PCG // r's source (r itself holds no state), kept for Splitter.Rekey
+}
+
+func newRNG(a, b uint64) *RNG {
+	pcg := rand.NewPCG(a, b)
+	return &RNG{r: rand.New(pcg), pcg: pcg}
 }
 
 // NewRNG creates a generator from a seed.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewPCG(seed, seed^0x94d049bb133111eb))}
+	return newRNG(seed, seed^0x94d049bb133111eb)
 }
 
 // Split derives an independent generator from this one. The parent advances,
 // so successive Splits yield distinct streams.
 func (g *RNG) Split() *RNG {
-	return &RNG{r: rand.New(rand.NewPCG(g.r.Uint64(), g.r.Uint64()))}
+	return newRNG(g.r.Uint64(), g.r.Uint64())
 }
 
 // Splitter derives an indexed family of independent RNG streams from one
 // point in a parent stream: Stream(i) depends only on the two key words
 // drawn when the Splitter was created and on i, never on how many other
 // streams were created or in what order. That is what lets work units
-// (e.g. one simulation tick each) be processed out of order or on parallel
-// workers while sampling exactly the values a sequential run would.
+// (one simulation tick, one player session) be reached lazily, skipped or
+// visited out of order while sampling exactly the values a sequential run
+// would.
 type Splitter struct {
 	k1, k2 uint64
 }
@@ -58,12 +65,23 @@ func splitmix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
+// key is the PCG seed pair of the family's i-th stream.
+func (s Splitter) key(i uint64) (a, b uint64) {
+	return splitmix64(s.k1 ^ i), splitmix64(s.k2 + i*0x9E3779B97F4A7C15)
+}
+
 // Stream returns the i-th stream of the family. Calls are pure: the same
 // (Splitter, i) always yields an identical generator.
 func (s Splitter) Stream(i uint64) *RNG {
-	a := splitmix64(s.k1 ^ i)
-	b := splitmix64(s.k2 + i*0x9E3779B97F4A7C15)
-	return &RNG{r: rand.New(rand.NewPCG(a, b))}
+	return newRNG(s.key(i))
+}
+
+// Rekey turns g, whatever it was, into the family's i-th stream in place:
+// from here on it draws exactly what Stream(i) would, with nothing
+// allocated. A consumer that walks the family one stream at a time (one
+// simulation tick after another) keeps a single generator and re-keys it.
+func (s Splitter) Rekey(g *RNG, i uint64) {
+	g.pcg.Seed(s.key(i))
 }
 
 // Float64 returns a uniform value in [0,1).

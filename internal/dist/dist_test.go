@@ -2,9 +2,10 @@ package dist
 
 import "testing"
 
-// TestSplitterStreamsArePure pins the property parallel generation relies
-// on: Stream(i) depends only on the splitter's creation point and on i —
-// not on the order, count or interleaving of other Stream calls.
+// TestSplitterStreamsArePure pins the property the generator's per-window
+// and per-session streams rely on: Stream(i) depends only on the splitter's
+// creation point and on i — not on the order, count or interleaving of other
+// Stream calls.
 func TestSplitterStreamsArePure(t *testing.T) {
 	mk := func() Splitter { return NewRNG(99).NewSplitter() }
 
@@ -34,5 +35,32 @@ func TestSplitterStreamsDiffer(t *testing.T) {
 			t.Fatalf("stream %d repeated first draw %x", i, v)
 		}
 		seen[v] = true
+	}
+}
+
+// TestRekeyEqualsStream: a generator re-keyed in place, whatever it drew
+// before, is indistinguishable from a fresh Stream(i) under every kind of
+// draw the samplers make — and re-keying allocates nothing.
+func TestRekeyEqualsStream(t *testing.T) {
+	sp := NewRNG(5).NewSplitter()
+	g := NewRNG(77)
+	g.NormFloat64()
+	for _, i := range []uint64{0, 9, 1 << 33, 9} {
+		sp.Rekey(g, i)
+		want := sp.Stream(i)
+		for k := 0; k < 200; k++ {
+			if a, b := g.NormFloat64(), want.NormFloat64(); a != b {
+				t.Fatalf("stream %d draw %d: normal %v vs %v", i, k, a, b)
+			}
+			if a, b := g.Uint64(), want.Uint64(); a != b {
+				t.Fatalf("stream %d draw %d: word %x vs %x", i, k, a, b)
+			}
+			if a, b := g.Intn(1000), want.Intn(1000); a != b {
+				t.Fatalf("stream %d draw %d: int %d vs %d", i, k, a, b)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { sp.Rekey(g, 3); g.Float64() }); n != 0 {
+		t.Errorf("Rekey allocates %v objects per call, want 0", n)
 	}
 }

@@ -21,20 +21,16 @@ import (
 	"time"
 
 	"cstrace/internal/dist"
-	"cstrace/internal/sched"
 )
 
 // Config parameterizes one simulated server.
 type Config struct {
 	Seed     uint64
 	Duration time.Duration
-	// Workers is the number of goroutines running the payload-size fill
-	// stage of traffic generation. 0 or 1 generates inline; 2 or more
-	// fills tick windows concurrently with in-order delivery; sched.Auto
-	// resolves to a grant from the process worker budget at run start.
-	// The record stream is byte-identical at every setting (see Run); on
-	// multi-core hardware workers overlap size sampling with planning and
-	// analysis.
+	// Workers does nothing. It sized a worker-pool fill stage that lost to
+	// the serial one and was deleted (ROADMAP 2a); every value is accepted
+	// and ignored, and the stream is the same at all of them. The field is
+	// still here only because bench/ assigns it: ROADMAP 1f removes it.
 	Workers int
 	// Warmup runs the server for this long before recording starts, so the
 	// trace begins on a busy server exactly as the paper's did ("after a
@@ -158,9 +154,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Warmup < 0 || c.Warmup%c.TickInterval != 0 {
 		return errors.New("gamesim: Warmup must be a non-negative multiple of TickInterval")
-	}
-	if c.Workers < 0 && c.Workers != sched.Auto {
-		return errors.New("gamesim: Workers must be non-negative or sched.Auto")
 	}
 	if c.SpikeMult > 1 && c.SpikeDecay <= 0 {
 		return errors.New("gamesim: SpikeDecay must be positive when SpikeMult > 1")

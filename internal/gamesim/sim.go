@@ -107,12 +107,13 @@ type player struct {
 type sim struct {
 	cfg    Config
 	h      trace.Handler
-	cur    *tickPlan // emission window being planned
+	plan   tickPlan // the emission window being planned, then filled
 	ev     EventFunc
 	kernel eventsim.Sim
 
 	rng      *dist.RNG     // control-plane randomness (consumed only by kernel events)
 	sizes    dist.Splitter // per-window payload-size streams (indexed by tick)
+	fill     *dist.RNG     // the current window's size stream: one generator, re-keyed per window
 	jitter   dist.Splitter // per-session schedule-jitter streams (indexed by session id)
 	roundRNG *dist.RNG     // round schedule
 	zipf     *dist.Zipf
@@ -145,19 +146,13 @@ type sim struct {
 //
 // Records arrive at h in strict time order, one block per tick window
 // (downstream batch handlers see one slab per window instead of one virtual
-// call per record). With cfg.Workers ≥ 2 the payload-size fill stage runs
-// on worker goroutines and h is invoked from a single delivery goroutine —
-// still one block per window, in window order, byte-identical to a serial
-// run; ev keeps firing from the coordinating goroutine, so an EventFunc
-// that shares state with h must tolerate the two running concurrently.
+// call per record), and h and ev are both called from the caller's
+// goroutine. A run is one always-busy goroutine, so it holds one token of
+// the process worker budget for its lifetime: the sched.Auto stages it
+// feeds size themselves to what is left, not to the whole machine.
 func Run(cfg Config, h trace.Handler, ev EventFunc) (Stats, error) {
-	if cfg.Workers == sched.Auto {
-		// Resolve the fill-stage share from the process budget for the
-		// run's lifetime. Worker counts change speed, never output.
-		lease := sched.Default().Acquire(sched.Default().Total())
-		cfg.Workers = lease.Workers()
-		defer lease.Release()
-	}
+	lease := sched.Default().Acquire(1)
+	defer lease.Release()
 	s, err := newSim(cfg, h, ev)
 	if err != nil {
 		return Stats{}, err
@@ -186,6 +181,7 @@ func newSim(cfg Config, h trace.Handler, ev EventFunc) (*sim, error) {
 	s.roundRNG = s.rng.Split()
 	s.sizes = schedRNG.NewSplitter()
 	s.jitter = schedRNG.NewSplitter()
+	s.fill = s.sizes.Stream(0)
 	var err error
 	s.zipf, err = dist.NewZipf(cfg.Population, cfg.PopularityExp)
 	if err != nil {
@@ -215,56 +211,38 @@ func (s *sim) run() Stats {
 		// Control plane only: no per-tick traffic.
 		s.kernel.RunUntil(total)
 	} else {
-		var gp *genPipeline
-		if cfg.Workers > 1 {
-			gp = newGenPipeline(cfg, s.sizes, s.h, cfg.Workers)
-		}
 		dt := cfg.TickInterval
 		for t := cfg.Warmup; t < total; t += dt {
-			s.window = t
-			s.cur = newTickPlan(uint64(t / dt)) // size streams are keyed from time zero
-			s.kernel.RunUntil(t)
-			end := t + dt
-			if end > total {
-				end = total
-			}
-			s.buildWindow(t, end)
-			s.finishWindow(gp)
-		}
-		if gp != nil {
-			s.addTotals(gp.close())
+			s.planWindow(t, min(t+dt, total))
+			s.fillWindow(uint64(t / dt)) // size streams are keyed from time zero
 		}
 	}
 	s.finish()
 	return s.stats
 }
 
-// finishWindow hands the planned window to the fill stage: inline for a
-// serial run, onto the worker pipeline otherwise. Empty windows (outages,
-// an idle server) are recycled without dispatch.
-func (s *sim) finishWindow(gp *genPipeline) {
-	p := s.cur
-	s.cur = nil
-	if p == nil || len(p.recs) == 0 {
-		freeTickPlan(p)
-		return
-	}
-	if gp != nil {
-		gp.dispatch(p)
+// planWindow is the plan stage of the window [t, end): the control plane's
+// events at or before t, then every player's schedule across the window, into
+// the emptied plan.
+func (s *sim) planWindow(t, end time.Duration) {
+	s.window = t
+	s.plan.reset()
+	s.kernel.RunUntil(t)
+	s.buildWindow(t, end)
+}
+
+// fillWindow is the fill stage: it sorts the planned window, samples its open
+// sizes from the tick's stream and delivers the block. Empty windows (outages,
+// an idle server) deliver nothing.
+func (s *sim) fillWindow(tick uint64) {
+	p := &s.plan
+	if len(p.recs) == 0 {
 		return
 	}
 	sortPlan(p)
-	s.addTotals(fillSizes(&s.cfg, p, s.sizes.Stream(p.tick)))
+	s.sizes.Rekey(s.fill, tick)
+	fillSizes(&s.cfg, p, s.fill, &s.stats)
 	trace.Dispatch(s.h, p.recs)
-	freeTickPlan(p)
-}
-
-// addTotals folds fill-stage traffic tallies into the statistics.
-func (s *sim) addTotals(tt tickTotals) {
-	s.stats.PacketsIn += tt.pIn
-	s.stats.PacketsOut += tt.pOut
-	s.stats.AppBytesIn += tt.bIn
-	s.stats.AppBytesOut += tt.bOut
 }
 
 // startRecording marks the end of the warm-up phase: statistics restart and
@@ -347,7 +325,7 @@ func (s *sim) emit(r trace.Record) {
 		return
 	}
 	r.T -= s.cfg.Warmup
-	s.cur.append(r, tagFixed)
+	s.plan.append(r, tagFixed)
 }
 
 func (s *sim) event(t time.Duration, typ EventType, session, client uint32) {
@@ -611,7 +589,7 @@ func (s *sim) buildWindow(start, end time.Duration) {
 		return
 	}
 
-	plan := s.cur
+	plan := &s.plan
 	plan.n, plan.act = len(s.players), 0
 	if !s.paused {
 		plan.act = s.activity(start)

@@ -25,8 +25,9 @@ func launchServer(seed uint64, i int, d time.Duration) Config {
 	return c
 }
 
-// hashSim is hashRun over a simulation the caller may drive before the
-// production run takes over.
+// hashSim runs a simulation the caller may drive before the production run
+// takes over and returns its record count, an order-sensitive stream hash and
+// the run statistics.
 func hashSim(t *testing.T, cfg Config, prep func(*sim)) (int, uint64, Stats) {
 	t.Helper()
 	var n int
@@ -53,17 +54,12 @@ func hashSim(t *testing.T, cfg Config, prep func(*sim)) (int, uint64, Stats) {
 func tickedWarmup(t *testing.T) func(*sim) {
 	return func(s *sim) {
 		dt := s.cfg.TickInterval
-		s.cur = newTickPlan(0)
 		for at := time.Duration(0); at < s.cfg.Warmup; at += dt {
-			s.window = at
-			s.kernel.RunUntil(at)
-			s.buildWindow(at, at+dt)
+			s.planWindow(at, at+dt)
+			if len(s.plan.recs) != 0 {
+				t.Fatalf("ticked warm-up recorded %d packets in the window at %v", len(s.plan.recs), at)
+			}
 		}
-		if len(s.cur.recs) != 0 {
-			t.Errorf("ticked warm-up recorded %d packets", len(s.cur.recs))
-		}
-		freeTickPlan(s.cur)
-		s.cur = nil
 	}
 }
 
@@ -129,20 +125,16 @@ func TestWarmupLazyEqualsTicked(t *testing.T) {
 		)
 	}
 	for _, c := range cases {
-		for _, workers := range []int{1, 4} {
-			cfg := c.cfg
-			cfg.Workers = workers
-			n, sum, st := hashSim(t, cfg, nil)
-			wantN, wantSum, wantSt := hashSim(t, cfg, tickedWarmup(t))
-			if n == 0 {
-				t.Errorf("%s: no traffic generated", c.name)
-			}
-			if n != wantN || sum != wantSum {
-				t.Errorf("%s, Workers=%d: lazy warm-up stream differs from ticked (n=%d/%d hash=%x/%x)", c.name, workers, n, wantN, sum, wantSum)
-			}
-			if st != wantSt {
-				t.Errorf("%s, Workers=%d: stats differ:\nlazy:   %+v\nticked: %+v", c.name, workers, st, wantSt)
-			}
+		n, sum, st := hashSim(t, c.cfg, nil)
+		wantN, wantSum, wantSt := hashSim(t, c.cfg, tickedWarmup(t))
+		if n == 0 {
+			t.Errorf("%s: no traffic generated", c.name)
+		}
+		if n != wantN || sum != wantSum {
+			t.Errorf("%s: lazy warm-up stream differs from ticked (n=%d/%d hash=%x/%x)", c.name, n, wantN, sum, wantSum)
+		}
+		if st != wantSt {
+			t.Errorf("%s: stats differ:\nlazy:   %+v\nticked: %+v", c.name, st, wantSt)
 		}
 	}
 }

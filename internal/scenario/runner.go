@@ -6,7 +6,6 @@ import (
 
 	"cstrace/internal/analysis"
 	"cstrace/internal/gamesim"
-	"cstrace/internal/sched"
 	"cstrace/internal/trace"
 	"cstrace/internal/units"
 )
@@ -145,9 +144,9 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	// The aggregate sink takes its share of the worker budget first (Sink
-	// resolves sched.Auto against it); the fill stages split what is left.
-	// Order matters on small boxes: the merge-fed suite is the run's one
-	// always-hot consumer, the fills backpressure behind it.
+	// resolves sched.Auto against it): the merge-fed suite is the run's one
+	// always-hot consumer. Each server's generator then charges one token
+	// for itself (gamesim.Run), and Extra sizes to what is left.
 	rawSink, closeSink := suite.Sink(cfg.Parallelism)
 	sink := rawSink
 	if cfg.Extra != nil {
@@ -155,23 +154,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	n := len(cfg.Servers)
-	genWorkers := make([]int, n)
-	for i := range genWorkers {
-		genWorkers[i] = cfg.Servers[i].Game.Workers
-	}
-	switch {
-	case cfg.GenWorkers == sched.Auto:
-		// One fair split of the budget's remainder instead of n servers
-		// independently resolving Auto (which would hand the whole machine
-		// to whichever server asked first).
-		lease := sched.Default().Acquire(sched.Default().Total())
-		defer lease.Release()
-		copy(genWorkers, sched.Split(lease.Workers(), n))
-	case cfg.GenWorkers > 0:
-		for i := range genWorkers {
-			genWorkers[i] = cfg.GenWorkers
-		}
-	}
 	res := &Result{Horizon: horizon, Suite: suite, Servers: make([]ServerResult, n)}
 	chans := make([]chan *fleetBlock, n)
 	events := make([][]taggedEvent, n)
@@ -202,7 +184,6 @@ func Run(cfg Config) (*Result, error) {
 		go func(i int, sp ServerSpec, per *analysis.Suite, slim *analysis.SlimSuite) {
 			defer wg.Done()
 			defer close(chans[i])
-			sp.Game.Workers = genWorkers[i]
 			ss := &serverSink{out: chans[i], offset: sp.StartOffset, per: per, slim: slim}
 			ev := func(e gamesim.SessionEvent) {
 				if per != nil {

@@ -30,7 +30,6 @@ import (
 
 	"cstrace/internal/analysis"
 	"cstrace/internal/gamesim"
-	"cstrace/internal/sched"
 	"cstrace/internal/trace"
 )
 
@@ -198,12 +197,6 @@ type Config struct {
 	// sharding when the machine affords it, serial on one core). Results
 	// are byte-identical across settings.
 	Parallelism int
-	// GenWorkers overrides every server's fill-stage worker count: 0
-	// keeps each ServerSpec's own Game.Workers, sched.Auto splits the
-	// worker budget's remainder fairly across the fleet, and a positive
-	// value applies to every server. Results are byte-identical across
-	// settings.
-	GenWorkers int
 	// PerServer selects per-box collection: nothing, the full paper suite,
 	// or the slim counters+minutes set.
 	PerServer PerServerMode
@@ -217,9 +210,6 @@ type Config struct {
 func (c *Config) Validate() error {
 	if len(c.Servers) == 0 {
 		return errors.New("scenario: no servers configured")
-	}
-	if c.GenWorkers < 0 && c.GenWorkers != sched.Auto {
-		return errors.New("scenario: GenWorkers must be non-negative or sched.Auto")
 	}
 	for i, s := range c.Servers {
 		if err := s.Game.Validate(); err != nil {

@@ -1,13 +1,13 @@
 // Package sched is the process-wide worker budget: one shared pool of
-// worker tokens that every parallel stage — generator fill workers, trace
-// writer compression workers, sharded collector groups, scenario fleets —
-// draws from, instead of each stage independently assuming it owns
-// GOMAXPROCS.
+// worker tokens that every concurrent stage — generators (one token each),
+// trace writer compression workers, sharded collector groups, segment
+// decoders — draws from, instead of each stage independently assuming it
+// owns GOMAXPROCS.
 //
-// The problem it solves is compositional: a fleet run of N servers where
-// every server sizes its fill stage to GOMAXPROCS, the writer sizes its
-// compression pool to GOMAXPROCS, and the aggregate suite shards to
-// GOMAXPROCS launches N+2 machines' worth of goroutines on one machine.
+// The problem it solves is compositional: a fleet run of N generators where
+// the writer sizes its compression pool to GOMAXPROCS and the aggregate
+// suite shards to GOMAXPROCS launches two machines' worth of goroutines
+// beside N busy ones on one machine.
 // None of that is incorrect — every worker-count knob in this repo is
 // byte-deterministic — but the oversubscription costs real throughput in
 // scheduler churn and cache pressure. With a budget, concurrent stages
@@ -29,8 +29,8 @@ import (
 )
 
 // Auto is the sentinel worker count meaning "resolve from the process
-// budget". Config knobs that accept it (gamesim.Config.Workers,
-// trace.Writer.Workers, cstrace.Config.Parallelism, ...) replace it with a
+// budget". Config knobs that accept it (trace.Writer.Workers,
+// cstrace.Config.Parallelism, ...) replace it with a
 // grant from Default at run start and release the grant when the run ends.
 const Auto = -1
 
@@ -127,9 +127,9 @@ func (b *Budget) Acquire(want int) *Lease {
 }
 
 // Split divides n workers across k members as evenly as possible, every
-// member getting at least one: the deterministic fair division scenario
-// fleets use to hand the generation share of the budget to their servers.
-// Members earlier in the slice receive the remainder.
+// member getting at least one: the deterministic fair division the adaptive
+// shard uses to spread collector units over its workers. Members earlier in
+// the slice receive the remainder.
 func Split(n, k int) []int {
 	if k <= 0 {
 		return nil

@@ -363,6 +363,7 @@ func (w *Writer) bufferSorted(r Record) error {
 // (T, arrival) order: the buffer holds arrival order and the sort is stable,
 // so ties keep it.
 func (w *Writer) releasePending(watermark time.Duration) error {
+	defer w.sorter.done(&w.pend)
 	for _, r := range w.sorter.take(&w.pend, watermark) {
 		if err := w.encode(r); err != nil {
 			return err

@@ -76,6 +76,7 @@ func (s *SortBuffer) HandleBatch(rs []Record) {
 // delivering them downstream in blocks.
 func (s *SortBuffer) release(watermark time.Duration) {
 	elig := s.sorter.take(&s.pend, watermark)
+	defer s.sorter.done(&s.pend)
 	if cap(s.scratch) == 0 {
 		s.scratch = make(Block, 0, BlockSize)
 	}
@@ -108,21 +109,39 @@ type timeSorter struct {
 	elig   []Record // reused partition buffer
 	keys   []uint64 // reused packed sort keys
 	gather []Record // reused sorted output
+	lent   int      // length of the prefix of pend the last take returned in place
 }
 
 // take removes every record with T <= watermark from *pend, compacting the
 // rest in place, and returns them stable-sorted by T: pend holds records in
-// arrival order, so that is the (T, arrival) total order. The partition pass
-// also finds whether any inversion exists at all — a stream already in order
-// costs one copy and no sort. Otherwise the common case packs (T−minT,
-// index) into native uint64 keys and sorts those — no comparison closure —
-// falling back to a comparator sort when the range or count overflows the
-// packing. The result is valid until the next call.
+// arrival order, so that is the (T, arrival) total order. The common case
+// packs (T−minT, index) into native uint64 keys and sorts those — no
+// comparison closure — falling back to a comparator sort when the range or
+// count overflows the packing. The result is valid until done, which every
+// take must be followed by.
+//
+// A stream that arrives already ordered (the fleet merge's, since it went
+// record-level) is not copied at all: when the eligible records are an
+// in-order prefix of *pend, take returns that prefix where it lies and leaves
+// it to done to slide the remainder down over it, once.
 func (ts *timeSorter) take(pend *[]Record, watermark time.Duration) []Record {
-	elig, keep := ts.elig[:0], (*pend)[:0]
+	p := *pend
+	n := 0
+	for n < len(p) && p[n].T <= watermark && (n == 0 || p[n-1].T <= p[n].T) {
+		n++
+	}
+	rest := n
+	for rest < len(p) && p[rest].T > watermark {
+		rest++
+	}
+	if rest == len(p) {
+		ts.lent = n
+		return p[:n]
+	}
+	elig, keep := ts.elig[:0], p[:0]
 	var minT, maxT time.Duration
 	inverted := false
-	for _, r := range *pend {
+	for _, r := range p {
 		switch {
 		case r.T > watermark:
 			keep = append(keep, r)
@@ -156,6 +175,15 @@ func (ts *timeSorter) take(pend *[]Record, watermark time.Duration) []Record {
 	}
 	slices.SortStableFunc(elig, func(a, b Record) int { return cmp.Compare(a.T, b.T) })
 	return elig
+}
+
+// done ends a take: the caller has consumed the records it returned, and a
+// prefix handed out in place is dropped from *pend now.
+func (ts *timeSorter) done(pend *[]Record) {
+	if ts.lent > 0 {
+		*pend = (*pend)[:copy(*pend, (*pend)[ts.lent:])]
+		ts.lent = 0
+	}
 }
 
 // Flush releases everything still buffered, in order. Call once after the

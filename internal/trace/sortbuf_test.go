@@ -102,7 +102,10 @@ func TestSortBufferProperty(t *testing.T) {
 // the same slack into a strict writer — ties included — and both are the
 // stable time order. The cases cover the
 // packed-key sort, both comparator fallbacks (more than 2^16 eligible records
-// in one release; a time range too wide to pack), and input already in order.
+// in one release; a time range too wide to pack), input already in order —
+// which must be released from where it lies, the partition buffer never
+// grown — and ordered input with one disordered patch, where releases of
+// both kinds alternate.
 func TestReorderBuffersAgree(t *testing.T) {
 	// jittered walks a 1 ms grid (so exact-T ties are common) with every
 	// record displaced by up to 40 grid steps; Client numbers arrivals.
@@ -118,17 +121,22 @@ func TestReorderBuffersAgree(t *testing.T) {
 	}
 	inOrder := jittered(20000, 3)
 	slices.SortStableFunc(inOrder, func(a, b Record) int { return cmp.Compare(a.T, b.T) })
+	patched := slices.Clone(inOrder)
+	slices.Reverse(patched[10000:10030]) // ≈ 30 ms of it: inside the window
 	for _, tc := range []struct {
-		name   string
-		recs   []Record
-		window time.Duration
-		batch  int
+		name    string
+		recs    []Record
+		window  time.Duration
+		batch   int
+		inPlace bool // every release must take the in-order path
 	}{
-		{"jitter", jittered(50000, 1), 50 * time.Millisecond, BlockSize},
-		{"jitter, per-tick batches", jittered(50000, 2), 50 * time.Millisecond, 37},
-		{"one huge batch", jittered(70000, 4), 50 * time.Millisecond, 70000},
-		{"already in order", inOrder, 50 * time.Millisecond, BlockSize},
-		{"range too wide to pack", []Record{{T: 41 * time.Hour, Client: 1}, {T: time.Hour, Client: 2}, {T: time.Hour, Client: 3}, {T: 0, Client: 4}}, 50 * time.Hour, 4},
+		{"jitter", jittered(50000, 1), 50 * time.Millisecond, BlockSize, false},
+		{"jitter, per-tick batches", jittered(50000, 2), 50 * time.Millisecond, 37, false},
+		{"one huge batch", jittered(70000, 4), 50 * time.Millisecond, 70000, false},
+		{"already in order", inOrder, 50 * time.Millisecond, BlockSize, true},
+		{"already in order, per-tick batches", inOrder, 50 * time.Millisecond, 37, true},
+		{"in order but for one patch", patched, 50 * time.Millisecond, 37, false},
+		{"range too wide to pack", []Record{{T: 41 * time.Hour, Client: 1}, {T: time.Hour, Client: 2}, {T: time.Hour, Client: 3}, {T: 0, Client: 4}}, 50 * time.Hour, 4, false},
 	} {
 		var direct, staged bytes.Buffer
 		dw := NewWriter(&direct)
@@ -146,6 +154,11 @@ func TestReorderBuffersAgree(t *testing.T) {
 		}
 		if dw.Count() != int64(len(tc.recs)) {
 			t.Fatalf("%s: wrote %d of %d records", tc.name, dw.Count(), len(tc.recs))
+		}
+		if grown := cap(dw.sorter.elig) + cap(sb.sorter.elig); tc.inPlace && grown != 0 {
+			t.Errorf("%s: ordered input was copied out of the pending buffer (partition buffers hold %d records)", tc.name, grown)
+		} else if !tc.inPlace && tc.batch < len(tc.recs) && grown == 0 {
+			t.Errorf("%s: disordered input never took the partition path", tc.name)
 		}
 		if !bytes.Equal(direct.Bytes(), staged.Bytes()) {
 			t.Errorf("%s: SortWindow writer and SortBuffer → strict writer disagree (%d vs %d bytes)",

@@ -39,39 +39,3 @@ func TestReproduceParallelismByteIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestReproduceGenWorkersByteIdentical extends the determinism contract to
-// the generator's fill workers: the rendered report is byte-for-byte
-// identical at every (generator workers × collector shards) combination.
-// Run with -race to exercise both sets of goroutines together.
-func TestReproduceGenWorkersByteIdentical(t *testing.T) {
-	base := Quick(1)
-	base.Game.Duration = 5 * time.Minute
-	base.Game.Warmup = 5 * time.Minute
-	base.Suite = analysis.DefaultSuiteConfig(base.Game.Duration)
-
-	var want []byte
-	for _, mode := range []struct{ workers, parallel int }{
-		{0, 1}, {2, 1}, {4, 1}, {2, 3}, {4, 4}, {8, 5},
-	} {
-		cfg := base
-		cfg.Game.Workers = mode.workers
-		cfg.Parallelism = mode.parallel
-		res, err := Reproduce(cfg)
-		if err != nil {
-			t.Fatalf("workers=%d parallel=%d: %v", mode.workers, mode.parallel, err)
-		}
-		var buf bytes.Buffer
-		if err := res.WriteReport(&buf); err != nil {
-			t.Fatalf("workers=%d parallel=%d: report: %v", mode.workers, mode.parallel, err)
-		}
-		if want == nil {
-			want = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(want, buf.Bytes()) {
-			t.Errorf("report with Workers=%d Parallelism=%d differs from serial report",
-				mode.workers, mode.parallel)
-		}
-	}
-}

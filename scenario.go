@@ -44,11 +44,10 @@ type ScenarioConfig struct {
 	// of the worker budget and self-tunes the assignment); results are
 	// byte-identical across settings.
 	Parallelism int
-	// GenWorkers overrides every server's fill-stage worker count: 0
-	// keeps each ServerSpec's own Game.Workers, AutoWorkers splits the
-	// worker budget's remainder fairly across the fleet, and a positive
-	// value applies to every server. Results are byte-identical across
-	// settings.
+	// GenWorkers does nothing. It sized the generators' worker-pool fill
+	// stage, which lost to the serial one and was deleted (ROADMAP 2a);
+	// every value is accepted and ignored. The field is still here only
+	// because bench/ assigns it: ROADMAP 1f removes it.
 	GenWorkers int
 	// PerServer selects per-box collection alongside the aggregate:
 	// PerServerFull runs a complete per-server analysis suite for per-box
@@ -107,7 +106,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResults, error) {
 		Servers:     servers,
 		Suite:       cfg.Suite,
 		Parallelism: cfg.Parallelism,
-		GenWorkers:  cfg.GenWorkers,
 		PerServer:   cfg.PerServer,
 		Extra:       cfg.Extra,
 	}

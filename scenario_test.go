@@ -2,6 +2,8 @@ package cstrace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -158,11 +160,51 @@ func TestScenarioSlimPerServer(t *testing.T) {
 	}
 }
 
+// pinnedFleetSHA256 is the SHA-256 of the v4 file of scenarioSpec(7, 3)'s
+// merged stream (750 377 records), captured on the commit before the
+// generators' worker-pool fill stage was deleted.
+const pinnedFleetSHA256 = "3c1178133f157fc8eb8c6517242a6ee6ac940c3ff99e0ada28600d70b8aa0529"
+
+// TestScenarioGenWorkersIsANoOp is the compatibility contract bench/ relies
+// on: ScenarioConfig.GenWorkers (and each server's Game.Workers) is accepted
+// at every value that used to mean something and changes nothing — the fleet
+// file is the pinned one, byte for byte.
+func TestScenarioGenWorkersIsANoOp(t *testing.T) {
+	for _, workers := range []int{0, 1, 4, AutoWorkers} {
+		servers, err := scenarioSpec(7, 3).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range servers {
+			servers[i].Game.Workers = workers
+		}
+		var file bytes.Buffer
+		w := trace.NewWriter(&file)
+		w.Workers = 1
+		if _, err := RunScenario(ScenarioConfig{
+			Servers:     servers,
+			Parallelism: 1,
+			GenWorkers:  workers,
+			PerServer:   PerServerSlim,
+			Extra:       w,
+		}); err != nil {
+			t.Fatalf("GenWorkers %d: %v", workers, err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatalf("GenWorkers %d: %v", workers, err)
+		}
+		sum := sha256.Sum256(file.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != pinnedFleetSHA256 {
+			t.Errorf("GenWorkers %d: %d records hash to %s, want %s", workers, w.Count(), got, pinnedFleetSHA256)
+		}
+	}
+}
+
 // TestScenarioExtraStreamIsTheFile: Extra receives the merged fleet stream
 // strictly time-ordered, so a strict trace.Writer (no SortWindow) persists
 // it as is and the content hash `-mode scenario -store` takes of the stream
 // as it flows equals the hash of the records read back from the `-out` file
-// — at every Parallelism/GenWorkers setting, with identical file bytes.
+// — at every Parallelism setting, with identical file bytes.
 func TestScenarioExtraStreamIsTheFile(t *testing.T) {
 	var wantSum string
 	var wantFile []byte
@@ -174,7 +216,6 @@ func TestScenarioExtraStreamIsTheFile(t *testing.T) {
 		_, err := RunScenario(ScenarioConfig{
 			Spec:        scenarioSpec(7, 3),
 			Parallelism: workers,
-			GenWorkers:  workers,
 			PerServer:   PerServerSlim,
 			Extra:       trace.Tee(w, flowing),
 		})
