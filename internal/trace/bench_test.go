@@ -1,0 +1,124 @@
+package trace_test
+
+import (
+	"bytes"
+	"io"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"cstrace/internal/gamesim"
+	"cstrace/internal/trace"
+)
+
+// The writer's layers, timed where they live, over twenty busy minutes of
+// gamesim output delivered in the generator's own blocks, all on the
+// caller's goroutine (Workers 1). BenchmarkWriter is the default writer;
+// BenchmarkWriterEncode is the same with CompressOff (encode, stripe,
+// frame); BenchmarkDeflateColumn codes the same segments' runs one column
+// at a time as the default writer does, so encode plus the three coded
+// columns is about the writer.
+
+// busyBlocks is twenty busy minutes of a full server, captured once.
+var busyBlocks = sync.OnceValues(func() (*blockCapture, error) {
+	c := gamesim.PaperConfig(11)
+	c.Outages = nil
+	c.AttemptRate *= 5
+	c.Warmup, c.Duration = 10*time.Minute, 20*time.Minute
+	var bc blockCapture
+	_, err := gamesim.Run(c, &bc, nil)
+	return &bc, err
+})
+
+type blockCapture struct {
+	blocks [][]trace.Record
+	n      int
+}
+
+func (c *blockCapture) Handle(r trace.Record) { c.HandleBatch([]trace.Record{r}) }
+
+func (c *blockCapture) HandleBatch(rs []trace.Record) {
+	c.blocks = append(c.blocks, slices.Clone(rs))
+	c.n += len(rs)
+}
+
+type countWriter struct{ n int64 }
+
+func (w *countWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+// writeBusy writes the captured stream to dst at level.
+func writeBusy(b *testing.B, bc *blockCapture, level int, dst io.Writer) {
+	w := trace.NewWriter(dst)
+	w.CompressLevel, w.Workers = level, 1
+	for _, blk := range bc.blocks {
+		w.HandleBatch(blk)
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func benchWriter(b *testing.B, level int) {
+	bc, err := busyBlocks()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cw countWriter
+	for i := 0; i < b.N; i++ {
+		cw.n = 0
+		writeBusy(b, bc, level, &cw)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.n), "ns/rec")
+	b.ReportMetric(float64(cw.n)/float64(bc.n), "B/rec")
+}
+
+// BenchmarkWriter is the default v4 writer.
+func BenchmarkWriter(b *testing.B) { benchWriter(b, 0) }
+
+// BenchmarkWriterEncode is the v4 writer with nothing to compress.
+func BenchmarkWriterEncode(b *testing.B) { benchWriter(b, trace.CompressOff) }
+
+// BenchmarkDeflateColumn codes each column's run of every segment the
+// default writer cuts, with that column's coder; B/rec is what the column
+// stores. The deltas run is stored literally and has no entry.
+func BenchmarkDeflateColumn(b *testing.B) {
+	bc, err := busyBlocks()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var file bytes.Buffer
+	writeBusy(b, bc, trace.CompressOff, &file)
+	segs, err := trace.ColumnRuns(file.Bytes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for c, name := range (trace.ColumnStats{}).ColumnNames() {
+		if c == 0 {
+			continue
+		}
+		b.Run(name, func(b *testing.B) {
+			var rc trace.RunCoder
+			var stored int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				stored = 0
+				for _, runs := range segs {
+					s, err := rc.StoreRun(c, runs[c], trace.ColumnarCompressLevel)
+					if err != nil {
+						b.Fatal(err)
+					}
+					stored += s
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.n), "ns/rec")
+			b.ReportMetric(float64(stored)/float64(bc.n), "B/rec")
+		})
+	}
+}

@@ -86,7 +86,9 @@ const (
 	// on the calibrated workload level 2 stores within ~1 % of level 6 while
 	// deflating ~3× faster and — the greedy matcher emits slightly longer,
 	// more regular matches — inflating marginally faster too. Explicit
-	// CompressLevel settings still pass through untouched.
+	// CompressLevel settings still pass through untouched. In v4 the level
+	// tunes only the LZ-coded columns (flags and client ids): the app-size
+	// run is Huffman-coded at every level, the delta run stored literal.
 	ColumnarCompressLevel = 2
 )
 
@@ -121,11 +123,16 @@ type Writer struct {
 	SegmentPayload int
 
 	// CompressLevel tunes v3/v4 per-segment compression: 0 selects
-	// DefaultCompressLevel, 1–9 are explicit flate levels (1 fastest, 9
-	// smallest), and CompressOff (-1) stores all segments uncompressed.
-	// Set it before the first Write; ignored for v1/v2 writers. Whatever
-	// the level, a segment whose compressed form is not smaller than its
-	// raw form is stored uncompressed (the per-segment flag records which).
+	// the version's default (DefaultCompressLevel for v3,
+	// ColumnarCompressLevel for v4), 1–9 are explicit flate levels (1
+	// fastest, 9 smallest), and CompressOff (-1) stores all segments
+	// uncompressed. In v4 the level tunes the LZ-coded flags and client
+	// runs; the app-size run is Huffman-coded at every level but
+	// CompressOff. Any other value fails the first Write, HandleBatch or
+	// Flush before a byte is written, and the error latches. Set it before
+	// the first Write; ignored for v1/v2 writers. Whatever the level, a run
+	// or segment whose compressed form is not smaller than its raw form is
+	// stored uncompressed (the per-segment flag records which).
 	CompressLevel int
 
 	// Workers > 1 deflates sealed segments on that many worker goroutines
@@ -166,7 +173,6 @@ type Writer struct {
 	colA     []byte
 	segBase  time.Duration
 	segMin   time.Duration
-	segMax   time.Duration
 	segCount int
 	index    []SegmentInfo
 
@@ -232,13 +238,11 @@ func (w *Writer) Handle(r Record) {
 	}
 }
 
-// HandleBatch implements BatchHandler.
+// HandleBatch implements BatchHandler: the records encode in order, and
+// the first error latches, as if each were passed to Handle.
 func (w *Writer) HandleBatch(rs []Record) {
-	for _, r := range rs {
-		if w.err != nil {
-			return
-		}
-		w.err = w.Write(r)
+	if w.err == nil && len(rs) > 0 {
+		w.err = w.write(rs)
 	}
 }
 
@@ -277,6 +281,10 @@ func (w *Writer) latchIO(err error) error {
 
 func (w *Writer) writeHeader() error {
 	w.wrote = true
+	if w.version >= version3 && (w.CompressLevel < CompressOff || w.CompressLevel > 9) {
+		w.err = fmt.Errorf("trace: invalid CompressLevel %d (want -1, 0 or 1-9)", w.CompressLevel)
+		return w.err
+	}
 	if _, err := w.w.WriteString(magic); err != nil {
 		return w.latchIO(err)
 	}
@@ -295,28 +303,40 @@ func (w *Writer) writeHeader() error {
 // failure (see Err) every Write returns the latched error without emitting
 // anything; ordering violations are rejected per record without latching.
 func (w *Writer) Write(r Record) error {
+	one := [1]Record{r}
+	return w.write(one[:])
+}
+
+// write is Write over a batch: the records go in order, and the first
+// error stops it, with every record before it accepted.
+func (w *Writer) write(rs []Record) error {
 	if w.sealed {
 		return ErrFinished
 	}
 	// Checking the plain field (not Err, which takes the pipeline mutex)
-	// keeps the per-record cost flat; pipeline failures latch into w.err at
+	// keeps the per-batch cost flat; pipeline failures latch into w.err at
 	// the next segment seal, and the emitter refuses frames after a failure
 	// regardless, so no later segment can follow a failed write either way.
 	if w.err != nil {
 		return w.err
-	}
-	if r.T > MaxSpan {
-		return fmt.Errorf("record at %v is beyond the format's %v span cap", r.T, MaxSpan)
 	}
 	if !w.wrote {
 		if err := w.writeHeader(); err != nil {
 			return err
 		}
 	}
-	if w.SortWindow > 0 {
-		return w.bufferSorted(r)
+	if w.SortWindow <= 0 {
+		return w.encode(rs)
 	}
-	return w.encode(r)
+	for _, r := range rs {
+		if r.T > MaxSpan {
+			return errOrder(r, w.last)
+		}
+		if err := w.bufferSorted(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Release encodes every SortWindow-buffered record the high-water mark has
@@ -364,75 +384,110 @@ func (w *Writer) bufferSorted(r Record) error {
 // so ties keep it.
 func (w *Writer) releasePending(watermark time.Duration) error {
 	defer w.sorter.done(&w.pend)
-	for _, r := range w.sorter.take(&w.pend, watermark) {
-		if err := w.encode(r); err != nil {
-			return err
+	return w.encode(w.sorter.take(&w.pend, watermark))
+}
+
+// encode appends rs to the output stream. Each record must lie within
+// MaxSpan and not precede the one before it; the first that does not stops
+// the batch with every record before it encoded.
+func (w *Writer) encode(rs []Record) error {
+	if w.version >= version4 {
+		return w.encodeColumns(rs)
+	}
+	for _, r := range rs {
+		if r.T > MaxSpan || r.T < w.last {
+			return errOrder(r, w.last)
+		}
+		b := w.buf[:0]
+		b = binary.AppendUvarint(b, uint64(r.T-w.last))
+		b = append(b, byte(r.Dir)&1|byte(r.Kind)<<1)
+		b = binary.AppendUvarint(b, uint64(r.Client))
+		b = binary.AppendUvarint(b, uint64(r.App))
+		if w.version == version1 {
+			w.last = r.T
+			w.n++
+			if _, err := w.w.Write(b); err != nil {
+				return err
+			}
+			continue
+		}
+		// v2/v3: records accumulate into the current segment's payload
+		// buffer; the frame header needs the payload length and record
+		// count up front, so the segment is buffered whole and flushed when
+		// it reaches target.
+		if w.segCount == 0 {
+			w.segBase = w.last
+			w.segMin = r.T
+		}
+		w.seg = append(w.seg, b...)
+		w.segCount++
+		w.last = r.T
+		w.n++
+		if len(w.seg) >= w.segmentTarget() {
+			if err := w.flushSegment(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// encode appends one record to the output stream; records must arrive here
-// in non-decreasing time order.
-func (w *Writer) encode(r Record) error {
-	if r.T < w.last {
-		return fmt.Errorf("trace: record at %v precedes previous record at %v", r.T, w.last)
+// errOrder reports why r cannot follow a record at last: it lies beyond
+// MaxSpan, or before last.
+func errOrder(r Record, last time.Duration) error {
+	if r.T > MaxSpan {
+		return fmt.Errorf("record at %v is beyond the format's %v span cap", r.T, MaxSpan)
 	}
-	if w.version >= version4 {
-		// v4: the fields stripe into per-column runs, sealed into one
-		// columnar payload at segment-cut time.
-		if w.segCount == 0 {
-			w.segBase = w.last
-			w.segMin = r.T
+	return fmt.Errorf("trace: record at %v precedes previous record at %v", r.T, last)
+}
+
+// encodeColumns is encode for v4: the fields stripe into per-column runs,
+// sealed into one columnar payload at segment-cut time. The loop keeps the
+// runs and the last timestamp in locals and writes them back before every
+// segment cut and on return.
+func (w *Writer) encodeColumns(rs []Record) error {
+	d, f, c, a, last := w.colD, w.colF, w.colC, w.colA, w.last
+	target := w.segmentTarget()
+	var err error
+	for _, r := range rs {
+		if r.T > MaxSpan || r.T < last {
+			err = errOrder(r, last)
+			break
 		}
-		w.colD = binary.AppendUvarint(w.colD, uint64(r.T-w.last))
-		w.colF = append(w.colF, byte(r.Dir)&1|byte(r.Kind)<<1)
-		w.colC = binary.AppendUvarint(w.colC, uint64(r.Client))
-		w.colA = binary.AppendUvarint(w.colA, uint64(r.App))
+		if w.segCount == 0 {
+			w.segBase, w.segMin = last, r.T
+		}
+		d = appendUvarint(d, uint64(r.T-last))
+		f = append(f, byte(r.Dir)&1|byte(r.Kind)<<1)
+		c = appendUvarint(c, uint64(r.Client))
+		a = appendUvarint(a, uint64(r.App))
+		last = r.T
 		w.segCount++
-		w.segMax = r.T
-		w.last = r.T
 		w.n++
 		// Cut on accumulated record bytes, like the interleaved formats:
 		// the four field encodings sum to exactly the interleaved record
 		// size, so v4 segments break at the same record boundaries as v3
 		// for a given SegmentPayload (the 16-byte column header is framing
 		// overhead, not counted against the target).
-		size := len(w.colD) + len(w.colF) + len(w.colC) + len(w.colA)
-		if size >= w.segmentTarget() {
-			return w.flushSegment()
+		if len(d)+len(f)+len(c)+len(a) >= target {
+			w.colD, w.colF, w.colC, w.colA, w.last = d, f, c, a, last
+			if err := w.flushSegment(); err != nil {
+				return err
+			}
+			d, f, c, a = w.colD, w.colF, w.colC, w.colA
 		}
-		return nil
 	}
-	b := w.buf[:0]
-	b = binary.AppendUvarint(b, uint64(r.T-w.last))
-	b = append(b, byte(r.Dir)&1|byte(r.Kind)<<1)
-	b = binary.AppendUvarint(b, uint64(r.Client))
-	b = binary.AppendUvarint(b, uint64(r.App))
+	w.colD, w.colF, w.colC, w.colA, w.last = d, f, c, a, last
+	return err
+}
 
-	if w.version == version1 {
-		w.last = r.T
-		w.n++
-		_, err := w.w.Write(b)
-		return err
+// appendUvarint is binary.AppendUvarint with the one-byte case up front:
+// tied timestamps, most client ids and most payload sizes are below 0x80.
+func appendUvarint(b []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(b, byte(v))
 	}
-
-	// v2/v3: records accumulate into the current segment's payload buffer;
-	// the frame header needs the payload length and record count up front,
-	// so the segment is buffered whole and flushed when it reaches target.
-	if w.segCount == 0 {
-		w.segBase = w.last
-		w.segMin = r.T
-	}
-	w.seg = append(w.seg, b...)
-	w.segCount++
-	w.segMax = r.T
-	w.last = r.T
-	w.n++
-	if target := w.segmentTarget(); len(w.seg) >= target {
-		return w.flushSegment()
-	}
-	return nil
+	return binary.AppendUvarint(b, v)
 }
 
 func (w *Writer) segmentTarget() int {
@@ -488,7 +543,7 @@ func (w *Writer) flushSegment() error {
 	if w.segCount == 0 {
 		return nil
 	}
-	meta := segMeta{count: w.segCount, base: w.segBase, min: w.segMin, max: w.segMax}
+	meta := segMeta{count: w.segCount, base: w.segBase, min: w.segMin, max: w.last}
 	async := w.useAsync()
 	if async && w.pipe == nil {
 		w.pipe = newCompPipeline(w)

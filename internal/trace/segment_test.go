@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
+
+	"cstrace/internal/sched"
 )
 
 // versionStream builds a deterministic record stream and its encoding in the
@@ -330,17 +333,57 @@ func TestV3CompressOff(t *testing.T) {
 	}
 }
 
-// TestWriterBadCompressLevel: an out-of-range level surfaces as an error
-// from the segment flush instead of writing a damaged file.
+// TestWriterBadCompressLevel: a compressing writer rejects a level outside
+// -1, 0 and 1-9 at its first Write or HandleBatch, before any byte, and the
+// error latches — at every worker count, so how many records are accepted
+// does not depend on when the first segment seals. Writers that ignore the
+// level (v1/v2) keep ignoring it.
 func TestWriterBadCompressLevel(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.CompressLevel = 42
-	if err := w.Write(Record{App: 1}); err != nil {
-		t.Fatal(err)
+	recs := v4recs(100)
+	for _, level := range []int{-2, 10, 42} {
+		want := fmt.Sprintf("trace: invalid CompressLevel %d (want -1, 0 or 1-9)", level)
+		for _, workers := range []int{1, 4, sched.Auto} {
+			for _, batch := range []bool{false, true} {
+				var buf bytes.Buffer
+				w := NewWriter(&buf)
+				w.CompressLevel, w.Workers = level, workers
+				var err error
+				if batch {
+					w.HandleBatch(recs)
+					err = w.Err()
+				} else {
+					err = w.Write(recs[0])
+				}
+				if err == nil || err.Error() != want {
+					t.Fatalf("level %d workers %d batch %v: first write = %v, want %q", level, workers, batch, err, want)
+				}
+				if err := w.Write(recs[1]); err == nil || err.Error() != want {
+					t.Fatalf("level %d workers %d: error did not latch: %v", level, workers, err)
+				}
+				if err := w.Flush(); err == nil || err.Error() != want {
+					t.Fatalf("level %d workers %d: Flush = %v", level, workers, err)
+				}
+				if buf.Len() != 0 || w.Count() != 0 {
+					t.Fatalf("level %d workers %d: %d bytes, %d records written", level, workers, buf.Len(), w.Count())
+				}
+			}
+		}
 	}
-	if err := w.Flush(); err == nil {
-		t.Fatal("Flush accepted CompressLevel 42")
+	var empty bytes.Buffer
+	w := NewWriter(&empty)
+	w.CompressLevel = 42
+	if err := w.Flush(); err == nil || empty.Len() != 0 {
+		t.Fatalf("empty writer at level 42: Flush = %v, %d bytes", err, empty.Len())
+	}
+	for _, ctor := range []func(io.Writer) *Writer{NewWriterV1, NewWriterV2} {
+		w := ctor(io.Discard)
+		w.CompressLevel = 42
+		if err := w.Write(recs[0]); err != nil {
+			t.Fatalf("v%d: %v", w.Version(), err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatalf("v%d: %v", w.Version(), err)
+		}
 	}
 }
 

@@ -2,8 +2,6 @@ package cstrace
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"testing"
 	"time"
 
@@ -160,15 +158,16 @@ func TestScenarioSlimPerServer(t *testing.T) {
 	}
 }
 
-// pinnedFleetSHA256 is the SHA-256 of the v4 file of scenarioSpec(7, 3)'s
-// merged stream (750 377 records), captured on the commit before the
-// generators' worker-pool fill stage was deleted.
-const pinnedFleetSHA256 = "3c1178133f157fc8eb8c6517242a6ee6ac940c3ff99e0ada28600d70b8aa0529"
+// pinnedFleetSHA256 is the metricstore.StreamHasher digest of
+// scenarioSpec(7, 3)'s merged stream (750 377 records) read back from its v4
+// file: it pins the records the fleet generates, not the bytes the writer
+// stores them as.
+const pinnedFleetSHA256 = "defeb7b479bd04c834725e79dfb12f2724d6dba6ff9667ab822ea1657b5a3bf2"
 
 // TestScenarioGenWorkersIsANoOp is the compatibility contract bench/ relies
 // on: ScenarioConfig.GenWorkers (and each server's Game.Workers) is accepted
 // at every value that used to mean something and changes nothing — the fleet
-// file is the pinned one, byte for byte.
+// stream is the pinned one, record for record.
 func TestScenarioGenWorkersIsANoOp(t *testing.T) {
 	for _, workers := range []int{0, 1, 4, AutoWorkers} {
 		servers, err := scenarioSpec(7, 3).Build()
@@ -193,9 +192,12 @@ func TestScenarioGenWorkersIsANoOp(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			t.Fatalf("GenWorkers %d: %v", workers, err)
 		}
-		sum := sha256.Sum256(file.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != pinnedFleetSHA256 {
-			t.Errorf("GenWorkers %d: %d records hash to %s, want %s", workers, w.Count(), got, pinnedFleetSHA256)
+		sh := metricstore.NewStreamHasher()
+		if _, err := trace.NewReader(&file).ReadAll(sh); err != nil {
+			t.Fatalf("GenWorkers %d: %v", workers, err)
+		}
+		if got := sh.Sum(); got != pinnedFleetSHA256 {
+			t.Errorf("GenWorkers %d: %d records hash to %s, want %s", workers, sh.Records(), got, pinnedFleetSHA256)
 		}
 	}
 }
