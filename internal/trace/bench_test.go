@@ -12,13 +12,17 @@ import (
 	"cstrace/internal/trace"
 )
 
-// The writer's layers, timed where they live, over twenty busy minutes of
-// gamesim output delivered in the generator's own blocks, all on the
-// caller's goroutine (Workers 1). BenchmarkWriter is the default writer;
-// BenchmarkWriterEncode is the same with CompressOff (encode, stripe,
-// frame); BenchmarkDeflateColumn codes the same segments' runs one column
-// at a time as the default writer does, so encode plus the three coded
-// columns is about the writer.
+// The writer's and the reader's layers, timed where they live, over twenty
+// busy minutes of gamesim output delivered in the generator's own blocks.
+// BenchmarkWriter is the default writer, all on the caller's goroutine
+// (Workers 1); BenchmarkWriterEncode is the same with CompressOff (encode,
+// stripe, frame); BenchmarkDeflateColumn codes the same segments' runs one
+// column at a time as the default writer does, so encode plus the three
+// coded columns is about the writer. Mirrored on the read side:
+// BenchmarkReader scans the default writer's file into a null sink,
+// BenchmarkReaderDecode the CompressOff file (read, decode, deliver), and
+// BenchmarkInflateColumn inflates the default file's stored runs one column
+// at a time, so decode plus the three inflated columns is about the reader.
 
 // busyBlocks is twenty busy minutes of a full server, captured once.
 var busyBlocks = sync.OnceValues(func() (*blockCapture, error) {
@@ -51,7 +55,7 @@ func (w *countWriter) Write(p []byte) (int, error) {
 }
 
 // writeBusy writes the captured stream to dst at level.
-func writeBusy(b *testing.B, bc *blockCapture, level int, dst io.Writer) {
+func writeBusy(b testing.TB, bc *blockCapture, level int, dst io.Writer) {
 	w := trace.NewWriter(dst)
 	w.CompressLevel, w.Workers = level, 1
 	for _, blk := range bc.blocks {
@@ -119,6 +123,76 @@ func BenchmarkDeflateColumn(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.n), "ns/rec")
 			b.ReportMetric(float64(stored)/float64(bc.n), "B/rec")
+		})
+	}
+}
+
+// nullSink takes records and does nothing with them.
+type nullSink struct{}
+
+func (nullSink) Handle(trace.Record)        {}
+func (nullSink) HandleBatch([]trace.Record) {}
+
+func benchReader(b *testing.B, level int) {
+	bc, err := busyBlocks()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var file bytes.Buffer
+	writeBusy(b, bc, level, &file)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, err := trace.NewReader(bytes.NewReader(file.Bytes())).ReadAllPrefetch(nullSink{})
+		if err != nil || n != int64(bc.n) {
+			b.Fatalf("read %d of %d records: %v", n, bc.n, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.n), "ns/rec")
+}
+
+// BenchmarkReader is the serial scan of the default v4 file.
+func BenchmarkReader(b *testing.B) { benchReader(b, 0) }
+
+// BenchmarkReaderDecode is the serial scan with nothing to inflate.
+func BenchmarkReaderDecode(b *testing.B) { benchReader(b, trace.CompressOff) }
+
+// BenchmarkInflateColumn reconstructs each column's run of every compressed
+// segment the default writer stores, as the reader does: inflated when
+// coded, copied when stored literal. The deltas run is always literal and
+// has no entry.
+func BenchmarkInflateColumn(b *testing.B) {
+	bc, err := busyBlocks()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var file bytes.Buffer
+	writeBusy(b, bc, 0, &file)
+	segs, err := trace.StoredColumnRuns(file.Bytes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for c, name := range (trace.ColumnStats{}).ColumnNames() {
+		if c == 0 {
+			continue
+		}
+		b.Run(name, func(b *testing.B) {
+			var ri trace.RunInflater
+			var dst []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, runs := range segs {
+					run := runs[c]
+					dst = slices.Grow(dst[:0], run.RawLen)[:run.RawLen]
+					if !run.Coded() {
+						copy(dst, run.Stored)
+					} else if _, err := ri.Inflate(dst, run.Stored); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.n), "ns/rec")
 		})
 	}
 }

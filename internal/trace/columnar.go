@@ -131,7 +131,7 @@ func decodeSegmentPayload(p []byte, si SegmentInfo) ([]*Block, error) {
 	if !si.Columnar() {
 		return decodePayload(p, si)
 	}
-	blocks := make([]*Block, 0, blocksFor(si.Count))
+	blocks := make([]*Block, 0, blocksFor(min(si.Count, len(p)))) // see decodePayload
 	err := decodeColumnar(p, si, func(cb *ColumnBlock) {
 		blk := NewBlock()
 		*blk = cb.AppendRecords(*blk)
@@ -251,7 +251,7 @@ func decodeColumnar(p []byte, si SegmentInfo, emit func(*ColumnBlock)) error {
 // ColumnBlocks, preserving the on-disk field separation for column-aware
 // sinks.
 func decodeColumnarColumns(p []byte, si SegmentInfo) ([]*ColumnBlock, error) {
-	cbs := make([]*ColumnBlock, 0, blocksFor(si.Count))
+	cbs := make([]*ColumnBlock, 0, blocksFor(min(si.Count, len(p)))) // see decodePayload
 	err := decodeColumnar(p, si, func(cb *ColumnBlock) { cbs = append(cbs, cb) })
 	return cbs, err
 }
@@ -298,12 +298,16 @@ func (d *colDecoder) next(cb *ColumnBlock) error {
 func (d *colDecoder) deltas(ts []time.Duration) (n int, err error) {
 	run, last := d.runs[0], d.last
 	for n < len(ts) {
-		// One-byte varints dominate every column on a busy server; peeling
-		// that case off the generic decode loop is worth a few ns/record on
-		// the serial sweep.
+		// A busy server's deltas are one byte inside a snapshot burst and
+		// two or three (up to 2 ms) between packets; peeling those cases off
+		// the generic decode loop is worth several ns/record on the sweep.
 		var delta uint64
 		if len(run) != 0 && run[0] < 0x80 {
 			delta, run = uint64(run[0]), run[1:]
+		} else if len(run) > 1 && run[1] < 0x80 {
+			delta, run = uint64(run[0]&0x7f)|uint64(run[1])<<7, run[2:]
+		} else if len(run) > 2 && run[2] < 0x80 {
+			delta, run = uint64(run[0]&0x7f)|uint64(run[1]&0x7f)<<7|uint64(run[2])<<14, run[3:]
 		} else if v, w := binary.Uvarint(run); w > 0 {
 			delta, run = v, run[w:]
 		} else {
@@ -339,6 +343,8 @@ func (d *colDecoder) clients(cs []uint32) (n int, err error) {
 		var client uint64
 		if len(run) != 0 && run[0] < 0x80 {
 			client, run = uint64(run[0]), run[1:]
+		} else if len(run) > 1 && run[1] < 0x80 {
+			client, run = uint64(run[0]&0x7f)|uint64(run[1])<<7, run[2:]
 		} else if v, w := binary.Uvarint(run); w > 0 {
 			client, run = v, run[w:]
 		} else {
@@ -385,8 +391,8 @@ func (d *colDecoder) apps(as []uint16) (n int, err error) {
 
 // inflateColumnarInto reconstructs the raw columnar payload of a compressed
 // columnar segment into dst (len si.RawLen): the raw header followed by the
-// four runs, each either copied (stored literally) or inflated through the
-// scratch flate reader. On damage it returns the contiguous raw prefix
+// four runs, each either copied (stored literally) or inflated with the
+// scratch decoder. On damage it returns the contiguous raw prefix
 // recovered before the error, so the column decoders can deliver the
 // records complete in every column up to the damage.
 func (sc *segScratch) inflateColumnarInto(dst, p []byte, si SegmentInfo) ([]byte, error) {

@@ -149,7 +149,7 @@ func (r *Reader) prefetchSegments(ch chan<- prefetchMsg) error {
 // flate damage) is attached to the message carrying any recovered prefix,
 // and the loop stops — matching the fused loadSegment error priority.
 func (r *Reader) inflateLoop(infl chan<- inflatedSeg, free chan []byte, stop <-chan struct{}) {
-	var sc segScratch // flate reader state; payload slabs come from free
+	var sc segScratch // decoder tables; payload slabs come from free
 	send := func(msg inflatedSeg) bool {
 		select {
 		case infl <- msg:
@@ -166,9 +166,8 @@ func (r *Reader) inflateLoop(infl chan<- inflatedSeg, free chan []byte, stop <-c
 			return
 		}
 		si := r.seg
-		slab := slabFor(free, si.PayloadLen)
-		got, readErr := io.ReadFull(r.r, slab[:si.PayloadLen])
-		payload := slab[:got]
+		payload, readErr := readPayload(r.r, slabFor(free, 0), si.PayloadLen)
+		slab := payload[:cap(payload)]
 		// Advance the scanner past the segment, as loadSegment does, so
 		// the next frame parses from a consistent position.
 		r.segLeft = 0

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -50,72 +48,65 @@ func (r *Reader) ReadRange(from, to time.Duration, h Handler) (int64, error) {
 	return r.readSpan(from, to, h)
 }
 
-// rangeRawBytes counts raw payload bytes materialized (inflated, or read
+// rangeRawBytes counts raw payload bytes materialized (inflated, or handed
 // out of an uncompressed run) by the indexed decode engine. It is a test
 // hook: the partial inflate-to-cut on a range read's closing boundary
 // segment is observable only through how few bytes it touches.
 var rangeRawBytes atomic.Int64
 
-// countingReader feeds rangeRawBytes as raw column bytes come out of a
-// run's literal bytes or flate stream.
-type countingReader struct{ r io.Reader }
-
-func (c countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	rangeRawBytes.Add(int64(n))
-	return n, err
-}
-
 // readColumnarCut decodes a columnar segment that straddles the range's
 // closing edge, materializing each column run only up to the first record
-// at or past to: the delta run is scanned (inflating incrementally when
-// compressed) until the cut, fixing the record count k, and the flags,
-// client, and app runs are then decoded only through their first k values.
-// The tail of every run — usually the bulk of the segment on a tight
-// range — is never inflated. Unlike the full decoders, damage fails closed
-// here: a range read that cannot trust the cut delivers nothing from the
-// segment.
+// at or past to: the delta run is scanned until the cut, fixing the record
+// count k, and the flags, client, and app runs are then inflated and
+// decoded only through their first k values. The tail of those runs —
+// usually the bulk of the segment on a tight range — is never inflated.
+// Unlike the full decoders, damage fails closed here: a range read that
+// cannot trust the cut delivers nothing from the segment.
 func readColumnarCut(ra io.ReaderAt, si SegmentInfo, version int, sc *segScratch, to time.Duration) ([]*Block, error) {
 	payload, err := fetchSegmentFrame(ra, si, version, sc)
 	if err != nil {
 		return nil, err
 	}
 
-	rawL, stoL, runsOff, err := storedColHeaders(payload, si)
+	rawL, stoL, off, err := storedColHeaders(payload, si)
 	if err != nil {
 		return nil, err
 	}
+	var stored [4][]byte
+	for c := range stored {
+		stored[c] = payload[off : off+stoL[c]]
+		off += stoL[c]
+	}
 
-	// openRun points br at column c's value stream: the stored bytes
-	// directly when the run is literal, or a flate reader over them when
-	// deflated. Runs are consumed strictly in payload order, one at a time,
-	// so one buffered reader and one flate reader serve all four.
-	br := bufio.NewReaderSize(nil, 512)
-	openRun := func(c int) error {
-		stored := payload[runsOff : runsOff+stoL[c]]
-		runsOff += stoL[c]
+	// head returns up to limit leading raw bytes of column c: the literal
+	// run itself, or what its DEFLATE stream inflates to before it fills
+	// limit bytes, ends or breaks. Only what a value needs is read, so a
+	// damaged tail goes unseen, as on a lazy reader. Runs are consumed one
+	// at a time, so one scratch slab serves all four.
+	head := func(c, limit int) []byte {
+		limit = min(limit, rawL[c])
 		if stoL[c] == rawL[c] {
-			br.Reset(countingReader{bytes.NewReader(stored)})
-			return nil
+			rangeRawBytes.Add(int64(limit))
+			return stored[c][:limit]
 		}
-		if err := sc.resetFlate(stored); err != nil {
-			return fmt.Errorf("%w: %s column: %v", ErrCorrupt, colNames[c], err)
+		if cap(sc.raw) < limit {
+			sc.raw = make([]byte, limit)
 		}
-		br.Reset(countingReader{sc.fr})
-		return nil
+		n, _ := sc.inflateRun(sc.raw[:limit], stored[c])
+		rangeRawBytes.Add(int64(n))
+		return sc.raw[:n]
 	}
 
 	// Delta pass: scan timestamps until the cut, fixing k.
-	if err := openRun(0); err != nil {
-		return nil, err
-	}
+	deltas := head(0, rawL[0])
 	last := si.BaseT
 	recs := make([]Record, 0, 1024)
 	for len(recs) < si.Count {
-		delta, err := binary.ReadUvarint(br)
-		if err != nil {
+		delta, n := binary.Uvarint(deltas)
+		if n <= 0 {
 			return nil, errColTruncated(0, len(recs))
 		}
+		deltas = deltas[n:]
 		if delta > uint64(MaxSpan) || last+time.Duration(delta) > MaxSpan {
 			return nil, fmt.Errorf("%w: timestamp jump past the span cap at record %d", ErrCorrupt, len(recs))
 		}
@@ -135,41 +126,42 @@ func readColumnarCut(ra io.ReaderAt, si SegmentInfo, version int, sc *segScratch
 	}
 
 	// Flags, client, and app passes: first k values of each run.
-	if err := openRun(1); err != nil {
-		return nil, err
+	flags := head(1, len(recs))
+	if len(flags) < len(recs) {
+		return nil, errColTruncated(1, len(flags))
 	}
-	for i := range recs {
-		f, err := br.ReadByte()
-		if err != nil {
-			return nil, errColTruncated(1, i)
-		}
+	for i, f := range flags {
 		recs[i].Dir, recs[i].Kind = Direction(f&1), Kind(f>>1&0x7)
 	}
-	if err := openRun(2); err != nil {
+	// uvarints decodes the first k values of column c. A value up to limit
+	// takes at most width bytes in its shortest encoding — all the writer
+	// emits — so k values need at most width·k bytes; Uvarint also accepts
+	// longer encodings, and a run that spends more is read again whole.
+	uvarints := func(c, width int, limit uint64, what string, set func(i int, v uint64)) error {
+		run, whole := head(c, width*len(recs)), false
+		off := 0
+		for i := range recs {
+			v, n := binary.Uvarint(run[off:])
+			if n == 0 && !whole {
+				run, whole = head(c, rawL[c]), true
+				v, n = binary.Uvarint(run[off:])
+			}
+			if n <= 0 {
+				return errColTruncated(c, i)
+			}
+			if v > limit {
+				return fmt.Errorf("%w: out-of-range %s at record %d", ErrCorrupt, what, i)
+			}
+			set(i, v)
+			off += n
+		}
+		return nil
+	}
+	if err := uvarints(2, 5, 1<<32-1, "client", func(i int, v uint64) { recs[i].Client = uint32(v) }); err != nil {
 		return nil, err
 	}
-	for i := range recs {
-		client, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, errColTruncated(2, i)
-		}
-		if client > 1<<32-1 {
-			return nil, fmt.Errorf("%w: out-of-range client at record %d", ErrCorrupt, i)
-		}
-		recs[i].Client = uint32(client)
-	}
-	if err := openRun(3); err != nil {
+	if err := uvarints(3, 3, 1<<16-1, "app", func(i int, v uint64) { recs[i].App = uint16(v) }); err != nil {
 		return nil, err
-	}
-	for i := range recs {
-		app, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, errColTruncated(3, i)
-		}
-		if app > 1<<16-1 {
-			return nil, fmt.Errorf("%w: out-of-range app at record %d", ErrCorrupt, i)
-		}
-		recs[i].App = uint16(app)
 	}
 
 	// Only a fully decoded cut reaches the pooled blocks the engine delivers.

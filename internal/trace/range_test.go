@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 )
@@ -175,6 +177,57 @@ func TestReadRangePartialInflate(t *testing.T) {
 		}
 		if tight*10 > full {
 			t.Errorf("level %d: tight range materialized %d raw bytes of %d total — boundary segment not cut", level, tight, full)
+		}
+	}
+}
+
+// TestReadRangeCutLongVarints: the closing boundary segment inflates its
+// client and app runs only as far as k shortest encodings reach, but a
+// uvarint may legally take more bytes (Uvarint accepts up to ten). A run
+// that spends more is read again whole, so the range read still delivers
+// exactly what the full scan does — literal and coded runs alike.
+func TestReadRangeCutLongVarints(t *testing.T) {
+	const n = 20
+	var d, f, c, a []byte
+	for i := range n {
+		d = binary.AppendUvarint(d, uint64(min(i, 1)*int(time.Millisecond)))
+		f = append(f, byte(i%2))
+		c = append(c, byte(i)|0x80, 0x80, 0x80, 0x80, 0x80, 0) // client i in six bytes
+		a = append(a, 0xa8, 0x80, 0)                           // app 40 in three
+	}
+	raw := make([]byte, colHeaderLen)
+	for i, run := range [][]byte{d, f, c, a} {
+		binary.LittleEndian.PutUint32(raw[4*i:], uint32(len(run)))
+	}
+	raw = slices.Concat(raw, d, f, c, a)
+	var cs compScratch
+	for _, level := range []int{CompressOff, 6} {
+		payload, flags, err := cs.encode(version4, raw, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (level == CompressOff) == (flags&SegCompressed != 0) {
+			t.Fatalf("level %d: segment flags %#x", level, flags)
+		}
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if err := w.writeHeader(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.writeFrame(payload, flags, len(raw), segMeta{count: n, max: (n - 1) * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		w.n = n
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var all, cut Collect
+		if _, err := NewReader(bytes.NewReader(buf.Bytes())).ReadAll(&all); err != nil || len(all.Records) != n {
+			t.Fatalf("level %d: full scan read %d records: %v", level, len(all.Records), err)
+		}
+		got, err := NewReader(bytes.NewReader(buf.Bytes())).ReadRange(0, 10*time.Millisecond+1, &cut)
+		if err != nil || got != 11 || !recordsEqual(cut.Records, all.Records[:11]) {
+			t.Fatalf("level %d: range read %d records (%v), want the scan's first 11", level, got, err)
 		}
 	}
 }

@@ -1,11 +1,10 @@
 package trace
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -238,7 +237,9 @@ func (r *Reader) nextSegment() error {
 // records-before-error delivery semantics. Count and MinT/MaxT from si are
 // cross-checked against the payload — any mismatch is corruption.
 func decodePayload(p []byte, si SegmentInfo) ([]*Block, error) {
-	blocks := make([]*Block, 0, si.Count/BlockSize+1)
+	// A record takes at least one payload byte: a header claiming more
+	// records than that must not size the slice.
+	blocks := make([]*Block, 0, blocksFor(min(si.Count, len(p))))
 	blk := NewBlock()
 	last := si.BaseT
 	for i := 0; i < si.Count; i++ {
@@ -304,41 +305,24 @@ func closePayload(blocks []*Block, blk *Block) []*Block {
 }
 
 // segScratch bundles the reusable buffers of one segment-decoding worker:
-// the on-disk frame bytes, the decompression output slab, and the flate
-// reader (reset per segment instead of reallocating its window).
+// the on-disk frame bytes, the decompression output slab, and the DEFLATE
+// decoder's tables.
 type segScratch struct {
 	frame []byte
 	raw   []byte
-	fr    io.ReadCloser
+	inf   *inflater
 }
 
-// inflateRun inflates one flate stream — a v3 payload, or one stored v4
-// column run — into dst through the scratch flate reader (reset per stream
-// instead of reallocating its window), requiring the stream to end exactly
-// at len(dst): the sizes come from the headers, so trailing compressed data
-// is corruption, not slack. It returns how many bytes landed in dst.
+// inflateRun inflates one DEFLATE stream — a v3 payload, or one stored v4
+// column run — into dst, requiring the stream to end exactly at len(dst):
+// the sizes come from the headers, so trailing compressed data is
+// corruption, not slack. It returns how many bytes landed in dst; a stream
+// that yields more fills dst and fails with errOverflow.
 func (sc *segScratch) inflateRun(dst, stored []byte) (int, error) {
-	if err := sc.resetFlate(stored); err != nil {
-		return 0, fmt.Errorf("flate reset: %w", err)
+	if sc.inf == nil {
+		sc.inf = new(inflater)
 	}
-	n, err := io.ReadFull(sc.fr, dst)
-	if err != nil {
-		return n, err
-	}
-	var one [1]byte
-	if m, _ := sc.fr.Read(one[:]); m != 0 {
-		return n, fmt.Errorf("stream inflates past its declared %d bytes", len(dst))
-	}
-	return n, nil
-}
-
-// resetFlate points the scratch flate reader at a new stream.
-func (sc *segScratch) resetFlate(stored []byte) error {
-	if sc.fr == nil {
-		sc.fr = flate.NewReader(bytes.NewReader(stored))
-		return nil
-	}
-	return sc.fr.(flate.Resetter).Reset(bytes.NewReader(stored), nil)
+	return sc.inf.inflate(dst, stored)
 }
 
 // decompressInto reconstructs a compressed segment's raw payload into dst
@@ -376,12 +360,8 @@ func (sc *segScratch) decompress(p []byte, si SegmentInfo) ([]byte, error) {
 // either way so both serial paths stay in lockstep on the same bytes.
 func (r *Reader) loadSegment(sc *segScratch) ([]*Block, error) {
 	si := r.seg
-	if cap(sc.frame) < si.PayloadLen {
-		sc.frame = make([]byte, si.PayloadLen)
-	}
-	sc.frame = sc.frame[:si.PayloadLen]
-	got, readErr := io.ReadFull(r.r, sc.frame)
-	payload := sc.frame[:got]
+	payload, readErr := readPayload(r.r, sc.frame, si.PayloadLen)
+	sc.frame = payload
 	var inflateErr error
 	if si.Compressed() {
 		payload, inflateErr = sc.decompress(payload, si)
@@ -399,6 +379,34 @@ func (r *Reader) loadSegment(sc *segScratch) ([]*Block, error) {
 	default:
 		return blocks, decErr
 	}
+}
+
+// payloadStep is the first read of a serially scanned payload. The frame
+// header that sizes the payload has not been checked against anything yet,
+// so the slab grows only as bytes arrive.
+const payloadStep = 1 << 20
+
+// readPayload reads an n-byte payload from r into buf's storage and returns
+// the bytes read, with io.ReadFull's errors. The slab grows by at most
+// payloadStep or its own length at a time, and only once the bytes before
+// have arrived, so a header claiming more than the stream holds costs
+// about twice the bytes actually there.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), payloadStep)))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // fetchSegmentFrame reads one segment's frame from an io.ReaderAt into the

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -643,6 +644,46 @@ func TestV3RawLenExpansionBound(t *testing.T) {
 	binary.LittleEndian.PutUint32(mutIndex[entryOff+20:], huge)
 	if _, err := ReadIndex(bytes.NewReader(mutIndex), int64(len(mutIndex))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("index: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSerialScanBoundsHeaderAlloc: the serial scan — a non-seekable source,
+// or a seekable one whose index is damaged — trusts a frame header before
+// anything vouches for it, so a header that lies about its size must not
+// size the scan's allocations. A 1 000-record v4 file whose first frame
+// claims a 0x7fffff00-byte payload, or 2³²−16 records, fails with
+// ErrCorrupt on both serial paths having allocated a bounded amount.
+func TestSerialScanBoundsHeaderAlloc(t *testing.T) {
+	_, raw := versionStream(t, 4, 1000, DefaultSegmentPayload)
+	for _, lie := range []struct {
+		field      string
+		off        int // within the frame
+		val        uint32
+		allocLimit uint64
+	}{
+		{"payloadLen", 4, 0x7fffff00, 64 << 20},
+		{"count", 8, 0xfffffff0, 4 << 20},
+	} {
+		bad := bytes.Clone(raw)
+		binary.LittleEndian.PutUint32(bad[headerLen+lie.off:], lie.val)
+		for _, path := range []struct {
+			name string
+			read func(*Reader, Handler) (int64, error)
+		}{
+			{"ReadAll", (*Reader).ReadAll},
+			{"ReadAllPrefetch", (*Reader).ReadAllPrefetch},
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := path.read(NewReader(onlyReader{bytes.NewReader(bad)}), &Collect{})
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s lie, %s: err = %v, want ErrCorrupt", lie.field, path.name, err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > lie.allocLimit {
+				t.Errorf("%s lie, %s: allocated %d MiB (limit %d MiB)", lie.field, path.name, alloc>>20, lie.allocLimit>>20)
+			}
+		}
 	}
 }
 
