@@ -15,8 +15,8 @@ import (
 // byte-identical re-analysis reports whether every worker knob is serial,
 // hand-tuned, or AutoWorkers — and whatever the machine looks like
 // (GOMAXPROCS 1, 4, 8, which also moves the auto worker budget). Run under
-// -race in CI, this is the harness that locks down the adaptive shard, the
-// worker budget and the tournament merge at once.
+// -race in CI, this is the harness that locks down the budget-sized shard,
+// the worker budget and the tournament merge at once.
 func TestAutoParallelByteIdentical(t *testing.T) {
 	spec := Scenario{
 		Seed:       17,

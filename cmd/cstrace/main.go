@@ -74,7 +74,7 @@ func main() {
 		spike       = flag.Float64("spike", 6, "launch-day arrival surge multiplier (scenario; <=1 disables)")
 		perServer   = flag.Bool("perserver", false, "print the per-server breakdown with full per-box suites (scenario)")
 		perSlim     = flag.Bool("perslim", false, "like -perserver but with the slim per-box collector set (counters + minute series); scales to hundreds of servers")
-		depths      = flag.Bool("depths", false, "print collector-group channel-depth stats (and any adaptive rebalances) after a sharded run (week/quick/analyze/scenario)")
+		depths      = flag.Bool("depths", false, "print each collector group's units and channel-depth stats after a sharded run (week/quick/analyze/scenario)")
 		from        = flag.Duration("from", 0, "analyze only records at or after this offset (analyze)")
 		to          = flag.Duration("to", 0, "analyze only records before this offset (analyze; 0 = end of trace)")
 		storePath   = flag.String("store", "", "metrics store file (ingest/list/show/trend; scenario: also record the run)")
@@ -161,26 +161,27 @@ func runReproduce(cfg cstrace.Config, override time.Duration, parallel int, dept
 	fmt.Printf("Per-slot bandwidth: %.1f kbs across %d slots (paper: ~40 kbs)\n",
 		res.PerSlotKbs(), cfg.Game.Slots)
 	if depths {
-		fprintDepths(os.Stdout, res.GroupDepths, res.Rebalances)
+		fprintDepths(os.Stdout, res.GroupDepths)
 	}
 	return nil
 }
 
 // fprintDepths renders sharded collector-group depth statistics — the
-// group whose mean rides the channel bound is the pipeline's straggler —
-// followed by the adaptive shard's rebalance history when there is one.
-func fprintDepths(w io.Writer, ds []analysis.GroupDepth, rebs []analysis.Rebalance) {
+// group whose mean rides the channel bound is the pipeline's straggler. The
+// name column is as wide as the longest group name.
+func fprintDepths(w io.Writer, ds []analysis.GroupDepth) {
 	if len(ds) == 0 {
 		fmt.Fprintln(os.Stderr, "cstrace: no group depths (single-threaded run)")
 		return
 	}
-	fmt.Fprintf(w, "Collector group depths (channel bound %d)\n", analysis.ShardChanDepth)
-	fmt.Fprintf(w, "  %-16s %10s %10s %6s\n", "group", "blocks", "mean", "max")
+	width := len("group")
 	for _, d := range ds {
-		fmt.Fprintf(w, "  %-16s %10d %10.2f %6d\n", d.Name, d.Blocks, d.MeanDepth(), d.MaxDepth)
+		width = max(width, len(d.Name))
 	}
-	for _, r := range rebs {
-		fmt.Fprintf(w, "  rebalance @block %d: %s moved %d -> %d\n", r.Block, r.Unit, r.From, r.To)
+	fmt.Fprintf(w, "Collector group depths (channel bound %d)\n", analysis.ShardChanDepth)
+	fmt.Fprintf(w, "  %-*s %10s %10s %6s\n", width, "group", "blocks", "mean", "max")
+	for _, d := range ds {
+		fmt.Fprintf(w, "  %-*s %10d %10.2f %6d\n", width, d.Name, d.Blocks, d.MeanDepth(), d.MaxDepth)
 	}
 }
 
@@ -295,7 +296,7 @@ func runAnalyze(in string, parallel int, from, to time.Duration, depths bool) er
 		return err
 	}
 	if depths {
-		fprintDepths(os.Stdout, a.GroupDepths, a.Rebalances)
+		fprintDepths(os.Stdout, a.GroupDepths)
 	}
 	log.Printf("analyzed %d records (format v%d)", a.Records, a.Version)
 	return nil
@@ -659,7 +660,7 @@ func runScenario(seed uint64, servers int, duration, stagger time.Duration, spik
 		fmt.Println()
 	}
 	if depths {
-		fprintDepths(os.Stdout, res.Aggregate.GroupDepths, res.Aggregate.Rebalances)
+		fprintDepths(os.Stdout, res.Aggregate.GroupDepths)
 	}
 	fmt.Printf("Fleet: %d servers, %d slots, %.1f kbs/slot aggregate (paper: ~40 kbs)\n",
 		len(res.Servers), res.TotalSlots(), res.PerSlotKbs())

@@ -165,10 +165,50 @@ func TestDepthsEndToEnd(t *testing.T) {
 			t.Errorf("group %q max %d below mean %.2f", r.name, r.max, r.mean)
 		}
 	}
-	// The ingest groups (all but any downstream sort consumers) are fed by
-	// the same fan-out, so they must have enqueued the same block count.
-	if rows[0].blocks != rows[1].blocks {
-		t.Errorf("ingest groups disagree on block count: %d vs %d", rows[0].blocks, rows[1].blocks)
+	// Every group is fed by the same fan-out, so all must have enqueued the
+	// same block count.
+	for _, r := range rows[1:] {
+		if r.blocks != rows[0].blocks {
+			t.Errorf("groups disagree on block count: %q %d vs %q %d", r.name, r.blocks, rows[0].name, rows[0].blocks)
+		}
+	}
+}
+
+// TestDepthsTableAligns: the name column is as wide as the longest group
+// name, so a long name (the 2-worker deal's first group is 31 characters)
+// shifts no column to its right — the right-aligned blocks column ends at
+// the same offset on the header and on every row.
+func TestDepthsTableAligns(t *testing.T) {
+	var buf bytes.Buffer
+	fprintDepths(&buf, []analysis.GroupDepth{
+		{Name: "count+sizes+flows+kinds+minutes", Blocks: 284, SumDepth: 100, MaxDepth: 3},
+		{Name: "vt+windows+gaps+tick", Blocks: 284, SumDepth: 50, MaxDepth: 2},
+		{Name: "gaps", Blocks: 7, SumDepth: 0, MaxDepth: 0},
+	})
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")[1:] // drop the title
+	if len(lines) != 4 {
+		t.Fatalf("want a header and 3 rows, got:\n%s", buf.String())
+	}
+	// blocksEnd is where the second space-separated field of a line ends.
+	blocksEnd := func(line string) int {
+		rest, off := line, 0
+		for field := 0; field < 2; field++ {
+			trimmed := strings.TrimLeft(rest, " ")
+			off += len(rest) - len(trimmed)
+			n := strings.IndexByte(trimmed, ' ')
+			if n < 0 {
+				n = len(trimmed)
+			}
+			off += n
+			rest = trimmed[n:]
+		}
+		return off
+	}
+	want := blocksEnd(lines[0])
+	for _, line := range lines[1:] {
+		if got := blocksEnd(line); got != want {
+			t.Errorf("blocks column ends at %d, header's at %d:\n%s", got, want, buf.String())
+		}
 	}
 }
 

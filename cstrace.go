@@ -54,13 +54,13 @@ type Config struct {
 	Extra trace.Handler
 	// Parallelism selects how many goroutines run the analysis
 	// collectors. 0 or 1 is single-threaded; 2 or more shards the suite's
-	// collector groups across workers (clamped to the number of groups);
+	// nine collector units across workers in even chunks (clamped to nine);
 	// AutoWorkers takes the suite's share from the process-wide worker
-	// budget and self-tunes the shard assignment at run time (adaptive
-	// sharding — serial on a one-core budget). Results are byte-identical
-	// across all settings; on multi-core hardware sharding overlaps the
-	// collector sweeps with generation. The generator itself is one
-	// goroutine and charges one token of that budget (gamesim.Run).
+	// budget and shards with that grant (serial on a one-core budget).
+	// Results are byte-identical across all settings; on multi-core
+	// hardware sharding overlaps the collector sweeps with generation. The
+	// generator itself is one goroutine and charges one token of that
+	// budget (gamesim.Run).
 	Parallelism int
 }
 
@@ -106,8 +106,10 @@ type Results struct {
 	// statistics (nil for single-threaded runs) — the measurement that
 	// names the next collector-group straggler.
 	GroupDepths []analysis.GroupDepth
-	// Rebalances holds the adaptive shard's unit migrations (AutoWorkers
-	// runs only; nil otherwise).
+	// Rebalances is always nil.
+	//
+	// Deprecated: the shard never moves a collector unit. bench/ is the
+	// only reader; ROADMAP 1a deletes it.
 	Rebalances []analysis.Rebalance
 }
 
@@ -116,9 +118,6 @@ func Reproduce(cfg Config) (*Results, error) {
 	if cfg.Suite.Duration == 0 {
 		cfg.Suite = analysis.DefaultSuiteConfig(cfg.Game.Duration)
 	}
-	// The generator emits a strictly time-ordered stream, so the suite's
-	// order-sensitive collectors are fed directly — no sorting stage.
-	cfg.Suite.SortedInput = true
 	suite, err := analysis.NewSuite(cfg.Suite)
 	if err != nil {
 		return nil, err
@@ -146,7 +145,6 @@ func Reproduce(cfg Config) (*Results, error) {
 	}
 	if sh, ok := sink.(*analysis.ShardedSuite); ok {
 		res.GroupDepths = sh.Depths()
-		res.Rebalances = sh.Rebalances()
 	}
 	return res, nil
 }
@@ -178,8 +176,10 @@ type TraceAnalysis struct {
 	// GroupDepths holds the sharded suite's per-group channel-depth
 	// statistics (nil for single-threaded runs).
 	GroupDepths []analysis.GroupDepth
-	// Rebalances holds the adaptive shard's unit migrations (AutoWorkers
-	// runs only; nil otherwise).
+	// Rebalances is always nil.
+	//
+	// Deprecated: the shard never moves a collector unit. bench/ is the
+	// only reader; ROADMAP 1a deletes it.
 	Rebalances []analysis.Rebalance
 }
 
@@ -201,8 +201,8 @@ type TraceAnalysis struct {
 // TraceAnalysis.Warning.
 func AnalyzeTrace(src io.Reader, parallelism int) (*TraceAnalysis, error) {
 	// The binary format stores records in non-decreasing time order (the
-	// Writer rejects anything else), so the suite skips its sorting stage.
-	suite, err := analysis.NewSuite(analysis.SuiteConfig{SortedInput: true})
+	// Writer rejects anything else), the order the suite expects.
+	suite, err := analysis.NewSuite(analysis.SuiteConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +235,6 @@ func AnalyzeTrace(src io.Reader, parallelism int) (*TraceAnalysis, error) {
 	}
 	if sh, ok := sink.(*analysis.ShardedSuite); ok {
 		a.GroupDepths = sh.Depths()
-		a.Rebalances = sh.Rebalances()
 	}
 	return a, nil
 }
@@ -254,7 +253,7 @@ func (a *TraceAnalysis) WriteReport(w io.Writer) error {
 // positions; Table II/III rates are computed over the observed span of the
 // slice. parallelism shards the collector groups as in AnalyzeTrace.
 func AnalyzeTraceRange(src io.Reader, parallelism int, from, to time.Duration) (*TraceAnalysis, error) {
-	suite, err := analysis.NewSuite(analysis.SuiteConfig{SortedInput: true})
+	suite, err := analysis.NewSuite(analysis.SuiteConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +279,6 @@ func AnalyzeTraceRange(src io.Reader, parallelism int, from, to time.Duration) (
 	}
 	if sh, ok := sink.(*analysis.ShardedSuite); ok {
 		a.GroupDepths = sh.Depths()
-		a.Rebalances = sh.Rebalances()
 	}
 	return a, nil
 }

@@ -102,12 +102,11 @@ func main() {
 	mu.Lock()
 	captured := records
 	mu.Unlock()
-	sc := analysis.DefaultSuiteConfig(playFor)
-	sc.SortedInput = true // the SortBuffer below restores order once
-	suite, err := analysis.NewSuite(sc)
+	suite, err := analysis.NewSuite(analysis.DefaultSuiteConfig(playFor))
 	if err != nil {
 		log.Fatal(err)
 	}
+	// A live capture can be disordered; the suite expects time order.
 	sorter := trace.NewSortBuffer(2*cfg.TickInterval, suite)
 	for _, r := range captured {
 		sorter.Handle(r)

@@ -10,12 +10,12 @@
 //
 // Suite bundles every collector behind one trace.Handler/BatchHandler;
 // the batch path sweeps whole trace.Blocks through each collector in
-// tight loops. Shard splits the suite's collectors into independent
-// groups on worker goroutines fed by refcounted block fan-out — results
-// are byte-identical to single-threaded runs because every collector
-// still sees every record in stream order. Suite.Sink picks the mode
-// from a parallelism knob. Order-sensitive collectors (Interarrival,
-// Periodicity) sit behind an internal trace.SortBuffer; Observe feeds
+// tight loops. Shard deals the suite's collectors once, in even chunks,
+// to worker goroutines fed by refcounted block fan-out — results are
+// byte-identical to single-threaded runs because every collector still
+// sees every record in stream order. Suite.Sink picks the mode from a
+// parallelism knob. The suite expects time-ordered records; a source that
+// may disorder them puts a trace.SortBuffer in front. Observe feeds
 // session lifecycle events to the player series independently of the
 // record stream. See docs/ARCHITECTURE.md for the data-flow picture.
 package analysis

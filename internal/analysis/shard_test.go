@@ -2,10 +2,12 @@ package analysis
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"cstrace/internal/gamesim"
+	"cstrace/internal/sched"
 	"cstrace/internal/trace"
 )
 
@@ -45,33 +47,50 @@ func suiteFingerprint(s *Suite) map[string]any {
 	return fp
 }
 
+func newTestSuite(t *testing.T, sc SuiteConfig) *Suite {
+	t.Helper()
+	s, err := NewSuite(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// workloadRecords generates the shard workload once, with the fingerprint
+// of a serial suite fed the same records.
+func workloadRecords(t *testing.T) (SuiteConfig, []trace.Record, map[string]any) {
+	t.Helper()
+	cfg := shardWorkload(t)
+	sc := DefaultSuiteConfig(cfg.Duration)
+	var recs trace.Collect
+	if _, err := gamesim.Run(cfg, &recs, nil); err != nil {
+		t.Fatal(err)
+	}
+	ref := newTestSuite(t, sc)
+	ref.HandleBatch(recs.Records)
+	ref.Close()
+	return sc, recs.Records, suiteFingerprint(ref)
+}
+
 // TestShardedMatchesSingleThreaded: the same workload through the
-// per-record path, the batch path and the sharded path (2 and 3 workers)
-// yields identical collector state — the determinism contract of sharded
-// mode. Run with -race to exercise the concurrency.
+// per-record path, the batch path and the sharded path at every worker
+// count from 2 to 10 — every chunk shape of the nine-unit deal, and the
+// clamp above it — yields identical collector state: the determinism
+// contract of sharded mode. Run with -race to exercise the concurrency.
 func TestShardedMatchesSingleThreaded(t *testing.T) {
 	cfg := shardWorkload(t)
 	sc := DefaultSuiteConfig(cfg.Duration)
 
-	newSuite := func() *Suite {
-		s, err := NewSuite(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-
 	// Reference: per-record delivery (the legacy path) via an adapter that
 	// hides the suite's BatchHandler from trace.Dispatch.
-	ref := newSuite()
+	ref := newTestSuite(t, sc)
 	if _, err := gamesim.Run(cfg, trace.HandlerFunc(ref.Handle), ref.Observe); err != nil {
 		t.Fatal(err)
 	}
 	ref.Close()
 	want := suiteFingerprint(ref)
 
-	// Batched single-threaded.
-	batched := newSuite()
+	batched := newTestSuite(t, sc)
 	if _, err := gamesim.Run(cfg, batched, batched.Observe); err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +100,8 @@ func TestShardedMatchesSingleThreaded(t *testing.T) {
 		diffFingerprint(t, want, got)
 	}
 
-	// Sharded at every composition: 2-3 workers keep the order group
-	// inline, 4 splits Gaps+Tick onto a downstream worker behind the
-	// SortBuffer fan-out, 5 gives each its own.
-	for _, workers := range []int{2, 3, 4, 5} {
-		s := newSuite()
+	for workers := 2; workers <= 10; workers++ {
+		s := newTestSuite(t, sc)
 		sh := Shard(s, workers)
 		if _, err := gamesim.Run(cfg, sh, sh.Observe); err != nil {
 			t.Fatal(err)
@@ -95,43 +111,40 @@ func TestShardedMatchesSingleThreaded(t *testing.T) {
 			t.Errorf("sharded(%d) suite diverges from per-record suite", workers)
 			diffFingerprint(t, want, got)
 		}
-		for _, d := range sh.Depths() {
-			if d.Blocks == 0 {
-				t.Errorf("sharded(%d): group %q saw no blocks", workers, d.Name)
+		ds := sh.Depths()
+		if len(ds) != min(workers, 9) {
+			t.Errorf("sharded(%d): %d groups, want %d", workers, len(ds), min(workers, 9))
+		}
+		for _, d := range ds {
+			if d.Blocks == 0 || d.Blocks != ds[0].Blocks {
+				t.Errorf("sharded(%d): group %q saw %d blocks, group %q %d (every group sees every block)",
+					workers, d.Name, d.Blocks, ds[0].Name, ds[0].Blocks)
 			}
 		}
 	}
+}
 
-	// Sorted-input mode: the generator's stream is strictly ordered, so
-	// the suite drops its sorting stage; every collector result must still
-	// match the unsorted reference exactly, single-threaded and sharded.
-	scSorted := sc
-	scSorted.SortedInput = true
-	sorted, err := NewSuite(scSorted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gamesim.Run(cfg, sorted, sorted.Observe); err != nil {
-		t.Fatal(err)
-	}
-	sorted.Close()
-	if got := suiteFingerprint(sorted); !reflect.DeepEqual(want, got) {
-		t.Errorf("sorted-input suite diverges from sorting suite")
-		diffFingerprint(t, want, got)
-	}
-	for _, workers := range []int{2, 3, 4} {
-		s, err := NewSuite(scSorted)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := Shard(s, workers)
-		if _, err := gamesim.Run(cfg, sh, sh.Observe); err != nil {
-			t.Fatal(err)
-		}
+// TestShardDealsEvenChunks pins the deal: the nine units in order, in
+// contiguous chunks whose sizes differ by at most one, earlier groups
+// taking the remainder, with the worker count clamped to [2, 9].
+func TestShardDealsEvenChunks(t *testing.T) {
+	for _, c := range []struct {
+		workers int
+		want    []string
+	}{
+		{1, []string{"count+sizes+flows+kinds+minutes", "vt+windows+gaps+tick"}},
+		{2, []string{"count+sizes+flows+kinds+minutes", "vt+windows+gaps+tick"}},
+		{4, []string{"count+sizes+flows", "kinds+minutes", "vt+windows", "gaps+tick"}},
+		{12, []string{"count", "sizes", "flows", "kinds", "minutes", "vt", "windows", "gaps", "tick"}},
+	} {
+		sh := Shard(newTestSuite(t, SuiteConfig{Duration: time.Hour}), c.workers)
 		sh.Close()
-		if got := suiteFingerprint(s); !reflect.DeepEqual(want, got) {
-			t.Errorf("sorted sharded(%d) suite diverges from per-record suite", workers)
-			diffFingerprint(t, want, got)
+		var got []string
+		for _, d := range sh.Depths() {
+			got = append(got, d.Name)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Shard(%d) groups = %v, want %v", c.workers, got, c.want)
 		}
 	}
 }
@@ -148,36 +161,16 @@ func diffFingerprint(t *testing.T, want, got map[string]any) {
 // TestShardedRecordPath: records delivered one at a time into a sharded
 // suite re-batch internally and still match.
 func TestShardedRecordPath(t *testing.T) {
-	cfg := shardWorkload(t)
-	sc := DefaultSuiteConfig(cfg.Duration)
-
-	ref, err := NewSuite(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs trace.Collect
-	if _, err := gamesim.Run(cfg, &recs, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs.Records {
-		ref.Handle(r)
-	}
-	ref.Close()
-
-	s, err := NewSuite(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc, recs, want := workloadRecords(t)
+	s := newTestSuite(t, sc)
 	sh := Shard(s, 3)
-	for _, r := range recs.Records {
+	for _, r := range recs {
 		sh.Handle(r)
 	}
 	sh.Close()
-
-	want, got := suiteFingerprint(ref), suiteFingerprint(s)
 	// The record-only feeds carry no session events, so the player series
 	// is empty in both; everything else must match exactly.
-	if !reflect.DeepEqual(want, got) {
+	if got := suiteFingerprint(s); !reflect.DeepEqual(want, got) {
 		t.Errorf("sharded record path diverges")
 		diffFingerprint(t, want, got)
 	}
@@ -185,55 +178,85 @@ func TestShardedRecordPath(t *testing.T) {
 
 // TestShardedIngestBlockMatchesHandleBatch: the zero-copy IngestBlock path
 // (trace.BlockIngester, fed by the parallel reader's direct decode-to-shard
-// delivery) must produce collector state identical to the copying
-// HandleBatch path — including with irregular block sizes like the partial
-// blocks a segment decoder emits, and in both sorted and unsorted suite
-// modes. Run with -race to exercise the fan-out.
+// delivery) must produce collector state identical to the serial suite —
+// including with irregular block sizes like the partial blocks a segment
+// decoder emits. Run with -race to exercise the fan-out.
 func TestShardedIngestBlockMatchesHandleBatch(t *testing.T) {
-	cfg := shardWorkload(t)
-	var recs trace.Collect
-	if _, err := gamesim.Run(cfg, &recs, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, sortedInput := range []bool{false, true} {
-		sc := DefaultSuiteConfig(cfg.Duration)
-		sc.SortedInput = sortedInput
-		ref, err := NewSuite(sc)
-		if err != nil {
-			t.Fatal(err)
+	sc, recs, want := workloadRecords(t)
+	for _, workers := range []int{2, 4, 5} {
+		s := newTestSuite(t, sc)
+		sh := Shard(s, workers)
+		// Deliver through owned blocks of irregular sizes (a partial block
+		// every few, like segment tails).
+		for i := 0; i < len(recs); {
+			size := trace.BlockSize
+			if (i/trace.BlockSize)%3 == 2 {
+				size = trace.BlockSize / 5
+			}
+			size = min(size, len(recs)-i)
+			blk := trace.NewBlock()
+			*blk = append(*blk, recs[i:i+size]...)
+			sh.IngestBlock(blk)
+			i += size
 		}
-		refSh := Shard(ref, 4)
-		refSh.HandleBatch(recs.Records)
-		refSh.Close()
-		want := suiteFingerprint(ref)
+		sh.Close()
+		if got := suiteFingerprint(s); !reflect.DeepEqual(want, got) {
+			t.Errorf("workers=%d: IngestBlock suite diverges from HandleBatch suite", workers)
+			diffFingerprint(t, want, got)
+		}
+	}
+}
 
-		for _, workers := range []int{2, 4, 5} {
-			s, err := NewSuite(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh := Shard(s, workers)
-			// Deliver through owned blocks of irregular sizes (a partial
-			// block every few, like segment tails).
-			for i := 0; i < len(recs.Records); {
-				size := trace.BlockSize
-				if (i/trace.BlockSize)%3 == 2 {
-					size = trace.BlockSize / 5
+// columnsOf transposes records into a pooled column block, as the v4
+// decoder would deliver them.
+func columnsOf(rs []trace.Record) *trace.ColumnBlock {
+	cb := trace.NewColumnBlock()
+	for _, r := range rs {
+		cb.T = append(cb.T, r.T)
+		cb.Flags = append(cb.Flags, uint8(r.Dir)|uint8(r.Kind)<<1)
+		cb.Client = append(cb.Client, r.Client)
+		cb.App = append(cb.App, r.App)
+	}
+	return cb
+}
+
+// TestShardedMixedFeeds: one shard fed through all four of its entry
+// points in turn — single records and a partial batch that leave records
+// pending, each followed by an ownership-transferring block or column
+// delivery that must flush them first — matches the serial suite at every
+// worker count.
+func TestShardedMixedFeeds(t *testing.T) {
+	sc, recs, want := workloadRecords(t)
+	for workers := 2; workers <= 10; workers++ {
+		s := newTestSuite(t, sc)
+		sh := Shard(s, workers)
+		feeds := []struct {
+			size int
+			feed func([]trace.Record)
+		}{
+			{701, func(rs []trace.Record) {
+				for _, r := range rs {
+					sh.Handle(r)
 				}
-				if i+size > len(recs.Records) {
-					size = len(recs.Records) - i
-				}
+			}},
+			{trace.BlockSize / 2, func(rs []trace.Record) {
 				blk := trace.NewBlock()
-				*blk = append(*blk, recs.Records[i:i+size]...)
+				*blk = append(*blk, rs...)
 				sh.IngestBlock(blk)
-				i += size
-			}
-			sh.Close()
-			if got := suiteFingerprint(s); !reflect.DeepEqual(want, got) {
-				t.Errorf("sorted=%v workers=%d: IngestBlock suite diverges from HandleBatch suite", sortedInput, workers)
-				diffFingerprint(t, want, got)
-			}
+			}},
+			{trace.BlockSize + 333, sh.HandleBatch},
+			{trace.BlockSize, func(rs []trace.Record) { sh.IngestColumns(columnsOf(rs)) }},
+		}
+		for i, k := 0, 0; i < len(recs); k++ {
+			f := feeds[k%len(feeds)]
+			n := min(f.size, len(recs)-i)
+			f.feed(recs[i : i+n])
+			i += n
+		}
+		sh.Close()
+		if got := suiteFingerprint(s); !reflect.DeepEqual(want, got) {
+			t.Errorf("workers=%d: mixed-feed shard diverges from the serial suite", workers)
+			diffFingerprint(t, want, got)
 		}
 	}
 }
@@ -241,15 +264,42 @@ func TestShardedIngestBlockMatchesHandleBatch(t *testing.T) {
 // TestShardedCloseIdempotent: Close twice is safe and the suite finalizes
 // once.
 func TestShardedCloseIdempotent(t *testing.T) {
-	s, err := NewSuite(DefaultSuiteConfig(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestSuite(t, DefaultSuiteConfig(time.Minute))
 	sh := Shard(s, 3)
 	sh.HandleBatch([]trace.Record{{T: time.Second, Dir: trace.Out, App: 100}})
 	sh.Close()
 	sh.Close()
 	if got := s.Count.Packets(); got != 1 {
 		t.Fatalf("packets = %d, want 1", got)
+	}
+}
+
+// TestSinkAutoFollowsBudget: Sink(sched.Auto) must resolve to a plain
+// serial suite when the budget is one core (the CI box contract: auto
+// equals hand-tuned serial) and to a shard holding exactly its grant when
+// cores are free — releasing its budget share at close either way.
+func TestSinkAutoFollowsBudget(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+
+	runtime.GOMAXPROCS(1)
+	h, closeSink := newTestSuite(t, SuiteConfig{Duration: time.Hour}).Sink(sched.Auto)
+	if _, sharded := h.(*ShardedSuite); sharded {
+		t.Error("one-core budget: Sink(Auto) must be the serial suite")
+	}
+	closeSink()
+
+	runtime.GOMAXPROCS(4)
+	h2, closeSink2 := newTestSuite(t, SuiteConfig{Duration: time.Hour}).Sink(sched.Auto)
+	sh, sharded := h2.(*ShardedSuite)
+	if !sharded {
+		t.Fatalf("four-core budget: Sink(Auto) = %T, want *ShardedSuite", h2)
+	}
+	if free := sched.Default().Free(); free != 4-len(sh.workers) {
+		t.Errorf("budget free %d while the auto sink holds %d workers of 4", free, len(sh.workers))
+	}
+	closeSink2()
+	if free := sched.Default().Free(); free != 4 {
+		t.Errorf("budget free %d after close, want 4 (lease leaked)", free)
 	}
 }

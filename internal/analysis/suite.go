@@ -21,15 +21,9 @@ type SuiteConfig struct {
 	// Windows configures the small-scale interval plots to collect
 	// (Figs 6-10). Nil selects the paper's set.
 	Windows []WindowSpec
-	// SortedInput declares that records arrive in non-decreasing time
-	// order, so the order-sensitive collectors (Interarrival, Periodicity)
-	// are fed directly instead of through the suite's internal SortBuffer —
-	// the single most expensive stage of an unsorted sweep. The generator
-	// emits sorted streams, the binary trace format stores them sorted and
-	// the scenario merge emits them sorted; only raw live captures still
-	// need the buffer.
-	// Feeding a sorted suite out-of-order records corrupts only those two
-	// collectors' results; everything else is order-insensitive.
+	// SortedInput is ignored: every Suite expects time-ordered records.
+	//
+	// Deprecated: a no-op. bench/ is the only reader; ROADMAP 1a deletes it.
 	SortedInput bool
 }
 
@@ -71,6 +65,12 @@ func DefaultSuiteConfig(duration time.Duration) SuiteConfig {
 // Suite runs every collector needed for the paper's tables and figures in a
 // single streaming pass. Dispatch is by concrete type — one virtual call per
 // record for the whole suite, which matters at half a billion records.
+//
+// Records must arrive in non-decreasing time order: the generator, the
+// scenario merge and the trace format all deliver them that way. A source
+// that may disorder them (a live capture) puts a trace.SortBuffer in front.
+// Out-of-order records corrupt only the order-sensitive collectors (Gaps,
+// Tick); everything else is order-insensitive.
 type Suite struct {
 	cfg     SuiteConfig
 	Count   Counters
@@ -83,25 +83,8 @@ type Suite struct {
 	Kinds   *KindBreakdown
 	Gaps    *Interarrival
 	Tick    *Periodicity
-	// sorted feeds the order-sensitive collectors (Gaps, Tick) when the
-	// input stream's order is not guaranteed (cross-server merges). It is
-	// nil with cfg.SortedInput, where Gaps and Tick are fed directly; in
-	// sharded mode its downstream is orderOut, which Shard can rewire to
-	// fan the sorted stream out to dedicated Gaps/Tick workers.
-	sorted   *trace.SortBuffer
-	orderOut *switchHandler
-	closed   bool
+	closed  bool
 }
-
-// switchHandler is a mutable indirection point in a handler chain: Shard
-// swaps its target to split a stage's downstream onto worker goroutines.
-type switchHandler struct {
-	h trace.Handler
-}
-
-func (sw *switchHandler) Handle(r trace.Record) { sw.h.Handle(r) }
-
-func (sw *switchHandler) HandleBatch(rs []trace.Record) { trace.Dispatch(sw.h, rs) }
 
 // NewSuite builds a suite.
 func NewSuite(cfg SuiteConfig) (*Suite, error) {
@@ -132,10 +115,6 @@ func NewSuite(cfg SuiteConfig) (*Suite, error) {
 		Gaps:    NewInterarrival(),
 		Tick:    NewPeriodicity(trace.Out, cfg.VarTimeBase, 30),
 	}
-	if !cfg.SortedInput {
-		s.orderOut = &switchHandler{h: trace.Tee(s.Gaps, s.Tick)}
-		s.sorted = trace.NewSortBuffer(200*time.Millisecond, s.orderOut)
-	}
 	for _, w := range cfg.Windows {
 		s.Windows = append(s.Windows, NewIntervalWindow(w.Interval, w.N))
 	}
@@ -150,12 +129,8 @@ func (s *Suite) Handle(r trace.Record) {
 	s.Flows.Handle(r)
 	s.VT.Handle(r)
 	s.Kinds.Handle(r)
-	if s.sorted != nil {
-		s.sorted.Handle(r)
-	} else {
-		s.Gaps.Handle(r)
-		s.Tick.Handle(r)
-	}
+	s.Gaps.Handle(r)
+	s.Tick.Handle(r)
 	for _, w := range s.Windows {
 		w.Handle(r)
 	}
@@ -170,12 +145,8 @@ func (s *Suite) HandleBatch(rs []trace.Record) {
 	s.Flows.HandleBatch(rs)
 	s.VT.HandleBatch(rs)
 	s.Kinds.HandleBatch(rs)
-	if s.sorted != nil {
-		s.sorted.HandleBatch(rs)
-	} else {
-		s.Gaps.HandleBatch(rs)
-		s.Tick.HandleBatch(rs)
-	}
+	s.Gaps.HandleBatch(rs)
+	s.Tick.HandleBatch(rs)
 	for _, w := range s.Windows {
 		w.HandleBatch(rs)
 	}
@@ -193,9 +164,6 @@ func (s *Suite) Close() {
 	s.VT.Close(s.cfg.Duration)
 	s.Minutes.PadTo(s.cfg.Duration)
 	s.Players.Finish(s.cfg.Duration)
-	if s.sorted != nil {
-		s.sorted.Flush()
-	}
 	s.Tick.Flush()
 }
 

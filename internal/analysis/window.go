@@ -52,8 +52,7 @@ type WindowStats struct {
 //
 // The collector is single-goroutine (feed it from one logical enqueuer,
 // e.g. alongside a sharded suite's dispatch). Records must arrive in
-// non-decreasing timestamp order — the same contract as the sorted analyzer
-// pipeline. A record with T exactly on a boundary opens the next window.
+// non-decreasing timestamp order — the same contract as Suite. A record with T exactly on a boundary opens the next window.
 type RollingWindow struct {
 	width  time.Duration
 	emit   func(WindowStats)

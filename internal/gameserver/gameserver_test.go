@@ -65,6 +65,13 @@ func TestServeBroadcastAndCommands(t *testing.T) {
 	bots := runBots(t, botCtx, srv.Addr().String(), 4, 30)
 
 	time.Sleep(1200 * time.Millisecond)
+	// The bot assertions are about the connected steady state, so read the
+	// stats before any bot disconnects: after botCancel a bot whose reader is
+	// still open can record a snapshot sent after another bot has left.
+	botStats := make([]BotStats, len(bots))
+	for i, b := range bots {
+		botStats[i] = b.Stats()
+	}
 	botCancel()
 	time.Sleep(150 * time.Millisecond)
 	cancel()
@@ -84,8 +91,7 @@ func TestServeBroadcastAndCommands(t *testing.T) {
 		t.Errorf("in packets = %d, too few for 4 bots at 30 pps", st.PacketsIn)
 	}
 
-	for i, b := range bots {
-		bs := b.Stats()
+	for i, bs := range botStats {
 		if bs.SnapshotsRecv < 10 {
 			t.Errorf("bot %d received %d snapshots", i, bs.SnapshotsRecv)
 		}

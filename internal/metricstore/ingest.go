@@ -82,7 +82,7 @@ func IngestTraceFile(st *Store, path string, opts IngestOptions) (*Run, bool, er
 	}
 	defer f.Close()
 
-	suite, err := analysis.NewSuite(analysis.SuiteConfig{SortedInput: true})
+	suite, err := analysis.NewSuite(analysis.SuiteConfig{})
 	if err != nil {
 		return nil, false, err
 	}

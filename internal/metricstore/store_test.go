@@ -290,7 +290,7 @@ func TestRecordWindowAndTrend(t *testing.T) {
 
 func TestRecordScenarioSlotClasses(t *testing.T) {
 	st := openStore(t, filepath.Join(t.TempDir(), "m.csms"))
-	suite, err := analysis.NewSuite(analysis.SuiteConfig{SortedInput: true})
+	suite, err := analysis.NewSuite(analysis.SuiteConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

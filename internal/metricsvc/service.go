@@ -104,7 +104,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	suite, err := analysis.NewSuite(analysis.SuiteConfig{SortedInput: true})
+	suite, err := analysis.NewSuite(analysis.SuiteConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -117,8 +117,10 @@ type Result struct {
 	// GroupDepths holds the aggregate suite's collector-group channel
 	// statistics when the merge fed a sharded sink; nil for serial runs.
 	GroupDepths []analysis.GroupDepth
-	// Rebalances holds the adaptive shard's unit migrations (Parallelism
-	// auto); nil for serial and statically sharded runs.
+	// Rebalances is always nil.
+	//
+	// Deprecated: the shard never moves a collector unit. bench/ is the
+	// only reader; ROADMAP 1a deletes it.
 	Rebalances []analysis.Rebalance
 }
 
@@ -138,7 +140,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Suite.Duration == 0 {
 		cfg.Suite = analysis.DefaultSuiteConfig(horizon)
 	}
-	cfg.Suite.SortedInput = true // the merge's output is strictly ordered
 	suite, err := analysis.NewSuite(cfg.Suite)
 	if err != nil {
 		return nil, err
@@ -164,11 +165,7 @@ func Run(cfg Config) (*Result, error) {
 		sr := ServerResult{Name: sp.Name, Game: sp.Game}
 		switch cfg.PerServer {
 		case PerServerFull:
-			// Per-box suites see one generator's stream, which is strictly
-			// time-ordered, so they skip the sorting stage.
-			sc := analysis.DefaultSuiteConfig(sp.Game.Duration)
-			sc.SortedInput = true
-			if sr.Suite, err = analysis.NewSuite(sc); err != nil {
+			if sr.Suite, err = analysis.NewSuite(analysis.DefaultSuiteConfig(sp.Game.Duration)); err != nil {
 				closeSink()
 				return nil, err
 			}
@@ -221,7 +218,6 @@ func Run(cfg Config) (*Result, error) {
 	closeSink()
 	if sh, ok := rawSink.(*analysis.ShardedSuite); ok {
 		res.GroupDepths = sh.Depths()
-		res.Rebalances = sh.Rebalances()
 	}
 
 	res.Stats = aggregateStats(res, horizon)

@@ -193,9 +193,9 @@ type Config struct {
 	Suite analysis.SuiteConfig
 	// Parallelism shards the aggregate suite's collector groups across
 	// workers, exactly as cstrace.Config.Parallelism does. sched.Auto
-	// takes the suite's share from the process worker budget (adaptive
-	// sharding when the machine affords it, serial on one core). Results
-	// are byte-identical across settings.
+	// takes the suite's share from the process worker budget and shards
+	// with that grant (serial on one core). Results are byte-identical
+	// across settings.
 	Parallelism int
 	// PerServer selects per-box collection: nothing, the full paper suite,
 	// or the slim counters+minutes set.

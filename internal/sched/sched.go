@@ -127,9 +127,9 @@ func (b *Budget) Acquire(want int) *Lease {
 }
 
 // Split divides n workers across k members as evenly as possible, every
-// member getting at least one: the deterministic fair division the adaptive
-// shard uses to spread collector units over its workers. Members earlier in
-// the slice receive the remainder.
+// member getting at least one: the deterministic fair division
+// analysis.Shard uses to deal its collector units to workers in contiguous
+// chunks. Members earlier in the slice receive the remainder.
 func Split(n, k int) []int {
 	if k <= 0 {
 		return nil

@@ -131,7 +131,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResults, error) {
 		Regions: analysis.Regions(res.Suite.VT.Points(), rc.Suite.VarTimeBase,
 			first.TickInterval, first.MapDuration+first.MapChangePause),
 		GroupDepths: res.GroupDepths,
-		Rebalances:  res.Rebalances,
 	}
 	return &ScenarioResults{
 		Config:    cfg,
