@@ -191,10 +191,10 @@ type TraceAnalysis struct {
 // compressed payloads — on parallel goroutines that deliver their decoded
 // blocks straight into the sharded suite's per-group channels in file
 // order (trace.Reader.ReadAllSharded), with no re-batching copy and no
-// single dispatch goroutine in between. Columnar (v4) segments hand their
-// decoded field columns to the suite alongside the records, so
-// single-column collectors (size distributions, interarrivals) sweep a
-// flat array instead of striding through interleaved records. The results
+// single dispatch goroutine in between. Columnar (v4) segments reach the
+// sharded suite as their decoded field columns — on the serial scan too —
+// and every collector sweeps the flat arrays it needs instead of striding
+// through interleaved records. The results
 // are byte-identical across every parallelism setting and across v1-v4
 // encodings of the same stream; degraded inputs (v1, non-seekable,
 // damaged index) are analyzed by the serial scan and noted in

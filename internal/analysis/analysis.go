@@ -8,19 +8,23 @@
 // memory, so the full half-billion-packet reproduction streams straight from
 // the generator without materializing a trace.
 //
-// Suite bundles every collector behind one trace.Handler/BatchHandler;
-// the batch path sweeps whole trace.Blocks through each collector in
-// tight loops. Shard deals the suite's collectors once, in even chunks,
-// to worker goroutines fed by refcounted block fan-out — results are
-// byte-identical to single-threaded runs because every collector still
-// sees every record in stream order. Suite.Sink picks the mode from a
-// parallelism knob. The suite expects time-ordered records; a source that
-// may disorder them puts a trace.SortBuffer in front. Observe feeds
-// session lifecycle events to the player series independently of the
-// record stream. See docs/ARCHITECTURE.md for the data-flow picture.
+// Suite bundles every collector behind one trace.Handler/BatchHandler.
+// Each collector has one block sweep, HandleColumns, over a
+// trace.ColumnBlock: it reads only the field arrays it needs. A record
+// block is transposed once (ColumnBlock.AppendFrom) before the sweeps, and
+// a v4 trace's decoded columns reach the sharded suite as they are. Shard
+// deals the suite's collectors once, in even chunks, to worker goroutines
+// fed by refcounted column-block fan-out — results are byte-identical to
+// single-threaded runs because every collector still sees every record in
+// stream order. Suite.Sink picks the mode from a parallelism knob. The
+// suite expects time-ordered records; a source that may disorder them puts
+// a trace.SortBuffer in front. Observe feeds session lifecycle events to
+// the player series independently of the record stream. See
+// docs/ARCHITECTURE.md for the data-flow picture.
 package analysis
 
 import (
+	"math"
 	"time"
 
 	"cstrace/internal/stats"
@@ -50,28 +54,60 @@ func (c *Counters) Handle(r trace.Record) {
 	}
 }
 
-// HandleBatch implements trace.BatchHandler: the block accumulates into
-// locals, with one write-back per block.
-func (c *Counters) HandleBatch(rs []trace.Record) {
-	var pIn, pOut, bIn, bOut int64
+// HandleBatch implements trace.BatchHandler.
+func (c *Counters) HandleBatch(rs []trace.Record) { viaColumns(rs, c.HandleColumns) }
+
+// HandleColumns sweeps a column block: outbound packets (flag bit 0 set)
+// and app bytes, and the highest timestamp, accumulate branch-free in
+// locals with one write-back per block.
+func (c *Counters) HandleColumns(cb *trace.ColumnBlock) {
+	ts := cb.T
+	flags, apps := cb.Flags[:len(ts)], cb.App[:len(ts)]
+	var outs, bytes, bytesOut int64
 	end := c.End
-	for _, r := range rs {
-		if r.Dir == trace.In {
-			pIn++
-			bIn += int64(r.App)
-		} else {
-			pOut++
-			bOut += int64(r.App)
-		}
-		if r.T > end {
-			end = r.T
-		}
+	for i, t := range ts {
+		o := int64(flags[i] & 1)
+		a := int64(apps[i])
+		outs += o
+		bytes += a
+		bytesOut += a & -o
+		end = max(end, t)
 	}
-	c.PacketsIn += pIn
-	c.PacketsOut += pOut
-	c.AppBytesIn += bIn
-	c.AppBytesOut += bOut
+	c.PacketsIn += int64(len(ts)) - outs
+	c.PacketsOut += outs
+	c.AppBytesIn += bytes - bytesOut
+	c.AppBytesOut += bytesOut
 	c.End = end
+}
+
+// viaColumns is every collector's record-block adapter: rs is transposed
+// into a pooled column block for the collector's one sweep.
+func viaColumns(rs []trace.Record, sweep func(*trace.ColumnBlock)) {
+	cb := trace.NewColumnBlock()
+	cb.AppendFrom(rs)
+	sweep(cb)
+	trace.FreeColumnBlock(cb)
+}
+
+// refill transposes rs into cb in place of what cb held; its columns grow
+// only to the largest batch they are handed.
+func refill(cb *trace.ColumnBlock, rs []trace.Record) *trace.ColumnBlock {
+	cb.T, cb.Flags, cb.Client, cb.App = cb.T[:0], cb.Flags[:0], cb.Client[:0], cb.App[:0]
+	cb.AppendFrom(rs)
+	return cb
+}
+
+// runEnd returns the end of the run that starts at ts[i]: ts[i] belongs to
+// it whatever its value, and so does each following timestamp in [lo, hi).
+// The time-binned collectors add a run's count to its bin once; bins hold
+// integer counts in float64, so that is bit-identical to adding one per
+// record.
+func runEnd(ts []time.Duration, i int, lo, hi time.Duration) int {
+	j := i + 1
+	for j < len(ts) && ts[j] >= lo && ts[j] < hi {
+		j++
+	}
+	return j
 }
 
 // Packets returns the total packet count.
@@ -184,21 +220,10 @@ func (s *SizeDist) Handle(r trace.Record) {
 }
 
 // HandleBatch implements trace.BatchHandler.
-func (s *SizeDist) HandleBatch(rs []trace.Record) {
-	in, out := s.In, s.Out
-	for _, r := range rs {
-		if r.Dir == trace.In {
-			in.Add(int(r.App))
-		} else {
-			out.Add(int(r.App))
-		}
-	}
-}
+func (s *SizeDist) HandleBatch(rs []trace.Record) { viaColumns(rs, s.HandleColumns) }
 
-// HandleColumns is the column-aware sweep: the collector consumes only the
-// direction bit and the app size, so a column-decoded block (v4) is swept
-// over two dense arrays instead of striding through 24-byte Records. Counts
-// are identical to HandleBatch over the interleaved records.
+// HandleColumns sweeps a column block over its two dense arrays of interest,
+// the direction bit and the app size.
 func (s *SizeDist) HandleColumns(cb *trace.ColumnBlock) {
 	in, out := s.In, s.Out
 	apps := cb.App
@@ -240,43 +265,36 @@ func (m *MinuteSeries) Handle(r trace.Record) {
 	}
 }
 
-// HandleBatch implements trace.BatchHandler. A block spans a handful of
-// ticks at most, so nearly every record lands in the same minute: per-minute
-// runs accumulate into locals and flush once per direction per run.
-func (m *MinuteSeries) HandleBatch(rs []trace.Record) {
-	var runT time.Duration = -1
-	var bitsIn, bitsOut, pktsIn, pktsOut float64
-	flush := func(t time.Duration) {
-		if pktsIn > 0 {
-			m.BitsIn.Add(t, bitsIn)
-			m.PktsIn.Add(t, pktsIn)
-			bitsIn, pktsIn = 0, 0
+// HandleBatch implements trace.BatchHandler.
+func (m *MinuteSeries) HandleBatch(rs []trace.Record) { viaColumns(rs, m.HandleColumns) }
+
+// HandleColumns sweeps a column block. A block spans a handful of ticks at
+// most, so nearly every record lands in the same minute: each minute's run
+// sums wire bytes and packets per direction in integers (exact, as the
+// per-record float additions are) and flushes once per direction.
+func (m *MinuteSeries) HandleColumns(cb *trace.ColumnBlock) {
+	ts := cb.T
+	flags, apps := cb.Flags[:len(ts)], cb.App[:len(ts)]
+	for i := 0; i < len(ts); {
+		lo := ts[i] / time.Minute * time.Minute
+		j := runEnd(ts, i, lo, lo+time.Minute)
+		var outs, wire, wireOut int64
+		for k := i; k < j; k++ {
+			o := int64(flags[k] & 1)
+			w := int64(apps[k]) + units.WireOverhead
+			outs += o
+			wire += w
+			wireOut += w & -o
 		}
-		if pktsOut > 0 {
-			m.BitsOut.Add(t, bitsOut)
-			m.PktsOut.Add(t, pktsOut)
-			bitsOut, pktsOut = 0, 0
+		if ins := int64(j-i) - outs; ins > 0 {
+			m.BitsIn.Add(lo, float64((wire-wireOut)*8))
+			m.PktsIn.Add(lo, float64(ins))
 		}
-	}
-	for _, r := range rs {
-		min := r.T / time.Minute
-		if min != runT {
-			if runT >= 0 {
-				flush(runT * time.Minute)
-			}
-			runT = min
+		if outs > 0 {
+			m.BitsOut.Add(lo, float64(wireOut*8))
+			m.PktsOut.Add(lo, float64(outs))
 		}
-		bits := float64(r.Wire() * 8)
-		if r.Dir == trace.In {
-			bitsIn += bits
-			pktsIn++
-		} else {
-			bitsOut += bits
-			pktsOut++
-		}
-	}
-	if runT >= 0 {
-		flush(runT * time.Minute)
+		i = j
 	}
 }
 
@@ -388,39 +406,42 @@ func (w *IntervalWindow) Handle(r trace.Record) {
 }
 
 // HandleBatch implements trace.BatchHandler.
-func (w *IntervalWindow) HandleBatch(rs []trace.Record) {
-	if w.done {
+func (w *IntervalWindow) HandleBatch(rs []trace.Record) { viaColumns(rs, w.HandleColumns) }
+
+// HandleColumns sweeps a column block. Consecutive records usually share a
+// bin (always, for the second-scale windows), so each run of one bin costs
+// a bounds comparison per record and one addition per bin; the records past
+// the window's end make one run however many bins they span.
+func (w *IntervalWindow) HandleColumns(cb *trace.ColumnBlock) {
+	ts := cb.T
+	if w.done || len(ts) == 0 {
 		return
 	}
-	if len(rs) > 0 && rs[0].T >= w.end+windowDoneSlack {
+	if ts[0] >= w.end+windowDoneSlack {
 		// Streams are time-ordered up to bounded disorder, so once a
 		// block starts this far past the window nothing can land in it.
 		w.done = true
 		return
 	}
-	total, in, out := w.total, w.inBins, w.outBin
-	interval, n := w.interval, w.n
-	// Bin cache: consecutive records usually share a bin (always, for the
-	// second-scale windows), so a bounds comparison replaces the division.
-	cached := -1
-	var lo, hi time.Duration
-	for _, r := range rs {
-		i := cached
-		if i < 0 || r.T < lo || r.T >= hi {
-			i = int(r.T / interval)
-			cached = i
-			lo = time.Duration(i) * interval
-			hi = lo + interval
+	flags := cb.Flags[:len(ts)]
+	for i := 0; i < len(ts); {
+		b := int(ts[i] / w.interval)
+		lo := time.Duration(b) * w.interval
+		hi := lo + w.interval
+		if b >= w.n {
+			lo, hi = w.end, math.MaxInt64
 		}
-		if i < 0 || i >= n {
-			continue
+		j := runEnd(ts, i, lo, hi)
+		if b >= 0 && b < w.n {
+			var outs int
+			for _, f := range flags[i:j] {
+				outs += int(f & 1)
+			}
+			w.total[b] += float64(j - i)
+			w.inBins[b] += float64(j - i - outs)
+			w.outBin[b] += float64(outs)
 		}
-		total[i]++
-		if r.Dir == trace.In {
-			in[i]++
-		} else {
-			out[i]++
-		}
+		i = j
 	}
 }
 

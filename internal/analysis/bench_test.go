@@ -1,0 +1,142 @@
+package analysis
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"cstrace/internal/gamesim"
+	"cstrace/internal/trace"
+)
+
+// The suite's layers, timed where they live, over ten busy minutes of
+// gamesim output. BenchmarkUnit/<unit> sweeps the stream, cut into BlockSize
+// column blocks (the shape a v4 segment decodes to), through one of the nine
+// shard units; BenchmarkSuite sweeps it through all nine, so the unit rows
+// add up to it. BenchmarkTranspose is the AppendFrom every record-fed path
+// pays before the sweeps, and BenchmarkSlim is a fleet server's slim suite
+// fed the generator's own blocks.
+//
+// The windows unit is the one to watch. Its 1 s × 18 000 and 30 min × 200
+// windows span 5 h and 100 h, so on any shorter trace they never latch done
+// and sweep every record, while the 10 ms window (bench/'s
+// analysis.sweep.window10ms probe) is done two seconds in.
+
+// busyCapture is ten busy minutes of a full server, captured once.
+var busyCapture = sync.OnceValues(func() (*benchStream, error) {
+	c := gamesim.PaperConfig(11)
+	c.Outages = nil
+	c.AttemptRate *= 5
+	c.Warmup, c.Duration = 10*time.Minute, 10*time.Minute
+	var bs benchStream
+	_, err := gamesim.Run(c, &bs, nil)
+	for start := 0; start < len(bs.recs); start += trace.BlockSize {
+		cb := new(trace.ColumnBlock)
+		cb.AppendFrom(bs.recs[start:min(start+trace.BlockSize, len(bs.recs))])
+		bs.cols = append(bs.cols, cb)
+	}
+	return &bs, err
+})
+
+// benchStream holds a captured stream three ways: the records, where the
+// generator's blocks end in them, and BlockSize column blocks.
+type benchStream struct {
+	recs []trace.Record
+	ends []int
+	cols []*trace.ColumnBlock
+}
+
+func (s *benchStream) Handle(r trace.Record) { s.HandleBatch([]trace.Record{r}) }
+
+func (s *benchStream) HandleBatch(rs []trace.Record) {
+	s.recs = append(s.recs, rs...)
+	s.ends = append(s.ends, len(s.recs))
+}
+
+// eachBlock hands the generator's blocks to f in order.
+func (s *benchStream) eachBlock(f func([]trace.Record)) {
+	start := 0
+	for _, end := range s.ends {
+		f(s.recs[start:end])
+		start = end
+	}
+}
+
+func benchInput(b *testing.B) (*benchStream, SuiteConfig) {
+	bs, err := busyCapture()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	return bs, DefaultSuiteConfig(10 * time.Minute)
+}
+
+// perRec reports the timed loop's cost per record of the stream.
+func perRec(b *testing.B, bs *benchStream) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bs.recs)), "ns/rec")
+}
+
+func mustSuite(b *testing.B, sc SuiteConfig) *Suite {
+	s, err := NewSuite(sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkUnit sweeps the column blocks through one shard unit of a fresh
+// suite per pass.
+func BenchmarkUnit(b *testing.B) {
+	bs, sc := benchInput(b)
+	for u, unit := range mustSuite(b, sc).sweeps {
+		b.Run(unit.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				b.StopTimer()
+				sweep := mustSuite(b, sc).sweeps[u].sweep
+				b.StartTimer()
+				for _, cb := range bs.cols {
+					sweep(cb)
+				}
+			}
+			perRec(b, bs)
+		})
+	}
+}
+
+// BenchmarkSuite sweeps the column blocks through all nine units of a
+// fresh suite per pass.
+func BenchmarkSuite(b *testing.B) {
+	bs, sc := benchInput(b)
+	for b.Loop() {
+		b.StopTimer()
+		s := mustSuite(b, sc)
+		b.StartTimer()
+		for _, cb := range bs.cols {
+			s.sweep(cb)
+		}
+	}
+	perRec(b, bs)
+}
+
+// BenchmarkTranspose transposes the generator's blocks into one reused
+// column block, as Suite.HandleBatch does.
+func BenchmarkTranspose(b *testing.B) {
+	bs, _ := benchInput(b)
+	var cb trace.ColumnBlock
+	for b.Loop() {
+		bs.eachBlock(func(rs []trace.Record) { refill(&cb, rs) })
+	}
+	perRec(b, bs)
+}
+
+// BenchmarkSlim feeds the generator's blocks to a fresh slim suite per
+// pass: transpose, counters and minute series.
+func BenchmarkSlim(b *testing.B) {
+	bs, _ := benchInput(b)
+	for b.Loop() {
+		s := NewSlimSuite(10 * time.Minute)
+		bs.eachBlock(s.HandleBatch)
+	}
+	perRec(b, bs)
+}

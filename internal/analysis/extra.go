@@ -61,50 +61,15 @@ func (ia *Interarrival) Handle(r trace.Record) {
 	ia.last[d] = r.T
 }
 
-// HandleBatch implements trace.BatchHandler: the per-direction cursors and
-// log₂ histogram accumulate in locals across the block, with one write-back
-// per block instead of shared-state bumps per record. (The floating-point
-// power sums accumulate per record, in exactly the order the per-record
-// path would: float addition is order-sensitive, and results must be
-// identical whatever the batch boundaries.)
-func (ia *Interarrival) HandleBatch(rs []trace.Record) {
-	last, seen := ia.last, ia.seen
-	var hist [2][interarrivalBuckets]int64
-	var total [2]int64
-	for _, r := range rs {
-		d := r.Dir
-		if seen[d] {
-			gap := r.T - last[d]
-			if gap >= 0 {
-				g := gap.Seconds()
-				ia.sum[d] += g
-				ia.sumSq[d] += g * g
-				hist[d][iaBucket(gap)]++
-				total[d]++
-			}
-		}
-		seen[d] = true
-		last[d] = r.T
-	}
-	ia.last, ia.seen = last, seen
-	for d := 0; d < 2; d++ {
-		if total[d] == 0 {
-			continue
-		}
-		ia.n[d] += total[d]
-		ia.total[d] += total[d]
-		dst := ia.hist[d]
-		for b, c := range hist[d] {
-			dst[b] += c
-		}
-	}
-}
+// HandleBatch implements trace.BatchHandler.
+func (ia *Interarrival) HandleBatch(rs []trace.Record) { viaColumns(rs, ia.HandleColumns) }
 
-// HandleColumns is the column-aware sweep: interarrival needs only the
-// direction bit and the timestamp, so a column-decoded block (v4) is swept
-// over the flags and timestamp arrays directly. The floating-point power
-// sums accumulate in exactly the order HandleBatch would over the
-// interleaved records, so results are bit-identical whichever path ran.
+// HandleColumns sweeps a column block's flags and timestamps: the
+// per-direction cursors and log₂ histogram accumulate in locals across the
+// block, with one write-back per block. (The floating-point power sums
+// accumulate per record, in exactly the order the per-record path would:
+// float addition is order-sensitive, and results must be identical
+// whatever the batch boundaries.)
 func (ia *Interarrival) HandleColumns(cb *trace.ColumnBlock) {
 	last, seen := ia.last, ia.seen
 	var hist [2][interarrivalBuckets]int64
@@ -116,7 +81,12 @@ func (ia *Interarrival) HandleColumns(cb *trace.ColumnBlock) {
 		if seen[d] {
 			gap := t - last[d]
 			if gap >= 0 {
-				g := gap.Seconds()
+				// Exactly gap.Seconds() for a sub-second gap, without
+				// its integer division.
+				g := float64(gap) / 1e9
+				if gap >= time.Second {
+					g = gap.Seconds()
+				}
 				ia.sum[d] += g
 				ia.sumSq[d] += g * g
 				hist[d][iaBucket(gap)]++
@@ -232,22 +202,20 @@ func (k *KindBreakdown) Handle(r trace.Record) {
 	row.WireBytes += int64(r.Wire())
 }
 
-// HandleBatch implements trace.BatchHandler: per-kind tallies accumulate in
-// a block-local array (kinds fit in three bits, so the array is 8 wide) and
-// merge into the shared rows once per block.
-func (k *KindBreakdown) HandleBatch(rs []trace.Record) {
+// HandleBatch implements trace.BatchHandler.
+func (k *KindBreakdown) HandleBatch(rs []trace.Record) { viaColumns(rs, k.HandleColumns) }
+
+// HandleColumns sweeps a column block: per-kind tallies accumulate in a
+// block-local array indexed by the flags byte's three kind bits — the
+// format stores no more, so this counts a record as a file would return
+// it — and merge into the shared rows once per block.
+func (k *KindBreakdown) HandleColumns(cb *trace.ColumnBlock) {
 	var pkts, app [8]int64
-	for _, r := range rs {
-		if int(r.Kind) < len(pkts) {
-			pkts[r.Kind]++
-			app[r.Kind] += int64(r.App)
-		} else {
-			// Unknown kind (future format): take the slow path.
-			row := k.row(r.Kind)
-			row.Packets++
-			row.AppBytes += int64(r.App)
-			row.WireBytes += int64(r.Wire())
-		}
+	apps := cb.App[:len(cb.Flags)]
+	for i, f := range cb.Flags {
+		kind := f >> 1 & 7
+		pkts[kind]++
+		app[kind] += int64(apps[i])
 	}
 	for kind, n := range pkts {
 		if n == 0 {
@@ -352,27 +320,37 @@ func (p *Periodicity) Handle(r trace.Record) {
 	p.current++
 }
 
-// HandleBatch implements trace.BatchHandler. The bin index is cached
-// across the sweep: broadcast bursts put runs of records in one bin, and a
-// comparison against the cached bin's bounds replaces the 64-bit division
-// for every record of a run.
-func (p *Periodicity) HandleBatch(rs []trace.Record) {
-	dir, bin := p.dir, p.bin
+// HandleBatch implements trace.BatchHandler.
+func (p *Periodicity) HandleBatch(rs []trace.Record) { viaColumns(rs, p.HandleColumns) }
+
+// HandleColumns sweeps a column block's flags and timestamps. A record of
+// the detector's direction outside the filling bin moves the bin on (or,
+// if it is late, counts into the filling bin); broadcast bursts then put
+// runs of records in that bin, counted in one pass per run.
+func (p *Periodicity) HandleColumns(cb *trace.ColumnBlock) {
+	ts := cb.T
+	flags := cb.Flags[:len(ts)]
+	dir, bin := uint8(p.dir), p.bin
 	lo := time.Duration(p.binIdx) * bin
-	hi := lo + bin
-	for _, r := range rs {
-		if r.Dir != dir {
-			continue
-		}
-		if r.T < lo || r.T >= hi {
-			idx := int64(r.T / bin)
+	for i := 0; i < len(ts); {
+		if t := ts[i]; t < lo || t >= lo+bin {
+			if flags[i]&1 != dir {
+				i++
+				continue
+			}
+			idx := int64(t / bin)
 			for idx > p.binIdx {
 				p.closeBin()
 			}
 			lo = time.Duration(p.binIdx) * bin
-			hi = lo + bin
 		}
-		p.current++
+		j := runEnd(ts, i, lo, lo+bin)
+		var c int64
+		for _, f := range flags[i:j] {
+			c += int64(^(f ^ dir) & 1) // 1 for the detector's direction
+		}
+		p.current += c
+		i = j
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"cstrace/internal/stats"
 	"cstrace/internal/trace"
+	"cstrace/internal/units"
 )
 
 // FlowStats summarizes one session's traffic.
@@ -104,21 +105,31 @@ func (fb *FlowBandwidth) Handle(r trace.Record) {
 }
 
 // HandleBatch implements trace.BatchHandler.
-func (fb *FlowBandwidth) HandleBatch(rs []trace.Record) {
-	for _, r := range rs {
-		if r.Client == 0 {
+func (fb *FlowBandwidth) HandleBatch(rs []trace.Record) { viaColumns(rs, fb.HandleColumns) }
+
+// HandleColumns sweeps a column block over the client, timestamp and app
+// columns, looking each flow up in the dense table inline.
+func (fb *FlowBandwidth) HandleColumns(cb *trace.ColumnBlock) {
+	ts := cb.T
+	clients, apps := cb.Client[:len(ts)], cb.App[:len(ts)]
+	for i, c := range clients {
+		if c == 0 {
 			continue
 		}
-		f := fb.flow(r.Client, r.T)
-		if r.T > f.Last {
-			f.Last = r.T
+		t := ts[i]
+		var f *FlowStats
+		if int(c) < len(fb.dense) {
+			f = fb.dense[c]
 		}
-		if r.T < f.First {
-			f.First = r.T
+		if f == nil {
+			f = fb.flow(c, t)
 		}
+		f.First = min(f.First, t)
+		f.Last = max(f.Last, t)
 		f.Packets++
-		f.AppBytes += int64(r.App)
-		f.WireBytes += int64(r.Wire())
+		a := int64(apps[i])
+		f.AppBytes += a
+		f.WireBytes += a + units.WireOverhead
 	}
 }
 

@@ -12,12 +12,15 @@ import (
 // Sharded mode: the suite's nine collector units (shardUnit, in the order
 // count sizes flows kinds minutes vt windows gaps tick) are dealt to worker
 // goroutines in contiguous even chunks (sched.Split) and never move. Every
-// incoming block fans out to all workers over bounded channels. Because each
-// collector sees every record in exactly the stream order (channels are FIFO
-// and each unit lives on exactly one worker), sharded results are
-// byte-identical to single-threaded results — the parallelism only overlaps
-// the sweeps in time. Each worker records channel-depth statistics at
-// enqueue time (Depths), so a straggler is measurable rather than guessed.
+// incoming block fans out to all workers over bounded channels as one
+// refcounted trace.ColumnBlock: a v4 segment's decoded columns as they
+// arrive (IngestColumns), records transposed into one (Handle, HandleBatch,
+// IngestBlock). Because each collector sees every record in exactly the
+// stream order (channels are FIFO and each unit lives on exactly one
+// worker), sharded results are byte-identical to single-threaded results —
+// the parallelism only overlaps the sweeps in time. Each worker records
+// channel-depth statistics at enqueue time (Depths), so a straggler is
+// measurable rather than guessed.
 
 // ShardChanDepth bounds each group's channel: enough to keep workers busy,
 // small enough to backpressure the generator instead of ballooning memory.
@@ -29,19 +32,11 @@ const ShardChanDepth = 8
 // left to the stages that run beside the suite (decode, deflate).
 const maxAutoShardWorkers = 5
 
-// shardBlock is a refcounted block shared read-only by every receiving
-// group and recycled when the last one finishes with it. It comes in three
-// lifetimes: a copy of an incoming batch backed by the suite's own pool
-// (the Handle/HandleBatch path), a zero-copy wrapper around a trace block
-// whose ownership was transferred in via IngestBlock — owned marks that
-// one — or an interleaved copy of a column-decoded segment chunk whose
-// columns ride along (IngestColumns): cols lets column-aware collectors
-// sweep the dense field arrays while everything else uses recs.
+// shardBlock is one fanned-out column block, shared read-only by every
+// group and returned to the trace pool when the last one finishes with it.
 type shardBlock struct {
-	recs  trace.Block
-	owned *trace.Block       // non-nil when recs aliases a transferred trace block
-	cols  *trace.ColumnBlock // non-nil when the columns of recs are also held
-	refs  atomic.Int32
+	cols *trace.ColumnBlock
+	refs atomic.Int32
 }
 
 // release drops one reference and recycles the block when it was the last.
@@ -49,35 +44,14 @@ func (b *shardBlock) release() {
 	if b.refs.Add(-1) != 0 {
 		return
 	}
-	if b.cols != nil {
-		trace.FreeColumnBlock(b.cols)
-		b.cols = nil
-	}
-	if b.owned != nil {
-		trace.FreeBlock(b.owned)
-		b.owned, b.recs = nil, nil
-		ownedWrapPool.Put(b)
-		return
-	}
-	shardBlockPool.Put(b)
+	trace.FreeColumnBlock(b.cols)
+	b.cols = nil
+	carrierPool.Put(b)
 }
 
-var shardBlockPool = sync.Pool{
-	New: func() any {
-		return &shardBlock{recs: make(trace.Block, 0, trace.BlockSize)}
-	},
-}
-
-// ownedWrapPool recycles the carrier structs of IngestBlock deliveries; the
-// record storage in that mode belongs to the trace block pool, so these
-// wrappers hold no array of their own.
-var ownedWrapPool = sync.Pool{New: func() any { return new(shardBlock) }}
-
-func getShardBlock() *shardBlock {
-	blk := shardBlockPool.Get().(*shardBlock)
-	blk.recs = blk.recs[:0]
-	return blk
-}
+// carrierPool recycles the refcounted carriers; the columns they carry
+// belong to the trace pool.
+var carrierPool = sync.Pool{New: func() any { return new(shardBlock) }}
 
 // GroupDepth is one collector group's channel-depth statistics: how many
 // blocks were enqueued to it and how full its channel was at each enqueue.
@@ -103,42 +77,26 @@ func (g GroupDepth) MeanDepth() float64 {
 // at which work is dealt to workers.
 type shardUnit struct {
 	name  string
-	sweep func(*shardBlock)
+	sweep func(*trace.ColumnBlock)
 }
 
-// units returns the suite's collector units in deal order. Column-aware
-// sweeps: when a block carries its columns (v4 column delivery), collectors
-// that consume a single field — SizeDist reads direction+size, Interarrival
-// direction+timestamp — sweep the dense column arrays instead of striding
-// through the interleaved records. Results are identical either way; only
-// the memory traffic shrinks.
+// units returns the suite's collector units in deal order, each a column
+// sweep.
 func (s *Suite) units() []shardUnit {
 	return []shardUnit{
-		{"count", func(b *shardBlock) { s.Count.HandleBatch(b.recs) }},
-		{"sizes", func(b *shardBlock) {
-			if b.cols != nil {
-				s.Sizes.HandleColumns(b.cols)
-			} else {
-				s.Sizes.HandleBatch(b.recs)
-			}
-		}},
-		{"flows", func(b *shardBlock) { s.Flows.HandleBatch(b.recs) }},
-		{"kinds", func(b *shardBlock) { s.Kinds.HandleBatch(b.recs) }},
-		{"minutes", func(b *shardBlock) { s.Minutes.HandleBatch(b.recs) }},
-		{"vt", func(b *shardBlock) { s.VT.HandleBatch(b.recs) }},
-		{"windows", func(b *shardBlock) {
+		{"count", func(cb *trace.ColumnBlock) { s.Count.HandleColumns(cb) }},
+		{"sizes", func(cb *trace.ColumnBlock) { s.Sizes.HandleColumns(cb) }},
+		{"flows", func(cb *trace.ColumnBlock) { s.Flows.HandleColumns(cb) }},
+		{"kinds", func(cb *trace.ColumnBlock) { s.Kinds.HandleColumns(cb) }},
+		{"minutes", func(cb *trace.ColumnBlock) { s.Minutes.HandleColumns(cb) }},
+		{"vt", func(cb *trace.ColumnBlock) { s.VT.HandleColumns(cb) }},
+		{"windows", func(cb *trace.ColumnBlock) {
 			for _, w := range s.Windows {
-				w.HandleBatch(b.recs)
+				w.HandleColumns(cb)
 			}
 		}},
-		{"gaps", func(b *shardBlock) {
-			if b.cols != nil {
-				s.Gaps.HandleColumns(b.cols)
-			} else {
-				s.Gaps.HandleBatch(b.recs)
-			}
-		}},
-		{"tick", func(b *shardBlock) { s.Tick.HandleBatch(b.recs) }},
+		{"gaps", func(cb *trace.ColumnBlock) { s.Gaps.HandleColumns(cb) }},
+		{"tick", func(cb *trace.ColumnBlock) { s.Tick.HandleColumns(cb) }},
 	}
 }
 
@@ -152,7 +110,7 @@ type shardWorker struct {
 
 // send enqueues a block, recording the queue depth it found. Calls must be
 // serialized: the group has a single logical enqueuer (one goroutine, or —
-// on the IngestBlock path — decode workers whose hand-offs are ordered by
+// on the IngestColumns path — decode workers whose hand-offs are ordered by
 // the reader's turn chain).
 func (w *shardWorker) send(blk *shardBlock) {
 	d := int64(len(w.ch))
@@ -168,7 +126,7 @@ func (w *shardWorker) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for blk := range w.ch {
 		for _, u := range w.units {
-			u.sweep(blk)
+			u.sweep(blk.cols)
 		}
 		blk.release()
 	}
@@ -182,7 +140,7 @@ type ShardedSuite struct {
 	*Suite
 	workers []*shardWorker
 	wg      sync.WaitGroup
-	pending *shardBlock
+	pending *trace.ColumnBlock // transposed records awaiting a full block
 	stopped bool
 }
 
@@ -192,8 +150,8 @@ type ShardedSuite struct {
 // plain Suite for single-threaded runs. The caller must not feed the inner
 // Suite directly afterwards.
 func Shard(s *Suite, workers int) *ShardedSuite {
-	units := s.units()
-	sh := &ShardedSuite{Suite: s, pending: getShardBlock()}
+	units := s.sweeps
+	sh := &ShardedSuite{Suite: s, pending: trace.NewColumnBlock()}
 	next := 0
 	for _, n := range sched.Split(len(units), min(max(workers, 2), len(units))) {
 		w := &shardWorker{ch: make(chan *shardBlock, ShardChanDepth), units: units[next : next+n]}
@@ -211,85 +169,64 @@ func Shard(s *Suite, workers int) *ShardedSuite {
 }
 
 // Handle implements trace.Handler.
-func (sh *ShardedSuite) Handle(r trace.Record) {
-	sh.pending.recs = append(sh.pending.recs, r)
-	if len(sh.pending.recs) == cap(sh.pending.recs) {
-		sh.flush()
-	}
-}
+func (sh *ShardedSuite) Handle(r trace.Record) { sh.HandleBatch([]trace.Record{r}) }
 
-// HandleBatch implements trace.BatchHandler. The batch is copied into an
-// owned refcounted block (the caller reuses its slab immediately) and
-// re-batched up to BlockSize before fanning out.
+// HandleBatch implements trace.BatchHandler. The batch is transposed into
+// the pending column block (the caller reuses its slab immediately), which
+// fans out each time it fills to BlockSize.
 func (sh *ShardedSuite) HandleBatch(rs []trace.Record) {
 	for len(rs) > 0 {
-		free := cap(sh.pending.recs) - len(sh.pending.recs)
-		if free == 0 {
-			sh.flush()
-			continue
-		}
-		n := min(free, len(rs))
-		sh.pending.recs = append(sh.pending.recs, rs[:n]...)
+		n := min(trace.BlockSize-sh.pending.Len(), len(rs))
+		sh.pending.AppendFrom(rs[:n])
 		rs = rs[n:]
-	}
-	if len(sh.pending.recs) == cap(sh.pending.recs) {
-		sh.flush()
+		if sh.pending.Len() == trace.BlockSize {
+			sh.flush()
+		}
 	}
 }
 
 // flush fans the pending block out to every group.
 func (sh *ShardedSuite) flush() {
-	blk := sh.pending
-	if len(blk.recs) == 0 {
+	if sh.pending.Len() == 0 {
 		return
 	}
-	sh.pending = getShardBlock()
-	sh.fan(blk)
+	sh.fan(sh.pending)
+	sh.pending = trace.NewColumnBlock()
 }
 
-// fan enqueues one block to every group, refcounted so the last sweep to
-// finish recycles it.
-func (sh *ShardedSuite) fan(blk *shardBlock) {
+// fan enqueues one column block to every group, taking ownership of it:
+// the last sweep to finish recycles it.
+func (sh *ShardedSuite) fan(cb *trace.ColumnBlock) {
+	blk := carrierPool.Get().(*shardBlock)
+	blk.cols = cb
 	blk.refs.Store(int32(len(sh.workers)))
 	for _, w := range sh.workers {
 		w.send(blk)
 	}
 }
 
-// IngestBlock implements trace.BlockIngester: a decoded block is fanned out
-// to every group without copying or re-batching. The suite takes ownership
-// of blk and recycles it to the trace block pool when the last group's
-// sweep finishes. Calls must be serialized and ordered relative to
-// Handle/HandleBatch — trace.Reader.ReadAllSharded's in-order delivery
-// chain provides exactly that — because each group's channel has a single
-// logical enqueuer.
+// IngestBlock implements trace.BlockIngester: the block's records are
+// transposed into the pending column block as HandleBatch does, and the
+// block goes straight back to the trace pool.
 func (sh *ShardedSuite) IngestBlock(blk *trace.Block) {
-	if len(*blk) == 0 {
-		trace.FreeBlock(blk)
-		return
-	}
-	sh.flush() // records re-batched earlier must stay ahead of this block
-	b := ownedWrapPool.Get().(*shardBlock)
-	b.recs, b.owned = *blk, blk
-	sh.fan(b)
+	sh.HandleBatch(*blk)
+	trace.FreeBlock(blk)
 }
 
 // IngestColumns implements trace.ColumnIngester: a column-decoded segment
-// chunk is interleaved once into a pooled block — the order-sensitive and
-// multi-field collectors need full records — while the columns ride along
-// so single-field collectors sweep them directly. Ownership of cb transfers
-// to the suite; it is recycled when the last group's sweep finishes. The
-// same serialization contract as IngestBlock applies.
+// chunk fans out to every group as it is, after any records pending ahead
+// of it. Ownership of cb transfers to the suite; it is recycled when the
+// last group's sweep finishes. Calls must be serialized and ordered
+// relative to Handle/HandleBatch/IngestBlock — trace.Reader's in-order
+// delivery provides exactly that — because each group's channel has a
+// single logical enqueuer.
 func (sh *ShardedSuite) IngestColumns(cb *trace.ColumnBlock) {
 	if cb.Len() == 0 {
 		trace.FreeColumnBlock(cb)
 		return
 	}
-	sh.flush() // records re-batched earlier must stay ahead of this block
-	b := getShardBlock()
-	b.recs = cb.AppendRecords(b.recs)
-	b.cols = cb
-	sh.fan(b)
+	sh.flush() // records transposed earlier must stay ahead of this block
+	sh.fan(cb)
 }
 
 // Close flushes pending records, drains and stops the workers, then
@@ -298,6 +235,8 @@ func (sh *ShardedSuite) Close() {
 	if !sh.stopped {
 		sh.stopped = true
 		sh.flush()
+		trace.FreeColumnBlock(sh.pending)
+		sh.pending = nil
 		for _, w := range sh.workers {
 			close(w.ch)
 		}

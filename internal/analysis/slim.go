@@ -19,6 +19,7 @@ type SlimSuite struct {
 	duration time.Duration
 	Count    Counters
 	Minutes  *MinuteSeries
+	scratch  trace.ColumnBlock // HandleBatch's transposed batch
 	closed   bool
 }
 
@@ -35,10 +36,12 @@ func (s *SlimSuite) Handle(r trace.Record) {
 	s.Minutes.Handle(r)
 }
 
-// HandleBatch implements trace.BatchHandler.
+// HandleBatch implements trace.BatchHandler: the batch is transposed once
+// into the suite's scratch columns for both sweeps.
 func (s *SlimSuite) HandleBatch(rs []trace.Record) {
-	s.Count.HandleBatch(rs)
-	s.Minutes.HandleBatch(rs)
+	cb := refill(&s.scratch, rs)
+	s.Count.HandleColumns(cb)
+	s.Minutes.HandleColumns(cb)
 }
 
 // Close finalizes the series. Call once after the last record.

@@ -83,6 +83,8 @@ type Suite struct {
 	Kinds   *KindBreakdown
 	Gaps    *Interarrival
 	Tick    *Periodicity
+	sweeps  []shardUnit       // units(), built once
+	scratch trace.ColumnBlock // HandleBatch's transposed batch
 	closed  bool
 }
 
@@ -118,6 +120,7 @@ func NewSuite(cfg SuiteConfig) (*Suite, error) {
 	for _, w := range cfg.Windows {
 		s.Windows = append(s.Windows, NewIntervalWindow(w.Interval, w.N))
 	}
+	s.sweeps = s.units()
 	return s, nil
 }
 
@@ -136,19 +139,15 @@ func (s *Suite) Handle(r trace.Record) {
 	}
 }
 
-// HandleBatch implements trace.BatchHandler: each collector sweeps the whole
-// block in a tight loop instead of being re-entered once per record.
-func (s *Suite) HandleBatch(rs []trace.Record) {
-	s.Count.HandleBatch(rs)
-	s.Sizes.HandleBatch(rs)
-	s.Minutes.HandleBatch(rs)
-	s.Flows.HandleBatch(rs)
-	s.VT.HandleBatch(rs)
-	s.Kinds.HandleBatch(rs)
-	s.Gaps.HandleBatch(rs)
-	s.Tick.HandleBatch(rs)
-	for _, w := range s.Windows {
-		w.HandleBatch(rs)
+// HandleBatch implements trace.BatchHandler: the block is transposed once
+// into the suite's scratch columns, which every collector sweeps in a tight
+// loop instead of being re-entered once per record.
+func (s *Suite) HandleBatch(rs []trace.Record) { s.sweep(refill(&s.scratch, rs)) }
+
+// sweep runs every collector unit over one column block.
+func (s *Suite) sweep(cb *trace.ColumnBlock) {
+	for _, u := range s.sweeps {
+		u.sweep(cb)
 	}
 }
 

@@ -58,44 +58,33 @@ func (v *VarTime) Handle(r trace.Record) {
 	}
 }
 
-// HandleBatch implements trace.BatchHandler. The bin index is cached
-// across the sweep: consecutive records usually share a 10 ms bin (a
-// broadcast burst lands in one), and a bounds comparison replaces the
-// 64-bit division for every record of a run.
-func (v *VarTime) HandleBatch(rs []trace.Record) {
-	if len(rs) == 0 {
+// HandleBatch implements trace.BatchHandler.
+func (v *VarTime) HandleBatch(rs []trace.Record) { viaColumns(rs, v.HandleColumns) }
+
+// HandleColumns sweeps a column block's timestamps. Consecutive records
+// usually share a 10 ms bin (a broadcast burst lands in one), so each run
+// of one bin costs a bounds comparison per record and one ring addition.
+func (v *VarTime) HandleColumns(cb *trace.ColumnBlock) {
+	ts := cb.T
+	if len(ts) == 0 {
 		return
 	}
 	v.started = true
-	ring := v.ring
-	n := int64(len(ring))
-	base := v.base
-	head, maxIdx := v.head, v.maxIdx
-	cached := int64(-1)
-	var lo, hi time.Duration
-	for _, r := range rs {
-		var idx int64
-		if cached >= 0 && r.T >= lo && r.T < hi {
-			idx = cached
-		} else {
-			idx = int64(r.T / base)
-			cached = idx
-			lo = time.Duration(idx) * base
-			hi = lo + base
-		}
-		if idx < head {
-			idx = head
-		}
-		for idx >= head+n {
+	n := int64(len(v.ring))
+	for i := 0; i < len(ts); {
+		idx := int64(ts[i] / v.base)
+		lo := time.Duration(idx) * v.base
+		j := runEnd(ts, i, lo, lo+v.base)
+		// Deep reordering beyond the slack window lands in the oldest
+		// open bin, as in Handle.
+		idx = max(idx, v.head)
+		for idx >= v.head+n {
 			v.flushOne()
-			head = v.head
 		}
-		ring[idx%n]++
-		if idx > maxIdx {
-			maxIdx = idx
-		}
+		v.ring[idx%n] += float64(j - i)
+		v.maxIdx = max(v.maxIdx, idx)
+		i = j
 	}
-	v.maxIdx = maxIdx
 }
 
 func (v *VarTime) flushOne() {

@@ -133,7 +133,13 @@ type nullSink struct{}
 func (nullSink) Handle(trace.Record)        {}
 func (nullSink) HandleBatch([]trace.Record) {}
 
-func benchReader(b *testing.B, level int) {
+// nullColumns takes v4 segments as columns and recycles them.
+type nullColumns struct{ nullSink }
+
+func (nullColumns) IngestBlock(blk *trace.Block)        { trace.FreeBlock(blk) }
+func (nullColumns) IngestColumns(cb *trace.ColumnBlock) { trace.FreeColumnBlock(cb) }
+
+func benchReader(b *testing.B, level int, sink trace.Handler) {
 	bc, err := busyBlocks()
 	if err != nil {
 		b.Fatal(err)
@@ -143,7 +149,7 @@ func benchReader(b *testing.B, level int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, err := trace.NewReader(bytes.NewReader(file.Bytes())).ReadAllPrefetch(nullSink{})
+		n, err := trace.NewReader(bytes.NewReader(file.Bytes())).ReadAllPrefetch(sink)
 		if err != nil || n != int64(bc.n) {
 			b.Fatalf("read %d of %d records: %v", n, bc.n, err)
 		}
@@ -152,10 +158,15 @@ func benchReader(b *testing.B, level int) {
 }
 
 // BenchmarkReader is the serial scan of the default v4 file.
-func BenchmarkReader(b *testing.B) { benchReader(b, 0) }
+func BenchmarkReader(b *testing.B) { benchReader(b, 0, nullSink{}) }
 
 // BenchmarkReaderDecode is the serial scan with nothing to inflate.
-func BenchmarkReaderDecode(b *testing.B) { benchReader(b, trace.CompressOff) }
+func BenchmarkReaderDecode(b *testing.B) { benchReader(b, trace.CompressOff, nullSink{}) }
+
+// BenchmarkReaderColumns is the serial scan of the default v4 file into a
+// sink that takes columns: BenchmarkReader without the interleave into
+// Records.
+func BenchmarkReaderColumns(b *testing.B) { benchReader(b, 0, nullColumns{}) }
 
 // BenchmarkInflateColumn reconstructs each column's run of every compressed
 // segment the default writer stores, as the reader does: inflated when

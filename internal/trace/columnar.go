@@ -126,7 +126,8 @@ func errColTruncated(c, i int) error {
 // decodeSegmentPayload decodes a raw in-memory segment payload into pooled
 // record blocks on the layout the segment's flags announce: the interleaved
 // record stream (v1–v3) directly, field-striped columns (v4) through the
-// column decoder with each block interleaved as it comes out.
+// column decoder with each block interleaved as it comes out. Only sinks
+// that take records pay for that interleave (see decodeSegment).
 func decodeSegmentPayload(p []byte, si SegmentInfo) ([]*Block, error) {
 	if !si.Columnar() {
 		return decodePayload(p, si)
@@ -170,6 +171,24 @@ func (cb *ColumnBlock) AppendRecords(dst []Record) []Record {
 		r.App = as[i]
 	}
 	return dst[:len(dst)+n]
+}
+
+// AppendFrom transposes rs onto the end of the columns, the inverse of
+// AppendRecords. The flags byte is the writer's (bit0 direction, kind from
+// bit1), so a Kind past three bits reads back here as it would from a file.
+func (cb *ColumnBlock) AppendFrom(rs []Record) {
+	n, m := len(cb.T), len(cb.T)+len(rs)
+	cb.T = slices.Grow(cb.T, len(rs))[:m]
+	cb.Flags = slices.Grow(cb.Flags, len(rs))[:m]
+	cb.Client = slices.Grow(cb.Client, len(rs))[:m]
+	cb.App = slices.Grow(cb.App, len(rs))[:m]
+	ts, fs, cs, as := cb.T[n:m], cb.Flags[n:m], cb.Client[n:m], cb.App[n:m]
+	for i, r := range rs {
+		ts[i] = r.T
+		fs[i] = byte(r.Dir)&1 | byte(r.Kind)<<1
+		cs[i] = r.Client
+		as[i] = r.App
+	}
 }
 
 var columnBlockPool = sync.Pool{

@@ -1,6 +1,9 @@
 package trace
 
-import "io"
+import (
+	"io"
+	"sync"
+)
 
 // Prefetching serial read path: ReadAll decodes and analyzes on one
 // goroutine, so the varint decode serializes with the collector sweeps.
@@ -9,15 +12,19 @@ import "io"
 // one is being analyzed, overlapping file I/O and analysis. It is the
 // serial scan every degraded case of ReadAllSharded falls back to: v1
 // traces (no index exists), non-seekable sources, and v2+ files with a
-// damaged index or footer.
+// damaged index or footer. It delivers on the indexed engine's surfaces: v4
+// segments as columns to a ColumnIngester, blocks to a BlockIngester, and
+// each block lent to HandleBatch otherwise.
 
 // prefetchDepth bounds the decoded-but-unconsumed block queue.
 const prefetchDepth = 4
 
-// prefetchMsg carries one decoded block (or the terminal error) from the
-// decode goroutine to the consumer.
+// prefetchMsg carries one decoded block — records, or a v4 segment's
+// columns for a ColumnIngester — or the terminal error from the decode
+// goroutine to the consumer.
 type prefetchMsg struct {
 	blk *Block
+	cb  *ColumnBlock
 	err error // non-nil only on the final message; io.EOF is not sent
 }
 
@@ -28,39 +35,49 @@ type prefetchMsg struct {
 // traces the decode goroutine additionally works segment-at-a-time out of
 // an in-memory slab — compressed segments inflated ahead by a third
 // goroutine — instead of per-record reader calls, which roughly triples decode
-// throughput.
+// throughput. As on the indexed engine, a ColumnIngester receives v4
+// segments still column-separated and a BlockIngester takes ownership of
+// decoded record blocks, with no HandleBatch copy.
 func (r *Reader) ReadAllPrefetch(h Handler) (int64, error) {
+	ci, cols := h.(ColumnIngester)
+	ing, ok := h.(BlockIngester)
+	if !ok {
+		ing = batchIngester{Batch(h)}
+	}
 	ch := make(chan prefetchMsg, prefetchDepth)
 	go func() {
 		defer close(ch)
-		if err := r.prefetchLoop(ch); err != nil && err != io.EOF {
+		if err := r.prefetchLoop(ch, cols); err != nil && err != io.EOF {
 			ch <- prefetchMsg{err: err}
 		}
 	}()
 
-	bh := Batch(h)
 	var n int64
 	for msg := range ch {
-		if msg.err != nil {
+		switch {
+		case msg.err != nil:
 			return n, msg.err
+		case msg.cb != nil:
+			n += int64(msg.cb.Len())
+			ci.IngestColumns(msg.cb)
+		default:
+			n += int64(len(*msg.blk))
+			ing.IngestBlock(msg.blk)
 		}
-		n += int64(len(*msg.blk))
-		bh.HandleBatch(*msg.blk)
-		FreeBlock(msg.blk)
 	}
 	return n, nil
 }
 
-// prefetchLoop decodes the whole stream into ch, returning io.EOF on a
-// clean end of stream.
-func (r *Reader) prefetchLoop(ch chan<- prefetchMsg) error {
+// prefetchLoop decodes the whole stream into ch — v4 segments as columns
+// when cols is set — returning io.EOF on a clean end of stream.
+func (r *Reader) prefetchLoop(ch chan<- prefetchMsg, cols bool) error {
 	if !r.init {
 		if err := r.readHeader(); err != nil {
 			return err
 		}
 	}
 	if r.version >= version2 {
-		return r.prefetchSegments(ch)
+		return r.prefetchSegments(ch, cols)
 	}
 	blk := NewBlock()
 	for {
@@ -88,7 +105,7 @@ const inflateAhead = 2
 // inflatedSeg carries one segment's raw payload from the inflate stage to
 // the decode stage. raw may be the recovered prefix when err is non-nil
 // (read truncation or flate damage — priority over any decode error); slab
-// is raw's backing buffer, returned to the free list after decode.
+// is raw's backing buffer, returned to slabPool after decode.
 type inflatedSeg struct {
 	raw  []byte
 	slab []byte
@@ -102,15 +119,14 @@ type inflatedSeg struct {
 // inflateAhead segments ahead, while this goroutine decodes the raw slabs
 // into blocks and ships them. Identical stream and records-before-error
 // semantics as a fused loop, with flate off the decode critical path.
-func (r *Reader) prefetchSegments(ch chan<- prefetchMsg) error {
+func (r *Reader) prefetchSegments(ch chan<- prefetchMsg, cols bool) error {
 	infl := make(chan inflatedSeg, inflateAhead)
-	free := make(chan []byte, 2*(inflateAhead+2))
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		defer close(infl)
-		r.inflateLoop(infl, free, stop)
+		r.inflateLoop(infl, stop)
 	}()
 	// The inflate goroutine owns the Reader's scanner state (and error
 	// latch); wait for it to exit before returning so the caller observes
@@ -120,18 +136,16 @@ func (r *Reader) prefetchSegments(ch chan<- prefetchMsg) error {
 	for msg := range infl {
 		var decErr error
 		if len(msg.raw) > 0 {
-			blocks, err := decodeSegmentPayload(msg.raw, msg.si)
-			decErr = err
-			for _, blk := range blocks {
+			var d segData
+			d, decErr = decodeSegment(msg.raw, msg.si, cols)
+			for _, blk := range d.blocks {
 				ch <- prefetchMsg{blk: blk}
 			}
-		}
-		if msg.slab != nil {
-			select {
-			case free <- msg.slab:
-			default:
+			for _, cb := range d.cols {
+				ch <- prefetchMsg{cb: cb}
 			}
 		}
+		freeSlab(msg.slab)
 		if msg.err != nil {
 			return msg.err
 		}
@@ -144,12 +158,12 @@ func (r *Reader) prefetchSegments(ch chan<- prefetchMsg) error {
 
 // inflateLoop is the pipeline's first stage: frame scan, payload read,
 // decompression. Each segment's raw payload lands in a slab owned by the
-// message (recycled through free), so the decode stage never races the
+// message (recycled through slabPool), so the decode stage never races the
 // next segment's read. A terminal error (scan damage, short payload read,
 // flate damage) is attached to the message carrying any recovered prefix,
 // and the loop stops — matching the fused loadSegment error priority.
-func (r *Reader) inflateLoop(infl chan<- inflatedSeg, free chan []byte, stop <-chan struct{}) {
-	var sc segScratch // decoder tables; payload slabs come from free
+func (r *Reader) inflateLoop(infl chan<- inflatedSeg, stop <-chan struct{}) {
+	var sc segScratch // decoder tables; payload slabs come from slabPool
 	send := func(msg inflatedSeg) bool {
 		select {
 		case infl <- msg:
@@ -166,7 +180,7 @@ func (r *Reader) inflateLoop(infl chan<- inflatedSeg, free chan []byte, stop <-c
 			return
 		}
 		si := r.seg
-		payload, readErr := readPayload(r.r, slabFor(free, 0), si.PayloadLen)
+		payload, readErr := readPayload(r.r, slabFor(0), si.PayloadLen)
 		slab := payload[:cap(payload)]
 		// Advance the scanner past the segment, as loadSegment does, so
 		// the next frame parses from a consistent position.
@@ -174,13 +188,10 @@ func (r *Reader) inflateLoop(infl chan<- inflatedSeg, free chan []byte, stop <-c
 		r.last = si.MaxT
 		msg := inflatedSeg{raw: payload, slab: slab, si: si}
 		if si.Compressed() {
-			raw := slabFor(free, si.RawLen)
+			raw := slabFor(si.RawLen)
 			msg.raw, msg.err = sc.decompressInto(raw[:si.RawLen], payload, si)
 			msg.slab = raw
-			select {
-			case free <- slab:
-			default:
-			}
+			freeSlab(slab)
 		}
 		if readErr != nil {
 			// Read truncation outranks whatever the partial inflate said.
@@ -192,16 +203,22 @@ func (r *Reader) inflateLoop(infl chan<- inflatedSeg, free chan []byte, stop <-c
 	}
 }
 
-// slabFor returns a recycled slab of at least n bytes, growing or
-// allocating as needed.
-func slabFor(free chan []byte, n int) []byte {
-	var s []byte
-	select {
-	case s = <-free:
-	default:
+// slabPool keeps the serial scan's payload and inflate slabs (*[]byte)
+// between reads, so a process that reads file after file stops allocating
+// them, while an idle one still hands them back to the garbage collector.
+var slabPool sync.Pool
+
+// slabFor returns a pooled slab of at least n bytes, or a new one.
+func slabFor(n int) []byte {
+	if s, ok := slabPool.Get().(*[]byte); ok && cap(*s) >= n {
+		return (*s)[:cap(*s)]
 	}
-	if cap(s) < n {
-		s = make([]byte, n)
+	return make([]byte, n)
+}
+
+// freeSlab returns a slab to slabPool.
+func freeSlab(s []byte) {
+	if cap(s) > 0 {
+		slabPool.Put(&s)
 	}
-	return s[:cap(s)]
 }

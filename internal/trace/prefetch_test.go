@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -56,6 +57,22 @@ func TestReadAllPrefetchMatchesReadAll(t *testing.T) {
 				t.Fatalf("n=%d: record %d diverges: %+v vs %+v", n, i, sync.Records[i], pre.Records[i])
 			}
 		}
+
+		// A column sink takes the v4 segments as columns, in the same
+		// stream, and hands every pooled block back.
+		out := poolOut.Load()
+		col := &columnCollect{}
+		cn, err := NewReader(bytes.NewReader(raw)).ReadAllPrefetch(col)
+		if err != nil {
+			t.Fatalf("n=%d: ReadAllPrefetch into columns: %v", n, err)
+		}
+		if cn != sn || !slices.Equal(col.records, sync.Records) || (col.colIngests > 0) != (n > 0) {
+			t.Fatalf("n=%d: column sink got %d records (%d delivered) in %d column blocks, want ReadAll's %d",
+				n, cn, len(col.records), col.colIngests, sn)
+		}
+		if now := poolOut.Load(); now != out {
+			t.Errorf("n=%d: %d pooled blocks not returned", n, now-out)
+		}
 	}
 }
 
@@ -95,6 +112,22 @@ func TestReadAllPrefetchErrorParity(t *testing.T) {
 		if sync.Records[i] != pre.Records[i] {
 			t.Fatalf("pre-error record %d diverges: %+v vs %+v", i, sync.Records[i], pre.Records[i])
 		}
+	}
+
+	// The column leg: the same pre-error records, count and error, and
+	// every pooled block back.
+	out := poolOut.Load()
+	col := &columnCollect{}
+	cn, colErr := NewReader(bytes.NewReader(truncated)).ReadAllPrefetch(col)
+	if colErr == nil || colErr.Error() != preErr.Error() {
+		t.Errorf("column sink err %v, record sink %v", colErr, preErr)
+	}
+	if cn != pn || col.colIngests == 0 || !slices.Equal(col.records, pre.Records) {
+		t.Errorf("column sink got %d records (%d delivered) in %d column blocks, record sink %d",
+			cn, len(col.records), col.colIngests, pn)
+	}
+	if now := poolOut.Load(); now != out {
+		t.Errorf("%d pooled blocks not returned", now-out)
 	}
 }
 

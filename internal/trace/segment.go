@@ -445,10 +445,20 @@ func fetchSegmentFrame(ra io.ReaderAt, si SegmentInfo, version int, sc *segScrat
 	return sc.frame[hl:need], nil
 }
 
+// decodeSegment decodes a raw segment payload into ColumnBlocks when cols is
+// set and the segment is field-striped — keeping the on-disk field
+// separation for column-aware sinks — and into record blocks otherwise.
+func decodeSegment(p []byte, si SegmentInfo, cols bool) (d segData, err error) {
+	if cols && si.Columnar() {
+		d.cols, err = decodeColumnarColumns(p, si)
+	} else {
+		d.blocks, err = decodeSegmentPayload(p, si)
+	}
+	return d, err
+}
+
 // readSegmentAt reads and decodes one segment from an io.ReaderAt using the
-// worker's scratch buffers — into ColumnBlocks when cols is set and the
-// segment is field-striped (keeping the on-disk field separation for
-// column-aware sinks), into record blocks otherwise. Header-level failures
+// worker's scratch buffers, as decodeSegment does. Header-level failures
 // yield nothing; damage inside a compressed payload still decodes the
 // recovered raw prefix, preserving records-before-error delivery.
 func readSegmentAt(ra io.ReaderAt, si SegmentInfo, version int, sc *segScratch, cols bool) (segData, error) {
@@ -459,13 +469,7 @@ func readSegmentAt(ra io.ReaderAt, si SegmentInfo, version int, sc *segScratch, 
 	if si.Compressed() {
 		payload, ferr = sc.decompress(payload, si)
 	}
-	var d segData
-	var derr error
-	if cols && si.Columnar() {
-		d.cols, derr = decodeColumnarColumns(payload, si)
-	} else {
-		d.blocks, derr = decodeSegmentPayload(payload, si)
-	}
+	d, derr := decodeSegment(payload, si, cols)
 	if ferr != nil {
 		// Report the inflate failure as the cause; the decode of the
 		// recovered prefix necessarily hit its truncation point too.

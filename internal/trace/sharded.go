@@ -27,8 +27,8 @@ import (
 // Calls arrive in stream order and are serialized by the caller (the
 // engine's in-order turn chain provides both, with happens-before edges
 // between consecutive calls even though they may run on different
-// goroutines). An implementation must not retain blk past the point it
-// frees it.
+// goroutines; the serial scan delivers from one goroutine). An
+// implementation must not retain blk past the point it frees it.
 type BlockIngester interface {
 	// IngestBlock consumes one decoded block obtained from NewBlock,
 	// taking ownership: the implementation is responsible for eventually
@@ -38,11 +38,11 @@ type BlockIngester interface {
 
 // ColumnIngester is implemented by sinks that can additionally consume
 // column-decoded segments (v4 field-striped payloads) without the reader
-// first interleaving them into Records. The same ordering and ownership
-// contract as IngestBlock applies: calls arrive in stream order, serialized
-// by the caller, and the sink must eventually return cb with
-// FreeColumnBlock. A segment is delivered either as blocks or as columns,
-// never both.
+// first interleaving them into Records, on the indexed engine and the
+// serial scan alike. The same ordering and ownership contract as
+// IngestBlock applies: calls arrive in stream order, serialized by the
+// caller, and the sink must eventually return cb with FreeColumnBlock. A
+// segment is delivered either as blocks or as columns, never both.
 type ColumnIngester interface {
 	BlockIngester
 	// IngestColumns consumes one column-decoded block obtained from

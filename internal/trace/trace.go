@@ -23,11 +23,12 @@
 // field-striped and compressed per column when that makes it smaller —
 // with a segment index and footer, so Reader.ReadAllSharded can fan
 // segment decode out across worker goroutines with in-order delivery,
-// handing the decoded blocks straight to a BlockIngester (the sharded
-// analysis suite) with no re-batching copy. It falls back to the serial
-// Reader.ReadAllPrefetch scan (which inflates and decodes ahead on their
-// own goroutines, overlapping file I/O with analysis) for v1 files,
-// non-seekable sources and damaged indexes. PCAP{,NG}Writer and
+// handing the decoded blocks — v4 segments still as columns — straight to
+// a ColumnIngester or BlockIngester (the sharded analysis suite) with no
+// re-batching copy. It falls back to the serial Reader.ReadAllPrefetch
+// scan (which inflates and decodes ahead on their own goroutines,
+// overlapping file I/O with analysis, and delivers on the same surfaces)
+// for v1 files, non-seekable sources and damaged indexes. PCAP{,NG}Writer and
 // ReadPCAP{,NG} exchange traces with standard capture tooling. See
 // docs/ARCHITECTURE.md for the end-to-end data flow.
 package trace
