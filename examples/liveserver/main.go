@@ -108,9 +108,7 @@ func main() {
 	}
 	// A live capture can be disordered; the suite expects time order.
 	sorter := trace.NewSortBuffer(2*cfg.TickInterval, suite)
-	for _, r := range captured {
-		sorter.Handle(r)
-	}
+	sorter.HandleBatch(captured)
 	sorter.Flush()
 	suite.Close()
 

@@ -8,11 +8,13 @@
 // memory, so the full half-billion-packet reproduction streams straight from
 // the generator without materializing a trace.
 //
-// Suite bundles every collector behind one trace.Handler/BatchHandler.
-// Each collector has one block sweep, HandleColumns, over a
+// Suite bundles every collector behind one trace.BatchHandler.
+// Each collector has one sweep body, HandleColumns, over a
 // trace.ColumnBlock: it reads only the field arrays it needs. A record
 // block is transposed once (ColumnBlock.AppendFrom) before the sweeps, and
-// a v4 trace's decoded columns reach the sharded suite as they are. Shard
+// a v4 trace's decoded columns reach the sharded suite as they are. The
+// per-record Handle that the suites, Counters and IntervalWindow keep for
+// trace.Handler callers is a one-record batch, not a second body. Shard
 // deals the suite's collectors once, in even chunks, to worker goroutines
 // fed by refcounted column-block fan-out — results are byte-identical to
 // single-threaded runs because every collector still sees every record in
@@ -40,19 +42,8 @@ type Counters struct {
 	End                     time.Duration // highest timestamp seen
 }
 
-// Handle implements trace.Handler.
-func (c *Counters) Handle(r trace.Record) {
-	if r.Dir == trace.In {
-		c.PacketsIn++
-		c.AppBytesIn += int64(r.App)
-	} else {
-		c.PacketsOut++
-		c.AppBytesOut += int64(r.App)
-	}
-	if r.T > c.End {
-		c.End = r.T
-	}
-}
+// Handle implements trace.Handler: one record is a one-record batch.
+func (c *Counters) Handle(r trace.Record) { c.HandleBatch([]trace.Record{r}) }
 
 // HandleBatch implements trace.BatchHandler.
 func (c *Counters) HandleBatch(rs []trace.Record) { viaColumns(rs, c.HandleColumns) }
@@ -210,15 +201,6 @@ func (s *SizeDist) Total() *stats.IntHistogram {
 	return t
 }
 
-// Handle implements trace.Handler.
-func (s *SizeDist) Handle(r trace.Record) {
-	if r.Dir == trace.In {
-		s.In.Add(int(r.App))
-	} else {
-		s.Out.Add(int(r.App))
-	}
-}
-
 // HandleBatch implements trace.BatchHandler.
 func (s *SizeDist) HandleBatch(rs []trace.Record) { viaColumns(rs, s.HandleColumns) }
 
@@ -250,18 +232,6 @@ func NewMinuteSeries() *MinuteSeries {
 		BitsOut: timeseries.MustBinner(time.Minute),
 		PktsIn:  timeseries.MustBinner(time.Minute),
 		PktsOut: timeseries.MustBinner(time.Minute),
-	}
-}
-
-// Handle implements trace.Handler.
-func (m *MinuteSeries) Handle(r trace.Record) {
-	bits := float64(r.Wire() * 8)
-	if r.Dir == trace.In {
-		m.BitsIn.Add(r.T, bits)
-		m.PktsIn.Add(r.T, 1)
-	} else {
-		m.BitsOut.Add(r.T, bits)
-		m.PktsOut.Add(r.T, 1)
 	}
 }
 
@@ -385,25 +355,8 @@ func NewIntervalWindow(interval time.Duration, n int) *IntervalWindow {
 	}
 }
 
-// Handle implements trace.Handler.
-func (w *IntervalWindow) Handle(r trace.Record) {
-	if w.done || r.T >= w.end {
-		if !w.done && r.T >= w.end+windowDoneSlack {
-			w.done = true
-		}
-		return
-	}
-	i := int(r.T / w.interval)
-	if i < 0 {
-		return
-	}
-	w.total[i]++
-	if r.Dir == trace.In {
-		w.inBins[i]++
-	} else {
-		w.outBin[i]++
-	}
-}
+// Handle implements trace.Handler: one record is a one-record batch.
+func (w *IntervalWindow) Handle(r trace.Record) { w.HandleBatch([]trace.Record{r}) }
 
 // HandleBatch implements trace.BatchHandler.
 func (w *IntervalWindow) HandleBatch(rs []trace.Record) { viaColumns(rs, w.HandleColumns) }

@@ -15,9 +15,11 @@ func rec(t time.Duration, dir trace.Direction, client uint32, app uint16) trace.
 
 func TestCountersTables(t *testing.T) {
 	var c Counters
-	c.Handle(rec(0, trace.In, 1, 40))
-	c.Handle(rec(time.Second, trace.In, 1, 44))
-	c.Handle(rec(2*time.Second, trace.Out, 1, 130))
+	c.HandleBatch([]trace.Record{
+		rec(0, trace.In, 1, 40),
+		rec(time.Second, trace.In, 1, 44),
+		rec(2*time.Second, trace.Out, 1, 130),
+	})
 
 	if c.Packets() != 3 || c.PacketsIn != 2 || c.PacketsOut != 1 {
 		t.Fatalf("counts: %+v", c)
@@ -50,7 +52,7 @@ func TestCountersTables(t *testing.T) {
 
 func TestCountersZeroDurationFallsBack(t *testing.T) {
 	var c Counters
-	c.Handle(rec(5*time.Second, trace.In, 1, 40))
+	c.HandleBatch([]trace.Record{rec(5*time.Second, trace.In, 1, 40)})
 	t2 := c.TableII(0)
 	if t2.MeanPPS == 0 {
 		t.Error("zero duration should fall back to last timestamp")
@@ -67,9 +69,11 @@ func TestCountersEmpty(t *testing.T) {
 
 func TestSizeDist(t *testing.T) {
 	s := NewSizeDist(500)
-	s.Handle(rec(0, trace.In, 1, 40))
-	s.Handle(rec(0, trace.In, 1, 40))
-	s.Handle(rec(0, trace.Out, 1, 130))
+	s.HandleBatch([]trace.Record{
+		rec(0, trace.In, 1, 40),
+		rec(0, trace.In, 1, 40),
+		rec(0, trace.Out, 1, 130),
+	})
 	if s.In.Total() != 2 || s.Out.Total() != 1 || s.Total().Total() != 3 {
 		t.Fatal("totals")
 	}
@@ -87,9 +91,11 @@ func TestSizeDist(t *testing.T) {
 
 func TestMinuteSeries(t *testing.T) {
 	m := NewMinuteSeries()
-	m.Handle(rec(30*time.Second, trace.In, 1, 42))   // minute 0
-	m.Handle(rec(90*time.Second, trace.Out, 1, 142)) // minute 1
-	m.Handle(rec(61*time.Second, trace.Out, 1, 42))  // minute 1
+	m.HandleBatch([]trace.Record{
+		rec(30*time.Second, trace.In, 1, 42),   // minute 0
+		rec(90*time.Second, trace.Out, 1, 142), // minute 1
+		rec(61*time.Second, trace.Out, 1, 42),  // minute 1
+	})
 	m.PadTo(4 * time.Minute)
 
 	in := m.KbsIn()
@@ -116,11 +122,13 @@ func TestMinuteSeries(t *testing.T) {
 
 func TestIntervalWindow(t *testing.T) {
 	w := NewIntervalWindow(10*time.Millisecond, 5)
-	w.Handle(rec(0, trace.Out, 1, 100))
-	w.Handle(rec(5*time.Millisecond, trace.Out, 1, 100))
-	w.Handle(rec(12*time.Millisecond, trace.In, 1, 40))
-	w.Handle(rec(49*time.Millisecond, trace.In, 1, 40))
-	w.Handle(rec(60*time.Millisecond, trace.In, 1, 40)) // beyond window: dropped
+	w.HandleBatch([]trace.Record{
+		rec(0, trace.Out, 1, 100),
+		rec(5*time.Millisecond, trace.Out, 1, 100),
+		rec(12*time.Millisecond, trace.In, 1, 40),
+		rec(49*time.Millisecond, trace.In, 1, 40),
+		rec(60*time.Millisecond, trace.In, 1, 40), // beyond window: dropped
+	})
 	tot := w.TotalPPS()
 	if len(tot) != 5 {
 		t.Fatal("window length")
@@ -136,14 +144,18 @@ func TestIntervalWindow(t *testing.T) {
 func TestFlowBandwidth(t *testing.T) {
 	fb := NewFlowBandwidth()
 	// Session 1: 100 seconds, 10 packets of 100 B wire-ish.
+	var rs []trace.Record
 	for i := 0; i <= 100; i += 10 {
-		fb.Handle(rec(time.Duration(i)*time.Second, trace.Out, 1, 100-uint16(units.WireOverhead)))
+		rs = append(rs, rec(time.Duration(i)*time.Second, trace.Out, 1, 100-uint16(units.WireOverhead)))
 	}
-	// Session 2: too short to qualify.
-	fb.Handle(rec(0, trace.In, 2, 40))
-	fb.Handle(rec(time.Second, trace.In, 2, 40))
-	// Handshake traffic (client 0) ignored.
-	fb.Handle(rec(0, trace.In, 0, 42))
+	rs = append(rs,
+		// Session 2: too short to qualify.
+		rec(0, trace.In, 2, 40),
+		rec(time.Second, trace.In, 2, 40),
+		// Handshake traffic (client 0) ignored.
+		rec(0, trace.In, 0, 42),
+	)
+	fb.HandleBatch(rs)
 
 	if fb.NumFlows() != 2 {
 		t.Fatalf("flows = %d", fb.NumFlows())
@@ -173,9 +185,11 @@ func TestVarTimePeriodicProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rs []trace.Record
 	for i := 0; i < 4000; i++ {
-		vt.Handle(rec(time.Duration(i)*50*time.Millisecond, trace.Out, 1, 100))
+		rs = append(rs, rec(time.Duration(i)*50*time.Millisecond, trace.Out, 1, 100))
 	}
+	vt.HandleBatch(rs)
 	vt.Close(4000 * 50 * time.Millisecond)
 	pts := vt.Points()
 	if len(pts) == 0 {
@@ -215,9 +229,7 @@ func TestVarTimeHandlesDisorder(t *testing.T) {
 				recs[i], recs[i+1] = recs[i+1], recs[i]
 			}
 		}
-		for _, r := range recs {
-			vt.Handle(r)
-		}
+		vt.HandleBatch(recs)
 		vt.Close(0)
 		var out []hurst_pointlike
 		for _, p := range vt.Points() {
@@ -243,7 +255,7 @@ type hurst_pointlike struct {
 
 func TestVarTimeCloseWithTrailingSilence(t *testing.T) {
 	vt, _ := NewVarTime(10*time.Millisecond, 4)
-	vt.Handle(rec(0, trace.In, 1, 40))
+	vt.HandleBatch([]trace.Record{rec(0, trace.In, 1, 40)})
 	vt.Close(time.Second) // 100 bins total, 99 empty
 	if got := vt.Points()[0].BlockCount; got != 100 {
 		t.Errorf("base blocks = %d, want 100", got)

@@ -43,33 +43,15 @@ func NewInterarrival() *Interarrival {
 	return ia
 }
 
-// Handle implements trace.Handler.
-func (ia *Interarrival) Handle(r trace.Record) {
-	d := r.Dir
-	if ia.seen[d] {
-		gap := r.T - ia.last[d]
-		if gap >= 0 {
-			g := gap.Seconds()
-			ia.n[d]++
-			ia.sum[d] += g
-			ia.sumSq[d] += g * g
-			ia.hist[d][iaBucket(gap)]++
-			ia.total[d]++
-		}
-	}
-	ia.seen[d] = true
-	ia.last[d] = r.T
-}
-
 // HandleBatch implements trace.BatchHandler.
 func (ia *Interarrival) HandleBatch(rs []trace.Record) { viaColumns(rs, ia.HandleColumns) }
 
 // HandleColumns sweeps a column block's flags and timestamps: the
 // per-direction cursors and log₂ histogram accumulate in locals across the
 // block, with one write-back per block. (The floating-point power sums
-// accumulate per record, in exactly the order the per-record path would:
-// float addition is order-sensitive, and results must be identical
-// whatever the batch boundaries.)
+// accumulate per record, in stream order: float addition is
+// order-sensitive, and results must be identical whatever the batch
+// boundaries.)
 func (ia *Interarrival) HandleColumns(cb *trace.ColumnBlock) {
 	last, seen := ia.last, ia.seen
 	var hist [2][interarrivalBuckets]int64
@@ -185,21 +167,16 @@ type KindRow struct {
 // inventory of traffic sources: game state, handshakes, text, voice,
 // logo/map downloads).
 type KindBreakdown struct {
-	rows   map[trace.Kind]*KindRow
-	byKind [8]*KindRow // direct index for the known kinds (hot path)
+	rows [8]KindRow // indexed by the three kind bits the format stores
 }
 
 // NewKindBreakdown creates the collector.
 func NewKindBreakdown() *KindBreakdown {
-	return &KindBreakdown{rows: make(map[trace.Kind]*KindRow)}
-}
-
-// Handle implements trace.Handler.
-func (k *KindBreakdown) Handle(r trace.Record) {
-	row := k.row(r.Kind)
-	row.Packets++
-	row.AppBytes += int64(r.App)
-	row.WireBytes += int64(r.Wire())
+	k := &KindBreakdown{}
+	for kind := range k.rows {
+		k.rows[kind].Kind = trace.Kind(kind)
+	}
+	return k
 }
 
 // HandleBatch implements trace.BatchHandler.
@@ -208,7 +185,7 @@ func (k *KindBreakdown) HandleBatch(rs []trace.Record) { viaColumns(rs, k.Handle
 // HandleColumns sweeps a column block: per-kind tallies accumulate in a
 // block-local array indexed by the flags byte's three kind bits — the
 // format stores no more, so this counts a record as a file would return
-// it — and merge into the shared rows once per block.
+// it — and merge into the rows once per block.
 func (k *KindBreakdown) HandleColumns(cb *trace.ColumnBlock) {
 	var pkts, app [8]int64
 	apps := cb.App[:len(cb.Flags)]
@@ -218,37 +195,21 @@ func (k *KindBreakdown) HandleColumns(cb *trace.ColumnBlock) {
 		app[kind] += int64(apps[i])
 	}
 	for kind, n := range pkts {
-		if n == 0 {
-			continue
-		}
-		row := k.byKind[kind]
-		if row == nil {
-			row = k.row(trace.Kind(kind))
-		}
+		row := &k.rows[kind]
 		row.Packets += n
 		row.AppBytes += app[kind]
 		row.WireBytes += app[kind] + n*units.WireOverhead
 	}
 }
 
-// row returns (creating on first use) the accumulator for one kind.
-func (k *KindBreakdown) row(kind trace.Kind) *KindRow {
-	row := k.rows[kind]
-	if row == nil {
-		row = &KindRow{Kind: kind}
-		k.rows[kind] = row
-		if int(kind) < len(k.byKind) {
-			k.byKind[kind] = row
-		}
-	}
-	return row
-}
-
-// Rows returns the composition sorted by descending packet count.
+// Rows returns the composition of the kinds seen, sorted by descending
+// packet count.
 func (k *KindBreakdown) Rows() []KindRow {
 	out := make([]KindRow, 0, len(k.rows))
 	for _, r := range k.rows {
-		out = append(out, *r)
+		if r.Packets > 0 {
+			out = append(out, r)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Packets != out[j].Packets {
@@ -306,18 +267,6 @@ func NewPeriodicity(dir trace.Direction, bin time.Duration, maxLag int) *Periodi
 		recent: make([]int64, maxLag),
 		lagSum: make([]float64, maxLag+1),
 	}
-}
-
-// Handle implements trace.Handler.
-func (p *Periodicity) Handle(r trace.Record) {
-	if r.Dir != p.dir {
-		return
-	}
-	idx := int64(r.T / p.bin)
-	for idx > p.binIdx {
-		p.closeBin()
-	}
-	p.current++
 }
 
 // HandleBatch implements trace.BatchHandler.

@@ -10,16 +10,18 @@ import (
 func TestInterarrivalMeanAndCV(t *testing.T) {
 	ia := NewInterarrival()
 	// Inbound: perfectly regular 10 ms spacing → CV ≈ 0.
+	var rs []trace.Record
 	for i := 0; i < 1000; i++ {
-		ia.Handle(trace.Record{T: time.Duration(i) * 10 * time.Millisecond, Dir: trace.In})
+		rs = append(rs, trace.Record{T: time.Duration(i) * 10 * time.Millisecond, Dir: trace.In})
 	}
 	// Outbound: bursts of 5 back-to-back (1 µs apart) every 50 ms → CV ≫ 1.
 	for tick := 0; tick < 200; tick++ {
 		base := time.Duration(tick) * 50 * time.Millisecond
 		for j := 0; j < 5; j++ {
-			ia.Handle(trace.Record{T: base + time.Duration(j)*time.Microsecond, Dir: trace.Out})
+			rs = append(rs, trace.Record{T: base + time.Duration(j)*time.Microsecond, Dir: trace.Out})
 		}
 	}
+	ia.HandleBatch(rs)
 
 	if m := ia.Mean(trace.In); m < 0.0099 || m > 0.0101 {
 		t.Errorf("inbound mean = %f, want ~0.010", m)
@@ -42,9 +44,11 @@ func TestInterarrivalMeanAndCV(t *testing.T) {
 
 func TestInterarrivalHistogramTotals(t *testing.T) {
 	ia := NewInterarrival()
+	var rs []trace.Record
 	for i := 0; i < 100; i++ {
-		ia.Handle(trace.Record{T: time.Duration(i) * time.Millisecond, Dir: trace.In})
+		rs = append(rs, trace.Record{T: time.Duration(i) * time.Millisecond, Dir: trace.In})
 	}
+	ia.HandleBatch(rs)
 	_, counts := ia.Histogram(trace.In)
 	var sum int64
 	for _, c := range counts {
@@ -67,15 +71,17 @@ func TestInterarrivalEmpty(t *testing.T) {
 
 func TestKindBreakdown(t *testing.T) {
 	kb := NewKindBreakdown()
+	var rs []trace.Record
 	for i := 0; i < 90; i++ {
-		kb.Handle(trace.Record{Kind: trace.KindGame, App: 100})
+		rs = append(rs, trace.Record{Kind: trace.KindGame, App: 100})
 	}
 	for i := 0; i < 8; i++ {
-		kb.Handle(trace.Record{Kind: trace.KindDownload, App: 500})
+		rs = append(rs, trace.Record{Kind: trace.KindDownload, App: 500})
 	}
 	for i := 0; i < 2; i++ {
-		kb.Handle(trace.Record{Kind: trace.KindHandshake, App: 20})
+		rs = append(rs, trace.Record{Kind: trace.KindHandshake, App: 20})
 	}
+	kb.HandleBatch(rs)
 	rows := kb.Rows()
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
@@ -101,14 +107,16 @@ func TestPeriodicityDetectsTick(t *testing.T) {
 	// Outbound bursts of 20 packets every 50 ms, binned at 10 ms: the
 	// autocorrelation must peak at lag 5.
 	p := NewPeriodicity(trace.Out, 10*time.Millisecond, 20)
+	var rs []trace.Record
 	for tick := 0; tick < 2000; tick++ {
 		base := time.Duration(tick) * 50 * time.Millisecond
 		for j := 0; j < 20; j++ {
-			p.Handle(trace.Record{T: base + time.Duration(j)*100*time.Microsecond, Dir: trace.Out})
+			rs = append(rs, trace.Record{T: base + time.Duration(j)*100*time.Microsecond, Dir: trace.Out})
 		}
 		// Inbound noise must be ignored by the Out detector.
-		p.Handle(trace.Record{T: base + 7*time.Millisecond, Dir: trace.In})
+		rs = append(rs, trace.Record{T: base + 7*time.Millisecond, Dir: trace.In})
 	}
+	p.HandleBatch(rs)
 	p.Flush()
 	tick, corr := p.Tick()
 	if tick != 50*time.Millisecond {
@@ -123,9 +131,11 @@ func TestPeriodicityNoSignal(t *testing.T) {
 	// A constant-rate stream has no positive autocorrelation peak after
 	// mean removal: every bin identical → zero variance → no tick.
 	p := NewPeriodicity(trace.In, 10*time.Millisecond, 20)
+	var rs []trace.Record
 	for i := 0; i < 5000; i++ {
-		p.Handle(trace.Record{T: time.Duration(i) * time.Millisecond, Dir: trace.In})
+		rs = append(rs, trace.Record{T: time.Duration(i) * time.Millisecond, Dir: trace.In})
 	}
+	p.HandleBatch(rs)
 	p.Flush()
 	if tick, corr := p.Tick(); tick != 0 {
 		t.Errorf("detected spurious tick %v (corr %.3f)", tick, corr)
@@ -137,7 +147,7 @@ func TestPeriodicityEmptyAndTiny(t *testing.T) {
 	if ac := p.Autocorrelation(); ac != nil {
 		t.Error("empty detector returned autocorrelation")
 	}
-	p.Handle(trace.Record{T: 0, Dir: trace.Out})
+	p.HandleBatch([]trace.Record{{T: 0, Dir: trace.Out}})
 	p.Flush()
 	if tick, _ := p.Tick(); tick != 0 {
 		t.Errorf("single-bin detector found tick %v", tick)
@@ -149,13 +159,15 @@ func TestPeriodicityOnGeneratedTraffic(t *testing.T) {
 	// tick. Build a tiny synthetic broadcast pattern mimicking gamesim
 	// output shape (jittered burst offsets) to keep the test fast.
 	p := NewPeriodicity(trace.Out, 10*time.Millisecond, 30)
+	var rs []trace.Record
 	for tick := 0; tick < 3000; tick++ {
 		base := time.Duration(tick) * 50 * time.Millisecond
 		for j := 0; j < 18; j++ {
 			off := time.Duration(j) * 120 * time.Microsecond
-			p.Handle(trace.Record{T: base + off, Dir: trace.Out, App: 130})
+			rs = append(rs, trace.Record{T: base + off, Dir: trace.Out, App: 130})
 		}
 	}
+	p.HandleBatch(rs)
 	p.Flush()
 	tick, _ := p.Tick()
 	if tick != 50*time.Millisecond {

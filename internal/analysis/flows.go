@@ -87,23 +87,6 @@ func (fb *FlowBandwidth) each(visit func(*FlowStats)) {
 	}
 }
 
-// Handle implements trace.Handler.
-func (fb *FlowBandwidth) Handle(r trace.Record) {
-	if r.Client == 0 {
-		return
-	}
-	f := fb.flow(r.Client, r.T)
-	if r.T > f.Last {
-		f.Last = r.T
-	}
-	if r.T < f.First {
-		f.First = r.T
-	}
-	f.Packets++
-	f.AppBytes += int64(r.App)
-	f.WireBytes += int64(r.Wire())
-}
-
 // HandleBatch implements trace.BatchHandler.
 func (fb *FlowBandwidth) HandleBatch(rs []trace.Record) { viaColumns(rs, fb.HandleColumns) }
 

@@ -73,18 +73,19 @@ func workloadRecords(t *testing.T) (SuiteConfig, []trace.Record, map[string]any)
 }
 
 // TestShardedMatchesSingleThreaded: the same workload through the
-// per-record path, the batch path and the sharded path at every worker
-// count from 2 to 10 — every chunk shape of the nine-unit deal, and the
-// clamp above it — yields identical collector state: the determinism
+// reference record sweeps, the batch path and the sharded path at every
+// worker count from 2 to 10 — every chunk shape of the nine-unit deal, and
+// the clamp above it — yields identical collector state: the determinism
 // contract of sharded mode. Run with -race to exercise the concurrency.
 func TestShardedMatchesSingleThreaded(t *testing.T) {
 	cfg := shardWorkload(t)
 	sc := DefaultSuiteConfig(cfg.Duration)
 
-	// Reference: per-record delivery (the legacy path) via an adapter that
-	// hides the suite's BatchHandler from trace.Dispatch.
+	// Reference: sweep_test.go's record sweeps, one record at a time, which
+	// share no code with the column sweeps under test.
 	ref := newTestSuite(t, sc)
-	if _, err := gamesim.Run(cfg, trace.HandlerFunc(ref.Handle), ref.Observe); err != nil {
+	refFeed := trace.HandlerFunc(func(r trace.Record) { refSweep(ref, []trace.Record{r}) })
+	if _, err := gamesim.Run(cfg, refFeed, ref.Observe); err != nil {
 		t.Fatal(err)
 	}
 	ref.Close()
@@ -96,7 +97,7 @@ func TestShardedMatchesSingleThreaded(t *testing.T) {
 	}
 	batched.Close()
 	if got := suiteFingerprint(batched); !reflect.DeepEqual(want, got) {
-		t.Errorf("batched suite diverges from per-record suite")
+		t.Errorf("batched suite diverges from the reference sweeps")
 		diffFingerprint(t, want, got)
 	}
 
@@ -108,7 +109,7 @@ func TestShardedMatchesSingleThreaded(t *testing.T) {
 		}
 		sh.Close()
 		if got := suiteFingerprint(s); !reflect.DeepEqual(want, got) {
-			t.Errorf("sharded(%d) suite diverges from per-record suite", workers)
+			t.Errorf("sharded(%d) suite diverges from the reference sweeps", workers)
 			diffFingerprint(t, want, got)
 		}
 		ds := sh.Depths()

@@ -30,11 +30,8 @@ func NewSlimSuite(duration time.Duration) *SlimSuite {
 	return &SlimSuite{duration: duration, Minutes: NewMinuteSeries()}
 }
 
-// Handle implements trace.Handler.
-func (s *SlimSuite) Handle(r trace.Record) {
-	s.Count.Handle(r)
-	s.Minutes.Handle(r)
-}
+// Handle implements trace.Handler: one record is a one-record batch.
+func (s *SlimSuite) Handle(r trace.Record) { s.HandleBatch([]trace.Record{r}) }
 
 // HandleBatch implements trace.BatchHandler: the batch is transposed once
 // into the suite's scratch columns for both sweeps.

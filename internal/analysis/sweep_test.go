@@ -9,7 +9,6 @@ import (
 
 	"cstrace/internal/gamesim"
 	"cstrace/internal/trace"
-	"cstrace/internal/units"
 )
 
 // The record-block sweeps the nine shard units ran before every collector
@@ -204,29 +203,11 @@ func refGaps(ia *Interarrival, rs []trace.Record) {
 }
 
 func refKinds(k *KindBreakdown, rs []trace.Record) {
-	var pkts, app [8]int64
 	for _, r := range rs {
-		if int(r.Kind) < len(pkts) {
-			pkts[r.Kind]++
-			app[r.Kind] += int64(r.App)
-		} else {
-			row := k.row(r.Kind)
-			row.Packets++
-			row.AppBytes += int64(r.App)
-			row.WireBytes += int64(r.Wire())
-		}
-	}
-	for kind, n := range pkts {
-		if n == 0 {
-			continue
-		}
-		row := k.byKind[kind]
-		if row == nil {
-			row = k.row(trace.Kind(kind))
-		}
-		row.Packets += n
-		row.AppBytes += app[kind]
-		row.WireBytes += app[kind] + n*units.WireOverhead
+		row := &k.rows[r.Kind]
+		row.Packets++
+		row.AppBytes += int64(r.App)
+		row.WireBytes += int64(r.Wire())
 	}
 }
 
@@ -382,7 +363,8 @@ func TestColumnSweepsMatchRecordSweeps(t *testing.T) {
 
 // TestKindPastThreeBitsCountsAsOnDisk: the format stores three bits of
 // Kind, so a Kind 9 record reads back from a file as Kind 1. The suite
-// counts an in-memory record the way it counts it after that round trip.
+// counts an in-memory record the way it counts it after that round trip,
+// whether it is handed a batch or one record at a time.
 func TestKindPastThreeBitsCountsAsOnDisk(t *testing.T) {
 	recs := []trace.Record{
 		{T: 0, Dir: trace.In, Kind: 9, Client: 1, App: 40},
@@ -391,6 +373,8 @@ func TestKindPastThreeBitsCountsAsOnDisk(t *testing.T) {
 	}
 	mem := newTestSuite(t, SuiteConfig{Duration: time.Second})
 	mem.HandleBatch(recs)
+	perRecord := newTestSuite(t, SuiteConfig{Duration: time.Second})
+	trace.Dispatch(trace.HandlerFunc(perRecord.Handle), recs)
 
 	var file bytes.Buffer
 	w := trace.NewWriter(&file)
@@ -402,9 +386,12 @@ func TestKindPastThreeBitsCountsAsOnDisk(t *testing.T) {
 	if _, err := trace.NewReader(&file).ReadAll(disk); err != nil {
 		t.Fatal(err)
 	}
-	got, want := mem.Kinds.Rows(), disk.Kinds.Rows()
-	if !reflect.DeepEqual(got, want) {
+	want := disk.Kinds.Rows()
+	if got := mem.Kinds.Rows(); !reflect.DeepEqual(got, want) {
 		t.Errorf("in memory %+v, after a v4 round trip %+v", got, want)
+	}
+	if got := perRecord.Kinds.Rows(); !reflect.DeepEqual(got, want) {
+		t.Errorf("one record at a time %+v, after a v4 round trip %+v", got, want)
 	}
 	for i, kind := range []trace.Kind{0, 1, trace.KindText} {
 		if i >= len(want) || want[i].Kind != kind || want[i].Packets != 1 {

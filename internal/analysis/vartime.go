@@ -38,26 +38,6 @@ func NewVarTime(base time.Duration, levels int) (*VarTime, error) {
 	return &VarTime{base: base, ladder: d, ring: make([]float64, ringSlack)}, nil
 }
 
-// Handle implements trace.Handler.
-func (v *VarTime) Handle(r trace.Record) {
-	idx := int64(r.T / v.base)
-	if !v.started {
-		v.started = true
-	}
-	if idx < v.head {
-		// Deep reordering beyond the slack window: account the packet to
-		// the oldest open bin rather than losing it.
-		idx = v.head
-	}
-	for idx >= v.head+int64(len(v.ring)) {
-		v.flushOne()
-	}
-	v.ring[idx%int64(len(v.ring))]++
-	if idx > v.maxIdx {
-		v.maxIdx = idx
-	}
-}
-
 // HandleBatch implements trace.BatchHandler.
 func (v *VarTime) HandleBatch(rs []trace.Record) { viaColumns(rs, v.HandleColumns) }
 
@@ -76,7 +56,7 @@ func (v *VarTime) HandleColumns(cb *trace.ColumnBlock) {
 		lo := time.Duration(idx) * v.base
 		j := runEnd(ts, i, lo, lo+v.base)
 		// Deep reordering beyond the slack window lands in the oldest
-		// open bin, as in Handle.
+		// open bin rather than being lost.
 		idx = max(idx, v.head)
 		for idx >= v.head+n {
 			v.flushOne()

@@ -132,13 +132,14 @@ func TestResample(t *testing.T) {
 
 func TestSizeCDF(t *testing.T) {
 	d := analysis.NewSizeDist(600)
+	var rs []trace.Record
 	for i := 0; i < 90; i++ {
-		d.Handle(trace.Record{Dir: trace.In, App: 40})
-		d.Handle(trace.Record{Dir: trace.Out, App: 130})
+		rs = append(rs, trace.Record{Dir: trace.In, App: 40}, trace.Record{Dir: trace.Out, App: 130})
 	}
 	for i := 0; i < 10; i++ {
-		d.Handle(trace.Record{Dir: trace.Out, App: 300})
+		rs = append(rs, trace.Record{Dir: trace.Out, App: 300})
 	}
+	d.HandleBatch(rs)
 	var buf bytes.Buffer
 	SizeCDF(&buf, "Figure 13", d)
 	out := buf.String()
@@ -153,10 +154,11 @@ func TestSizeCDF(t *testing.T) {
 
 func TestComposition(t *testing.T) {
 	k := analysis.NewKindBreakdown()
+	var rs []trace.Record
 	for i := 0; i < 9; i++ {
-		k.Handle(trace.Record{Kind: trace.KindGame, App: 100})
+		rs = append(rs, trace.Record{Kind: trace.KindGame, App: 100})
 	}
-	k.Handle(trace.Record{Kind: trace.KindDownload, App: 900})
+	k.HandleBatch(append(rs, trace.Record{Kind: trace.KindDownload, App: 900}))
 	var buf bytes.Buffer
 	Composition(&buf, k)
 	out := buf.String()
@@ -170,10 +172,12 @@ func TestComposition(t *testing.T) {
 
 func TestBurstiness(t *testing.T) {
 	ia := analysis.NewInterarrival()
+	var rs []trace.Record
 	for i := 0; i < 100; i++ {
-		ia.Handle(trace.Record{T: time.Duration(i) * time.Millisecond, Dir: trace.In})
-		ia.Handle(trace.Record{T: time.Duration(i) * time.Millisecond, Dir: trace.Out})
+		t := time.Duration(i) * time.Millisecond
+		rs = append(rs, trace.Record{T: t, Dir: trace.In}, trace.Record{T: t, Dir: trace.Out})
 	}
+	ia.HandleBatch(rs)
 	var buf bytes.Buffer
 	Burstiness(&buf, ia, 50*time.Millisecond, 0.97)
 	out := buf.String()

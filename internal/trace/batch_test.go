@@ -94,8 +94,8 @@ func TestBatchGoldenFilter(t *testing.T) {
 	equalStreams(t, "filter", a.Records, b.Records)
 }
 
-// TestBatchGoldenSortBuffer: both heap paths release the same totally
-// ordered stream, including tie order.
+// TestBatchGoldenSortBuffer: a per-record feed and a block feed release the
+// same totally ordered stream, including tie order.
 func TestBatchGoldenSortBuffer(t *testing.T) {
 	recs := testStream(20_000)
 	var a, b Collect
@@ -115,7 +115,7 @@ func TestBatchGoldenSortBuffer(t *testing.T) {
 
 // TestSortBufferMixedFeeds interleaves the per-record and batch entry
 // points; the released stream must still match the pure per-record feed
-// (both are the (T, seq) total order of the input).
+// (both are the (T, arrival) total order of the input).
 func TestSortBufferMixedFeeds(t *testing.T) {
 	recs := testStream(20_000)
 	var a, b Collect

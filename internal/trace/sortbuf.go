@@ -2,7 +2,6 @@ package trace
 
 import (
 	"cmp"
-	"container/heap"
 	"slices"
 	"time"
 )
@@ -12,13 +11,11 @@ import (
 // tick). Records are released once the stream's high-water mark has moved
 // slack past them; ties release in arrival order.
 //
-// The per-record path holds records in a min-heap. The batch path instead
-// appends arrivals to an unsorted pending buffer and, on release, partitions
-// out the eligible records and sorts just those — the input is nearly sorted,
-// so the sort is close to linear, and it touches each record once instead of
-// paying a heap sift on every insert. Both paths share one total order
-// (timestamp, then arrival), so they interleave freely and emit identical
-// streams.
+// Both entry points append arrivals to one unsorted pending buffer and, on
+// release, partition out the eligible records and sort just those — the
+// input is nearly sorted, so the sort is close to linear. The records leave
+// in (timestamp, arrival) order, always as blocks of at most BlockSize, so a
+// per-record feed and a batch feed release the same stream.
 //
 // Consumers that need exact ordering — the binary trace writer, the NAT
 // queueing model — sit behind a SortBuffer; order-insensitive collectors
@@ -27,11 +24,8 @@ type SortBuffer struct {
 	slack   time.Duration
 	next    Handler
 	maxSeen time.Duration
-	h       sortHeap // record-path arrivals (heap order)
-	pend    []Record // batch-path arrivals, in arrival order; all newer than h
-	seq     uint64   // arrival number of the next heap entry
+	pend    []Record // arrivals not yet released, in arrival order
 	sorter  timeSorter
-	scratch Block // reused downstream release buffer
 }
 
 // NewSortBuffer creates a buffer releasing records slack behind the
@@ -40,71 +34,33 @@ func NewSortBuffer(slack time.Duration, next Handler) *SortBuffer {
 	return &SortBuffer{slack: slack, next: next}
 }
 
-// Handle implements Handler.
-func (s *SortBuffer) Handle(r Record) {
-	// Mixed feeds: fold pending batch arrivals into the heap once, so the
-	// per-record path keeps its O(log n) cost instead of rescanning the
-	// pending buffer on every packet. They fold in arrival order, so every
-	// heap entry stays older than anything a later batch leaves pending.
-	for _, p := range s.pend {
-		s.h.pushItem(sortItem{r: p, seq: s.seq})
-		s.seq++
-	}
-	s.pend = s.pend[:0]
-	heap.Push(&s.h, sortItem{r: r, seq: s.seq})
-	s.seq++
-	if r.T > s.maxSeen {
-		s.maxSeen = r.T
-	}
-	for len(s.h) > 0 && s.h[0].r.T <= s.maxSeen-s.slack {
-		s.next.Handle(heap.Pop(&s.h).(sortItem).r)
-	}
-}
+// Handle implements Handler: one record is a one-record batch.
+func (s *SortBuffer) Handle(r Record) { s.HandleBatch([]Record{r}) }
 
 // HandleBatch implements BatchHandler.
 func (s *SortBuffer) HandleBatch(rs []Record) {
 	for _, r := range rs {
-		if r.T > s.maxSeen {
-			s.maxSeen = r.T
-		}
+		s.maxSeen = max(s.maxSeen, r.T)
 	}
 	s.pend = append(s.pend, rs...)
 	s.release(s.maxSeen - s.slack)
 }
 
 // release emits every buffered record with T <= watermark, in total order,
-// delivering them downstream in blocks.
+// delivering them downstream in blocks of at most BlockSize.
 func (s *SortBuffer) release(watermark time.Duration) {
 	elig := s.sorter.take(&s.pend, watermark)
-	defer s.sorter.done(&s.pend)
-	if cap(s.scratch) == 0 {
-		s.scratch = make(Block, 0, BlockSize)
+	for len(elig) > 0 {
+		n := min(len(elig), BlockSize)
+		Dispatch(s.next, elig[:n])
+		elig = elig[n:]
 	}
-	blk := s.scratch[:0]
-	for {
-		var r Record
-		// A heap entry predates every pending one, so it wins a tie.
-		if len(s.h) > 0 && s.h[0].r.T <= watermark && (len(elig) == 0 || s.h[0].r.T <= elig[0].T) {
-			r = s.h.popItem().r
-		} else if len(elig) > 0 {
-			r, elig = elig[0], elig[1:]
-		} else {
-			break
-		}
-		blk = append(blk, r)
-		if len(blk) == cap(blk) {
-			Dispatch(s.next, blk)
-			blk = blk[:0]
-		}
-	}
-	Dispatch(s.next, blk)
-	s.scratch = blk[:0]
+	s.sorter.done(&s.pend)
 }
 
 // timeSorter is the package's one stable time-sort, shared by both reorder
-// buffers (SortBuffer's batch path and Writer.SortWindow): partition a
-// pending buffer at a watermark and put the eligible records in (T, arrival)
-// order.
+// buffers (SortBuffer and Writer.SortWindow): partition a pending buffer at
+// a watermark and put the eligible records in (T, arrival) order.
 type timeSorter struct {
 	elig   []Record // reused partition buffer
 	keys   []uint64 // reused packed sort keys
@@ -193,72 +149,4 @@ func (s *SortBuffer) Flush() {
 }
 
 // Pending returns the number of buffered records.
-func (s *SortBuffer) Pending() int { return len(s.h) + len(s.pend) }
-
-type sortItem struct {
-	r   Record
-	seq uint64
-}
-
-type sortHeap []sortItem
-
-func (h sortHeap) Len() int { return len(h) }
-func (h sortHeap) Less(i, j int) bool {
-	if h[i].r.T != h[j].r.T {
-		return h[i].r.T < h[j].r.T
-	}
-	return h[i].seq < h[j].seq
-}
-func (h sortHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *sortHeap) Push(x any)   { *h = append(*h, x.(sortItem)) }
-func (h *sortHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// pushItem is the non-boxing equivalent of heap.Push, used when folding
-// batch arrivals into the heap; it maintains the same binary-heap invariant.
-func (h *sortHeap) pushItem(it sortItem) {
-	*h = append(*h, it)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !a.Less(i, parent) {
-			break
-		}
-		a[i], a[parent] = a[parent], a[i]
-		i = parent
-	}
-}
-
-// popItem is the non-boxing equivalent of heap.Pop used by release; it
-// maintains the same binary-heap invariant, so the two paths mix freely.
-func (h *sortHeap) popItem() sortItem {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a = a[:n]
-	*h = a
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && a.Less(l, smallest) {
-			smallest = l
-		}
-		if r < n && a.Less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		a[i], a[smallest] = a[smallest], a[i]
-		i = smallest
-	}
-	return top
-}
+func (s *SortBuffer) Pending() int { return len(s.pend) }

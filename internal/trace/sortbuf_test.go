@@ -58,6 +58,41 @@ func TestSortBufferReleasesEagerly(t *testing.T) {
 	}
 }
 
+// callCounter is a downstream that counts how each record reached it.
+type callCounter struct {
+	Collect
+	handles, largest int
+}
+
+func (c *callCounter) Handle(r Record) { c.handles++; c.Collect.Handle(r) }
+
+func (c *callCounter) HandleBatch(rs []Record) {
+	c.largest = max(c.largest, len(rs))
+	c.Collect.HandleBatch(rs)
+}
+
+// TestSortBufferReleasesBlocks: fed one record at a time, a SortBuffer
+// still hands a batch downstream only in blocks, and releases the stream a
+// block feed does.
+func TestSortBufferReleasesBlocks(t *testing.T) {
+	recs := testStream(20_000)
+	var perRecord, batched callCounter
+	sa := NewSortBuffer(50*time.Millisecond, &perRecord)
+	feedRecords(sa, recs)
+	sa.Flush()
+	sb := NewSortBuffer(50*time.Millisecond, &batched)
+	feedBlocks(sb, recs)
+	sb.Flush()
+	if perRecord.handles != 0 || batched.handles != 0 {
+		t.Errorf("downstream Handle called %d times on the per-record feed, %d on the block feed; want 0",
+			perRecord.handles, batched.handles)
+	}
+	if l := max(perRecord.largest, batched.largest); l > BlockSize {
+		t.Errorf("released a block of %d records, want at most BlockSize", l)
+	}
+	equalStreams(t, "per-record vs block feed", batched.Records, perRecord.Records)
+}
+
 func TestSortBufferProperty(t *testing.T) {
 	f := func(deltas []int16) bool {
 		var out Collect
