@@ -247,9 +247,10 @@ func (a *TraceAnalysis) WriteReport(w io.Writer) error {
 // AnalyzeTraceRange is AnalyzeTrace restricted to the records with
 // from ≤ T < to. For an indexed (v2+) trace on a seekable source only the
 // overlapping file segments are read and decoded (trace.Reader.ReadRange),
-// so slicing an hour out of a week costs an hour's I/O — and on a columnar
-// (v4) trace the closing boundary segment inflates only up to the cut. Collectors that bin
-// by absolute time (minute series, interval windows) keep their absolute
+// so slicing an hour out of a week costs an hour's I/O. Every segment it
+// touches decodes whole, the boundary ones included, so damage anywhere in
+// one fails the call with trace.ErrCorrupt. Collectors that bin by
+// absolute time (minute series, interval windows) keep their absolute
 // positions; Table II/III rates are computed over the observed span of the
 // slice. parallelism shards the collector groups as in AnalyzeTrace.
 func AnalyzeTraceRange(src io.Reader, parallelism int, from, to time.Duration) (*TraceAnalysis, error) {

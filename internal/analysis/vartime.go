@@ -11,10 +11,11 @@ import (
 // (the paper uses m = 10 ms), into a dyadic variance-time ladder — the
 // machinery behind Fig 5 and the Hurst estimates.
 //
-// Record streams from the generator are time-ordered only up to one server
-// tick of slack (per-client schedules interleave within a tick window), so
-// VarTime keeps a small ring of open bins and flushes them to the ladder
-// once the stream has safely moved past.
+// The generator and the fleet merge emit strictly time-ordered streams, and
+// a live capture reaches the suite through a SortBuffer. VarTime still
+// keeps a small ring of open bins, flushed to the ladder once the stream
+// has safely moved past, so a stream disordered by less than the ring
+// bins exactly.
 type VarTime struct {
 	base    time.Duration
 	ladder  *hurst.Dyadic

@@ -31,15 +31,13 @@ const CaptureSegmentPayload = 2048
 //
 // The capture is crash-only: segments are small (CaptureSegmentPayload),
 // every sealed frame is fsynced before the next begins (SyncEvery = 1, when
-// out can Sync), and a timed pump releases the reorder window so records
-// stop aging in memory even when the record rate is too low to trip the
-// writer's count-based release. Kill the process at any point and the file
-// on disk is a valid segment stream that trace.Recover salvages.
+// out can Sync), and the writer's reorder window releases on every batch, so
+// no record older than the window waits in memory. Kill the process at any
+// point and the file on disk is a valid segment stream that trace.Recover
+// salvages.
 type Capture struct {
-	mu          sync.Mutex
-	w           *trace.Writer
-	lastRelease time.Time
-	window      time.Duration
+	mu sync.Mutex
+	w  *trace.Writer
 }
 
 // NewCapture creates a capture writing the v4 format to out. tick is the
@@ -52,21 +50,13 @@ func NewCapture(out io.Writer, tick time.Duration) *Capture {
 	w.SortWindow = 4 * tick
 	w.SegmentPayload = CaptureSegmentPayload
 	w.SyncEvery = 1
-	return &Capture{w: w, window: w.SortWindow, lastRelease: time.Now()}
+	return &Capture{w: w}
 }
 
 // HandleBatch implements trace.BatchHandler (the BatchTap contract).
 func (c *Capture) HandleBatch(rs []trace.Record) {
 	c.mu.Lock()
 	c.w.HandleBatch(rs)
-	// Timed pump: at low record rates the writer's count-based reorder
-	// release may never trip, leaving everything unsealed until Flush — the
-	// exact bytes a crash destroys. Once per window, push the aged span of
-	// the reorder buffer down into segments.
-	if now := time.Now(); now.Sub(c.lastRelease) > c.window {
-		c.lastRelease = now
-		_ = c.w.Release() // the latched error resurfaces on Flush/Err
-	}
 	c.mu.Unlock()
 }
 

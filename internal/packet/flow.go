@@ -15,57 +15,3 @@ type Endpoint struct {
 
 // String renders "a.b.c.d:port".
 func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.Addr, e.Port) }
-
-// Flow is a directed (src, dst) endpoint pair.
-type Flow struct {
-	Src, Dst Endpoint
-}
-
-// NewFlow builds a flow from source to destination.
-func NewFlow(src, dst Endpoint) Flow { return Flow{Src: src, Dst: dst} }
-
-// Reverse returns the flow in the opposite direction.
-func (f Flow) Reverse() Flow { return Flow{Src: f.Dst, Dst: f.Src} }
-
-// String renders "src -> dst".
-func (f Flow) String() string { return f.Src.String() + " -> " + f.Dst.String() }
-
-// FastHash returns a symmetric non-cryptographic hash: f and f.Reverse()
-// hash identically, so bidirectional traffic load-balances to the same
-// bucket (the property gopacket documents for its Flow.FastHash).
-func (f Flow) FastHash() uint64 {
-	a := f.Src.hash()
-	b := f.Dst.hash()
-	// Combine symmetrically: unordered pair.
-	return mix(a^b) ^ mix(a+b)
-}
-
-func (e Endpoint) hash() uint64 {
-	var h uint64 = 1469598103934665603 // FNV offset basis
-	if e.Addr.Is4() {
-		a4 := e.Addr.As4()
-		for _, c := range a4 {
-			h = (h ^ uint64(c)) * 1099511628211
-		}
-	}
-	h = (h ^ uint64(e.Port&0xff)) * 1099511628211
-	h = (h ^ uint64(e.Port>>8)) * 1099511628211
-	return h
-}
-
-func mix(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// FlowFromLayers extracts the UDP flow from decoded IPv4/UDP layers.
-func FlowFromLayers(ip *IPv4, udp *UDP) Flow {
-	return Flow{
-		Src: Endpoint{Addr: ip.Src, Port: udp.SrcPort},
-		Dst: Endpoint{Addr: ip.Dst, Port: udp.DstPort},
-	}
-}

@@ -3,74 +3,10 @@ package packet
 import (
 	"net/netip"
 	"testing"
-	"testing/quick"
 )
 
-func ep(a, b, c, d byte, port uint16) Endpoint {
-	return Endpoint{Addr: netip.AddrFrom4([4]byte{a, b, c, d}), Port: port}
-}
-
-func TestFlowBasics(t *testing.T) {
-	f := NewFlow(ep(10, 0, 0, 1, 27005), ep(10, 0, 0, 2, 27015))
-	r := f.Reverse()
-	if r.Src != f.Dst || r.Dst != f.Src {
-		t.Error("Reverse")
-	}
-	if f.String() != "10.0.0.1:27005 -> 10.0.0.2:27015" {
-		t.Errorf("String = %q", f.String())
-	}
-	if f == r {
-		t.Error("flow should not equal its reverse")
-	}
-	// Flows are comparable map keys.
-	m := map[Flow]int{f: 1, r: 2}
-	if m[f] != 1 || m[r] != 2 {
-		t.Error("map keys")
-	}
-}
-
-func TestFastHashSymmetry(t *testing.T) {
-	f := func(a, b, c, d byte, p1, p2 uint16) bool {
-		fl := NewFlow(ep(a, b, c, d, p1), ep(d, a, b, c, p2))
-		return fl.FastHash() == fl.Reverse().FastHash()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFastHashSpreads(t *testing.T) {
-	// Distinct flows should rarely collide in the low bits used for
-	// load balancing.
-	buckets := make(map[uint64]int)
-	for i := 0; i < 4096; i++ {
-		f := NewFlow(
-			ep(10, byte(i>>8), byte(i), 1, uint16(20000+i)),
-			ep(192, 168, 0, 1, 27015),
-		)
-		buckets[f.FastHash()&0x7]++
-	}
-	for b, n := range buckets {
-		if n < 4096/8/2 || n > 4096/8*2 {
-			t.Errorf("bucket %d has %d flows; poor spread", b, n)
-		}
-	}
-}
-
-func TestFlowFromLayers(t *testing.T) {
-	ip := &IPv4{
-		Src: netip.AddrFrom4([4]byte{1, 2, 3, 4}),
-		Dst: netip.AddrFrom4([4]byte{5, 6, 7, 8}),
-	}
-	udp := &UDP{SrcPort: 1000, DstPort: 500}
-	f := FlowFromLayers(ip, udp)
-	if f.Src != ep(1, 2, 3, 4, 1000) || f.Dst != ep(5, 6, 7, 8, 500) {
-		t.Errorf("flow = %v", f)
-	}
-}
-
 func TestEndpointString(t *testing.T) {
-	e := ep(192, 168, 1, 10, 27015)
+	e := Endpoint{Addr: netip.AddrFrom4([4]byte{192, 168, 1, 10}), Port: 27015}
 	if e.String() != "192.168.1.10:27015" {
 		t.Errorf("String = %q", e.String())
 	}

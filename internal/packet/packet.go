@@ -24,8 +24,6 @@ const (
 	LayerTypeIPv4
 	LayerTypeUDP
 	LayerTypeTCP
-	LayerTypeICMPv4
-	LayerTypeARP
 	LayerTypePayload
 )
 
@@ -40,10 +38,6 @@ func (t LayerType) String() string {
 		return "UDP"
 	case LayerTypeTCP:
 		return "TCP"
-	case LayerTypeICMPv4:
-		return "ICMPv4"
-	case LayerTypeARP:
-		return "ARP"
 	case LayerTypePayload:
 		return "Payload"
 	}
@@ -83,7 +77,6 @@ var (
 // EtherType values used in the trace.
 const (
 	EtherTypeIPv4 uint16 = 0x0800
-	EtherTypeARP  uint16 = 0x0806
 	EtherTypeVLAN uint16 = 0x8100
 )
 
@@ -119,11 +112,8 @@ func (e *Ethernet) LayerPayload() []byte { return e.payload }
 
 // NextLayerType implements DecodingLayer.
 func (e *Ethernet) NextLayerType() LayerType {
-	switch e.EtherType {
-	case EtherTypeIPv4:
+	if e.EtherType == EtherTypeIPv4 {
 		return LayerTypeIPv4
-	case EtherTypeARP:
-		return LayerTypeARP
 	}
 	return LayerTypePayload
 }
@@ -221,8 +211,6 @@ func (ip *IPv4) NextLayerType() LayerType {
 		return LayerTypeUDP
 	case IPProtoTCP:
 		return LayerTypeTCP
-	case IPProtoICMPv4:
-		return LayerTypeICMPv4
 	}
 	return LayerTypePayload
 }

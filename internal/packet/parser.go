@@ -3,15 +3,13 @@ package packet
 // Parser decodes an Ethernet frame into preallocated layers without
 // allocating, in the manner of gopacket's DecodingLayerParser. It handles
 // the stacks the trace tooling processes — Ethernet(+802.1Q)/IPv4 over UDP
-// (game traffic), TCP (bulk/web baseline), ICMPv4 (probes) and ARP — and it
-// is the hot path for bulk trace processing.
+// (game traffic) and TCP (bulk/web baseline) — and it is the hot path for
+// bulk trace processing.
 type Parser struct {
-	Eth  Ethernet
-	IP   IPv4
-	UDP  UDP
-	TCP  TCP
-	ICMP ICMPv4
-	ARP  ARP
+	Eth Ethernet
+	IP  IPv4
+	UDP UDP
+	TCP TCP
 	// AppPayload aliases into the most recent packet's application bytes.
 	AppPayload []byte
 }
@@ -28,15 +26,7 @@ func (p *Parser) DecodeLayers(data []byte, decoded *[]LayerType) error {
 		return err
 	}
 	*decoded = append(*decoded, LayerTypeEthernet)
-	switch p.Eth.NextLayerType() {
-	case LayerTypeIPv4:
-	case LayerTypeARP:
-		if err := p.ARP.DecodeFromBytes(p.Eth.LayerPayload()); err != nil {
-			return err
-		}
-		*decoded = append(*decoded, LayerTypeARP)
-		return nil
-	default:
+	if p.Eth.NextLayerType() != LayerTypeIPv4 {
 		p.AppPayload = p.Eth.LayerPayload()
 		return nil
 	}
@@ -59,12 +49,6 @@ func (p *Parser) DecodeLayers(data []byte, decoded *[]LayerType) error {
 		}
 		*decoded = append(*decoded, LayerTypeTCP)
 		p.AppPayload = p.TCP.LayerPayload()
-	case LayerTypeICMPv4:
-		if err := p.ICMP.DecodeFromBytes(p.IP.LayerPayload()); err != nil {
-			return err
-		}
-		*decoded = append(*decoded, LayerTypeICMPv4)
-		p.AppPayload = p.ICMP.LayerPayload()
 	default:
 		p.AppPayload = p.IP.LayerPayload()
 		return nil

@@ -5,11 +5,8 @@ import (
 	"net/netip"
 )
 
-// IP protocol numbers for the transports the trace analysis distinguishes.
-const (
-	IPProtoICMPv4 = 1
-	IPProtoTCP    = 6
-)
+// IPProtoTCP is the IPv4 protocol number for TCP.
+const IPProtoTCP = 6
 
 // TCP is the transport layer of the bulk-transfer traffic the paper
 // contrasts game traffic against (§IV-A: "the majority of traffic being
@@ -188,12 +185,4 @@ func TransportChecksum(src, dst netip.Addr, proto uint8, segment []byte) uint16 
 		sum = (sum >> 16) + (sum & 0xffff)
 	}
 	return ^uint16(sum)
-}
-
-// FlowFromTCPLayers extracts the TCP flow from decoded IPv4/TCP layers.
-func FlowFromTCPLayers(ip *IPv4, tcp *TCP) Flow {
-	return Flow{
-		Src: Endpoint{Addr: ip.Src, Port: tcp.SrcPort},
-		Dst: Endpoint{Addr: ip.Dst, Port: tcp.DstPort},
-	}
 }

@@ -181,18 +181,3 @@ func TestTCPQuickRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestFlowFromTCPLayers(t *testing.T) {
-	ip := &IPv4{
-		Src: netip.AddrFrom4([4]byte{1, 2, 3, 4}),
-		Dst: netip.AddrFrom4([4]byte{5, 6, 7, 8}),
-	}
-	tcp := &TCP{SrcPort: 1234, DstPort: 80}
-	f := FlowFromTCPLayers(ip, tcp)
-	if f.Src.Port != 1234 || f.Dst.Port != 80 {
-		t.Errorf("flow = %v", f)
-	}
-	if f.FastHash() != f.Reverse().FastHash() {
-		t.Error("FastHash not symmetric")
-	}
-}

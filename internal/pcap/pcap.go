@@ -28,6 +28,10 @@ const (
 	LinkTypeRaw      uint32 = 101
 )
 
+// maxSnapLen is libpcap's maximum snap length: no capture tool stores more
+// than this many bytes of one packet.
+const maxSnapLen = 262144
+
 // Header errors.
 var (
 	ErrBadMagic   = errors.New("pcap: bad magic number")
@@ -190,7 +194,10 @@ func (r *Reader) ReadPacket() (CaptureInfo, []byte, error) {
 	sub := r.order.Uint32(b[4:8])
 	capLen := r.order.Uint32(b[8:12])
 	origLen := r.order.Uint32(b[12:16])
-	if capLen > r.hdr.SnapLen && r.hdr.SnapLen > 0 {
+	// The capture length sizes an allocation before any packet byte is
+	// read, so it is bounded whatever the file header claims (a SnapLen of
+	// 0 means "unknown", not "unlimited").
+	if capLen > maxSnapLen || capLen > r.hdr.SnapLen && r.hdr.SnapLen > 0 {
 		return CaptureInfo{}, nil, ErrSnapLen
 	}
 	if cap(r.buf) < int(capLen) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -185,5 +186,42 @@ func TestUnsupportedVersion(t *testing.T) {
 	binary.LittleEndian.PutUint16(hdr[4:6], 3) // future major version
 	if _, err := NewReader(bytes.NewReader(hdr)); err != ErrBadVersion {
 		t.Errorf("err = %v, want ErrBadVersion", err)
+	}
+}
+
+// allocDuring returns how many heap bytes f allocates.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadPacketBoundsCaptureLength: a record header's capture length sizes
+// an allocation before any packet byte is read, so it is checked against
+// libpcap's maximum snap length whatever the file header's SnapLen says —
+// a 40-byte file cannot make the reader allocate what it claims.
+func TestReadPacketBoundsCaptureLength(t *testing.T) {
+	for _, snap := range []uint32{0, 1<<32 - 1} {
+		var b [40]byte
+		binary.LittleEndian.PutUint32(b[0:], MagicMicroseconds)
+		binary.LittleEndian.PutUint16(b[4:], 2)
+		binary.LittleEndian.PutUint16(b[6:], 4)
+		binary.LittleEndian.PutUint32(b[16:], snap)
+		binary.LittleEndian.PutUint32(b[20:], LinkTypeEthernet)
+		binary.LittleEndian.PutUint32(b[32:], 64<<20) // capture length
+		binary.LittleEndian.PutUint32(b[36:], 64<<20) // wire length
+		r, err := NewReader(bytes.NewReader(b[:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rerr error
+		if n := allocDuring(func() { _, _, rerr = r.ReadPacket() }); n >= 1<<20 {
+			t.Errorf("SnapLen %d: reading one record header allocated %d bytes", snap, n)
+		}
+		if rerr != ErrSnapLen {
+			t.Errorf("SnapLen %d: err = %v, want ErrSnapLen", snap, rerr)
+		}
 	}
 }

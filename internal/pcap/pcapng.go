@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -19,9 +20,10 @@ const (
 // byteOrderMagic is the SHB field that reveals the section's endianness.
 const byteOrderMagic = 0x1a2b3c4d
 
-// maxBlockLen rejects absurd block lengths before allocating: no block the
-// tooling writes or reads legitimately exceeds a jumbo frame plus headroom,
-// and a corrupt length field must not become a multi-gigabyte allocation.
+// maxBlockLen rejects absurd block lengths: no block the tooling writes or
+// reads legitimately exceeds a jumbo frame plus headroom. Bodies are read
+// by appendRead, so even a length under the cap allocates only as the
+// bytes arrive.
 const maxBlockLen = 16 << 20
 
 // pcapng option codes used here.
@@ -200,9 +202,8 @@ func (r *NgReader) readBlockStart() (uint32, []byte, error) {
 		if total < 12+4 || total%4 != 0 || total > maxBlockLen {
 			return 0, nil, ErrNgBadBlockLen
 		}
-		body := make([]byte, total-12)
-		copy(body, bom[:])
-		if _, err := io.ReadFull(r.r, body[4:]); err != nil {
+		body, err := appendRead(r.r, bom[:], int(total-16))
+		if err != nil {
 			return 0, nil, ErrTruncated
 		}
 		return r.finishBlock(typ, total, body)
@@ -212,14 +213,35 @@ func (r *NgReader) readBlockStart() (uint32, []byte, error) {
 	if total < 12 || total%4 != 0 || total > maxBlockLen {
 		return 0, nil, ErrNgBadBlockLen
 	}
-	if cap(r.buf) < int(total-12) {
-		r.buf = make([]byte, total-12)
-	}
-	body := r.buf[:total-12]
-	if _, err := io.ReadFull(r.r, body); err != nil {
+	body, err := appendRead(r.r, r.buf[:0], int(total-12))
+	r.buf = body
+	if err != nil {
 		return 0, nil, ErrTruncated
 	}
 	return r.finishBlock(typ, total, body)
+}
+
+// readStep is the first growth step of a block body being read.
+const readStep = 64 << 10
+
+// appendRead appends n bytes read from r to dst. The block length that sizes
+// a body is checked only against maxBlockLen, so the buffer grows only as
+// bytes arrive — by readStep or its own length at a time — and a length
+// claiming more than the stream holds costs about twice the bytes actually
+// there, not what it claims.
+func appendRead(r io.Reader, dst []byte, n int) ([]byte, error) {
+	end := len(dst) + n
+	for len(dst) < end {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, min(end-len(dst), max(len(dst), readStep)))
+		}
+		m, err := io.ReadFull(r, dst[len(dst):min(end, cap(dst))])
+		dst = dst[:len(dst)+m]
+		if err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
 }
 
 // finishBlock validates the trailing block length.

@@ -321,3 +321,31 @@ func TestReadersNeverPanicOnRandomBytes(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNgBlockLengthBoundsAllocation: a block length under maxBlockLen but
+// past the end of the stream costs about the bytes actually there, not the
+// length claimed.
+func TestNgBlockLengthBoundsAllocation(t *testing.T) {
+	raw := writeNgCapture(t, [][]byte{[]byte("abcd")}, []time.Time{time.Unix(1, 0)})
+	r, err := NewNgReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Append a block header claiming just under maxBlockLen, then 32 bytes.
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:], blockEPB)
+	binary.LittleEndian.PutUint32(hdr[4:], maxBlockLen-4)
+	r.r = io.MultiReader(r.r, bytes.NewReader(hdr[:]), bytes.NewReader(make([]byte, 32)))
+	var rerr error
+	n := allocDuring(func() {
+		for rerr == nil {
+			_, _, rerr = r.ReadPacket()
+		}
+	})
+	if rerr != ErrTruncated {
+		t.Errorf("err = %v, want ErrTruncated", rerr)
+	}
+	if n >= 1<<20 {
+		t.Errorf("a truncated %d-byte block allocated %d bytes", maxBlockLen-4, n)
+	}
+}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -93,8 +94,9 @@ const (
 )
 
 // Writer streams records to an io.Writer in the binary trace format.
-// Records must be delivered in non-decreasing time order (or within
-// SortWindow of it, when set).
+// Records must be delivered in non-decreasing time order, or within
+// SortWindow of it when that is set: the Writer then puts its own
+// SortBuffer in front of the encoder.
 //
 // NewWriter emits format v4: records are chunked into independently
 // decodable segments, each segment's payload is field-striped and
@@ -158,12 +160,13 @@ type Writer struct {
 	SyncEvery int
 
 	// SortWindow, when > 0, lets records arrive up to that far out of time
-	// order: Write buffers them and releases in sorted order (ties keep
-	// arrival order) once the high-water timestamp has moved past the
-	// window, exactly reproducing what a SortBuffer stage in front of the
-	// Writer would feed it. A record arriving more than SortWindow before
-	// the high-water mark is an error, like a time-regressing record on a
-	// strict writer. Set it before the first Write.
+	// order: the Writer feeds them through a SortBuffer with this slack, so
+	// every Write and HandleBatch encodes the records the high-water mark
+	// has moved SortWindow past, in (timestamp, arrival) order, and the
+	// file is the one a SortBuffer stage in front of a strict Writer
+	// writes. A record arriving more than SortWindow before the high-water
+	// mark is an error, like a time-regressing record on a strict writer.
+	// Set it before the first Write.
 	SortWindow time.Duration
 
 	seg      []byte // current segment's interleaved records (v2/v3)
@@ -179,9 +182,7 @@ type Writer struct {
 	cs   compScratch   // segment compressor state (sync path)
 	pipe *compPipeline // async compression pipeline, nil until started
 
-	pend    []Record // SortWindow reorder buffer, in arrival order
-	sorter  timeSorter
-	pendMax time.Duration
+	sorted *SortBuffer // the SortWindow stage, nil until the first write
 
 	buf [3*binary.MaxVarintLen64 + 1]byte
 }
@@ -298,7 +299,7 @@ func (w *Writer) writeHeader() error {
 	return nil
 }
 
-// Write encodes one record. With SortWindow set it may instead buffer the
+// Write encodes one record. With SortWindow set it may instead hold the
 // record for ordered release; see the field docs. After any write-path
 // failure (see Err) every Write returns the latched error without emitting
 // anything; ordering violations are rejected per record without latching.
@@ -328,63 +329,40 @@ func (w *Writer) write(rs []Record) error {
 	if w.SortWindow <= 0 {
 		return w.encode(rs)
 	}
-	for _, r := range rs {
-		if r.T > MaxSpan {
-			return errOrder(r, w.last)
+	if w.sorted == nil {
+		w.sorted = NewSortBuffer(w.SortWindow, sortedEncoder{w})
+	}
+	// Accept the records up to the first one the window cannot take; the
+	// SortBuffer then releases into encode, which latches any failure.
+	hw := w.sorted.maxSeen
+	for i, r := range rs {
+		if r.T > MaxSpan || r.T < hw-w.SortWindow {
+			w.sorted.HandleBatch(rs[:i])
+			if w.err != nil {
+				return w.err
+			}
+			if r.T > MaxSpan {
+				return errOrder(r, w.last)
+			}
+			return fmt.Errorf("trace: record at %v arrives more than the %v sort window behind the high-water mark %v",
+				r.T, w.SortWindow, hw)
 		}
-		if err := w.bufferSorted(r); err != nil {
-			return err
-		}
+		hw = max(hw, r.T)
 	}
-	return nil
+	w.sorted.HandleBatch(rs)
+	return w.err
 }
 
-// Release encodes every SortWindow-buffered record the high-water mark has
-// already made safe, without waiting for the buffer-count threshold that
-// normally paces release passes. A low-rate live capture calls it on a
-// timer so sealed segments — and durability under SyncEvery — keep pace
-// with wall time instead of record count; the encoded stream is unchanged
-// (the same records release in the same order, just earlier). No-op without
-// a SortWindow or after Flush.
-func (w *Writer) Release() error {
-	if w.sealed || w.SortWindow <= 0 || len(w.pend) == 0 {
-		return nil
-	}
-	if err := w.Err(); err != nil {
-		return err
-	}
-	return w.releasePending(w.pendMax - w.SortWindow)
-}
+// sortedEncoder is the strict encode stage behind a Writer's SortWindow
+// buffer: the first failure latches in the Writer.
+type sortedEncoder struct{ w *Writer }
 
-// sortPendFlush is how many buffered out-of-order records accumulate before
-// a SortWindow release pass runs.
-const sortPendFlush = 2 * BlockSize
+func (e sortedEncoder) Handle(r Record) { e.HandleBatch([]Record{r}) }
 
-// bufferSorted holds r in the SortWindow reorder buffer, periodically
-// releasing the records the advancing high-water mark has made safe — the
-// same slack-watermark rule SortBuffer applies, so the encoded stream is
-// byte-identical to feeding the Writer through one.
-func (w *Writer) bufferSorted(r Record) error {
-	if r.T < w.pendMax-w.SortWindow {
-		return fmt.Errorf("trace: record at %v arrives more than the %v sort window behind the high-water mark %v",
-			r.T, w.SortWindow, w.pendMax)
+func (e sortedEncoder) HandleBatch(rs []Record) {
+	if e.w.err == nil {
+		e.w.err = e.w.encode(rs)
 	}
-	if r.T > w.pendMax {
-		w.pendMax = r.T
-	}
-	w.pend = append(w.pend, r)
-	if len(w.pend) >= sortPendFlush {
-		return w.releasePending(w.pendMax - w.SortWindow)
-	}
-	return nil
-}
-
-// releasePending encodes every buffered record with T ≤ watermark in total
-// (T, arrival) order: the buffer holds arrival order and the sort is stable,
-// so ties keep it.
-func (w *Writer) releasePending(watermark time.Duration) error {
-	defer w.sorter.done(&w.pend)
-	return w.encode(w.sorter.take(&w.pend, watermark))
 }
 
 // encode appends rs to the output stream. Each record must lie within
@@ -654,11 +632,11 @@ func (w *Writer) syncDst() error {
 func (w *Writer) Count() int64 { return w.n }
 
 // Flush seals and flushes the trace, surfacing any error latched by the
-// Handle paths or the compression pipeline first. For the indexed formats
-// it releases any SortWindow-buffered records, writes the final partial
-// segment, drains the pipeline, then writes the segment index and the
-// footer — so it must be called exactly once, after the last Write;
-// further Writes fail with ErrFinished.
+// Handle paths or the compression pipeline first. It releases any records
+// the SortWindow still holds; for the indexed formats it then writes the
+// final partial segment, drains the pipeline and writes the segment index
+// and the footer — so it must be called exactly once, after the last
+// Write; further Writes fail with ErrFinished.
 func (w *Writer) Flush() error {
 	if err := w.Err(); err != nil {
 		return err
@@ -671,9 +649,9 @@ func (w *Writer) Flush() error {
 			return err
 		}
 	}
-	if w.SortWindow > 0 && len(w.pend) > 0 && !w.sealed {
-		if err := w.releasePending(1<<63 - 1); err != nil {
-			return err
+	if w.sorted != nil && !w.sealed {
+		if w.sorted.Flush(); w.err != nil {
+			return w.err
 		}
 	}
 	if w.version >= version2 && !w.sealed {
@@ -729,14 +707,13 @@ type Reader struct {
 	init    bool
 	version uint8
 	seg     SegmentInfo // v2+: current segment's frame header
-	segLeft int         // v2: records remaining in the current segment
 	done    bool        // v2+: index frame reached — clean end of records
 	err     error
 	warn    string
 
-	// v3/v4 serial Read path: segments decode whole (they may be
-	// compressed or columnar), so decoded records queue here and pop one
-	// per Read call.
+	// v2+ serial Read path: segments decode whole (they may be compressed
+	// or columnar), so decoded records queue here and pop one per Read
+	// call.
 	q    []Record
 	qPos int
 	qErr error
@@ -802,24 +779,16 @@ func (r *Reader) Read() (Record, error) {
 			return Record{}, err
 		}
 	}
-	if r.version >= version3 {
+	if r.version >= version2 {
 		return r.readSegmented()
 	}
-	if r.version == version2 {
-		if r.segLeft == 0 {
-			if err := r.nextSegment(); err != nil {
-				return Record{}, err
-			}
-		}
-		r.segLeft--
-	}
+	// v1 has no segments: its records decode one varint at a time off the
+	// buffered reader, and EOF at a record boundary is the clean end.
 	delta, err := binary.ReadUvarint(r.r)
+	if err == io.EOF {
+		return Record{}, io.EOF
+	}
 	if err != nil {
-		if err == io.EOF && r.version == version1 {
-			return Record{}, io.EOF
-		}
-		// v2 records only exist inside a segment with a declared count;
-		// EOF mid-segment is a truncation, not a clean end.
 		return Record{}, r.latch(ErrCorrupt, err)
 	}
 	flags, err := r.r.ReadByte()
@@ -853,11 +822,10 @@ func (r *Reader) Read() (Record, error) {
 	}, nil
 }
 
-// readSegmented is the v3/v4 serial Read path: these segments may be
-// compressed or columnar, so each decodes whole into an in-memory queue
-// and Read pops one record at a time. Records decoded before a mid-segment
-// corruption still pop before the error surfaces, preserving
-// records-before-error delivery.
+// readSegmented is the v2+ serial Read path: segments may be compressed or
+// columnar, so each decodes whole into an in-memory queue and Read pops one
+// record at a time. Records decoded before a mid-segment corruption still
+// pop before the error surfaces, preserving records-before-error delivery.
 func (r *Reader) readSegmented() (Record, error) {
 	for r.qPos >= len(r.q) {
 		if r.qErr != nil {
@@ -880,12 +848,13 @@ func (r *Reader) fillSegmentQueue() {
 		r.qErr = err
 		return
 	}
-	blocks, err := r.loadSegment(&r.sc)
+	payload, err := r.loadSegment(&r.sc)
+	blocks, decErr := decodeSegmentPayload(payload, r.seg)
 	for _, blk := range blocks {
 		r.q = append(r.q, *blk...)
 		FreeBlock(blk)
 	}
-	r.qErr = err
+	r.qErr = cmp.Or(err, decErr)
 }
 
 // ReadAll drains the stream into h in BlockSize batches, returning the

@@ -156,12 +156,11 @@ func (r *Reader) prefetchSegments(ch chan<- prefetchMsg, cols bool) error {
 	return io.EOF
 }
 
-// inflateLoop is the pipeline's first stage: frame scan, payload read,
-// decompression. Each segment's raw payload lands in a slab owned by the
-// message (recycled through slabPool), so the decode stage never races the
-// next segment's read. A terminal error (scan damage, short payload read,
-// flate damage) is attached to the message carrying any recovered prefix,
-// and the loop stops — matching the fused loadSegment error priority.
+// inflateLoop is the pipeline's first stage: frame scan, then loadSegment
+// into slabs owned by the message (recycled through slabPool), so the decode
+// stage never races the next segment's read. A terminal error (scan damage,
+// short payload read, flate damage) rides on the message carrying any
+// recovered prefix, and the loop stops.
 func (r *Reader) inflateLoop(infl chan<- inflatedSeg, stop <-chan struct{}) {
 	var sc segScratch // decoder tables; payload slabs come from slabPool
 	send := func(msg inflatedSeg) bool {
@@ -180,22 +179,15 @@ func (r *Reader) inflateLoop(infl chan<- inflatedSeg, stop <-chan struct{}) {
 			return
 		}
 		si := r.seg
-		payload, readErr := readPayload(r.r, slabFor(0), si.PayloadLen)
-		slab := payload[:cap(payload)]
-		// Advance the scanner past the segment, as loadSegment does, so
-		// the next frame parses from a consistent position.
-		r.segLeft = 0
-		r.last = si.MaxT
-		msg := inflatedSeg{raw: payload, slab: slab, si: si}
+		sc.frame = slabFor(0)
 		if si.Compressed() {
-			raw := slabFor(si.RawLen)
-			msg.raw, msg.err = sc.decompressInto(raw[:si.RawLen], payload, si)
-			msg.slab = raw
-			freeSlab(slab)
+			sc.raw = slabFor(si.RawLen)
 		}
-		if readErr != nil {
-			// Read truncation outranks whatever the partial inflate said.
-			msg.err = r.latch(ErrCorrupt, readErr)
+		raw, err := r.loadSegment(&sc)
+		msg := inflatedSeg{raw: raw, slab: sc.frame, si: si, err: err}
+		if si.Compressed() {
+			freeSlab(sc.frame)
+			msg.slab = sc.raw
 		}
 		if !send(msg) || msg.err != nil {
 			return

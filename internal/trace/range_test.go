@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"slices"
 	"testing"
 	"time"
@@ -19,13 +20,7 @@ func rangeTrace(t *testing.T, v1 bool, count int, gap time.Duration) []byte {
 	}
 	w.SegmentPayload = 256 // many small segments
 	for i := 0; i < count; i++ {
-		if err := w.Write(Record{
-			T:      time.Duration(i) * gap,
-			Dir:    Direction(i & 1),
-			Kind:   KindGame,
-			Client: uint32(i%50 + 1),
-			App:    uint16(40 + i%100),
-		}); err != nil {
+		if err := w.Write(rangeRecord(i, gap)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,6 +28,18 @@ func rangeTrace(t *testing.T, v1 bool, count int, gap time.Duration) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// rangeRecord is record i of rangeTrace: at i·gap, with an app size of
+// 40 + i%100, so records 88–99 of every hundred take a two-byte varint.
+func rangeRecord(i int, gap time.Duration) Record {
+	return Record{
+		T:      time.Duration(i) * gap,
+		Dir:    Direction(i & 1),
+		Kind:   KindGame,
+		Client: uint32(i%50 + 1),
+		App:    uint16(40 + i%100),
+	}
 }
 
 // TestReadRangeMatchesFilteredScan: the indexed range read must deliver
@@ -78,6 +85,95 @@ func TestReadRangeMatchesFilteredScan(t *testing.T) {
 			t.Errorf("[%v,%v): got %d records, want %d", tc.from, tc.to, n, len(want.Records))
 		}
 	}
+
+	// Damaged legs. In an uncompressed copy of the trace, one app value in
+	// the segment on the range's closing edge is pushed past 65535 — once
+	// at a record inside the range, once at a record past the cut. Either
+	// way the range read delivers exactly the full scan's records before
+	// the damage, filtered to the range, and then fails as the scan does.
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.SegmentPayload, w.CompressLevel = 256, CompressOff
+	for i := range count {
+		if err := w.Write(rangeRecord(i, gap)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	clean := buf.Bytes()
+	ix, err := ReadIndex(bytes.NewReader(clean), int64(len(clean)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The damaged record j and its successor both take two-byte apps, with
+	// two records of the segment on either side of them.
+	si, j := damageSite(t, ix, gap)
+	for _, leg := range []struct {
+		name string
+		to   time.Duration
+	}{
+		{"inside the range", time.Duration(j+2) * gap},
+		{"past the cut", time.Duration(j-1) * gap},
+	} {
+		from := si.MinT - 500*gap
+		if leg.to <= si.MinT || leg.to > si.MaxT {
+			t.Fatalf("%s: cut %v does not fall in the closing segment [%v, %v]", leg.name, leg.to, si.MinT, si.MaxT)
+		}
+		raw := slices.Clone(clean)
+		raw[appByteOffset(raw, si, j, gap)+1] = 0xff // 0x01 → a continuation byte
+
+		var all Collect
+		_, scanErr := NewReader(bytes.NewReader(raw)).ReadAll(&all)
+		if !errors.Is(scanErr, ErrCorrupt) {
+			t.Fatalf("%s: full scan error %v, want ErrCorrupt", leg.name, scanErr)
+		}
+		var want []Record
+		for _, r := range all.Records {
+			if r.T >= from && r.T < leg.to {
+				want = append(want, r)
+			}
+		}
+		var got Collect
+		n, err := NewReader(bytes.NewReader(raw)).ReadRange(from, leg.to, &got)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: range read error %v, want ErrCorrupt", leg.name, err)
+		}
+		if n != int64(len(want)) || !recordsEqual(got.Records, want) {
+			t.Errorf("%s: range read delivered %d records, want the scan's %d", leg.name, n, len(want))
+		}
+	}
+}
+
+// damageSite picks a segment of a rangeTrace-shaped uncompressed v4 file,
+// well past the start, and a record j in it whose app run bytes can be
+// damaged: j and j+1 both take two-byte apps, and the segment holds at
+// least two records before j and two after j+1.
+func damageSite(t *testing.T, ix *Index, gap time.Duration) (SegmentInfo, int) {
+	t.Helper()
+	for _, si := range ix.Segments[len(ix.Segments)/2:] {
+		first, last := int(si.MinT/gap), int(si.MaxT/gap)
+		for j := first + 2; j+3 <= last; j++ {
+			if j%100 >= 88 && j%100 <= 98 {
+				return si, j
+			}
+		}
+	}
+	t.Fatal("no segment holds two consecutive two-byte apps")
+	return SegmentInfo{}, 0
+}
+
+// appByteOffset returns the file offset of record j's app varint in the
+// uncompressed columnar segment si of a rangeTrace-shaped file.
+func appByteOffset(raw []byte, si SegmentInfo, j int, gap time.Duration) int {
+	p := int(si.Offset) + si.frameHeaderLen(version4)
+	lens, _ := parseColHeader(raw[p:])
+	off := p + colHeaderLen + lens[0] + lens[1] + lens[2]
+	for i := int(si.MinT / gap); i < j; i++ {
+		off += len(binary.AppendUvarint(nil, uint64(rangeRecord(i, gap).App)))
+	}
+	return off
 }
 
 // TestReadRangeFallbacks: a v1 trace and a non-seekable source both degrade
@@ -126,25 +222,21 @@ func TestReadRangeFallbacks(t *testing.T) {
 	}
 }
 
-// TestReadRangePartialInflate: a tight range on a columnar trace must
-// materialize far fewer raw payload bytes than a wide one — the closing
-// boundary segment decodes (and inflates) its column runs only up to the
-// cut instead of wholesale.
-func TestReadRangePartialInflate(t *testing.T) {
+// TestReadRangeReadsOnlyOverlap: the random-access reads a range read
+// makes are the file header, the footer, the index and the frames of the
+// segments overlapping the range — nothing else — so a tight range on a
+// many-segment file costs I/O proportional to the slice, not to the file.
+// (The format-version probe goes through the buffered serial reader.)
+func TestReadRangeReadsOnlyOverlap(t *testing.T) {
 	const count = 50000
 	gap := time.Millisecond
-	for _, level := range []int{DefaultCompressLevel, CompressOff} {
+	for _, level := range []int{0, CompressOff} {
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
 		w.SegmentPayload = 1 << 14
 		w.CompressLevel = level
-		for i := 0; i < count; i++ {
-			if err := w.Write(Record{
-				T:      time.Duration(i) * gap,
-				Kind:   KindGame,
-				Client: uint32(i%50 + 1),
-				App:    uint16(40 + i%100),
-			}); err != nil {
+		for i := range count {
+			if err := w.Write(rangeRecord(i, gap)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -152,40 +244,58 @@ func TestReadRangePartialInflate(t *testing.T) {
 			t.Fatal(err)
 		}
 		raw := buf.Bytes()
-
-		measure := func(from, to time.Duration) (int64, int64) {
-			rangeRawBytes.Store(0)
-			rd := NewReader(bytes.NewReader(raw))
-			var got Collect
-			n, err := rd.ReadRange(from, to, &got)
-			if err != nil {
-				t.Fatalf("level %d: ReadRange: %v", level, err)
-			}
-			if rd.Warning() != "" {
-				t.Fatalf("level %d: unexpected degradation: %s", level, rd.Warning())
-			}
-			return n, rangeRawBytes.Load()
+		ix, err := ReadIndex(bytes.NewReader(raw), int64(len(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ix.Segments) < 10 {
+			t.Fatalf("level %d: want a many-segment file, got %d segments", level, len(ix.Segments))
 		}
 
-		nFull, full := measure(0, time.Hour)
-		if nFull != count {
-			t.Fatalf("level %d: full range read %d records, want %d", level, nFull, count)
+		from, to := 20*time.Second, 20*time.Second+10*gap
+		want := int64(headerLen + footerLen + indexHeaderLen + len(ix.Segments)*indexEntryLenV3)
+		overlap := 0
+		for _, si := range ix.Segments {
+			if si.MaxT >= from && si.MinT < to {
+				want += int64(si.frameHeaderLen(version4) + si.PayloadLen)
+				overlap++
+			}
 		}
-		nTight, tight := measure(2*time.Second, 2*time.Second+10*gap)
-		if nTight != 10 {
-			t.Fatalf("level %d: tight range read %d records, want 10", level, nTight)
+		src := &countingSource{Reader: bytes.NewReader(raw)}
+		rd := NewReader(src)
+		var got Collect
+		n, err := rd.ReadRange(from, to, &got)
+		if err != nil || n != 10 || rd.Warning() != "" {
+			t.Fatalf("level %d: range read %d records, %v (warning %q), want 10", level, n, err, rd.Warning())
 		}
-		if tight*10 > full {
-			t.Errorf("level %d: tight range materialized %d raw bytes of %d total — boundary segment not cut", level, tight, full)
+		if overlap == 0 || overlap > 2 {
+			t.Fatalf("level %d: a 10-record range overlaps %d segments", level, overlap)
+		}
+		if src.readAt != want {
+			t.Errorf("level %d: range read fetched %d bytes at random, want %d (index, footer, header and %d overlapping frames) of a %d-byte file",
+				level, src.readAt, want, overlap, len(raw))
 		}
 	}
 }
 
-// TestReadRangeCutLongVarints: the closing boundary segment inflates its
-// client and app runs only as far as k shortest encodings reach, but a
-// uvarint may legally take more bytes (Uvarint accepts up to ten). A run
-// that spends more is read again whole, so the range read still delivers
-// exactly what the full scan does — literal and coded runs alike.
+// countingSource is a seekable source that tallies the bytes ReadAt
+// returns.
+type countingSource struct {
+	*bytes.Reader
+	readAt int64
+}
+
+func (c *countingSource) ReadAt(p []byte, off int64) (int, error) {
+	n, err := c.Reader.ReadAt(p, off)
+	c.readAt += int64(n)
+	return n, err
+}
+
+// TestReadRangeCutLongVarints: a uvarint may legally take more bytes than
+// its shortest encoding (Uvarint accepts up to ten). A closing boundary
+// segment whose client and app runs spend more still delivers, cut at the
+// range's end, exactly what the full scan does — literal and coded runs
+// alike.
 func TestReadRangeCutLongVarints(t *testing.T) {
 	const n = 20
 	var d, f, c, a []byte

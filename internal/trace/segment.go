@@ -214,11 +214,6 @@ func (r *Reader) nextSegment() error {
 			}
 		}
 		r.seg = si
-		r.segLeft = si.Count
-		// Segments are self-contained: the delta chain restarts from the
-		// header's base, which equals the previous segment's last T in any
-		// well-formed file.
-		r.last = si.BaseT
 		return nil
 	default:
 		return fmt.Errorf("%w: unknown frame marker %q", ErrCorrupt, mark[:])
@@ -325,13 +320,17 @@ func (sc *segScratch) inflateRun(dst, stored []byte) (int, error) {
 	return sc.inf.inflate(dst, stored)
 }
 
-// decompressInto reconstructs a compressed segment's raw payload into dst
-// (len si.RawLen) on the layout its flags announce: per-run columnar
+// decompress reconstructs a compressed segment's raw payload into the
+// scratch raw slab on the layout its flags announce: per-run columnar
 // streams (v4) or one whole-payload flate stream (v3). On a truncated or
 // damaged stream it returns the bytes recovered before the damage alongside
 // an ErrCorrupt-wrapped error, so callers can decode the partial prefix and
 // preserve records-before-error delivery.
-func (sc *segScratch) decompressInto(dst, p []byte, si SegmentInfo) ([]byte, error) {
+func (sc *segScratch) decompress(p []byte, si SegmentInfo) ([]byte, error) {
+	if cap(sc.raw) < si.RawLen {
+		sc.raw = make([]byte, si.RawLen)
+	}
+	dst := sc.raw[:si.RawLen]
 	if si.Columnar() {
 		return sc.inflateColumnarInto(dst, p, si)
 	}
@@ -342,43 +341,25 @@ func (sc *segScratch) decompressInto(dst, p []byte, si SegmentInfo) ([]byte, err
 	return dst, nil
 }
 
-// decompress is decompressInto over the scratch raw slab.
-func (sc *segScratch) decompress(p []byte, si SegmentInfo) ([]byte, error) {
-	if cap(sc.raw) < si.RawLen {
-		sc.raw = make([]byte, si.RawLen)
-	}
-	return sc.decompressInto(sc.raw[:si.RawLen], p, si)
-}
-
-// loadSegment is the serial-scan counterpart of readSegmentAt: it reads
-// the current segment's payload from the buffered reader into the scratch
-// frame slab, inflates it if the segment is flagged compressed, and
-// decodes it into pooled blocks. The decoded blocks are always returned —
-// records before any damage must reach the caller — together with the
-// terminal error under the shared priority (read truncation, then inflate
-// damage, then decode damage); the scanner state advances past the segment
-// either way so both serial paths stay in lockstep on the same bytes.
-func (r *Reader) loadSegment(sc *segScratch) ([]*Block, error) {
+// loadSegment is the serial scan's one read-and-inflate step, shared by
+// Read and the prefetch pipeline: it reads the current segment's payload
+// into sc.frame, inflates it into sc.raw when the segment is flagged
+// compressed, and leaves the scanner at the next frame. It returns the raw
+// payload — on damage the prefix recovered before it, which the caller
+// still decodes so those records are delivered — with the error that
+// outranks any decode error: a short read first, then inflate damage.
+func (r *Reader) loadSegment(sc *segScratch) ([]byte, error) {
 	si := r.seg
 	payload, readErr := readPayload(r.r, sc.frame, si.PayloadLen)
 	sc.frame = payload
-	var inflateErr error
+	var err error
 	if si.Compressed() {
-		payload, inflateErr = sc.decompress(payload, si)
+		payload, err = sc.decompress(payload, si)
 	}
-	blocks, decErr := decodeSegmentPayload(payload, si)
-	// The payload is consumed: advance the scanner state so a subsequent
-	// frame parses from a consistent position.
-	r.segLeft = 0
-	r.last = si.MaxT
-	switch {
-	case readErr != nil:
-		return blocks, r.latch(ErrCorrupt, readErr)
-	case inflateErr != nil:
-		return blocks, inflateErr
-	default:
-		return blocks, decErr
+	if readErr != nil {
+		err = r.latch(ErrCorrupt, readErr)
 	}
+	return payload, err
 }
 
 // payloadStep is the first read of a serially scanned payload. The frame

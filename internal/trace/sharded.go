@@ -121,11 +121,10 @@ func (d segData) free() {
 // holding segment i hands its blocks over, then passes the turn to segment
 // i+1's worker.
 //
-// Only segments straddling a range edge are trimmed; interior segments
+// Every segment decodes whole through readSegmentAt. Interior segments
 // deliver whole, as columns when h is a ColumnIngester and the segment is
-// field-striped. A columnar segment straddling the closing edge is not even
-// decoded wholesale: readColumnarCut inflates each column run only up to
-// the first record at or past to.
+// field-striped; a segment straddling a range edge delivers as records,
+// trimmed to the range by trimBlocks.
 //
 // On a decode error the turn chain guarantees the failing segment is the
 // first in file order: its pre-damage records are delivered, the turn is
@@ -165,14 +164,7 @@ func decodeIndexed(ra io.ReaderAt, version int, segs []SegmentInfo, from, to tim
 			for i := claim(); i < len(segs); i = claim() {
 				seg := segs[i]
 				whole := seg.MinT >= from && seg.MaxT < to
-				var d segData
-				var err error
-				if seg.Columnar() && seg.MaxT >= to {
-					d.blocks, err = readColumnarCut(ra, seg, version, &sc, to)
-				} else {
-					d, err = readSegmentAt(ra, seg, version, &sc, colOK && whole)
-					rangeRawBytes.Add(int64(seg.RawLen))
-				}
+				d, err := readSegmentAt(ra, seg, version, &sc, colOK && whole)
 				if !whole {
 					d.blocks = trimBlocks(d.blocks, from, to)
 				}

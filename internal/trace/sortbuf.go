@@ -17,8 +17,9 @@ import (
 // in (timestamp, arrival) order, always as blocks of at most BlockSize, so a
 // per-record feed and a batch feed release the same stream.
 //
-// Consumers that need exact ordering — the binary trace writer, the NAT
-// queueing model — sit behind a SortBuffer; order-insensitive collectors
+// Consumers that need exact ordering — the binary trace writer (its
+// SortWindow is a SortBuffer in front of the encoder), the NAT queueing
+// model — sit behind a SortBuffer; order-insensitive collectors
 // (histograms, binners) do not pay for one.
 type SortBuffer struct {
 	slack   time.Duration
@@ -58,8 +59,7 @@ func (s *SortBuffer) release(watermark time.Duration) {
 	s.sorter.done(&s.pend)
 }
 
-// timeSorter is the package's one stable time-sort, shared by both reorder
-// buffers (SortBuffer and Writer.SortWindow): partition a pending buffer at
+// timeSorter is SortBuffer's stable time-sort: partition a pending buffer at
 // a watermark and put the eligible records in (T, arrival) order.
 type timeSorter struct {
 	elig   []Record // reused partition buffer

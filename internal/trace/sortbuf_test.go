@@ -131,8 +131,8 @@ func TestSortBufferProperty(t *testing.T) {
 	}
 }
 
-// TestReorderBuffersAgree: Writer.SortWindow and SortBuffer share one
-// stable time-sort, so a disordered stream written through a SortWindow
+// TestReorderBuffersAgree: Writer.SortWindow is a SortBuffer in front of the
+// strict encoder, so a disordered stream written through a SortWindow
 // writer is byte-identical to the same stream put through a SortBuffer of
 // the same slack into a strict writer — ties included — and both are the
 // stable time order. The cases cover the
@@ -190,7 +190,7 @@ func TestReorderBuffersAgree(t *testing.T) {
 		if dw.Count() != int64(len(tc.recs)) {
 			t.Fatalf("%s: wrote %d of %d records", tc.name, dw.Count(), len(tc.recs))
 		}
-		if grown := cap(dw.sorter.elig) + cap(sb.sorter.elig); tc.inPlace && grown != 0 {
+		if grown := cap(dw.sorted.sorter.elig) + cap(sb.sorter.elig); tc.inPlace && grown != 0 {
 			t.Errorf("%s: ordered input was copied out of the pending buffer (partition buffers hold %d records)", tc.name, grown)
 		} else if !tc.inPlace && tc.batch < len(tc.recs) && grown == 0 {
 			t.Errorf("%s: disordered input never took the partition path", tc.name)

@@ -85,9 +85,14 @@ func splits(recs []Record, maxLen int, rng *rand.Rand) [][]Record {
 // writerState renders everything a Writer has accepted so far: the bytes
 // already written and buffered, the open segment, and the reorder buffer.
 func writerState(w *Writer, dst *bytes.Buffer) string {
+	var pend []Record
+	var hw time.Duration
+	if w.sorted != nil {
+		pend, hw = w.sorted.pend, w.sorted.maxSeen
+	}
 	return fmt.Sprintf("out=%x buffered=%d n=%d last=%v seg=%d/%v/%v index=%d cols=%x|%x|%x|%x pend=%v/%v",
 		sha256.Sum256(dst.Bytes()), w.w.Buffered(), w.n, w.last, w.segCount, w.segBase, w.segMin,
-		len(w.index), w.colD, w.colF, w.colC, w.colA, w.pend, w.pendMax)
+		len(w.index), w.colD, w.colF, w.colC, w.colA, pend, hw)
 }
 
 // TestBatchEqualsPerRecordWrite: HandleBatch over any split of a stream

@@ -223,9 +223,11 @@ func TestWriterAsyncPipelineLatches(t *testing.T) {
 	}
 }
 
-// TestWriterReleaseSeals: Release pushes reorder-buffered records down into
-// segments without sealing the file — the timed pump a live capture runs so
-// a kill between batches loses at most SortWindow of tail, not everything.
+// TestWriterReleaseSeals: a SortWindow writer releases on every write, so
+// once the writes return, every record the high-water mark has left more
+// than SortWindow behind is encoded and every segment sealed from them is
+// synced — a kill between writes loses at most the window and the open
+// segment, and what is on disk salvages as an exact prefix.
 func TestWriterReleaseSeals(t *testing.T) {
 	fw := &faultio.Writer{}
 	w := NewWriter(fw)
@@ -233,27 +235,28 @@ func TestWriterReleaseSeals(t *testing.T) {
 	w.SyncEvery = 1
 	w.SortWindow = 5 * time.Millisecond
 	n := 300
+	released := 0
 	for i := 0; i < n; i++ {
 		if err := w.Write(faultRecord(i)); err != nil {
 			t.Fatal(err)
 		}
+		if faultRecord(i).T <= faultRecord(n-1).T-w.SortWindow {
+			released++
+		}
 	}
-	// Well under the count-based release threshold: nothing encoded yet.
-	before := fw.BytesWritten()
-	if err := w.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if fw.BytesWritten() <= before {
-		t.Fatalf("Release moved no bytes to the sink (%d before, %d after)", before, fw.BytesWritten())
-	}
-	// The released, synced prefix salvages on its own…
+	// The released records are all encoded: every one but those in the
+	// open segment sits in a sealed, synced frame and salvages on its own…
 	raw := fw.Bytes()
 	ix, rep, err := Recover(bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Records == 0 || len(ix.Segments) == 0 {
-		t.Fatalf("nothing salvageable after Release: %s", rep)
+	if rep.Records == 0 || rep.Records != int64(released-w.segCount) {
+		t.Fatalf("%d records salvageable after the writes, want %d released less %d in the open segment: %s",
+			rep.Records, released, w.segCount, rep)
+	}
+	if fw.Syncs() != len(ix.Segments) {
+		t.Fatalf("%d syncs for %d sealed segments", fw.Syncs(), len(ix.Segments))
 	}
 	var got Collect
 	if _, err := DecodeIndex(bytes.NewReader(raw), ix, &got, 2); err != nil {
@@ -261,7 +264,7 @@ func TestWriterReleaseSeals(t *testing.T) {
 	}
 	for i := range got.Records {
 		if got.Records[i] != faultRecord(i) {
-			t.Fatalf("record %d mismatch after Release", i)
+			t.Fatalf("salvaged record %d mismatch", i)
 		}
 	}
 	// …and the writer still seals normally with every record intact.
@@ -273,6 +276,6 @@ func TestWriterReleaseSeals(t *testing.T) {
 	r := NewReader(bytes.NewReader(full))
 	total, err := r.ReadAllSharded(&all, 2)
 	if err != nil || total != int64(n) {
-		t.Fatalf("sealed file after Release: %d records, err %v, want %d", total, err, n)
+		t.Fatalf("sealed file: %d records, err %v, want %d", total, err, n)
 	}
 }
