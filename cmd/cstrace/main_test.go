@@ -175,9 +175,9 @@ func TestDepthsEndToEnd(t *testing.T) {
 }
 
 // TestDepthsTableAligns: the name column is as wide as the longest group
-// name, so a long name (the 2-worker deal's first group is 31 characters)
-// shifts no column to its right — the right-aligned blocks column ends at
-// the same offset on the header and on every row.
+// name, so a long name (a group of five units) shifts no column to its
+// right — the right-aligned blocks column ends at the same offset on the
+// header and on every row.
 func TestDepthsTableAligns(t *testing.T) {
 	var buf bytes.Buffer
 	fprintDepths(&buf, []analysis.GroupDepth{

@@ -54,7 +54,7 @@ type Config struct {
 	Extra trace.Handler
 	// Parallelism selects how many goroutines run the analysis
 	// collectors. 0 or 1 is single-threaded; 2 or more shards the suite's
-	// nine collector units across workers in even chunks (clamped to nine);
+	// five collector units across workers in even chunks (clamped to five);
 	// AutoWorkers takes the suite's share from the process-wide worker
 	// budget and shards with that grant (serial on a one-core budget).
 	// Results are byte-identical across all settings; on multi-core

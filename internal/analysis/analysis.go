@@ -1,27 +1,23 @@
 // Package analysis implements the paper's trace characterization as a
-// library of streaming collectors: network/application usage counters
-// (Tables II-III), per-minute bandwidth/packet-load/player series (Figs 1-4),
-// the multi-scale variance-time analysis (Figs 5-10), the per-session
-// bandwidth histogram (Fig 11), and packet-size distributions (Figs 12-13).
+// library of streaming collectors: usage counters (Tables II-III),
+// per-minute bandwidth/packet-load/player series (Figs 1-4), the
+// multi-scale variance-time analysis (Figs 5-10), the per-session bandwidth
+// histogram (Fig 11) and packet-size distributions (Figs 12-13). All run in
+// one bounded-memory pass, so a half-billion-packet reproduction streams
+// straight from the generator without materializing a trace.
 //
-// All collectors run in a single pass over the record stream in bounded
-// memory, so the full half-billion-packet reproduction streams straight from
-// the generator without materializing a trace.
-//
-// Suite bundles every collector behind one trace.BatchHandler.
-// Each collector has one sweep body, HandleColumns, over a
-// trace.ColumnBlock: it reads only the field arrays it needs. A record
-// block is transposed once (ColumnBlock.AppendFrom) before the sweeps, and
-// a v4 trace's decoded columns reach the sharded suite as they are. The
-// per-record Handle that the suites, Counters and IntervalWindow keep for
-// trace.Handler callers is a one-record batch, not a second body. Shard
-// deals the suite's collectors once, in even chunks, to worker goroutines
-// fed by refcounted column-block fan-out — results are byte-identical to
-// single-threaded runs because every collector still sees every record in
-// stream order. Suite.Sink picks the mode from a parallelism knob. The
-// suite expects time-ordered records; a source that may disorder them puts
-// a trace.SortBuffer in front. Observe feeds session lifecycle events to
-// the player series independently of the record stream. See
+// Suite bundles every collector behind one trace.BatchHandler. Each
+// collector has one sweep body over a trace.ColumnBlock: a record batch is
+// transposed once (ColumnBlock.AppendFrom), and a v4 trace's decoded
+// columns arrive as they are. The five time-binned collectors (Counters,
+// MinuteSeries, VarTime, IntervalWindow, Periodicity) sweep one run
+// finder's bin summaries; in a Suite one pass at VarTimeBase feeds all five
+// as the clock unit. Shard deals the suite's five units (sizes, flows,
+// gaps, kinds, clock) once to worker goroutines fed by refcounted block
+// fan-out; results are byte-identical to single-threaded runs because each
+// collector sees every record in stream order. Suite.Sink picks the mode
+// from a parallelism knob. The suite expects time-ordered records; a source
+// that may disorder them puts a trace.SortBuffer in front. See
 // docs/ARCHITECTURE.md for the data-flow picture.
 package analysis
 
@@ -48,27 +44,16 @@ func (c *Counters) Handle(r trace.Record) { c.HandleBatch([]trace.Record{r}) }
 // HandleBatch implements trace.BatchHandler.
 func (c *Counters) HandleBatch(rs []trace.Record) { viaColumns(rs, c.HandleColumns) }
 
-// HandleColumns sweeps a column block: outbound packets (flag bit 0 set)
-// and app bytes, and the highest timestamp, accumulate branch-free in
-// locals with one write-back per block.
-func (c *Counters) HandleColumns(cb *trace.ColumnBlock) {
-	ts := cb.T
-	flags, apps := cb.Flags[:len(ts)], cb.App[:len(ts)]
-	var outs, bytes, bytesOut int64
-	end := c.End
-	for i, t := range ts {
-		o := int64(flags[i] & 1)
-		a := int64(apps[i])
-		outs += o
-		bytes += a
-		bytesOut += a & -o
-		end = max(end, t)
+// HandleColumns sweeps a column block. Counters has no bin width of its
+// own: at the widest one a block is one run.
+func (c *Counters) HandleColumns(cb *trace.ColumnBlock) { sweepClock(cb, math.MaxInt64, c.addBins) }
+
+func (c *Counters) addBins(bins []clockBin) {
+	for _, b := range bins {
+		c.PacketsIn, c.PacketsOut = c.PacketsIn+b.n-b.out, c.PacketsOut+b.out
+		c.AppBytesIn, c.AppBytesOut = c.AppBytesIn+b.app-b.appOut, c.AppBytesOut+b.appOut
+		c.End = max(c.End, b.last)
 	}
-	c.PacketsIn += int64(len(ts)) - outs
-	c.PacketsOut += outs
-	c.AppBytesIn += bytes - bytesOut
-	c.AppBytesOut += bytesOut
-	c.End = end
 }
 
 // viaColumns is every collector's record-block adapter: rs is transposed
@@ -86,19 +71,6 @@ func refill(cb *trace.ColumnBlock, rs []trace.Record) *trace.ColumnBlock {
 	cb.T, cb.Flags, cb.Client, cb.App = cb.T[:0], cb.Flags[:0], cb.Client[:0], cb.App[:0]
 	cb.AppendFrom(rs)
 	return cb
-}
-
-// runEnd returns the end of the run that starts at ts[i]: ts[i] belongs to
-// it whatever its value, and so does each following timestamp in [lo, hi).
-// The time-binned collectors add a run's count to its bin once; bins hold
-// integer counts in float64, so that is bit-identical to adding one per
-// record.
-func runEnd(ts []time.Duration, i int, lo, hi time.Duration) int {
-	j := i + 1
-	for j < len(ts) && ts[j] >= lo && ts[j] < hi {
-		j++
-	}
-	return j
 }
 
 // Packets returns the total packet count.
@@ -223,6 +195,7 @@ func (s *SizeDist) HandleColumns(cb *trace.ColumnBlock) {
 type MinuteSeries struct {
 	BitsIn, BitsOut *timeseries.Binner // wire bits per minute
 	PktsIn, PktsOut *timeseries.Binner
+	run             clockBin // addBins' open run; idx counts minutes
 }
 
 // NewMinuteSeries creates the collector.
@@ -238,34 +211,39 @@ func NewMinuteSeries() *MinuteSeries {
 // HandleBatch implements trace.BatchHandler.
 func (m *MinuteSeries) HandleBatch(rs []trace.Record) { viaColumns(rs, m.HandleColumns) }
 
-// HandleColumns sweeps a column block. A block spans a handful of ticks at
-// most, so nearly every record lands in the same minute: each minute's run
-// sums wire bytes and packets per direction in integers (exact, as the
-// per-record float additions are) and flushes once per direction.
+// HandleColumns sweeps a column block at a one-minute width.
 func (m *MinuteSeries) HandleColumns(cb *trace.ColumnBlock) {
-	ts := cb.T
-	flags, apps := cb.Flags[:len(ts)], cb.App[:len(ts)]
-	for i := 0; i < len(ts); {
-		lo := ts[i] / time.Minute * time.Minute
-		j := runEnd(ts, i, lo, lo+time.Minute)
-		var outs, wire, wireOut int64
-		for k := i; k < j; k++ {
-			o := int64(flags[k] & 1)
-			w := int64(apps[k]) + units.WireOverhead
-			outs += o
-			wire += w
-			wireOut += w & -o
+	sweepClock(cb, time.Minute, func(bins []clockBin) { m.addBins(bins, time.Minute) })
+	m.flushRun()
+}
+
+// addBins merges consecutive bins of one minute into a run, which adds to
+// the series once per direction when the next minute opens or flushRun
+// ends the block. The bins' width divides a minute.
+func (m *MinuteSeries) addBins(bins []clockBin, width time.Duration) {
+	k, r := int64(time.Minute/width), m.run
+	for _, b := range bins {
+		if b.idx < r.idx*k || b.idx >= r.idx*k+k {
+			m.run = r
+			m.flushRun()
+			r = clockBin{idx: b.idx / k}
 		}
-		if ins := int64(j-i) - outs; ins > 0 {
-			m.BitsIn.Add(lo, float64((wire-wireOut)*8))
-			m.PktsIn.Add(lo, float64(ins))
-		}
-		if outs > 0 {
-			m.BitsOut.Add(lo, float64(wireOut*8))
-			m.PktsOut.Add(lo, float64(outs))
-		}
-		i = j
+		r.n, r.out, r.app, r.appOut = r.n+b.n, r.out+b.out, r.app+b.app, r.appOut+b.appOut
 	}
+	m.run = r
+}
+
+func (m *MinuteSeries) flushRun() {
+	r, lo := m.run, time.Duration(m.run.idx)*time.Minute
+	if ins := r.n - r.out; ins > 0 {
+		m.BitsIn.Add(lo, float64((r.app-r.appOut+ins*units.WireOverhead)*8))
+		m.PktsIn.Add(lo, float64(ins))
+	}
+	if r.out > 0 {
+		m.BitsOut.Add(lo, float64((r.appOut+r.out*units.WireOverhead)*8))
+		m.PktsOut.Add(lo, float64(r.out))
+	}
+	m.run = clockBin{}
 }
 
 // PadTo extends all four series through t.
@@ -305,18 +283,12 @@ func scale(xs []float64, k float64) []float64 {
 }
 
 func sum2(a, b []float64) []float64 {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
+	if len(a) < len(b) {
+		a, b = b, a
 	}
-	out := make([]float64, n)
-	for i := range out {
-		if i < len(a) {
-			out[i] += a[i]
-		}
-		if i < len(b) {
-			out[i] += b[i]
-		}
+	out := append(make([]float64, 0, len(a)), a...)
+	for i, x := range b {
+		out[i] += x
 	}
 	return out
 }
@@ -324,9 +296,8 @@ func sum2(a, b []float64) []float64 {
 // IntervalWindow collects the first N bins of the packet-load process at a
 // chosen interval size — the paper's Figs 6-10 ("the first 200 intervals").
 //
-// A window covers only the head of the trace (2 s for the 10 ms figure),
-// but the naive sweep still pays a 64-bit division per record for the whole
-// trace. Once the stream has moved safely past the window's end — "safely"
+// A window covers only the head of the trace (2 s for the 10 ms figure).
+// Once the stream has moved safely past the window's end — "safely"
 // meaning beyond any bounded disorder a generator or merge can produce —
 // the collector latches done and whole blocks skip with two comparisons.
 type IntervalWindow struct {
@@ -361,40 +332,43 @@ func (w *IntervalWindow) Handle(r trace.Record) { w.HandleBatch([]trace.Record{r
 // HandleBatch implements trace.BatchHandler.
 func (w *IntervalWindow) HandleBatch(rs []trace.Record) { viaColumns(rs, w.HandleColumns) }
 
-// HandleColumns sweeps a column block. Consecutive records usually share a
-// bin (always, for the second-scale windows), so each run of one bin costs
-// a bounds comparison per record and one addition per bin; the records past
-// the window's end make one run however many bins they span.
+// HandleColumns sweeps a column block at the window's own width.
 func (w *IntervalWindow) HandleColumns(cb *trace.ColumnBlock) {
-	ts := cb.T
-	if w.done || len(ts) == 0 {
+	if w.latch(cb.T); !w.done {
+		sweepClock(cb, w.interval, func(bins []clockBin) { w.addBins(bins, w.interval) })
+	}
+}
+
+// latch marks the window done once a block starts too far past its end
+// for anything to land in it.
+func (w *IntervalWindow) latch(ts []time.Duration) {
+	w.done = w.done || len(ts) > 0 && ts[0] >= w.end+windowDoneSlack
+}
+
+// addBins adds the bins' packets to the window bins that cover them; the
+// bins' width divides the window's interval. Consecutive bins usually share
+// a window bin, so their packets add up in integers and reach it once.
+func (w *IntervalWindow) addBins(bins []clockBin, width time.Duration) {
+	if w.done {
 		return
 	}
-	if ts[0] >= w.end+windowDoneSlack {
-		// Streams are time-ordered up to bounded disorder, so once a
-		// block starts this far past the window nothing can land in it.
-		w.done = true
-		return
+	k := int64(w.interval / width)
+	var wb, lo, hi, n, outs int64 // the open window bin, its bins [lo, hi), its packets
+	for _, b := range bins {
+		if b.idx < lo || b.idx >= hi {
+			w.add(wb, n, outs)
+			wb, lo, hi, n, outs = b.idx/k, b.idx/k*k, b.idx/k*k+k, 0, 0
+		}
+		n, outs = n+b.n, outs+b.out
 	}
-	flags := cb.Flags[:len(ts)]
-	for i := 0; i < len(ts); {
-		b := int(ts[i] / w.interval)
-		lo := time.Duration(b) * w.interval
-		hi := lo + w.interval
-		if b >= w.n {
-			lo, hi = w.end, math.MaxInt64
-		}
-		j := runEnd(ts, i, lo, hi)
-		if b >= 0 && b < w.n {
-			var outs int
-			for _, f := range flags[i:j] {
-				outs += int(f & 1)
-			}
-			w.total[b] += float64(j - i)
-			w.inBins[b] += float64(j - i - outs)
-			w.outBin[b] += float64(outs)
-		}
-		i = j
+	w.add(wb, n, outs)
+}
+
+func (w *IntervalWindow) add(wb, n, outs int64) {
+	if n > 0 && wb < int64(w.n) {
+		w.total[wb] += float64(n)
+		w.inBins[wb] += float64(n - outs)
+		w.outBin[wb] += float64(outs)
 	}
 }
 

@@ -11,16 +11,17 @@ import (
 
 // The suite's layers, timed where they live, over ten busy minutes of
 // gamesim output. BenchmarkUnit/<unit> sweeps the stream, cut into BlockSize
-// column blocks (the shape a v4 segment decodes to), through one of the nine
-// shard units; BenchmarkSuite sweeps it through all nine, so the unit rows
+// column blocks (the shape a v4 segment decodes to), through one of the five
+// shard units; BenchmarkSuite sweeps it through all five, so the unit rows
 // add up to it. BenchmarkTranspose is the AppendFrom every record-fed path
 // pays before the sweeps, and BenchmarkSlim is a fleet server's slim suite
 // fed the generator's own blocks.
 //
-// The windows unit is the one to watch. Its 1 s × 18 000 and 30 min × 200
-// windows span 5 h and 100 h, so on any shorter trace they never latch done
-// and sweep every record, while the 10 ms window (bench/'s
-// analysis.sweep.window10ms probe) is done two seconds in.
+// The clock unit carries the four interval windows. The 1 s × 18 000 and
+// 30 min × 200 windows span 5 h and 100 h, so on any shorter trace they
+// never latch done, but they cost one addition per 10 ms bin, not one per
+// record; the 10 ms window (bench/'s analysis.sweep.window10ms probe) is
+// done two seconds in.
 
 // busyCapture is ten busy minutes of a full server, captured once.
 var busyCapture = sync.OnceValues(func() (*benchStream, error) {
@@ -85,13 +86,14 @@ func mustSuite(b *testing.B, sc SuiteConfig) *Suite {
 }
 
 // BenchmarkUnit sweeps the column blocks through one shard unit of a fresh
-// suite per pass.
+// suite per pass. The fresh-suite benchmarks loop on b.N: b.Loop does not
+// reach a time-based -benchtime when the timer stops inside it.
 func BenchmarkUnit(b *testing.B) {
 	bs, sc := benchInput(b)
 	for u, unit := range mustSuite(b, sc).sweeps {
 		b.Run(unit.name, func(b *testing.B) {
 			b.ReportAllocs()
-			for b.Loop() {
+			for range b.N {
 				b.StopTimer()
 				sweep := mustSuite(b, sc).sweeps[u].sweep
 				b.StartTimer()
@@ -104,11 +106,12 @@ func BenchmarkUnit(b *testing.B) {
 	}
 }
 
-// BenchmarkSuite sweeps the column blocks through all nine units of a
-// fresh suite per pass.
+// BenchmarkSuite sweeps the column blocks through every unit of a fresh
+// suite per pass.
 func BenchmarkSuite(b *testing.B) {
 	bs, sc := benchInput(b)
-	for b.Loop() {
+	b.ResetTimer()
+	for range b.N {
 		b.StopTimer()
 		s := mustSuite(b, sc)
 		b.StartTimer()

@@ -245,10 +245,10 @@ type Periodicity struct {
 	bin     time.Duration
 	maxLag  int
 	dir     trace.Direction
-	current int64   // count in the bin being filled
-	binIdx  int64   // index of the bin being filled
-	recent  []int64 // ring of the last maxLag bin counts
-	n       int64   // completed bins
+	current int64     // count in the bin being filled
+	binIdx  int64     // index of the bin being filled
+	recent  []float64 // a ring of the last bin counts, twice over (closeBin)
+	n       int64     // completed bins
 
 	sum, sumSq float64
 	lagSum     []float64 // Σ x_t·x_{t−l} for l = 1..maxLag
@@ -264,7 +264,7 @@ func NewPeriodicity(dir trace.Direction, bin time.Duration, maxLag int) *Periodi
 		bin:    bin,
 		maxLag: maxLag,
 		dir:    dir,
-		recent: make([]int64, maxLag),
+		recent: make([]float64, 2<<bits.Len(uint(maxLag-1))),
 		lagSum: make([]float64, maxLag+1),
 	}
 }
@@ -272,34 +272,22 @@ func NewPeriodicity(dir trace.Direction, bin time.Duration, maxLag int) *Periodi
 // HandleBatch implements trace.BatchHandler.
 func (p *Periodicity) HandleBatch(rs []trace.Record) { viaColumns(rs, p.HandleColumns) }
 
-// HandleColumns sweeps a column block's flags and timestamps. A record of
-// the detector's direction outside the filling bin moves the bin on (or,
-// if it is late, counts into the filling bin); broadcast bursts then put
-// runs of records in that bin, counted in one pass per run.
-func (p *Periodicity) HandleColumns(cb *trace.ColumnBlock) {
-	ts := cb.T
-	flags := cb.Flags[:len(ts)]
-	dir, bin := uint8(p.dir), p.bin
-	lo := time.Duration(p.binIdx) * bin
-	for i := 0; i < len(ts); {
-		if t := ts[i]; t < lo || t >= lo+bin {
-			if flags[i]&1 != dir {
-				i++
-				continue
-			}
-			idx := int64(t / bin)
-			for idx > p.binIdx {
-				p.closeBin()
-			}
-			lo = time.Duration(p.binIdx) * bin
+// HandleColumns sweeps a column block at the detector's bin width.
+func (p *Periodicity) HandleColumns(cb *trace.ColumnBlock) { sweepClock(cb, p.bin, p.addBins) }
+
+// addBins counts each bin's records of the detector's direction. A bin
+// with none leaves the detector be, a later one moves it on, and a late one
+// counts into the bin being filled. The bins are at the detector's width.
+func (p *Periodicity) addBins(bins []clockBin) {
+	for _, b := range bins {
+		c := b.out
+		if p.dir == trace.In {
+			c = b.n - b.out
 		}
-		j := runEnd(ts, i, lo, lo+bin)
-		var c int64
-		for _, f := range flags[i:j] {
-			c += int64(^(f ^ dir) & 1) // 1 for the detector's direction
+		for c > 0 && b.idx > p.binIdx {
+			p.closeBin()
 		}
 		p.current += c
-		i = j
 	}
 }
 
@@ -307,19 +295,24 @@ func (p *Periodicity) HandleColumns(cb *trace.ColumnBlock) {
 // bins contribute nothing to the lag products, so the O(maxLag) inner loop
 // runs only for occupied bins — on a 10 ms grid under a 50 ms tick, most
 // bins are empty and close for the cost of a ring store.
+//
+// recent holds bin m at m mod size and again size on (size is a power of
+// two ≥ maxLag), so the lags read bin n−l at win[maxLag−l] with no modulo.
+// Unreached slots hold +0, which leaves the non-negative sums unchanged.
 func (p *Periodicity) closeBin() {
 	x := float64(p.current)
 	p.sum += x
 	p.sumSq += x * x
+	size := len(p.recent) / 2
+	pos := int(p.n) & (size - 1)
+	win := p.recent[pos+size-p.maxLag : pos+size]
 	if p.current != 0 {
-		for l := 1; l <= p.maxLag; l++ {
-			if p.n-int64(l) >= 0 {
-				prev := p.recent[(p.n-int64(l))%int64(p.maxLag)]
-				p.lagSum[l] += x * float64(prev)
-			}
+		lag := p.lagSum[1 : len(win)+1]
+		for l := range lag {
+			lag[l] += x * win[len(win)-1-l]
 		}
 	}
-	p.recent[p.n%int64(p.maxLag)] = p.current
+	p.recent[pos], p.recent[pos+size] = x, x
 	p.n++
 	p.binIdx++
 	p.current = 0

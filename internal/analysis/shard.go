@@ -9,9 +9,10 @@ import (
 	"cstrace/internal/trace"
 )
 
-// Sharded mode: the suite's nine collector units (shardUnit, in the order
-// count sizes flows kinds minutes vt windows gaps tick) are dealt to worker
-// goroutines in contiguous even chunks (sched.Split) and never move. Every
+// Sharded mode: the suite's five collector units (shardUnit, in the order
+// sizes flows gaps kinds clock) are dealt to worker goroutines in
+// contiguous even chunks (sched.Split) and never move; the clock unit, the
+// heaviest, goes last to share a group with kinds, the lightest. Every
 // incoming block fans out to all workers over bounded channels as one
 // refcounted trace.ColumnBlock: a v4 segment's decoded columns as they
 // arrive (IngestColumns), records transposed into one (Handle, HandleBatch,
@@ -28,7 +29,7 @@ import (
 const ShardChanDepth = 8
 
 // maxAutoShardWorkers caps budget grants for Sink(sched.Auto): at five
-// workers no group holds more than two units, and the rest of the budget is
+// workers every unit has a worker of its own, and the rest of the budget is
 // left to the stages that run beside the suite (decode, deflate).
 const maxAutoShardWorkers = 5
 
@@ -84,19 +85,11 @@ type shardUnit struct {
 // sweep.
 func (s *Suite) units() []shardUnit {
 	return []shardUnit{
-		{"count", func(cb *trace.ColumnBlock) { s.Count.HandleColumns(cb) }},
 		{"sizes", func(cb *trace.ColumnBlock) { s.Sizes.HandleColumns(cb) }},
 		{"flows", func(cb *trace.ColumnBlock) { s.Flows.HandleColumns(cb) }},
-		{"kinds", func(cb *trace.ColumnBlock) { s.Kinds.HandleColumns(cb) }},
-		{"minutes", func(cb *trace.ColumnBlock) { s.Minutes.HandleColumns(cb) }},
-		{"vt", func(cb *trace.ColumnBlock) { s.VT.HandleColumns(cb) }},
-		{"windows", func(cb *trace.ColumnBlock) {
-			for _, w := range s.Windows {
-				w.HandleColumns(cb)
-			}
-		}},
 		{"gaps", func(cb *trace.ColumnBlock) { s.Gaps.HandleColumns(cb) }},
-		{"tick", func(cb *trace.ColumnBlock) { s.Tick.HandleColumns(cb) }},
+		{"kinds", func(cb *trace.ColumnBlock) { s.Kinds.HandleColumns(cb) }},
+		{"clock", s.sweepClock},
 	}
 }
 
@@ -144,8 +137,8 @@ type ShardedSuite struct {
 	stopped bool
 }
 
-// Shard wraps a freshly built Suite in sharded mode: its nine collector
-// units are dealt to min(max(workers, 2), 9) goroutines in contiguous even
+// Shard wraps a freshly built Suite in sharded mode: its five collector
+// units are dealt to min(max(workers, 2), 5) goroutines in contiguous even
 // chunks, earlier workers taking the remainder, and stay there. Use the
 // plain Suite for single-threaded runs. The caller must not feed the inner
 // Suite directly afterwards.

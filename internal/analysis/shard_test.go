@@ -74,7 +74,7 @@ func workloadRecords(t *testing.T) (SuiteConfig, []trace.Record, map[string]any)
 
 // TestShardedMatchesSingleThreaded: the same workload through the
 // reference record sweeps, the batch path and the sharded path at every
-// worker count from 2 to 10 — every chunk shape of the nine-unit deal, and
+// worker count from 2 to 10 — every chunk shape of the five-unit deal, and
 // the clamp above it — yields identical collector state: the determinism
 // contract of sharded mode. Run with -race to exercise the concurrency.
 func TestShardedMatchesSingleThreaded(t *testing.T) {
@@ -113,8 +113,8 @@ func TestShardedMatchesSingleThreaded(t *testing.T) {
 			diffFingerprint(t, want, got)
 		}
 		ds := sh.Depths()
-		if len(ds) != min(workers, 9) {
-			t.Errorf("sharded(%d): %d groups, want %d", workers, len(ds), min(workers, 9))
+		if len(ds) != min(workers, 5) {
+			t.Errorf("sharded(%d): %d groups, want %d", workers, len(ds), min(workers, 5))
 		}
 		for _, d := range ds {
 			if d.Blocks == 0 || d.Blocks != ds[0].Blocks {
@@ -125,18 +125,19 @@ func TestShardedMatchesSingleThreaded(t *testing.T) {
 	}
 }
 
-// TestShardDealsEvenChunks pins the deal: the nine units in order, in
+// TestShardDealsEvenChunks pins the deal: the five units in order, in
 // contiguous chunks whose sizes differ by at most one, earlier groups
-// taking the remainder, with the worker count clamped to [2, 9].
+// taking the remainder, with the worker count clamped to [2, 5].
 func TestShardDealsEvenChunks(t *testing.T) {
 	for _, c := range []struct {
 		workers int
 		want    []string
 	}{
-		{1, []string{"count+sizes+flows+kinds+minutes", "vt+windows+gaps+tick"}},
-		{2, []string{"count+sizes+flows+kinds+minutes", "vt+windows+gaps+tick"}},
-		{4, []string{"count+sizes+flows", "kinds+minutes", "vt+windows", "gaps+tick"}},
-		{12, []string{"count", "sizes", "flows", "kinds", "minutes", "vt", "windows", "gaps", "tick"}},
+		{1, []string{"sizes+flows+gaps", "kinds+clock"}},
+		{2, []string{"sizes+flows+gaps", "kinds+clock"}},
+		{3, []string{"sizes+flows", "gaps+kinds", "clock"}},
+		{4, []string{"sizes+flows", "gaps", "kinds", "clock"}},
+		{12, []string{"sizes", "flows", "gaps", "kinds", "clock"}},
 	} {
 		sh := Shard(newTestSuite(t, SuiteConfig{Duration: time.Hour}), c.workers)
 		sh.Close()

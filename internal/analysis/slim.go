@@ -34,11 +34,14 @@ func NewSlimSuite(duration time.Duration) *SlimSuite {
 func (s *SlimSuite) Handle(r trace.Record) { s.HandleBatch([]trace.Record{r}) }
 
 // HandleBatch implements trace.BatchHandler: the batch is transposed once
-// into the suite's scratch columns for both sweeps.
+// into the suite's scratch columns, and one run-finder pass at a one-minute
+// width feeds both collectors.
 func (s *SlimSuite) HandleBatch(rs []trace.Record) {
-	cb := refill(&s.scratch, rs)
-	s.Count.HandleColumns(cb)
-	s.Minutes.HandleColumns(cb)
+	sweepClock(refill(&s.scratch, rs), time.Minute, func(bins []clockBin) {
+		s.Count.addBins(bins)
+		s.Minutes.addBins(bins, time.Minute)
+	})
+	s.Minutes.flushRun()
 }
 
 // Close finalizes the series. Call once after the last record.

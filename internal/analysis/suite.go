@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"time"
 
 	"cstrace/internal/gamesim"
@@ -19,7 +20,8 @@ type SuiteConfig struct {
 	// MaxPayload bounds the size histograms.
 	MaxPayload int
 	// Windows configures the small-scale interval plots to collect
-	// (Figs 6-10). Nil selects the paper's set.
+	// (Figs 6-10). Nil selects the paper's set. Every interval must be a
+	// multiple of VarTimeBase, as a minute must.
 	Windows []WindowSpec
 	// SortedInput is ignored: every Suite expects time-ordered records.
 	//
@@ -70,8 +72,10 @@ func DefaultSuiteConfig(duration time.Duration) SuiteConfig {
 // Records must arrive in non-decreasing time order: the generator, the
 // scenario merge and the trace format all deliver them that way. A source
 // that may disorder them (a live capture) puts a trace.SortBuffer in front.
-// Out-of-order records corrupt only the order-sensitive collectors (Gaps,
-// Tick); everything else is order-insensitive.
+// Fed late records, Gaps goes wrong, Tick counts them into the bin it is
+// filling, VarTime clamps one past its 640 ms ring into its oldest open bin
+// and a window drops what arrives after it latched done; the rest of the
+// collectors are order-insensitive.
 type Suite struct {
 	cfg     SuiteConfig
 	Count   Counters
@@ -102,6 +106,12 @@ func NewSuite(cfg SuiteConfig) (*Suite, error) {
 	}
 	if cfg.Windows == nil {
 		cfg.Windows = PaperWindows()
+	}
+	// The clock unit bins the minute series and the windows at VarTimeBase.
+	for _, w := range append([]WindowSpec{{Interval: time.Minute}}, cfg.Windows...) {
+		if w.Interval <= 0 || w.Interval%cfg.VarTimeBase != 0 {
+			return nil, fmt.Errorf("analysis: interval %v is not a multiple of VarTimeBase %v", w.Interval, cfg.VarTimeBase)
+		}
 	}
 	vt, err := NewVarTime(cfg.VarTimeBase, cfg.VarTimeLevels)
 	if err != nil {

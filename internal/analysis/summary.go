@@ -142,18 +142,9 @@ func SeriesPercentiles(series []float64) Percentiles {
 	}
 }
 
-// nearestRank returns the nearest-rank percentile of an ascending-sorted
-// series, the same convention the fleet report uses.
+// nearestRank returns the nearest-rank percentile of a non-empty
+// ascending-sorted series, the same convention the fleet report uses.
 func nearestRank(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
 	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -11,8 +13,9 @@ import (
 	"cstrace/internal/trace"
 )
 
-// The record-block sweeps the nine shard units ran before every collector
-// swept columns, kept as the reference the column sweeps must match.
+// The record-block sweeps the collectors ran before every collector swept
+// columns and before the five time-binned ones shared one run finder, kept
+// as the reference the column sweeps must match.
 
 func refCounters(c *Counters, rs []trace.Record) {
 	var pIn, pOut, bIn, bOut int64
@@ -135,10 +138,6 @@ func refFlows(fb *FlowBandwidth, rs []trace.Record) {
 }
 
 func refVarTime(v *VarTime, rs []trace.Record) {
-	if len(rs) == 0 {
-		return
-	}
-	v.started = true
 	ring := v.ring
 	n := int64(len(ring))
 	base := v.base
@@ -222,13 +221,36 @@ func refTick(p *Periodicity, rs []trace.Record) {
 		if r.T < lo || r.T >= hi {
 			idx := int64(r.T / bin)
 			for idx > p.binIdx {
-				p.closeBin()
+				refCloseBin(p)
 			}
 			lo = time.Duration(p.binIdx) * bin
 			hi = lo + bin
 		}
 		p.current++
 	}
+}
+
+// refCloseBin is the lag-product update with one modulo per lag: it reads
+// bin n−l at (n−l) mod size and adds only the lags that bins have reached.
+// It stores each bin where closeBin's doubled ring of 2·size keeps it.
+func refCloseBin(p *Periodicity) {
+	x := float64(p.current)
+	p.sum += x
+	p.sumSq += x * x
+	size := int64(len(p.recent) / 2)
+	if p.current != 0 {
+		for l := 1; l <= p.maxLag; l++ {
+			if p.n-int64(l) >= 0 {
+				prev := p.recent[(p.n-int64(l))%size]
+				p.lagSum[l] += x * prev
+			}
+		}
+	}
+	slot := p.n % size
+	p.recent[slot], p.recent[slot+size] = x, x
+	p.n++
+	p.binIdx++
+	p.current = 0
 }
 
 // refSweep feeds one block to every unit of s through the reference
@@ -252,12 +274,17 @@ func refSweep(s *Suite, rs []trace.Record) {
 	refTick(s.Tick, rs)
 }
 
-// unitState is the collector state each shard unit owns.
+// unitState is every collector's state, by name, with the tick detector's
+// float sums also as bits: == would let a −0 pass for a +0.
 func unitState(s *Suite) map[string]any {
+	var tickBits []uint64
+	for _, x := range append([]float64{s.Tick.sum, s.Tick.sumSq}, s.Tick.lagSum...) {
+		tickBits = append(tickBits, math.Float64bits(x))
+	}
 	return map[string]any{
 		"count": s.Count, "sizes": s.Sizes, "flows": s.Flows, "kinds": s.Kinds,
 		"minutes": s.Minutes, "vt": s.VT, "windows": s.Windows, "gaps": s.Gaps,
-		"tick": s.Tick,
+		"tick": s.Tick, "tick sums": tickBits,
 	}
 }
 
@@ -324,6 +351,8 @@ func sweepEdgeCases() []trace.Record {
 		r(59*s+999*ms, trace.Out, trace.KindGame, 6, 200),
 		r(60*s, trace.Out, trace.KindGame, 6, 200),
 		r(60*s, trace.In, trace.KindGame, 6, 50),
+		// The last run's highest timestamp is not its last record's.
+		r(2*time.Minute+5*s+2*ms, trace.Out, trace.KindGame, 6, 50),
 		r(2*time.Minute+5*s, trace.In, trace.KindGame, 6, 50),
 	}
 }
@@ -397,5 +426,85 @@ func TestKindPastThreeBitsCountsAsOnDisk(t *testing.T) {
 		if i >= len(want) || want[i].Kind != kind || want[i].Packets != 1 {
 			t.Fatalf("round-trip rows %+v, want one packet each of kinds 0, 1, 2", want)
 		}
+	}
+}
+
+// disorderedStream is a seeded 150 s stream of records a few milliseconds
+// apart, each jittered by up to one 50 ms tick, with stragglers: records
+// arriving 0.7–3 s after their time (past VarTime's 640 ms ring), and
+// records from inside the 10 ms and 50 ms windows arriving once the stream
+// is past both windows' done slack.
+func disorderedStream(seed int64) []trace.Record {
+	const ms = time.Millisecond
+	rng := rand.New(rand.NewSource(seed))
+	var rs []trace.Record
+	for t := time.Duration(0); t < 150*time.Second; t += time.Duration(rng.Intn(4000)) * time.Microsecond {
+		rs = append(rs, trace.Record{
+			T:      t + time.Duration(rng.Int63n(int64(50*ms))),
+			Dir:    trace.Direction(rng.Intn(2)),
+			Kind:   trace.Kind(rng.Intn(8)),
+			Client: uint32(rng.Intn(40)),
+			App:    uint16(rng.Intn(1400)),
+		})
+	}
+	for range 8 {
+		r := &rs[rng.Intn(len(rs))]
+		r.T = max(0, r.T-700*ms-time.Duration(rng.Int63n(int64(2300*ms))))
+	}
+	for range 8 {
+		i := len(rs)/4 + rng.Intn(len(rs)*3/4) // past 37 s: both windows are done
+		rs[i].T = time.Duration(rng.Int63n(int64(10 * time.Second)))
+	}
+	return rs
+}
+
+// TestClockUnitMatchesRecordSweepsOnDisorder: on disordered streams cut at
+// random block sizes, the clock unit leaves every time-binned collector in
+// exactly the state its record sweep does. Each keeps its own late-record
+// policy: Counters and the minute series count a late record where it
+// belongs, VarTime clamps one past its ring into the oldest open bin, a
+// window drops what arrives after it latched done, and the tick detector
+// counts a late record into the bin it is filling.
+func TestClockUnitMatchesRecordSweepsOnDisorder(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		recs := disorderedStream(seed)
+		sc := DefaultSuiteConfig(150 * time.Second)
+		ref, col := newTestSuite(t, sc), newTestSuite(t, sc)
+		rng := rand.New(rand.NewSource(seed))
+		for rs := recs; len(rs) > 0; {
+			n := min(1+rng.Intn(3000), len(rs))
+			refSweep(ref, rs[:n])
+			col.HandleBatch(rs[:n])
+			rs = rs[n:]
+		}
+		want, got := unitState(ref), unitState(col)
+		for unit := range want {
+			if !reflect.DeepEqual(want[unit], got[unit]) {
+				t.Errorf("seed %d: %s diverges from the record sweep", seed, unit)
+			}
+		}
+		if !col.Window(50*time.Millisecond).done || col.VT.head == 0 {
+			t.Errorf("seed %d: the stream never latched the 50 ms window or flushed VarTime", seed)
+		}
+	}
+}
+
+// TestNewSuiteRejectsOffGridIntervals: every time-binned collector reads one
+// run finder at VarTimeBase, so a window or the minute series off its grid
+// is refused rather than binned wrong.
+func TestNewSuiteRejectsOffGridIntervals(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  SuiteConfig
+	}{
+		{"15 ms window", SuiteConfig{Windows: []WindowSpec{{Interval: 15 * time.Millisecond, N: 10}}}},
+		{"7 ms VarTimeBase", SuiteConfig{VarTimeBase: 7 * time.Millisecond}},
+	} {
+		if _, err := NewSuite(c.cfg); err == nil {
+			t.Errorf("%s: NewSuite accepted it", c.name)
+		}
+	}
+	if _, err := NewSuite(SuiteConfig{VarTimeBase: 5 * time.Millisecond}); err != nil {
+		t.Errorf("5 ms VarTimeBase under the paper's windows: %v", err)
 	}
 }

@@ -17,16 +17,16 @@ import (
 // has safely moved past, so a stream disordered by less than the ring
 // bins exactly.
 type VarTime struct {
-	base    time.Duration
-	ladder  *hurst.Dyadic
-	ring    []float64
-	head    int64 // index of the oldest unflushed bin
-	maxIdx  int64 // highest bin index seen
-	started bool
+	base   time.Duration
+	ladder *hurst.Dyadic
+	ring   []float64
+	head   int64 // index of the oldest unflushed bin
+	maxIdx int64 // highest bin index seen, −1 before any
 }
 
 // ringSlack is how many base bins of reordering the collector tolerates
-// (64 × 10 ms = 640 ms, far beyond the one-tick disorder bound).
+// (64 × 10 ms = 640 ms, far beyond the one-tick disorder bound). A power of
+// two, so a bin's ring slot is a mask of its index.
 const ringSlack = 64
 
 // NewVarTime creates the collector. levels is the number of dyadic
@@ -36,40 +36,32 @@ func NewVarTime(base time.Duration, levels int) (*VarTime, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VarTime{base: base, ladder: d, ring: make([]float64, ringSlack)}, nil
+	return &VarTime{base: base, ladder: d, ring: make([]float64, ringSlack), maxIdx: -1}, nil
 }
 
 // HandleBatch implements trace.BatchHandler.
 func (v *VarTime) HandleBatch(rs []trace.Record) { viaColumns(rs, v.HandleColumns) }
 
-// HandleColumns sweeps a column block's timestamps. Consecutive records
-// usually share a 10 ms bin (a broadcast burst lands in one), so each run
-// of one bin costs a bounds comparison per record and one ring addition.
-func (v *VarTime) HandleColumns(cb *trace.ColumnBlock) {
-	ts := cb.T
-	if len(ts) == 0 {
-		return
-	}
-	v.started = true
-	n := int64(len(v.ring))
-	for i := 0; i < len(ts); {
-		idx := int64(ts[i] / v.base)
-		lo := time.Duration(idx) * v.base
-		j := runEnd(ts, i, lo, lo+v.base)
+// HandleColumns sweeps a column block at the collector's base interval.
+func (v *VarTime) HandleColumns(cb *trace.ColumnBlock) { sweepClock(cb, v.base, v.addBins) }
+
+// addBins adds each bin, at the collector's base interval, to the ring.
+func (v *VarTime) addBins(bins []clockBin) {
+	ring := v.ring[:ringSlack]
+	for _, b := range bins {
 		// Deep reordering beyond the slack window lands in the oldest
 		// open bin rather than being lost.
-		idx = max(idx, v.head)
-		for idx >= v.head+n {
+		idx := max(b.idx, v.head)
+		for idx >= v.head+ringSlack {
 			v.flushOne()
 		}
-		v.ring[idx%n] += float64(j - i)
+		ring[idx&(ringSlack-1)] += float64(b.n)
 		v.maxIdx = max(v.maxIdx, idx)
-		i = j
 	}
 }
 
 func (v *VarTime) flushOne() {
-	slot := v.head % int64(len(v.ring))
+	slot := v.head & (ringSlack - 1)
 	v.ladder.Add(v.ring[slot])
 	v.ring[slot] = 0
 	v.head++
@@ -80,9 +72,6 @@ func (v *VarTime) flushOne() {
 // only through the last packet seen).
 func (v *VarTime) Close(duration time.Duration) {
 	end := v.maxIdx + 1
-	if !v.started {
-		end = 0 // nothing ever arrived; only the duration defines bins
-	}
 	if duration > 0 {
 		if n := int64(duration / v.base); n > end {
 			end = n
