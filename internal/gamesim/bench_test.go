@@ -96,19 +96,18 @@ func captureWindows(b *testing.B) (ws []tickPlan, ticks []uint64, recs int) {
 		if tick%50 != 0 {
 			return
 		}
-		ws = append(ws, tickPlan{n: p.n, act: p.act, recs: slices.Clone(p.recs), tags: slices.Clone(p.tags)})
+		ws = append(ws, tickPlan{n: p.n, act: p.act, recs: slices.Clone(p.recs)})
 		ticks = append(ticks, tick)
 		recs += len(p.recs)
 	})
 	return ws, ticks, recs
 }
 
-// restore copies a captured window into the working plan — two short copies
+// restore copies a captured window into the working plan — one short copy
 // that BenchmarkSortPlan and BenchmarkFillSizes count in.
 func (p *tickPlan) restore(w *tickPlan) {
 	p.n, p.act = w.n, w.act
 	p.recs = append(p.recs[:0], w.recs...)
-	p.tags = append(p.tags[:0], w.tags...)
 }
 
 // BenchmarkSortPlan times the window sort over windows of a busy run as the

@@ -28,9 +28,10 @@ type Config struct {
 	Seed     uint64
 	Duration time.Duration
 	// Workers does nothing. It sized a worker-pool fill stage that lost to
-	// the serial one and was deleted (ROADMAP 2a); every value is accepted
+	// the serial one and was deleted (ROADMAP's "Parked" paragraph on a
+	// parallel fill says what a return must beat); every value is accepted
 	// and ignored, and the stream is the same at all of them. The field is
-	// still here only because bench/ assigns it: ROADMAP 1f removes it.
+	// still here only because bench/ assigns it: ROADMAP 1a removes it.
 	Workers int
 	// Warmup runs the server for this long before recording starts, so the
 	// trace begins on a busy server exactly as the paper's did ("after a
@@ -137,13 +138,13 @@ func (c *Config) Validate() error {
 		return errors.New("gamesim: Slots must be positive")
 	case c.TickInterval <= 0:
 		return errors.New("gamesim: TickInterval must be positive")
-	case c.AttemptRate <= 0:
+	case !(c.AttemptRate > 0): // NaN too
 		return errors.New("gamesim: AttemptRate must be positive")
 	case c.SessionMean <= 0:
 		return errors.New("gamesim: SessionMean must be positive")
 	case c.Population <= 0:
 		return errors.New("gamesim: Population must be positive")
-	case c.CmdRate <= 0:
+	case !(c.CmdRate > 0):
 		return errors.New("gamesim: CmdRate must be positive")
 	case c.SnapMax <= 0 || c.SnapMax > 65535:
 		return errors.New("gamesim: SnapMax must be in (0, 65535]")
@@ -151,6 +152,19 @@ func (c *Config) Validate() error {
 		return errors.New("gamesim: MapDuration must be positive")
 	case c.RetryDelay == nil || c.InPayload == nil || c.RoundDuration == nil || c.ReconnectIn == nil:
 		return errors.New("gamesim: all samplers must be set")
+	case c.BurstSpacing < 0 || c.BurstSpacing > 0 && !c.DesynchronizeTicks &&
+		time.Duration(c.Slots-1) > (c.TickInterval-1)/c.BurstSpacing: // (Slots−1)·BurstSpacing ≥ TickInterval
+		return errors.New("gamesim: BurstSpacing must be non-negative, and a burst must end inside its tick")
+	case (c.LogoDownloadProb > 0 || c.LogoUploadProb > 0) && (c.LogoPacket <= 0 || c.LogoRate <= 0):
+		return errors.New("gamesim: LogoPacket and LogoRate must be positive when a logo probability is")
+	case !(c.CmdJitter >= 0 && c.CmdJitter < 1):
+		return errors.New("gamesim: CmdJitter must be in [0, 1)")
+	case c.EliteFrac > 0 && !(c.EliteCmdRate > 0 && c.EliteSnapHz > 0):
+		return errors.New("gamesim: EliteCmdRate and EliteSnapHz must be positive when EliteFrac is")
+	case max(c.CmdRate, c.EliteCmdRate, c.EliteSnapHz) > 1e6: // a gap that truncates to 0 never ends
+		return errors.New("gamesim: command and snapshot rates must be at most 1e6/s")
+	case c.SnapMin < 0 || c.SnapMin > c.SnapMax:
+		return errors.New("gamesim: SnapMin must be in [0, SnapMax]")
 	}
 	if c.Warmup < 0 || c.Warmup%c.TickInterval != 0 {
 		return errors.New("gamesim: Warmup must be a non-negative multiple of TickInterval")

@@ -1,8 +1,10 @@
 package gamesim
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
+	"time"
 
 	"cstrace/internal/dist"
 	"cstrace/internal/trace"
@@ -30,16 +32,13 @@ import (
 // consumers need no SortBuffer. The fill stage is deliberately not handed to
 // worker goroutines: a window is ≈ 48 records, and the channel hops that
 // carry one to a worker and back in order cost more than sorting and filling
-// it (measured: 60 against 37.5 CPU ns/rec; ROADMAP 2a).
+// it (measured: 60 against 37.5 CPU ns/rec; ROADMAP's "Parked" paragraph on
+// a parallel fill names what one would have to beat).
 
-// Size-fill tags. tagFixed records carry their final payload size already;
-// the rest are sampled by fillSizes.
-const (
-	tagFixed     = iota
-	tagCmd       // client command: InPayload sample
-	tagSnap      // ordinary snapshot: SnapBase + SnapPerPlayer·players·act
-	tagSnapElite // high-rate client snapshot: 0.6× the ordinary mean
-)
+// eliteMark is the App an elite snapshot carries from the plan stage to the
+// fill, which overwrites it: fillSizes reads every size rule off the record
+// (Kind, Dir, App) instead of a side array.
+const eliteMark = 1
 
 // tickPlan is one emission window on its way from the control plane through
 // the fill stage. The simulation owns one and reuses it for every window.
@@ -47,31 +46,30 @@ type tickPlan struct {
 	n    int // active players when the window was planned
 	act  float64
 	recs trace.Block
-	tags []uint8
 
 	// sort scratch, reused across windows
-	keys       []uint64
-	sorted     trace.Block
-	sortedTags []uint8
+	keys   []uint64
+	sorted trace.Block
 }
 
 // reset empties the plan for the next window, keeping its buffers.
-func (p *tickPlan) reset() {
-	p.recs = p.recs[:0]
-	p.tags = p.tags[:0]
+func (p *tickPlan) reset() { p.recs = p.recs[:0] }
+
+// append adds one skeleton record, written field by field into a zeroed
+// slot. A Record literal (five fields, one more than the compiler keeps in
+// registers) would be built on the stack and copied out; writing in place
+// took ≈ 15 % off BenchmarkPlan.
+func (p *tickPlan) append(t time.Duration, dir trace.Direction, kind trace.Kind, client uint32, app uint16) {
+	p.recs = append(p.recs, trace.Record{})
+	r := &p.recs[len(p.recs)-1]
+	r.T, r.Dir, r.Kind, r.Client, r.App = t, dir, kind, client, app
 }
 
-// append adds one skeleton record.
-func (p *tickPlan) append(r trace.Record, tag uint8) {
-	p.recs = append(p.recs, r)
-	p.tags = append(p.tags, tag)
-}
-
-// Packed sort keys are (T−minT)<<keyIdxBits | index; at or below
-// insertionMax of them a plain insertion sort beats slices.Sort's dispatch.
+// At or below bucketMax records to sort, bucketSort moves them directly;
+// above it they are sorted as packed keys, (T−minT)<<keyIdxBits | index.
 const (
-	keyIdxBits   = 24
-	insertionMax = 64
+	keyIdxBits = 24
+	bucketMax  = 64 // bucketSort's uint8 counts hold up to 255
 )
 
 // sortPlan stable-sorts the window's records into time order (ties keep
@@ -81,13 +79,14 @@ const (
 // sortPlan finds that run in the pass that looks for disorder; the part of it
 // at or before the tail's earliest record is already where it belongs and is
 // not touched again. The rest — the tail and the few records of the run it
-// reaches back among — is sorted by packing (T−minT, index) into native uint64
-// keys (no comparison closure, ties to the lower index) and gathered through
-// the permutation. A window with no ordered head sorts everything, a fully
+// reaches back among, ≈ 20 on a busy server — goes through bucketSort; a
+// longer rest is sorted by packing (T−minT, index) into native uint64 keys (no
+// comparison closure, ties to the lower index) and gathered through the
+// permutation. A window with no ordered head sorts everything, a fully
 // ordered one nothing; pathological windows (≥2^24 records, or ≥ ~18 min
 // across the sorted part) take sortPlanWide.
 func sortPlan(p *tickPlan) {
-	recs, tags := p.recs, p.tags
+	recs := p.recs
 	n := len(recs)
 	run := 1
 	for run < n && recs[run-1].T <= recs[run].T {
@@ -113,48 +112,58 @@ func sortPlan(p *tickPlan) {
 		sortPlanWide(p)
 		return
 	}
-	keys := p.keys[:0]
-	for i := lo; i < n; i++ {
-		keys = append(keys, uint64(recs[i].T-minT)<<keyIdxBits|uint64(i))
-	}
-	if len(keys) <= insertionMax {
-		for i := run - lo; i < len(keys); i++ { // the run's share is in order
-			k, j := keys[i], i
-			for ; j > 0 && keys[j-1] > k; j-- {
-				keys[j] = keys[j-1]
-			}
-			keys[j] = k
-		}
+	m := n - lo
+	outR := slices.Grow(p.sorted[:0], m)[:m]
+	if m <= bucketMax {
+		bucketSort(recs[lo:], outR, minT, uint64(maxT-minT))
 	} else {
+		keys := slices.Grow(p.keys[:0], m)[:m]
+		for i := range keys {
+			keys[i] = uint64(recs[lo+i].T-minT)<<keyIdxBits | uint64(lo+i)
+		}
 		slices.Sort(keys)
-	}
-	outR := slices.Grow(p.sorted[:0], len(keys))[:len(keys)]
-	outT := slices.Grow(p.sortedTags[:0], len(keys))[:len(keys)]
-	for i, k := range keys {
-		j := k & (1<<keyIdxBits - 1)
-		outR[i], outT[i] = recs[j], tags[j]
+		for i, k := range keys {
+			outR[i] = recs[k&(1<<keyIdxBits-1)]
+		}
+		p.keys = keys
 	}
 	copy(recs[lo:], outR)
-	copy(tags[lo:], outT)
-	p.keys, p.sorted, p.sortedTags = keys, outR, outT
+	p.sorted = outR
+}
+
+// bucketSort stable-sorts rs — at most bucketMax records, their times
+// running from minT over span — into out: a counting sort on the top five
+// bits of T−minT, then one insertion pass, which finds disorder only inside a
+// bucket. Both keep ties in emission order: the scatter walks rs in order, and
+// the pass moves a record only past strictly later ones. The prefix sum
+// carries its running total in a register: cnt[b] += cnt[b-1] would chain
+// every bucket's store to the next one's load.
+func bucketSort(rs, out trace.Block, minT time.Duration, span uint64) {
+	shift := uint(max(bits.Len64(span), 5)-5) & 63 // the mask spares each shift a range check
+	var cnt [32]uint8
+	for _, r := range rs {
+		cnt[uint64(r.T-minT)>>shift&31]++
+	}
+	var sum uint8
+	for b, c := range cnt {
+		cnt[b], sum = sum, sum+c
+	}
+	for _, r := range rs {
+		b := uint64(r.T-minT) >> shift & 31
+		out[cnt[b]] = r
+		cnt[b]++
+	}
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j-1].T > out[j].T; j-- { // most records stop at the first test
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
 }
 
 // sortPlanWide is the comparison sort behind sortPlan for windows the packed
 // keys cannot describe.
 func sortPlanWide(p *tickPlan) {
-	n := len(p.recs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return p.recs[idx[a]].T < p.recs[idx[b]].T })
-	outR := make(trace.Block, n)
-	outT := make([]uint8, n)
-	for i, j := range idx {
-		outR[i] = p.recs[j]
-		outT[i] = p.tags[j]
-	}
-	p.recs, p.tags = outR, outT
+	sort.SliceStable(p.recs, func(a, b int) bool { return p.recs[a].T < p.recs[b].T })
 }
 
 // fillSizes samples the window's open payload sizes in record order from the
@@ -171,13 +180,13 @@ func fillSizes(cfg *Config, p *tickPlan, rng *dist.RNG, st *Stats) {
 	var pIn, pOut, bIn, bOut int64
 	for i := range p.recs {
 		r := &p.recs[i]
-		switch p.tags[i] {
-		case tagFixed:
-		case tagCmd:
+		switch {
+		case r.Kind != trace.KindGame: // handshakes and logo packets are sized
+		case r.Dir == trace.In:
 			r.App = uint16(cfg.InPayload.Sample(rng))
 		default:
 			mu := muOrd
-			if p.tags[i] == tagSnapElite {
+			if r.App == eliteMark {
 				mu = muElite
 			}
 			v := mu + sigma*rng.NormFloat64()

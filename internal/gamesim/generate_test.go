@@ -67,20 +67,38 @@ func pinnedConfig() Config {
 	return c
 }
 
+// pinnedDesyncSHA256 is pinnedStreamSHA256 for pinnedConfig with
+// DesynchronizeTicks set (155 202 records): every snapshot then comes from a
+// per-client schedule, so this leg pins the path the synchronized burst skips.
+const pinnedDesyncSHA256 = "6c1462fb51ad09c7e6e163382d634532c7707bb469eef5c5d34b40b7c9fc84e7"
+
 // TestPinnedStreamDigest asserts the decoded stream is record-for-record the
-// pinned one, and that Config.Workers — a field kept only for bench/ — is
-// accepted and ignored at every value bench/ and old callers assign.
+// pinned one, with ticks synchronized and desynchronized, and that
+// Config.Workers — a field kept only for bench/ — is accepted and ignored at
+// every value bench/ and old callers assign.
 func TestPinnedStreamDigest(t *testing.T) {
+	type leg struct {
+		name string
+		cfg  Config
+		want string
+	}
+	var legs []leg
 	for _, workers := range []int{0, 1, 4, sched.Auto} {
 		cfg := pinnedConfig()
 		cfg.Workers = workers
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("Workers=%d: %v", workers, err)
+		legs = append(legs, leg{fmt.Sprintf("Workers=%d", workers), cfg, pinnedStreamSHA256})
+	}
+	desync := pinnedConfig()
+	desync.DesynchronizeTicks = true
+	legs = append(legs, leg{"DesynchronizeTicks", desync, pinnedDesyncSHA256})
+	for _, l := range legs {
+		if err := l.cfg.Validate(); err != nil {
+			t.Fatalf("%s: %v", l.name, err)
 		}
 		var file bytes.Buffer
 		w := trace.NewWriter(&file)
 		w.Workers = 1
-		if _, err := Run(cfg, w, nil); err != nil {
+		if _, err := Run(l.cfg, w, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
@@ -90,8 +108,8 @@ func TestPinnedStreamDigest(t *testing.T) {
 		if _, err := trace.NewReader(&file).ReadAll(d); err != nil {
 			t.Fatal(err)
 		}
-		if got := d.sum(); got != pinnedStreamSHA256 {
-			t.Errorf("Workers=%d: %d records hash to %s, want %s", workers, d.n, got, pinnedStreamSHA256)
+		if got := d.sum(); got != l.want {
+			t.Errorf("%s: %d records hash to %s, want %s", l.name, d.n, got, l.want)
 		}
 	}
 }
@@ -139,9 +157,9 @@ func TestStreamStrictlyTimeOrdered(t *testing.T) {
 }
 
 // TestSortPlanMatchesStableSort drives sortPlan with generated windows of
-// every shape its run detection distinguishes and compares records and tags
-// with sort.SliceStable on T. Client carries the emission index, so a tie
-// released in the wrong order fails the comparison.
+// every shape its run detection and its bucket sort distinguish and compares
+// the records with sort.SliceStable on T. Client carries the emission index,
+// so a tie released in the wrong order fails the comparison.
 func TestSortPlanMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(18, 18))
 	const wide = time.Duration(1) << (64 - keyIdxBits) // first span the packed keys cannot hold
@@ -163,6 +181,16 @@ func TestSortPlanMatchesStableSort(t *testing.T) {
 		}
 		return ts
 	}
+	// spanning is a window whose sorted part runs from 0 to exactly span: its
+	// last record is the earliest, the one before it the latest.
+	spanning := func(span time.Duration) []time.Duration {
+		return append(window(30, 10, span), span, 0)
+	}
+	// sortAll is a window that sorts exactly n records: its first record is
+	// its latest, so nothing stays in front of the sort.
+	sortAll := func(n int) []time.Duration {
+		return append([]time.Duration{50 * time.Millisecond}, window(n-1, 0, 50*time.Millisecond)...)
+	}
 	cases := map[string][]time.Duration{
 		"empty":                     nil,
 		"single record":             {5},
@@ -171,41 +199,51 @@ func TestSortPlanMatchesStableSort(t *testing.T) {
 		"fully ordered":             window(48, 48, 50*time.Millisecond),
 		"no ordered prefix":         append([]time.Duration{time.Hour}, window(47, 0, 50*time.Millisecond)...),
 		"reversed":                  reversed(40),
-		"reversed, long":            reversed(3 * insertionMax),
+		"reversed, long":            reversed(3 * bucketMax),
 		"all ties":                  make([]time.Duration, 30),
 		"boundary tie":              {1, 2, 3, 3, 2, 3, 1, 3},
 		"tail before the whole run": {10, 11, 12, 1, 2, 0},
 		"tail after the whole run":  {1, 2, 3, 9, 8, 7},
 		"wide tail (fallback)":      append(window(20, 20, time.Second), 2*wide, wide/2, 3, wide+wide/2),
 		"wide run, narrow tail":     {0, 2 * wide, 3*wide + 5, 3*wide + 2, 3*wide + 9},
+		// The bucket sort's edges: one bucket per nanosecond (shift 0), a
+		// tail that all lands in bucket 0 of a 1 000-wide span (32 ns
+		// buckets), ties either side of the 31|32 edge of 2-wide buckets,
+		// spans on either side of a power of two, and the most records it
+		// takes and one more (which the packed keys sort).
+		"span under 32 ns":                append(window(40, 10, 20), 31, 0),
+		"every tail record in one bucket": append([]time.Duration{5, 1000}, 31, 7, 0, 31, 7, 19, 0, 30, 1),
+		"ties straddling a bucket edge":   {5, 63, 32, 31, 32, 31, 0, 31, 32, 32, 31},
+		"span 2^5-1":                      spanning(1<<5 - 1),
+		"span 2^5":                        spanning(1 << 5),
+		"span 2^20-1":                     spanning(1<<20 - 1),
+		"span 2^20":                       spanning(1 << 20),
+		"span 2^40-1 (widest packed)":     spanning(wide - 1),
+		"bucketMax records":               sortAll(bucketMax),
+		"bucketMax+1 records":             sortAll(bucketMax + 1),
 	}
 	for i := 0; i < 300; i++ {
-		n := 2 + rng.IntN(3*insertionMax)
+		n := 2 + rng.IntN(3*bucketMax)
 		span := []time.Duration{8, 50 * time.Millisecond}[i%2] // tie-heavy, realistic
 		cases[fmt.Sprintf("generated %d", i)] = window(n, rng.IntN(n+1), span)
 	}
 
 	var p tickPlan // one plan throughout: the sort scratch is reused, as in a run
-	type tagged struct {
-		r   trace.Record
-		tag uint8
-	}
 	for name, ts := range cases {
 		p.reset()
-		want := make([]tagged, len(ts))
+		want := make([]trace.Record, len(ts))
 		for i, at := range ts {
-			r := trace.Record{T: at, Client: uint32(i), Dir: trace.Direction(i % 2), App: uint16(i)}
-			p.append(r, uint8(i%4))
-			want[i] = tagged{r, uint8(i % 4)}
+			want[i] = trace.Record{T: at, Client: uint32(i), Dir: trace.Direction(i % 2), App: uint16(i)}
+			p.append(at, want[i].Dir, want[i].Kind, want[i].Client, want[i].App)
 		}
-		sort.SliceStable(want, func(a, b int) bool { return want[a].r.T < want[b].r.T })
+		sort.SliceStable(want, func(a, b int) bool { return want[a].T < want[b].T })
 		sortPlan(&p)
-		if len(p.recs) != len(want) || len(p.tags) != len(want) {
-			t.Fatalf("%s: %d records and %d tags out, want %d", name, len(p.recs), len(p.tags), len(want))
+		if len(p.recs) != len(want) {
+			t.Fatalf("%s: %d records out, want %d", name, len(p.recs), len(want))
 		}
 		for i, w := range want {
-			if p.recs[i] != w.r || p.tags[i] != w.tag {
-				t.Fatalf("%s: slot %d holds %+v tag %d, want %+v tag %d (times in: %v)", name, i, p.recs[i], p.tags[i], w.r, w.tag, ts)
+			if p.recs[i] != w {
+				t.Fatalf("%s: slot %d holds %+v, want %+v (times in: %v)", name, i, p.recs[i], w, ts)
 			}
 		}
 	}

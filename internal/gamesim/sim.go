@@ -324,8 +324,7 @@ func (s *sim) emit(r trace.Record) {
 	if s.h == nil || !s.warm {
 		return
 	}
-	r.T -= s.cfg.Warmup
-	s.plan.append(r, tagFixed)
+	s.plan.append(r.T-s.cfg.Warmup, r.Dir, r.Kind, r.Client, r.App)
 }
 
 func (s *sim) event(t time.Duration, typ EventType, session, client uint32) {
@@ -604,7 +603,7 @@ func (s *sim) buildWindow(start, end time.Duration) {
 			if p.elite {
 				continue
 			}
-			plan.append(trace.Record{T: t, Dir: trace.Out, Kind: trace.KindGame, Client: p.session}, tagSnap)
+			plan.append(t, trace.Out, trace.KindGame, p.session, 0)
 			t += s.cfg.BurstSpacing
 		}
 	}
@@ -630,7 +629,7 @@ func (s *sim) advance(p *player, start, end time.Duration, paused bool, plan *ti
 	}
 	for p.nextCmd < end {
 		if record && p.nextCmd >= start {
-			plan.append(trace.Record{T: p.nextCmd - w, Dir: trace.In, Kind: trace.KindGame, Client: p.session}, tagCmd)
+			plan.append(p.nextCmd-w, trace.In, trace.KindGame, p.session, 0)
 		}
 		p.nextCmd += s.jitteredGap(p) * gapScale
 	}
@@ -646,13 +645,13 @@ func (s *sim) advance(p *player, start, end time.Duration, paused bool, plan *ti
 	// Per-client snapshot schedules: elites at their elevated rate, and
 	// everyone when the desync ablation is on.
 	if p.elite || s.cfg.DesynchronizeTicks {
-		tag := uint8(tagSnap)
+		var mark uint16 // the fill sizes elite snapshots by their mark
 		if p.elite {
-			tag = tagSnapElite
+			mark = eliteMark
 		}
 		for p.nextSnap < end {
 			if record && p.nextSnap >= start {
-				plan.append(trace.Record{T: p.nextSnap - w, Dir: trace.Out, Kind: trace.KindGame, Client: p.session}, tag)
+				plan.append(p.nextSnap-w, trace.Out, trace.KindGame, p.session, mark)
 			}
 			p.nextSnap += p.snapGap
 		}
@@ -663,7 +662,7 @@ func (s *sim) advance(p *player, start, end time.Duration, paused bool, plan *ti
 		sz := min(s.cfg.LogoPacket, p.dlOut)
 		p.dlOut -= sz
 		if record && p.dlNextOut >= start {
-			plan.append(trace.Record{T: p.dlNextOut - w, Dir: trace.Out, Kind: trace.KindDownload, Client: p.session, App: uint16(sz)}, tagFixed)
+			plan.append(p.dlNextOut-w, trace.Out, trace.KindDownload, p.session, uint16(sz))
 		}
 		p.dlNextOut += s.logoGap
 	}
@@ -671,7 +670,7 @@ func (s *sim) advance(p *player, start, end time.Duration, paused bool, plan *ti
 		sz := min(s.cfg.LogoPacket, p.dlIn)
 		p.dlIn -= sz
 		if record && p.dlNextIn >= start {
-			plan.append(trace.Record{T: p.dlNextIn - w, Dir: trace.In, Kind: trace.KindDownload, Client: p.session, App: uint16(sz)}, tagFixed)
+			plan.append(p.dlNextIn-w, trace.In, trace.KindDownload, p.session, uint16(sz))
 		}
 		p.dlNextIn += s.logoGap
 	}

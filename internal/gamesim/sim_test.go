@@ -1,6 +1,8 @@
 package gamesim
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -24,33 +26,77 @@ func shortConfig(seed uint64, d time.Duration) Config {
 	return c
 }
 
+// TestValidate runs one table over the rules. From "zero-byte logo
+// packets" on, each rejected config is one Run used to accept and then hang
+// on (a zero-byte logo packet, a gap that truncates to zero) or deliver out of
+// time order (a burst longer than its tick); the accepted ones sit just
+// inside a rule. The package's own configs must all stay valid.
 func TestValidate(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.Duration = 0 },
-		func(c *Config) { c.Slots = 0 },
-		func(c *Config) { c.TickInterval = 0 },
-		func(c *Config) { c.AttemptRate = 0 },
-		func(c *Config) { c.SessionMean = 0 },
-		func(c *Config) { c.Population = 0 },
-		func(c *Config) { c.CmdRate = 0 },
-		func(c *Config) { c.SnapMax = 0 },
-		func(c *Config) { c.SnapMax = 70000 },
-		func(c *Config) { c.MapDuration = 0 },
-		func(c *Config) { c.RetryDelay = nil },
-		func(c *Config) { c.InPayload = nil },
-		func(c *Config) { c.Outages = []Outage{{At: -time.Second, Duration: time.Second}} },
-		func(c *Config) { c.Outages = []Outage{{At: 0, Duration: 2 * PaperDuration}} },
-	}
-	for i, mut := range bad {
-		c := PaperConfig(1)
-		mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: expected validation error", i)
+	tick := busyConfig(1, 0, time.Second).TickInterval
+	fits := tick / 21 // the longest spacing at which 22 packets end inside the tick
+	for name, c := range map[string]struct {
+		mut    func(*Config)
+		reject bool
+	}{
+		"zero Duration":                  {func(c *Config) { c.Duration = 0 }, true},
+		"zero Slots":                     {func(c *Config) { c.Slots = 0 }, true},
+		"zero TickInterval":              {func(c *Config) { c.TickInterval = 0 }, true},
+		"zero AttemptRate":               {func(c *Config) { c.AttemptRate = 0 }, true},
+		"zero SessionMean":               {func(c *Config) { c.SessionMean = 0 }, true},
+		"zero Population":                {func(c *Config) { c.Population = 0 }, true},
+		"zero CmdRate":                   {func(c *Config) { c.CmdRate = 0 }, true},
+		"zero SnapMax":                   {func(c *Config) { c.SnapMax = 0 }, true},
+		"SnapMax past uint16":            {func(c *Config) { c.SnapMax = 70000 }, true},
+		"zero MapDuration":               {func(c *Config) { c.MapDuration = 0 }, true},
+		"no RetryDelay":                  {func(c *Config) { c.RetryDelay = nil }, true},
+		"no InPayload":                   {func(c *Config) { c.InPayload = nil }, true},
+		"outage before the trace":        {func(c *Config) { c.Outages = []Outage{{At: -time.Second, Duration: time.Second}} }, true},
+		"outage past the trace":          {func(c *Config) { c.Outages = []Outage{{At: 0, Duration: 2 * PaperDuration}} }, true},
+		"zero-byte logo packets":         {func(c *Config) { c.LogoPacket, c.LogoDownloadProb = 0, 1 }, true},
+		"negative logo packets":          {func(c *Config) { c.LogoPacket = -1 }, true},
+		"zero logo rate":                 {func(c *Config) { c.LogoRate = 0 }, true},
+		"no logos, no logo knobs":        {func(c *Config) { c.LogoDownloadProb, c.LogoUploadProb, c.LogoPacket, c.LogoRate = 0, 0, 0, 0 }, false},
+		"burst longer than its tick":     {func(c *Config) { c.BurstSpacing = 5 * time.Millisecond }, true},
+		"burst 1 ns per gap too long":    {func(c *Config) { c.BurstSpacing = fits + 1 }, true},
+		"burst just inside its tick":     {func(c *Config) { c.BurstSpacing = fits }, false},
+		"burst of exactly one tick":      {func(c *Config) { c.Slots, c.BurstSpacing = 26, tick/25 }, true},
+		"burst 1 ns per gap short of it": {func(c *Config) { c.Slots, c.BurstSpacing = 26, tick/25-1 }, false},
+		"negative burst spacing":         {func(c *Config) { c.BurstSpacing = -time.Millisecond }, true},
+		"long spacing, no burst":         {func(c *Config) { c.BurstSpacing, c.DesynchronizeTicks = 5*time.Millisecond, true }, false},
+		"jitter of a whole gap":          {func(c *Config) { c.CmdJitter = 1 }, true},
+		"negative jitter":                {func(c *Config) { c.CmdJitter = -0.1 }, true},
+		"NaN jitter":                     {func(c *Config) { c.CmdJitter = math.NaN() }, true},
+		"no jitter":                      {func(c *Config) { c.CmdJitter = 0 }, false},
+		"elites without a command rate":  {func(c *Config) { c.EliteCmdRate = 0 }, true},
+		"elites without a snapshot rate": {func(c *Config) { c.EliteSnapHz = -44 }, true},
+		"no elites, no elite rates":      {func(c *Config) { c.EliteFrac, c.EliteCmdRate, c.EliteSnapHz = 0, 0, 0 }, false},
+		"NaN command rate":               {func(c *Config) { c.CmdRate = math.NaN() }, true},
+		"NaN attempt rate":               {func(c *Config) { c.AttemptRate = math.NaN() }, true},
+		"NaN elite snapshot rate":        {func(c *Config) { c.EliteSnapHz = math.NaN() }, true},
+		"commands 0 ns apart":            {func(c *Config) { c.CmdRate = 2e9 }, true},
+		"elite snapshots 0 ns apart":     {func(c *Config) { c.EliteSnapHz = 2e9 }, true},
+		"negative SnapMin":               {func(c *Config) { c.SnapMin = -1 }, true},
+		"SnapMin above SnapMax":          {func(c *Config) { c.SnapMin = c.SnapMax + 1 }, true},
+		"SnapMin at SnapMax":             {func(c *Config) { c.SnapMin = c.SnapMax }, false},
+	} {
+		cfg := busyConfig(1, 10*time.Minute, 20*time.Second)
+		c.mut(&cfg)
+		if err := cfg.Validate(); (err != nil) != c.reject {
+			t.Errorf("%s: Validate = %v, want rejected %v", name, err, c.reject)
 		}
 	}
-	good := PaperConfig(1)
-	if err := good.Validate(); err != nil {
-		t.Errorf("PaperConfig should validate: %v", err)
+	valid := map[string]Config{
+		"PaperConfig":         PaperConfig(1),
+		"NATExperimentConfig": NATExperimentConfig(1),
+		"busyConfig":          busyConfig(1, 10*time.Minute, 20*time.Second),
+	}
+	for i := 0; i < 8; i++ {
+		valid[fmt.Sprintf("launch-day server %d", i)] = launchServer(11, i, 4*time.Minute)
+	}
+	for name, cfg := range valid {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 

@@ -45,9 +45,10 @@ type ScenarioConfig struct {
 	// byte-identical across settings.
 	Parallelism int
 	// GenWorkers does nothing. It sized the generators' worker-pool fill
-	// stage, which lost to the serial one and was deleted (ROADMAP 2a);
-	// every value is accepted and ignored. The field is still here only
-	// because bench/ assigns it: ROADMAP 1f removes it.
+	// stage, which lost to the serial one and was deleted (ROADMAP's
+	// "Parked" paragraph on a parallel fill); every value is accepted and
+	// ignored. The field is still here only because bench/ assigns it:
+	// ROADMAP 1a removes it.
 	GenWorkers int
 	// PerServer selects per-box collection alongside the aggregate:
 	// PerServerFull runs a complete per-server analysis suite for per-box
