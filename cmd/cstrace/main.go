@@ -327,7 +327,7 @@ func runIndex(in string) error {
 	ix, err := trace.ReadIndex(f, st.Size())
 	if errors.Is(err, trace.ErrNoIndex) {
 		// v1: no index to print; count the records the only way possible.
-		n, serr := trace.NewReader(f).ReadAllPrefetch(trace.HandlerFunc(func(trace.Record) {}))
+		n, serr := trace.NewReader(f).ReadAll(trace.HandlerFunc(func(trace.Record) {}))
 		if serr != nil {
 			return serr
 		}
@@ -457,7 +457,7 @@ func salvageV1(f *os.File, in, out string) error {
 		defer g.Close()
 		w = trace.NewWriter(g)
 	}
-	n, serr := trace.NewReader(f).ReadAllPrefetch(trace.HandlerFunc(func(r trace.Record) {
+	n, serr := trace.NewReader(f).ReadAll(trace.HandlerFunc(func(r trace.Record) {
 		if w != nil {
 			_ = w.Write(r) // a write failure latches; Flush reports it
 		}

@@ -165,7 +165,7 @@ type TraceAnalysis struct {
 	// Version is the trace format version read (1 through 4).
 	Version int
 	// Warning is non-empty when the reader degraded — e.g. an indexed trace whose
-	// index was truncated fell back to a serial scan.
+	// index was truncated was read by scanning its frames.
 	Warning string
 
 	Suite    *analysis.Suite
@@ -185,20 +185,20 @@ type TraceAnalysis struct {
 
 // AnalyzeTrace reads a persisted binary trace (format v1 through v4,
 // detected from the header) and runs the record-stream analyses of the
-// paper suite over it. parallelism ≥ 2 both shards the suite's collector
-// groups across workers and, for an indexed (v2+) trace on a seekable
-// source (*os.File, *bytes.Reader, …), decodes file segments — inflating
-// compressed payloads — on parallel goroutines that deliver their decoded
-// blocks straight into the sharded suite's per-group channels in file
-// order (trace.Reader.ReadAllSharded), with no re-batching copy and no
-// single dispatch goroutine in between. Columnar (v4) segments reach the
-// sharded suite as their decoded field columns — on the serial scan too —
-// and every collector sweeps the flat arrays it needs instead of striding
-// through interleaved records. The results
-// are byte-identical across every parallelism setting and across v1-v4
-// encodings of the same stream; degraded inputs (v1, non-seekable,
-// damaged index) are analyzed by the serial scan and noted in
-// TraceAnalysis.Warning.
+// paper suite over it. parallelism ≥ 2 shards the suite's collector groups
+// across workers. The segments of an indexed (v2+) trace — inflating
+// compressed payloads — decode on at least two goroutines that deliver
+// their decoded blocks straight into the suite's sink in file order
+// (trace.Reader.ReadAllSharded), with no re-batching copy and no single
+// dispatch goroutine in between; on a seekable source (*os.File,
+// *bytes.Reader, …) they fetch segments through the index. Columnar (v4)
+// segments reach the sharded suite as their decoded field columns, and
+// every collector sweeps the flat arrays it needs instead of striding
+// through interleaved records. The results are byte-identical across every
+// parallelism setting and across v1-v4 encodings of the same stream; a
+// non-seekable source or a damaged index is read by scanning the frames off
+// the stream, noted in TraceAnalysis.Warning, and a v1 trace record by
+// record.
 func AnalyzeTrace(src io.Reader, parallelism int) (*TraceAnalysis, error) {
 	// The binary format stores records in non-decreasing time order (the
 	// Writer rejects anything else), the order the suite expects.

@@ -8,10 +8,10 @@ import (
 )
 
 // Dyadic is a streaming variance-time estimator over the dyadic aggregation
-// ladder m = 1, 2, 4, ..., 2^(levels-1). Unlike Ladder (which costs
-// O(levels) per sample), Dyadic pair-sums upward so the amortized cost per
-// base value is O(1): the full-week 10 ms-binned process (63 M bins, 27
-// levels) streams through in a fraction of a second.
+// ladder m = 1, 2, 4, ..., 2^(levels-1) in O(levels) memory. It pair-sums
+// upward, so the amortized cost per base value is O(1): the full-week
+// 10 ms-binned process (63 M bins, 27 levels) streams through in a
+// fraction of a second.
 type Dyadic struct {
 	carry []float64 // pending half-block sums per level
 	have  []bool

@@ -1,7 +1,6 @@
 // Package hurst implements the aggregated-variance estimate of the Hurst
 // parameter used in the paper's Fig 5, together with a streaming variant
-// that runs over half-billion-packet traces in constant memory, and an R/S
-// cross-check.
+// that runs over half-billion-packet traces in constant memory.
 //
 // Method (the paper's §III-B): divide the base series into consecutive
 // blocks of m values, average within blocks, and compute the variance of the
@@ -11,7 +10,6 @@
 package hurst
 
 import (
-	"errors"
 	"math"
 	"sort"
 
@@ -115,168 +113,4 @@ func DefaultLevels(max int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Ladder computes variance-time points in a single streaming pass with
-// O(levels) memory: each level keeps one open block accumulator and a Welford
-// over completed block means. Feed base-interval values in order with Add.
-type Ladder struct {
-	levels []int
-	accSum []float64
-	accN   []int
-	wf     []stats.Welford
-}
-
-// NewLadder creates a streaming estimator for the given aggregation levels.
-// Level 1 is added implicitly if missing (the normalization baseline).
-func NewLadder(levels []int) (*Ladder, error) {
-	if len(levels) == 0 {
-		return nil, errors.New("hurst: NewLadder: no levels")
-	}
-	has1 := false
-	seen := map[int]bool{}
-	var ls []int
-	for _, m := range levels {
-		if m <= 0 {
-			return nil, errors.New("hurst: NewLadder: levels must be positive")
-		}
-		if m == 1 {
-			has1 = true
-		}
-		if !seen[m] {
-			seen[m] = true
-			ls = append(ls, m)
-		}
-	}
-	if !has1 {
-		ls = append(ls, 1)
-	}
-	sort.Ints(ls)
-	return &Ladder{
-		levels: ls,
-		accSum: make([]float64, len(ls)),
-		accN:   make([]int, len(ls)),
-		wf:     make([]stats.Welford, len(ls)),
-	}, nil
-}
-
-// Add feeds the next base-interval value.
-func (l *Ladder) Add(x float64) {
-	for i, m := range l.levels {
-		l.accSum[i] += x
-		l.accN[i]++
-		if l.accN[i] == m {
-			l.wf[i].Add(l.accSum[i] / float64(m))
-			l.accSum[i] = 0
-			l.accN[i] = 0
-		}
-	}
-}
-
-// Points returns the variance-time points observed so far. Open partial
-// blocks are excluded (standard practice).
-func (l *Ladder) Points() []Point {
-	var v1 float64
-	for i, m := range l.levels {
-		if m == 1 {
-			v1 = l.wf[i].Variance()
-		}
-	}
-	var out []Point
-	for i, m := range l.levels {
-		if l.wf[i].N() < 2 {
-			continue
-		}
-		p := Point{
-			M:          m,
-			Log10M:     math.Log10(float64(m)),
-			BlockCount: l.wf[i].N(),
-		}
-		if v1 > 0 {
-			p.NormVar = l.wf[i].Variance() / v1
-		}
-		if p.NormVar > 0 {
-			p.Log10Var = math.Log10(p.NormVar)
-		} else {
-			p.Log10Var = math.Inf(-1)
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// BaseCount returns how many base values have been fed.
-func (l *Ladder) BaseCount() int64 {
-	for i, m := range l.levels {
-		if m == 1 {
-			return l.wf[i].N()
-		}
-	}
-	return 0
-}
-
-// RS computes the rescaled-range statistic R/S for one block of values.
-func RS(block []float64) float64 {
-	n := len(block)
-	if n < 2 {
-		return 0
-	}
-	mean := stats.Mean(block)
-	var cum, min, max float64
-	for _, x := range block {
-		cum += x - mean
-		if cum < min {
-			min = cum
-		}
-		if cum > max {
-			max = cum
-		}
-	}
-	r := max - min
-	s := stats.StdDev(block)
-	if s == 0 {
-		return 0
-	}
-	return r / s
-}
-
-// EstimateRS estimates H by regressing log(R/S) on log(n) over log-spaced
-// block sizes; a classical cross-check on the aggregated-variance method.
-func EstimateRS(base []float64) (Estimate, error) {
-	if len(base) < 16 {
-		return Estimate{}, errors.New("hurst: EstimateRS: series too short")
-	}
-	var xs, ys []float64
-	for _, n := range DefaultLevels(len(base) / 4) {
-		if n < 8 {
-			continue
-		}
-		// Average R/S over all full blocks of size n.
-		var sum float64
-		var k int
-		for off := 0; off+n <= len(base); off += n {
-			v := RS(base[off : off+n])
-			if v > 0 {
-				sum += v
-				k++
-			}
-		}
-		if k == 0 {
-			continue
-		}
-		xs = append(xs, math.Log10(float64(n)))
-		ys = append(ys, math.Log10(sum/float64(k)))
-	}
-	fit, err := stats.FitLine(xs, ys)
-	if err != nil {
-		return Estimate{}, err
-	}
-	h := fit.Slope
-	if h < 0 {
-		h = 0
-	}
-	if h > 1 {
-		h = 1
-	}
-	return Estimate{H: h, Slope: fit.Slope, R2: fit.R2, N: fit.N}, nil
 }

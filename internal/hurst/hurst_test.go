@@ -104,56 +104,6 @@ func TestLRDProcessAboveHalf(t *testing.T) {
 	}
 }
 
-func TestLadderMatchesBatch(t *testing.T) {
-	base := white(10000, 3)
-	levels := []int{1, 2, 5, 10, 50, 100}
-	lad, err := NewLadder(levels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range base {
-		lad.Add(x)
-	}
-	streamPts := lad.Points()
-	batchPts := VarianceTime(base, levels)
-	if len(streamPts) != len(batchPts) {
-		t.Fatalf("point counts differ: %d vs %d", len(streamPts), len(batchPts))
-	}
-	for i := range streamPts {
-		s, b := streamPts[i], batchPts[i]
-		if s.M != b.M {
-			t.Fatalf("level order mismatch: %d vs %d", s.M, b.M)
-		}
-		if math.Abs(s.NormVar-b.NormVar) > 1e-9*(1+b.NormVar) {
-			t.Errorf("m=%d: stream %v vs batch %v", s.M, s.NormVar, b.NormVar)
-		}
-	}
-	if lad.BaseCount() != 10000 {
-		t.Errorf("BaseCount = %d", lad.BaseCount())
-	}
-}
-
-func TestLadderValidation(t *testing.T) {
-	if _, err := NewLadder(nil); err == nil {
-		t.Error("want error for no levels")
-	}
-	if _, err := NewLadder([]int{0}); err == nil {
-		t.Error("want error for non-positive level")
-	}
-	// Level 1 is implicit.
-	lad, err := NewLadder([]int{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		lad.Add(float64(i % 7))
-	}
-	pts := lad.Points()
-	if len(pts) == 0 || pts[0].M != 1 {
-		t.Errorf("implicit level-1 missing: %+v", pts)
-	}
-}
-
 func TestEstimateFromPointsErrors(t *testing.T) {
 	if _, err := EstimateFromPoints(nil, 1, 10); err == nil {
 		t.Error("want error for no points")
@@ -175,36 +125,5 @@ func TestDefaultLevels(t *testing.T) {
 	}
 	if DefaultLevels(0) != nil {
 		t.Error("max<1 should return nil")
-	}
-}
-
-func TestRS(t *testing.T) {
-	if RS([]float64{1}) != 0 {
-		t.Error("short block")
-	}
-	if RS([]float64{2, 2, 2, 2}) != 0 {
-		t.Error("constant block has zero S; should return 0")
-	}
-	v := RS([]float64{1, 2, 3, 4, 5, 4, 3, 2})
-	if v <= 0 {
-		t.Errorf("R/S = %v, want positive", v)
-	}
-}
-
-func TestEstimateRSOnWhiteNoise(t *testing.T) {
-	est, err := EstimateRS(white(1<<14, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// R/S on iid noise converges to H=0.5 slowly and with known small-sample
-	// upward bias; accept a generous band.
-	if est.H < 0.4 || est.H > 0.68 {
-		t.Errorf("H_RS(white) = %.3f, want in [0.40, 0.68]", est.H)
-	}
-}
-
-func TestEstimateRSTooShort(t *testing.T) {
-	if _, err := EstimateRS(make([]float64, 4)); err == nil {
-		t.Error("want error for short series")
 	}
 }

@@ -149,7 +149,7 @@ func benchReader(b *testing.B, level int, sink trace.Handler) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, err := trace.NewReader(bytes.NewReader(file.Bytes())).ReadAllPrefetch(sink)
+		n, err := trace.NewReader(bytes.NewReader(file.Bytes())).ReadAllSharded(sink, 1)
 		if err != nil || n != int64(bc.n) {
 			b.Fatalf("read %d of %d records: %v", n, bc.n, err)
 		}
@@ -157,15 +157,15 @@ func benchReader(b *testing.B, level int, sink trace.Handler) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.n), "ns/rec")
 }
 
-// BenchmarkReader is the serial scan of the default v4 file.
+// BenchmarkReader is one whole-file read of the default v4 file through its
+// index, at one worker: the engine's floor of two decode goroutines.
 func BenchmarkReader(b *testing.B) { benchReader(b, 0, nullSink{}) }
 
-// BenchmarkReaderDecode is the serial scan with nothing to inflate.
+// BenchmarkReaderDecode is BenchmarkReader with nothing to inflate.
 func BenchmarkReaderDecode(b *testing.B) { benchReader(b, trace.CompressOff, nullSink{}) }
 
-// BenchmarkReaderColumns is the serial scan of the default v4 file into a
-// sink that takes columns: BenchmarkReader without the interleave into
-// Records.
+// BenchmarkReaderColumns is the same read into a sink that takes columns:
+// BenchmarkReader without the interleave into Records.
 func BenchmarkReaderColumns(b *testing.B) { benchReader(b, 0, nullColumns{}) }
 
 // BenchmarkInflateColumn reconstructs each column's run of every compressed

@@ -529,7 +529,7 @@ func (w *Writer) flushSegment() error {
 	var raw []byte
 	switch {
 	case w.version >= version4 && async:
-		raw = w.assembleColumnar(w.pipe.getSlab()[:0])
+		raw = w.assembleColumnar(slabFor(colHeaderLen + len(w.colD) + len(w.colF) + len(w.colC) + len(w.colA))[:0])
 		w.colD, w.colF, w.colC, w.colA = w.colD[:0], w.colF[:0], w.colC[:0], w.colA[:0]
 	case w.version >= version4:
 		// The interleaved buffer is unused in v4; reuse it as the assembly
@@ -538,7 +538,7 @@ func (w *Writer) flushSegment() error {
 		w.seg = raw
 		w.colD, w.colF, w.colC, w.colA = w.colD[:0], w.colF[:0], w.colC[:0], w.colA[:0]
 	case async:
-		raw = append(w.pipe.getSlab()[:0], w.seg...)
+		raw = append(slabFor(len(w.seg))[:0], w.seg...)
 		w.seg = w.seg[:0]
 	default:
 		raw = w.seg
@@ -684,29 +684,28 @@ func (w *Writer) Flush() error {
 }
 
 // Reader streams records from the binary trace format, accepting every
-// version (v1–v4) transparently: ReadAll / ReadAllPrefetch scan any version
-// serially, and ReadAllSharded / ReadRange additionally run indexed (v2+)
-// segments through the indexed decode engine when the source is seekable,
-// falling back to the serial scan (with a Warning) when it is not or the
-// index is unreadable.
+// version (v1–v4) transparently. Read and ReadAll decode one record at a
+// time and are the reference; ReadAllSharded and ReadRange run indexed
+// (v2+) segments through the read engine — through the index when the
+// source is seekable and the index valid, otherwise by scanning the frames
+// off the stream (with a Warning).
 type Reader struct {
 	// Salvage, when set before the first read, makes the planned read paths
 	// (ReadAllSharded, ReadRange) fall back to Recover when the footer or
-	// index of a seekable v2+ file is missing or damaged, whatever the
-	// worker count: the forward scan rebuilds an index over the intact
-	// segment prefix and decode proceeds as if the file were sealed,
-	// delivering exactly the validated records with no error and the
-	// degradation note in Warning. The zero value keeps the strict
-	// behavior: a damaged index degrades to the serial scan, which surfaces
-	// the corruption it runs into.
+	// index of a seekable v2+ file is missing or damaged: the forward scan
+	// rebuilds an index over the intact segment prefix and decode proceeds
+	// as if the file were sealed, delivering exactly the validated records
+	// with no error and the degradation note in Warning. The zero value
+	// keeps the strict behavior: a damaged index degrades to the frame
+	// scan, which surfaces the corruption it runs into.
 	Salvage bool
 
-	src     io.Reader // the unbuffered source, for the indexed read path
-	r       *bufio.Reader
+	src     io.Reader     // the unbuffered source: the header, then the index source
+	r       *bufio.Reader // Read and the frame scan decode from it; see buffer
 	last    time.Duration
 	init    bool
 	version uint8
-	seg     SegmentInfo // v2+: current segment's frame header
+	seg     SegmentInfo // v2+: the frame scan's current segment header
 	done    bool        // v2+: index frame reached — clean end of records
 	err     error
 	warn    string
@@ -722,7 +721,15 @@ type Reader struct {
 
 // NewReader creates a Reader.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{src: r, r: bufio.NewReaderSize(r, 1<<16)}
+	return &Reader{src: r}
+}
+
+// buffer puts the stream reader Read and the frame scan decode from in
+// place, on first use: a read through the index never needs its buffer.
+func (r *Reader) buffer() {
+	if r.r == nil {
+		r.r = bufio.NewReaderSize(r.src, 1<<16)
+	}
 }
 
 // Version returns the trace format version (1–4), or 0 before the header
@@ -733,14 +740,15 @@ func (r *Reader) Version() int { return int(r.version) }
 // or nil. The sentinels (ErrBadMagic, ErrCorrupt) keep error identity
 // stable for callers; Err preserves the close/EOF-tail state of the source
 // — e.g. an io.ErrUnexpectedEOF from a truncated file, or the I/O error a
-// failing disk returned mid-record. Errors from the parallel read path
+// failing disk returned mid-record. Errors from a read through the index
 // latch in wrapped form: errors.Is against both ErrCorrupt and the
 // underlying cause works.
 func (r *Reader) Err() error { return r.err }
 
 // Warning returns a human-readable note when a read path degraded (e.g.
-// ReadAllSharded fell back to a serial scan because the index was
-// truncated, or salvaged a torn file's intact prefix), or "" if none.
+// ReadAllSharded scanned the frames because the index was truncated, or
+// salvaged a torn file's intact prefix), or "" if none. It depends only on
+// the file, the source and Salvage, never on the worker count.
 func (r *Reader) Warning() string { return r.warn }
 
 // latch records err as the underlying cause and returns the sentinel.
@@ -756,7 +764,7 @@ func (r *Reader) latch(sentinel, err error) error {
 
 func (r *Reader) readHeader() error {
 	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r.src, hdr[:]); err != nil {
 		return r.latch(ErrBadMagic, err)
 	}
 	if string(hdr[:4]) != magic {
@@ -779,6 +787,7 @@ func (r *Reader) Read() (Record, error) {
 			return Record{}, err
 		}
 	}
+	r.buffer()
 	if r.version >= version2 {
 		return r.readSegmented()
 	}
@@ -848,9 +857,9 @@ func (r *Reader) fillSegmentQueue() {
 		r.qErr = err
 		return
 	}
-	payload, err := r.loadSegment(&r.sc)
-	blocks, decErr := decodeSegmentPayload(payload, r.seg)
-	for _, blk := range blocks {
+	stored, err := r.readFrame(&r.sc)
+	d, decErr := r.sc.decode(stored, r.seg, false)
+	for _, blk := range d.blocks {
 		r.q = append(r.q, *blk...)
 		FreeBlock(blk)
 	}

@@ -183,7 +183,6 @@ type compPipeline struct {
 
 	jobs   chan compJob
 	order  chan chan compResult
-	slabs  chan []byte // recycled payload slabs
 	wg     sync.WaitGroup
 	emDone chan struct{}
 
@@ -208,7 +207,6 @@ func newCompPipeline(w *Writer) *compPipeline {
 		level:  w.level(),
 		jobs:   make(chan compJob, workers),
 		order:  make(chan chan compResult, depth),
-		slabs:  make(chan []byte, 2*depth+2),
 		emDone: make(chan struct{}),
 	}
 	for i := 0; i < workers; i++ {
@@ -233,26 +231,6 @@ func (p *compPipeline) setErr(err error) {
 	p.mu.Unlock()
 }
 
-// getSlab returns a recycled slab (or nil; callers append into it).
-func (p *compPipeline) getSlab() []byte {
-	select {
-	case s := <-p.slabs:
-		return s
-	default:
-		return nil
-	}
-}
-
-func (p *compPipeline) putSlab(s []byte) {
-	if s == nil {
-		return
-	}
-	select {
-	case p.slabs <- s:
-	default:
-	}
-}
-
 // submit hands one sealed raw payload to the pool, blocking when the
 // in-flight bound is reached.
 func (p *compPipeline) submit(raw []byte, meta segMeta) error {
@@ -275,9 +253,10 @@ func (p *compPipeline) worker() {
 		if err != nil {
 			res.err = err
 		} else if flags&SegCompressed != 0 {
-			// The compressed bytes live in worker scratch reused by the
-			// next job; move them to an owned slab for the emitter.
-			res.payload = append(p.getSlab()[:0], payload...)
+			// The compressed bytes live in worker scratch reused by the next
+			// job; move them to an owned slab for the emitter, sized like the
+			// raw slab so that any pooled slab fits either use.
+			res.payload = append(slabFor(len(job.raw))[:0], payload...)
 		} else {
 			res.payload = job.raw
 		}
@@ -304,9 +283,9 @@ func (p *compPipeline) emitter() {
 			}
 		}
 		if res.err == nil && res.flags&SegCompressed != 0 {
-			p.putSlab(res.payload)
+			freeSlab(res.payload)
 		}
-		p.putSlab(res.raw)
+		freeSlab(res.raw)
 	}
 }
 

@@ -45,10 +45,10 @@ func ExampleWriter() {
 	// first segment spans 0s .. 100ms
 }
 
-// ExampleReader decodes a trace with the parallel read path: indexed
-// segments fan out across worker goroutines and deliver in file order, so
-// the delivered stream is identical to a serial ReadAll. On a v1 trace
-// or a non-seekable source the same call degrades to the serial scan.
+// ExampleReader decodes a trace with the read engine: indexed segments fan
+// out across worker goroutines and deliver in file order, so the delivered
+// stream is identical to a serial ReadAll. A non-seekable source is read by
+// scanning its frames instead, and a v1 trace record by record.
 func ExampleReader() {
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sort"
 	"time"
 )
 
@@ -12,9 +13,9 @@ import (
 // frame header plus its file offset; the fixed-size footer at the end of the
 // file points back at the index, so an indexed reader needs exactly two
 // reads (footer, then index) before it can fan segment decode out across
-// workers. The index is advisory: a serial scanner never needs it, and an
+// workers. The index is advisory: the frame scan never needs it, and an
 // unreadable index degrades to a rebuilt one (Reader.Salvage) or to the
-// serial scan (see Reader.plan).
+// frame scan (see Reader.plan).
 
 // Index is the parsed segment index of an indexed (v2+) trace.
 type Index struct {
@@ -92,7 +93,7 @@ func (w *Writer) writeIndexAndFooter() error {
 // a random-access source of the given total size. It returns ErrNoIndex for
 // a v1 trace, and a descriptive error (wrapping ErrCorrupt where the bytes
 // are implausible) when the index or footer is damaged — callers treat any
-// error as "scan serially instead".
+// error as "scan the frames instead".
 func ReadIndex(ra io.ReaderAt, size int64) (*Index, error) {
 	if size < headerLen+footerLen {
 		return nil, fmt.Errorf("%w: file too small (%d bytes) for an indexed trace", ErrCorrupt, size)
@@ -215,7 +216,7 @@ type seekerAt interface {
 }
 
 // sourceSize probes the source's total size without disturbing its current
-// position (the buffered serial reader must stay usable for fallback).
+// position (the frame scan must still find the stream where it was).
 func sourceSize(s io.Seeker) (int64, error) {
 	pos, err := s.Seek(0, io.SeekCurrent)
 	if err != nil {
@@ -229,71 +230,63 @@ func sourceSize(s io.Seeker) (int64, error) {
 	return size, err
 }
 
-// readPlan is the planner's verdict on how a Reader's stream gets read:
-// through the indexed decode engine (decodeIndexed) over ix on workers
-// goroutines, or — ix nil — by the serial scan.
-type readPlan struct {
-	ra      io.ReaderAt
-	ix      *Index
-	workers int
-}
-
-// plan is the one place a Reader decides between the indexed engine and the
-// serial scan; every entry point that can use an index (ReadAllSharded,
-// ReadRange) asks it. needIndex says the caller gains from an index even on
-// one worker (a range read seeks by it). The ladder, top to bottom:
+// plan is the one place a Reader picks the segment source for a read of the
+// records with from ≤ T < to, returning nil for a v1 stream, which has no
+// segments (its callers use readSpan). The ladder, top to bottom:
 //
-//	v1                                   serial, silent (no index can exist)
-//	workers ≤ 1, !needIndex, !Salvage    serial, silent (the caller's choice)
-//	source not seekable / size unknown   serial + Warning
-//	index valid                          indexed at max(1, workers) — except
-//	                                     workers ≤ 1 && !needIndex: serial,
-//	                                     silent (a sealed file scans fastest
-//	                                     through the prefetch pipeline)
-//	index damaged, Salvage, Recover ok   indexed over the rebuilt index at
-//	                                     max(1, workers) + Warning
-//	index damaged otherwise              serial + Warning
+//	v1                                   nil: per-record readSpan
+//	seekable, index valid                the index, silent
+//	index damaged, Salvage, Recover ok   Recover's rebuilt index + Warning
+//	anything else                        the frame scan + Warning
 //
-// Salvage is consulted before the worker count, so one torn file yields one
-// record count and one Warning however many workers read it.
-func (r *Reader) plan(workers int, needIndex bool) (readPlan, error) {
+// An index source covers only the segments overlapping the range. plan
+// never sees the worker count, so one torn file yields one record count and
+// one Warning however many workers read it.
+func (r *Reader) plan(from, to time.Duration) (segSource, error) {
 	if !r.init {
 		if err := r.readHeader(); err != nil {
-			return readPlan{}, err
+			return nil, err
 		}
 	}
-	serialAsked := workers <= 1 && !needIndex
-	if r.version == version1 || serialAsked && !r.Salvage {
-		return readPlan{}, nil
+	if r.version == version1 {
+		return nil, nil
 	}
+	ra, ix, note := r.usableIndex()
+	r.warn = note
+	if ix == nil {
+		r.warn += "; scanning frames instead"
+		r.buffer()
+		return &frameScan{r: r, from: from, to: to}, nil
+	}
+	segs := ix.Segments
+	lo := sort.Search(len(segs), func(i int) bool { return segs[i].MaxT >= from })
+	hi := sort.Search(len(segs), func(i int) bool { return segs[i].MinT >= to })
+	return &indexSource{ra: ra, version: ix.Version, segs: segs[lo:hi]}, nil
+}
+
+// usableIndex returns the source's index — its own, or with Salvage set
+// Recover's rebuild over the intact segment prefix — and the note Warning
+// carries about it, or a nil index and the reason there is none.
+func (r *Reader) usableIndex() (io.ReaderAt, *Index, string) {
 	sa, ok := r.src.(seekerAt)
 	if !ok {
-		r.warn = "indexed read needs a seekable source; using serial scan"
-		return readPlan{}, nil
+		return nil, nil, "indexed read needs a seekable source"
 	}
 	size, err := sourceSize(sa)
 	if err != nil {
-		r.warn = fmt.Sprintf("indexed read: source size unavailable (%v); using serial scan", err)
-		return readPlan{}, nil
+		return nil, nil, fmt.Sprintf("indexed read: source size unavailable (%v)", err)
 	}
-	indexed := readPlan{ra: sa, workers: max(1, workers)}
-	if indexed.ix, err = ReadIndex(sa, size); err == nil {
-		if serialAsked {
-			return readPlan{}, nil
-		}
-		return indexed, nil
+	ix, err := ReadIndex(sa, size)
+	if err == nil {
+		return sa, ix, ""
 	}
 	if r.Salvage {
-		// Rebuild the index over the intact segment prefix and decode
-		// through it as if the file were sealed; the torn tail is dropped
-		// rather than surfaced as corruption.
+		// Decode through the rebuilt index as if the file were sealed; the
+		// torn tail is dropped rather than surfaced as corruption.
 		if rix, rep, rerr := Recover(sa, size); rerr == nil {
-			r.warn = fmt.Sprintf("segment index unreadable (%v); salvaged %d intact segments (%d records, %d bytes dropped)",
+			return sa, rix, fmt.Sprintf("segment index unreadable (%v); salvaged %d intact segments (%d records, %d bytes dropped)",
 				err, rep.Segments, rep.Records, rep.DroppedBytes())
-			indexed.ix = rix
-			return indexed, nil
 		}
 	}
-	r.warn = fmt.Sprintf("segment index unreadable (%v); using serial scan", err)
-	return readPlan{}, nil
+	return nil, nil, fmt.Sprintf("segment index unreadable (%v)", err)
 }

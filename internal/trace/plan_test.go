@@ -13,15 +13,15 @@ import (
 	"cstrace/internal/faultio"
 )
 
-// TestReadPlanTable pins the planner's condition → plan → Warning table:
+// TestReadPlanTable pins the planner's condition → source → Warning table:
 // every format version, on a seekable and a non-seekable source, sealed,
-// with a damaged footer and torn mid-segment, with Salvage off and on, read
-// by one worker and by four, for a whole-file read and for one that needs
-// the index (a range read). The expectations below restate the ladder
-// independently of the planner's own control flow.
+// with a damaged footer and torn mid-segment, with Salvage off and on. The
+// expectations below restate the ladder independently of the planner's own
+// control flow. A whole-file read at one worker and at four then leaves the
+// same Warning the plan did: it depends on the file and the source only.
 func TestReadPlanTable(t *testing.T) {
 	const (
-		noSeek   = "indexed read needs a seekable source; using serial scan"
+		noSeek   = "indexed read needs a seekable source; scanning frames instead"
 		badIndex = "segment index unreadable ("
 	)
 	for version := 1; version <= 4; version++ {
@@ -47,57 +47,65 @@ func TestReadPlanTable(t *testing.T) {
 		for _, file := range files {
 			for _, seekable := range []bool{true, false} {
 				for _, salvage := range []bool{false, true} {
+					name := fmt.Sprintf("v%d/%s/seekable=%v/salvage=%v", version, file.name, seekable, salvage)
+					newReader := func() *Reader {
+						var src io.Reader = bytes.NewReader(file.data)
+						if !seekable {
+							src = nonSeeker{src}
+						}
+						r := NewReader(src)
+						r.Salvage = salvage
+						return r
+					}
+					r := newReader()
+					src, err := r.plan(0, MaxSpan)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+
+					// wantSegs: -1 reads record by record (v1), -2 scans
+					// the frames, otherwise the index source's length.
+					wantSegs, wantWarn := -1, ""
+					switch {
+					case version == 1:
+					case !seekable:
+						wantSegs, wantWarn = -2, noSeek
+					case !file.damaged:
+						wantSegs = file.segs
+					case salvage:
+						wantSegs = file.segs
+						wantWarn = fmt.Sprintf("salvaged %d intact segments", file.segs)
+					default:
+						wantSegs, wantWarn = -2, "; scanning frames instead"
+					}
+
+					gotSegs := -1
+					switch s := src.(type) {
+					case *indexSource:
+						gotSegs = len(s.segs)
+						if s.ra == nil || s.version != version {
+							t.Errorf("%s: index source over %v at v%d", name, s.ra, s.version)
+						}
+					case *frameScan:
+						gotSegs = -2
+					}
+					if gotSegs != wantSegs {
+						t.Errorf("%s: plan source %d, want %d (-1 = record by record, -2 = frame scan)", name, gotSegs, wantSegs)
+					}
+					warn := r.Warning()
+					switch {
+					case wantWarn == "" || wantWarn == noSeek:
+						if warn != wantWarn {
+							t.Errorf("%s: Warning %q, want %q", name, warn, wantWarn)
+						}
+					case !strings.HasPrefix(warn, badIndex) || !strings.Contains(warn, wantWarn):
+						t.Errorf("%s: Warning %q, want %q… mentioning %q", name, warn, badIndex, wantWarn)
+					}
 					for _, workers := range []int{1, 4} {
-						for _, needIndex := range []bool{false, true} {
-							name := fmt.Sprintf("v%d/%s/seekable=%v/salvage=%v/workers=%d/needIndex=%v",
-								version, file.name, seekable, salvage, workers, needIndex)
-							var src io.Reader = bytes.NewReader(file.data)
-							if !seekable {
-								src = nonSeeker{src}
-							}
-							r := NewReader(src)
-							r.Salvage = salvage
-							p, err := r.plan(workers, needIndex)
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-
-							serialAsked := workers == 1 && !needIndex
-							wantSegs, wantWarn := -1, "" // -1: the serial scan
-							switch {
-							case version == 1, serialAsked && !salvage:
-							case !seekable:
-								wantWarn = noSeek
-							case !file.damaged:
-								if !serialAsked {
-									wantSegs = file.segs
-								}
-							case salvage:
-								wantSegs = file.segs
-								wantWarn = fmt.Sprintf("salvaged %d intact segments", file.segs)
-							default:
-								wantWarn = "; using serial scan"
-							}
-
-							gotSegs := -1
-							if p.ix != nil {
-								gotSegs = len(p.ix.Segments)
-								if p.workers != workers || p.ra == nil {
-									t.Errorf("%s: indexed plan on %d workers (source %v), want %d", name, p.workers, p.ra, workers)
-								}
-							}
-							if gotSegs != wantSegs {
-								t.Errorf("%s: plan covers %d segments, want %d (-1 = serial scan)", name, gotSegs, wantSegs)
-							}
-							warn := r.Warning()
-							switch {
-							case wantWarn == "" || wantWarn == noSeek:
-								if warn != wantWarn {
-									t.Errorf("%s: Warning %q, want %q", name, warn, wantWarn)
-								}
-							case !strings.HasPrefix(warn, badIndex) || !strings.Contains(warn, wantWarn):
-								t.Errorf("%s: Warning %q, want %q… mentioning %q", name, warn, badIndex, wantWarn)
-							}
+						rd := newReader()
+						_, _ = rd.ReadAllSharded(&Collect{}, workers)
+						if got := rd.Warning(); got != warn {
+							t.Errorf("%s: workers=%d read leaves Warning %q, the plan %q", name, workers, got, warn)
 						}
 					}
 				}
@@ -108,9 +116,9 @@ func TestReadPlanTable(t *testing.T) {
 
 // TestIndexedReadsLeaveNothingBehind: a mid-file ErrCorrupt — one bit
 // flipped in a segment's column header — must surface from every read
-// preset with the records before the damage delivered, every goroutine the
-// call started gone, and every decoded-but-undelivered Block and
-// ColumnBlock back in its pool.
+// preset, through the index and by frame scan, with the records before the
+// damage delivered, every goroutine the call started gone, and every
+// decoded-but-undelivered Block and ColumnBlock back in its pool.
 func TestIndexedReadsLeaveNothingBehind(t *testing.T) {
 	_, raw := versionStream(t, 4, 20000, 512)
 	g := geometry(t, raw)
@@ -135,6 +143,12 @@ func TestIndexedReadsLeaveNothingBehind(t *testing.T) {
 		},
 		"ReadRange": func(h Handler, _ int) (int64, error) {
 			return NewReader(bytes.NewReader(bad)).ReadRange(0, MaxSpan, h)
+		},
+		"frame-scan": func(h Handler, workers int) (int64, error) {
+			return NewReader(nonSeeker{bytes.NewReader(bad)}).ReadAllSharded(h, workers)
+		},
+		"frame-scan-range": func(h Handler, _ int) (int64, error) {
+			return NewReader(nonSeeker{bytes.NewReader(bad)}).ReadRange(0, MaxSpan, h)
 		},
 		"DecodeIndex": func(h Handler, workers int) (int64, error) {
 			return DecodeIndex(bytes.NewReader(bad), g.ix, h, workers)

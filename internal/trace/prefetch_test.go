@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -29,105 +30,129 @@ func prefetchTestTrace(t *testing.T, n int) []byte {
 	return buf.Bytes()
 }
 
-// TestReadAllPrefetchMatchesReadAll: the prefetching path must deliver the
-// identical record stream and count as the synchronous path, across sizes
-// that exercise empty, partial and multi-block tails.
+// scanReads returns the reads under test beside ReadAll: the deprecated
+// ReadAllPrefetch forward on a seekable source, and the frame scan of a
+// non-seekable one at one, two and four workers.
+func scanReads(raw []byte) map[string]func(h Handler) (*Reader, int64, error) {
+	reads := map[string]func(h Handler) (*Reader, int64, error){
+		"prefetch": func(h Handler) (*Reader, int64, error) {
+			rd := NewReader(bytes.NewReader(raw))
+			n, err := rd.ReadAllPrefetch(h)
+			return rd, n, err
+		},
+	}
+	for _, workers := range []int{1, 2, 4} {
+		reads[fmt.Sprintf("scan/workers=%d", workers)] = func(h Handler) (*Reader, int64, error) {
+			rd := NewReader(nonSeeker{bytes.NewReader(raw)})
+			n, err := rd.ReadAllSharded(h, workers)
+			return rd, n, err
+		}
+	}
+	return reads
+}
+
+// TestReadAllPrefetchMatchesReadAll: every read in scanReads must deliver
+// the identical record stream and count as ReadAll, across sizes that
+// exercise empty, partial and multi-block tails, into a record sink and
+// into a column sink.
 func TestReadAllPrefetchMatchesReadAll(t *testing.T) {
 	for _, n := range []int{0, 1, BlockSize - 1, BlockSize, BlockSize + 1, 3*BlockSize + 17} {
 		raw := prefetchTestTrace(t, n)
 
 		var sync Collect
 		sn, err := NewReader(bytes.NewReader(raw)).ReadAll(&sync)
-		if err != nil {
-			t.Fatalf("n=%d: ReadAll: %v", n, err)
+		if err != nil || sn != int64(n) {
+			t.Fatalf("n=%d: ReadAll: %d, %v", n, sn, err)
 		}
-		var pre Collect
-		pn, err := NewReader(bytes.NewReader(raw)).ReadAllPrefetch(&pre)
-		if err != nil {
-			t.Fatalf("n=%d: ReadAllPrefetch: %v", n, err)
-		}
-		if sn != pn || sn != int64(n) {
-			t.Fatalf("n=%d: counts diverge: sync %d, prefetch %d", n, sn, pn)
-		}
-		if len(sync.Records) != len(pre.Records) {
-			t.Fatalf("n=%d: lengths diverge: %d vs %d", n, len(sync.Records), len(pre.Records))
-		}
-		for i := range sync.Records {
-			if sync.Records[i] != pre.Records[i] {
-				t.Fatalf("n=%d: record %d diverges: %+v vs %+v", n, i, sync.Records[i], pre.Records[i])
+		for name, read := range scanReads(raw) {
+			var pre Collect
+			if _, pn, err := read(&pre); err != nil || pn != sn || !slices.Equal(pre.Records, sync.Records) {
+				t.Fatalf("n=%d %s: %d records (%d delivered), %v; want ReadAll's %d", n, name, pn, len(pre.Records), err, sn)
 			}
-		}
 
-		// A column sink takes the v4 segments as columns, in the same
-		// stream, and hands every pooled block back.
-		out := poolOut.Load()
-		col := &columnCollect{}
-		cn, err := NewReader(bytes.NewReader(raw)).ReadAllPrefetch(col)
-		if err != nil {
-			t.Fatalf("n=%d: ReadAllPrefetch into columns: %v", n, err)
-		}
-		if cn != sn || !slices.Equal(col.records, sync.Records) || (col.colIngests > 0) != (n > 0) {
-			t.Fatalf("n=%d: column sink got %d records (%d delivered) in %d column blocks, want ReadAll's %d",
-				n, cn, len(col.records), col.colIngests, sn)
-		}
-		if now := poolOut.Load(); now != out {
-			t.Errorf("n=%d: %d pooled blocks not returned", n, now-out)
+			// A column sink takes the v4 segments as columns, in the same
+			// stream, and hands every pooled block back.
+			out := poolOut.Load()
+			col := &columnCollect{}
+			_, cn, err := read(col)
+			if err != nil {
+				t.Fatalf("n=%d %s into columns: %v", n, name, err)
+			}
+			if cn != sn || !slices.Equal(col.records, sync.Records) || (col.colIngests > 0) != (n > 0) {
+				t.Fatalf("n=%d %s: column sink got %d records (%d delivered) in %d column blocks, want ReadAll's %d",
+					n, name, cn, len(col.records), col.colIngests, sn)
+			}
+			if now := poolOut.Load(); now != out {
+				t.Errorf("n=%d %s: %d pooled blocks not returned", n, name, now-out)
+			}
 		}
 	}
 }
 
-// TestReadAllPrefetchErrorParity: on a stream truncated mid-segment both
-// paths must surface ErrCorrupt, and the prefetch path must still deliver
-// every record it reported.
+// TestReadAllPrefetchErrorParity: on v2, v3 and v4 files — sealed, torn
+// a few bytes short of a middle segment's end, and with one byte flipped
+// inside that segment's payload — every read in scanReads delivers
+// ReadAll's records and count and fails with ReadAll's error, into a
+// record sink and into a column sink, with every pooled block back. The
+// frame scan latches ReadAll's Err() cause too; a read through the index
+// latches its wrapped error instead.
 func TestReadAllPrefetchErrorParity(t *testing.T) {
-	raw := prefetchTestTrace(t, 1000)
-	// Cut a few bytes short of the first segment's frame end: every column
-	// run is present but the last one is damaged, so both paths recover a
-	// non-empty prefix whatever the payload layout.
-	ix, err := ReadIndex(bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := ix.Segments[0]
-	truncated := raw[:seg.Offset+int64(seg.frameHeaderLen(ix.Version))+int64(seg.PayloadLen)-3]
-
-	var sync Collect
-	sn, syncErr := NewReader(bytes.NewReader(truncated)).ReadAll(&sync)
-	var pre Collect
-	pn, preErr := NewReader(bytes.NewReader(truncated)).ReadAllPrefetch(&pre)
-
-	if !errors.Is(syncErr, ErrCorrupt) || !errors.Is(preErr, ErrCorrupt) {
-		t.Fatalf("truncated stream: sync err %v, prefetch err %v, want ErrCorrupt", syncErr, preErr)
-	}
-	// The per-record and slab decoders walk the same bytes: the pre-error
-	// delivery must be identical, not merely non-empty.
-	if sn == 0 || sn != pn {
-		t.Errorf("pre-error counts diverge: sync %d, prefetch %d", sn, pn)
-	}
-	if len(pre.Records) != int(pn) || len(sync.Records) != int(sn) {
-		t.Errorf("delivered/reported mismatch: sync %d/%d, prefetch %d/%d",
-			len(sync.Records), sn, len(pre.Records), pn)
-	}
-	for i := 0; i < len(sync.Records) && i < len(pre.Records); i++ {
-		if sync.Records[i] != pre.Records[i] {
-			t.Fatalf("pre-error record %d diverges: %+v vs %+v", i, sync.Records[i], pre.Records[i])
+	for version := 2; version <= 4; version++ {
+		_, raw := versionStream(t, version, 9000, 1<<10)
+		g := geometry(t, raw)
+		seg := g.ix.Segments[len(g.ix.Segments)/2]
+		payloadOff := seg.Offset + int64(seg.frameHeaderLen(version))
+		flipped := bytes.Clone(raw)
+		flipped[payloadOff+int64(seg.PayloadLen)/2] ^= 0xFF
+		files := map[string][]byte{
+			"sealed": raw,
+			// Every column run is present but the last one is damaged,
+			// so every read recovers a non-empty prefix of the segment
+			// whatever the payload layout.
+			"torn":     raw[:payloadOff+int64(seg.PayloadLen)-3],
+			"bit-flip": flipped,
 		}
-	}
-
-	// The column leg: the same pre-error records, count and error, and
-	// every pooled block back.
-	out := poolOut.Load()
-	col := &columnCollect{}
-	cn, colErr := NewReader(bytes.NewReader(truncated)).ReadAllPrefetch(col)
-	if colErr == nil || colErr.Error() != preErr.Error() {
-		t.Errorf("column sink err %v, record sink %v", colErr, preErr)
-	}
-	if cn != pn || col.colIngests == 0 || !slices.Equal(col.records, pre.Records) {
-		t.Errorf("column sink got %d records (%d delivered) in %d column blocks, record sink %d",
-			cn, len(col.records), col.colIngests, pn)
-	}
-	if now := poolOut.Load(); now != out {
-		t.Errorf("%d pooled blocks not returned", now-out)
+		for file, data := range files {
+			var sync Collect
+			rd := NewReader(bytes.NewReader(data))
+			sn, syncErr := rd.ReadAll(&sync)
+			cause := rd.Err()
+			if file == "sealed" && syncErr != nil || file == "torn" && !errors.Is(syncErr, ErrCorrupt) {
+				t.Fatalf("v%d %s: ReadAll err %v", version, file, syncErr)
+			}
+			if file == "torn" && sn <= g.cumRecs[len(g.ix.Segments)/2-1] {
+				t.Fatalf("v%d torn: ReadAll delivered %d records, want more than the %d before the torn segment",
+					version, sn, g.cumRecs[len(g.ix.Segments)/2-1])
+			}
+			for name, read := range scanReads(data) {
+				name := fmt.Sprintf("v%d %s %s", version, file, name)
+				for sink, h := range map[string]Handler{"records": &Collect{}, "columns": &columnCollect{}} {
+					out := poolOut.Load()
+					prd, pn, err := read(h)
+					var got []Record
+					switch h := h.(type) {
+					case *Collect:
+						got = h.Records
+					case *columnCollect:
+						got = h.records
+					}
+					if fmt.Sprint(err) != fmt.Sprint(syncErr) {
+						t.Errorf("%s into %s: err %v, ReadAll %v", name, sink, err, syncErr)
+					}
+					if pn != sn || !slices.Equal(got, sync.Records) {
+						t.Errorf("%s into %s: %d records (%d delivered), ReadAll %d", name, sink, pn, len(got), sn)
+					}
+					// A read through the index leaves no Warning.
+					scanned := prd.Warning() != ""
+					if scanned && prd.Err() != cause || !scanned && (prd.Err() == nil) != (err == nil) {
+						t.Errorf("%s into %s: Err() = %v, ReadAll's %v", name, sink, prd.Err(), cause)
+					}
+					if now := poolOut.Load(); now != out {
+						t.Errorf("%s into %s: %d pooled blocks not returned", name, sink, now-out)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -176,8 +177,9 @@ func appByteOffset(raw []byte, si SegmentInfo, j int, gap time.Duration) int {
 	return off
 }
 
-// TestReadRangeFallbacks: a v1 trace and a non-seekable source both degrade
-// to the filtered serial scan with identical results.
+// TestReadRangeFallbacks: a v1 trace (read record by record) and a
+// non-seekable source (read by frame scan) deliver what the filtered full
+// scan does.
 func TestReadRangeFallbacks(t *testing.T) {
 	const count = 2000
 	gap := time.Millisecond
@@ -197,7 +199,7 @@ func TestReadRangeFallbacks(t *testing.T) {
 		return out
 	}
 
-	// v1: no index can exist; silent serial scan.
+	// v1: no index can exist; silent record-by-record scan.
 	rawV1 := rangeTrace(t, true, count, gap)
 	var gotV1 Collect
 	if _, err := NewReader(bytes.NewReader(rawV1)).ReadRange(from, to, &gotV1); err != nil {
@@ -207,7 +209,7 @@ func TestReadRangeFallbacks(t *testing.T) {
 		t.Error("v1 fallback range read diverges from filtered scan")
 	}
 
-	// v2 through a non-seekable source: serial scan plus a warning.
+	// v2 through a non-seekable source: frame scan plus a warning.
 	rawV2 := rangeTrace(t, false, count, gap)
 	rd := NewReader(onlyReader{bytes.NewReader(rawV2)})
 	var gotNS Collect
@@ -215,7 +217,7 @@ func TestReadRangeFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rd.Warning() == "" {
-		t.Error("non-seekable v2 range read should warn about the serial scan")
+		t.Error("non-seekable v2 range read should warn about the frame scan")
 	}
 	if !recordsEqual(gotNS.Records, want(rawV2)) {
 		t.Error("non-seekable fallback range read diverges from filtered scan")
@@ -226,7 +228,9 @@ func TestReadRangeFallbacks(t *testing.T) {
 // makes are the file header, the footer, the index and the frames of the
 // segments overlapping the range — nothing else — so a tight range on a
 // many-segment file costs I/O proportional to the slice, not to the file.
-// (The format-version probe goes through the buffered serial reader.)
+// (The format-version probe reads the stream, not ReadAt.) Off a stream,
+// the frame scan delivers the same records and stops reading one frame
+// header past the range, give or take its read-ahead buffer.
 func TestReadRangeReadsOnlyOverlap(t *testing.T) {
 	const count = 50000
 	gap := time.Millisecond
@@ -275,7 +279,38 @@ func TestReadRangeReadsOnlyOverlap(t *testing.T) {
 			t.Errorf("level %d: range read fetched %d bytes at random, want %d (index, footer, header and %d overlapping frames) of a %d-byte file",
 				level, src.readAt, want, overlap, len(raw))
 		}
+
+		stream := &countingReader{r: bytes.NewReader(raw)}
+		rd = NewReader(stream)
+		var scanned Collect
+		if n, err := rd.ReadRange(from, to, &scanned); err != nil || n != 10 || rd.Warning() == "" {
+			t.Fatalf("level %d: stream range read %d records, %v (warning %q), want 10 and a warning", level, n, err, rd.Warning())
+		}
+		if !recordsEqual(scanned.Records, got.Records) {
+			t.Errorf("level %d: stream range read diverges from the indexed one", level)
+		}
+		past := ix.Segments[sort.Search(len(ix.Segments), func(i int) bool { return ix.Segments[i].MinT >= to })]
+		limit := past.Offset + int64(past.frameHeaderLen(version4)) + 1<<16
+		if limit >= int64(len(raw)) {
+			t.Fatalf("level %d: a %d-byte file is too short to tell where the scan stops", level, len(raw))
+		}
+		if stream.n > limit {
+			t.Errorf("level %d: stream range read consumed %d bytes of %d; the first frame past the range starts at %d",
+				level, stream.n, len(raw), past.Offset)
+		}
 	}
+}
+
+// countingReader is a plain stream that tallies the bytes it returns.
+type countingReader struct {
+	r *bytes.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // countingSource is a seekable source that tallies the bytes ReadAt

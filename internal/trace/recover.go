@@ -95,7 +95,8 @@ func Recover(ra io.ReaderAt, size int64) (*Index, *RecoverReport, error) {
 	// segment too; on the first failure, keep the intact prefix of the
 	// index. This is what lets salvage repair a file whose index survived a
 	// crash but whose segment data did not.
-	var sc segScratch
+	sc := pooledScratch()
+	defer sc.release()
 	if six, err := ReadIndex(ra, size); err == nil {
 		good := int64(headerLen)
 		for i, si := range six.Segments {
@@ -204,16 +205,20 @@ func Recover(ra io.ReaderAt, size int64) (*Index, *RecoverReport, error) {
 // decoded blocks. It is the acceptance test a segment must pass before
 // Recover will vouch for it.
 func validateSegment(ra io.ReaderAt, si SegmentInfo, ver int, sc *segScratch) error {
-	d, err := readSegmentAt(ra, si, ver, sc, true)
-	d.free()
+	stored, err := fetchSegmentFrame(ra, si, ver, sc)
+	if err == nil {
+		var d segData
+		d, err = sc.decode(stored, si, true)
+		d.free()
+	}
 	return err
 }
 
 // DecodeIndex streams every record of the segments listed in ix — typically
 // one rebuilt by Recover — from ra into h in file order, decoding segments
-// on up to workers goroutines (min 1). It is the salvage pipeline's decode
-// stage: the indexed decode engine ReadAllSharded runs on a sealed file,
-// minus the footer lookup.
+// on max(workers, 2) goroutines. It is the salvage pipeline's decode stage:
+// the read engine ReadAllSharded runs on a sealed file, minus the footer
+// lookup.
 func DecodeIndex(ra io.ReaderAt, ix *Index, h Handler, workers int) (int64, error) {
-	return decodeIndexed(ra, ix.Version, ix.Segments, 0, math.MaxInt64, h, workers)
+	return decodeSegments(&indexSource{ra: ra, version: ix.Version, segs: ix.Segments}, 0, math.MaxInt64, h, workers)
 }

@@ -330,7 +330,7 @@ func TestReaderSalvageFallback(t *testing.T) {
 			}
 
 			// Without Salvage the same torn file must keep the strict
-			// contract: fall back to the serial scan and surface the
+			// contract: fall back to the frame scan and surface the
 			// mid-segment truncation.
 			var strict Collect
 			if _, err := NewReader(bytes.NewReader(torn)).ReadAllSharded(&strict, workers); !errors.Is(err, ErrCorrupt) {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,8 +14,8 @@ import (
 // a decoder needs (payload length, record count, the delta base timestamp
 // and — since v3 — a flags word announcing per-segment compression), so
 // workers can decode segments concurrently from an io.ReaderAt without any
-// shared state, and a serial scanner can walk the frames with a plain
-// io.Reader. See docs/FORMAT.md for the byte-level specification.
+// shared state, and a frame scan can walk them with a plain io.Reader. See
+// docs/FORMAT.md for the byte-level specification.
 
 const (
 	segMagic    = "CSEG"
@@ -165,7 +166,7 @@ func (si *SegmentInfo) setRawLen(rawLen int) error {
 	return nil
 }
 
-// nextSegment advances the serial scanner to the next segment frame. It
+// nextSegment advances the frame scan to the next segment frame. It
 // returns io.EOF at the clean end of records: the index frame, or — for a
 // file whose tail was lost — a bare EOF at a frame boundary (latched as a
 // warning, since the records themselves were all recovered).
@@ -187,7 +188,7 @@ func (r *Reader) nextSegment() error {
 	switch string(mark[:]) {
 	case indexMagic:
 		// End of record segments; the rest of the file is index + footer,
-		// which the serial scanner does not need.
+		// which the frame scan does not need.
 		r.done = true
 		return io.EOF
 	case segMagic:
@@ -328,7 +329,7 @@ func (sc *segScratch) inflateRun(dst, stored []byte) (int, error) {
 // preserve records-before-error delivery.
 func (sc *segScratch) decompress(p []byte, si SegmentInfo) ([]byte, error) {
 	if cap(sc.raw) < si.RawLen {
-		sc.raw = make([]byte, si.RawLen)
+		sc.raw = slabFor(si.RawLen)
 	}
 	dst := sc.raw[:si.RawLen]
 	if si.Columnar() {
@@ -341,28 +342,21 @@ func (sc *segScratch) decompress(p []byte, si SegmentInfo) ([]byte, error) {
 	return dst, nil
 }
 
-// loadSegment is the serial scan's one read-and-inflate step, shared by
-// Read and the prefetch pipeline: it reads the current segment's payload
-// into sc.frame, inflates it into sc.raw when the segment is flagged
-// compressed, and leaves the scanner at the next frame. It returns the raw
-// payload — on damage the prefix recovered before it, which the caller
-// still decodes so those records are delivered — with the error that
-// outranks any decode error: a short read first, then inflate damage.
-func (r *Reader) loadSegment(sc *segScratch) ([]byte, error) {
-	si := r.seg
-	payload, readErr := readPayload(r.r, sc.frame, si.PayloadLen)
-	sc.frame = payload
-	var err error
-	if si.Compressed() {
-		payload, err = sc.decompress(payload, si)
+// readFrame reads the current segment's stored payload off the stream into
+// sc.frame, for Read and the frame scan. It returns the bytes that arrived
+// — the whole payload, or on a short read its prefix, which the caller
+// still decodes so those records are delivered — latching a short read as
+// ErrCorrupt.
+func (r *Reader) readFrame(sc *segScratch) ([]byte, error) {
+	stored, err := readPayload(r.r, sc.frame, r.seg.PayloadLen)
+	sc.frame = stored
+	if err != nil {
+		err = r.latch(ErrCorrupt, err)
 	}
-	if readErr != nil {
-		err = r.latch(ErrCorrupt, readErr)
-	}
-	return payload, err
+	return stored, err
 }
 
-// payloadStep is the first read of a serially scanned payload. The frame
+// payloadStep is the first read of a payload off the stream. The frame
 // header that sizes the payload has not been checked against anything yet,
 // so the slab grows only as bytes arrive.
 const payloadStep = 1 << 20
@@ -400,7 +394,7 @@ func fetchSegmentFrame(ra io.ReaderAt, si SegmentInfo, version int, sc *segScrat
 	hl := si.frameHeaderLen(version)
 	need := hl + si.PayloadLen
 	if cap(sc.frame) < need {
-		sc.frame = make([]byte, need)
+		sc.frame = slabFor(need)
 	}
 	sc.frame = sc.frame[:need]
 	if _, err := ra.ReadAt(sc.frame, si.Offset); err != nil {
@@ -438,23 +432,16 @@ func decodeSegment(p []byte, si SegmentInfo, cols bool) (d segData, err error) {
 	return d, err
 }
 
-// readSegmentAt reads and decodes one segment from an io.ReaderAt using the
-// worker's scratch buffers, as decodeSegment does. Header-level failures
-// yield nothing; damage inside a compressed payload still decodes the
-// recovered raw prefix, preserving records-before-error delivery.
-func readSegmentAt(ra io.ReaderAt, si SegmentInfo, version int, sc *segScratch, cols bool) (segData, error) {
-	payload, ferr := fetchSegmentFrame(ra, si, version, sc)
-	if ferr != nil {
-		return segData{}, ferr
-	}
+// decode inflates a stored payload when the segment is compressed and
+// decodes it as decodeSegment does. Damage inside a compressed payload still
+// decodes the recovered raw prefix, preserving records-before-error
+// delivery; the inflate failure is then reported as the cause, since the
+// decode of the prefix necessarily hit its truncation point too.
+func (sc *segScratch) decode(stored []byte, si SegmentInfo, cols bool) (segData, error) {
+	raw, err := stored, error(nil)
 	if si.Compressed() {
-		payload, ferr = sc.decompress(payload, si)
+		raw, err = sc.decompress(stored, si)
 	}
-	d, derr := decodeSegment(payload, si, cols)
-	if ferr != nil {
-		// Report the inflate failure as the cause; the decode of the
-		// recovered prefix necessarily hit its truncation point too.
-		return d, ferr
-	}
-	return d, derr
+	d, derr := decodeSegment(raw, si, cols)
+	return d, cmp.Or(err, derr)
 }

@@ -146,9 +146,9 @@ func TestReadAllShardedMatchesSerial(t *testing.T) {
 }
 
 // TestReadAllShardedFallbacks: without an ingest-capable sink the engine
-// delivers through its HandleBatch adapter; with one worker, on a v1 file,
-// or on a non-seekable source, ReadAllSharded takes the serial scan — the
-// same stream every time.
+// delivers through its HandleBatch adapter; one worker runs it at its floor
+// of two; a non-seekable source is read by frame scan and a v1 file record
+// by record — the same stream every time.
 func TestReadAllShardedFallbacks(t *testing.T) {
 	const n = 3000
 	recs, raw := versionStream(t, 3, n, 1<<10)
@@ -158,12 +158,12 @@ func TestReadAllShardedFallbacks(t *testing.T) {
 	if pn, err := NewReader(bytes.NewReader(raw)).ReadAllSharded(&plain, 4); err != nil || pn != int64(n) {
 		t.Fatalf("plain sink: %d, %v", pn, err)
 	}
-	// workers=1: serial scan.
+	// workers=1: the engine's floor of two workers.
 	one := &blockCollect{}
 	if pn, err := NewReader(bytes.NewReader(raw)).ReadAllSharded(one, 1); err != nil || pn != int64(n) {
 		t.Fatalf("one worker: %d, %v", pn, err)
 	}
-	// Non-seekable source: serial scan with a warning.
+	// Non-seekable source: frame scan with a warning.
 	ns := &blockCollect{}
 	rd := NewReader(nonSeeker{bytes.NewReader(raw)})
 	if pn, err := rd.ReadAllSharded(ns, 4); err != nil || pn != int64(n) {
@@ -172,7 +172,7 @@ func TestReadAllShardedFallbacks(t *testing.T) {
 	if rd.Warning() == "" {
 		t.Error("non-seekable sharded read did not warn")
 	}
-	// v1: silent serial scan.
+	// v1: silent, record by record.
 	_, rawV1 := versionStream(t, 1, n, 0)
 	v1got := &blockCollect{}
 	if pn, err := NewReader(bytes.NewReader(rawV1)).ReadAllSharded(v1got, 4); err != nil || pn != int64(n) {
@@ -392,7 +392,7 @@ func TestWriterBadCompressLevel(t *testing.T) {
 type nonSeeker struct{ io.Reader }
 
 // TestParallelFallsBackSerial: a damaged index or footer, or a non-seekable
-// source, must degrade to the serial scan — full stream, nil error, and an
+// source, must degrade to the frame scan — full stream, nil error, and an
 // explanatory Warning.
 func TestParallelFallsBackSerial(t *testing.T) {
 	const n = 9000
@@ -444,7 +444,7 @@ func TestV2CorruptPayload(t *testing.T) {
 	bad := raw[:cut]
 
 	var serial Collect
-	_, serr := NewReader(bytes.NewReader(bad)).ReadAllPrefetch(&serial)
+	_, serr := NewReader(bytes.NewReader(bad)).ReadAll(&serial)
 	if !errors.Is(serr, ErrCorrupt) {
 		t.Fatalf("serial err = %v, want ErrCorrupt", serr)
 	}
@@ -511,11 +511,11 @@ func TestV3CorruptCompressed(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		// The file ends mid-way through the compressed payload: no index
-		// survives, so this exercises the serial truncated-tail scan.
+		// survives, so every path is the frame scan of a truncated tail.
 		"truncated-file": raw[:payloadOff+int64(seg.PayloadLen)/2],
-		// A flipped byte inside the flate stream, index intact: both the
-		// serial scan and the parallel decode see a valid frame whose
-		// payload no longer inflates.
+		// A flipped byte inside the flate stream, index intact: ReadAll and
+		// the read through the index see a valid frame whose payload no
+		// longer inflates.
 		"bit-flip": mutate(func(b []byte) []byte {
 			b[payloadOff+int64(seg.PayloadLen)/2] ^= 0xFF
 			return b
@@ -530,7 +530,7 @@ func TestV3CorruptCompressed(t *testing.T) {
 	}
 	for name, bad := range cases {
 		var serial Collect
-		sn, serr := NewReader(bytes.NewReader(bad)).ReadAllPrefetch(&serial)
+		sn, serr := NewReader(bytes.NewReader(bad)).ReadAll(&serial)
 		if !errors.Is(serr, ErrCorrupt) {
 			t.Fatalf("%s: serial err = %v, want ErrCorrupt", name, serr)
 		}
@@ -594,10 +594,10 @@ func TestV3RawLenMismatch(t *testing.T) {
 	for name, delta := range map[string]int{"short": -1, "long": +1} {
 		mut := append([]byte{}, raw...)
 		binary.LittleEndian.PutUint32(mut[rawLenOff:], uint32(seg.RawLen+delta))
-		// The serial scan trusts the frame alone, so it must notice the
-		// inflate-size mismatch itself (the parallel path additionally
-		// rejects the frame/index disagreement).
-		if _, err := NewReader(bytes.NewReader(mut)).ReadAllPrefetch(&Collect{}); !errors.Is(err, ErrCorrupt) {
+		// ReadAll trusts the frame alone, so it must notice the
+		// inflate-size mismatch itself (the read through the index
+		// additionally rejects the frame/index disagreement).
+		if _, err := NewReader(bytes.NewReader(mut)).ReadAll(&Collect{}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: serial err = %v, want ErrCorrupt", name, err)
 		}
 		if _, err := NewReader(bytes.NewReader(mut)).ReadAllSharded(&Collect{}, 4); !errors.Is(err, ErrCorrupt) {
@@ -629,10 +629,10 @@ func TestV3RawLenExpansionBound(t *testing.T) {
 	}
 	seg := ix.Segments[target]
 	const huge = 0xFFFFFFF0
-	// Frame path: the serial scan parses the frame's trailing rawLen.
+	// Frame path: ReadAll parses the frame's trailing rawLen.
 	mutFrame := append([]byte{}, raw...)
 	binary.LittleEndian.PutUint32(mutFrame[seg.Offset+segHeaderLenV3:], huge)
-	if _, err := NewReader(bytes.NewReader(mutFrame)).ReadAllPrefetch(&Collect{}); !errors.Is(err, ErrCorrupt) {
+	if _, err := NewReader(bytes.NewReader(mutFrame)).ReadAll(&Collect{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("frame: err = %v, want ErrCorrupt", err)
 	}
 	// Index path: ReadIndex must reject the entry up front. The rawLen
@@ -833,7 +833,7 @@ func TestVersionPolicy(t *testing.T) {
 	if _, err := ReadIndex(bytes.NewReader(v1.Bytes()), int64(v1.Len())); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("ReadIndex(v1) = %v, want ErrNoIndex", err)
 	}
-	// A v1 trace through ReadAllSharded silently uses the serial path —
+	// A v1 trace through ReadAllSharded is silently read record by record —
 	// that is the documented fallback, not a warning case.
 	rd := NewReader(bytes.NewReader(v1.Bytes()))
 	pn, err := rd.ReadAllSharded(&Collect{}, 4)

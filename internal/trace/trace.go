@@ -25,10 +25,9 @@
 // segment decode out across worker goroutines with in-order delivery,
 // handing the decoded blocks — v4 segments still as columns — straight to
 // a ColumnIngester or BlockIngester (the sharded analysis suite) with no
-// re-batching copy. It falls back to the serial Reader.ReadAllPrefetch
-// scan (which inflates and decodes ahead on their own goroutines,
-// overlapping file I/O with analysis, and delivers on the same surfaces)
-// for v1 files, non-seekable sources and damaged indexes. PCAP{,NG}Writer and
+// re-batching copy. The same engine reads a non-seekable source or a file
+// with a damaged index by scanning its frames instead of seeking by the
+// index; only v1 files are read record by record. PCAP{,NG}Writer and
 // ReadPCAP{,NG} exchange traces with standard capture tooling. See
 // docs/ARCHITECTURE.md for the end-to-end data flow.
 package trace

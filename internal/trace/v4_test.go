@@ -236,7 +236,7 @@ func TestV4ReservedFlagBit(t *testing.T) {
 	mutFrame := append([]byte{}, raw...)
 	binary.LittleEndian.PutUint32(mutFrame[seg.Offset+12:], seg.Flags|1<<2)
 	var serial Collect
-	sn, serr := NewReader(bytes.NewReader(mutFrame)).ReadAllPrefetch(&serial)
+	sn, serr := NewReader(bytes.NewReader(mutFrame)).ReadAll(&serial)
 	if !errors.Is(serr, ErrCorrupt) {
 		t.Fatalf("serial err = %v, want ErrCorrupt", serr)
 	}
@@ -303,7 +303,7 @@ func TestV4ColumnHeaderMismatch(t *testing.T) {
 		bad := append([]byte{}, raw...)
 		mutate(bad)
 		var serial Collect
-		sn, serr := NewReader(bytes.NewReader(bad)).ReadAllPrefetch(&serial)
+		sn, serr := NewReader(bytes.NewReader(bad)).ReadAll(&serial)
 		if !errors.Is(serr, ErrCorrupt) {
 			t.Fatalf("%s: serial err = %v, want ErrCorrupt", name, serr)
 		}
@@ -357,7 +357,7 @@ func TestV4CorruptColumnRuns(t *testing.T) {
 		return f(append([]byte{}, raw...))
 	}
 	cases := map[string][]byte{
-		// The file ends inside the stored runs: serial truncated-tail scan.
+		// The file ends inside the stored runs: no index survives.
 		"truncated-file": raw[:payloadOff+int64(seg.PayloadLen)/2],
 		// A flipped byte inside a stored run.
 		"bit-flip": mutate(func(b []byte) []byte {
@@ -373,7 +373,7 @@ func TestV4CorruptColumnRuns(t *testing.T) {
 	}
 	for name, bad := range cases {
 		var serial Collect
-		sn, serr := NewReader(bytes.NewReader(bad)).ReadAllPrefetch(&serial)
+		sn, serr := NewReader(bytes.NewReader(bad)).ReadAll(&serial)
 		if !errors.Is(serr, ErrCorrupt) {
 			t.Fatalf("%s: serial err = %v, want ErrCorrupt", name, serr)
 		}
@@ -382,7 +382,7 @@ func TestV4CorruptColumnRuns(t *testing.T) {
 		}
 
 		if name == "truncated-file" {
-			continue // no index survives: every path is the same serial scan
+			continue // no index survives: every path is the same frame scan
 		}
 		for path, read := range map[string]func(rd *Reader, h Handler) (int64, error){
 			"parallel": func(rd *Reader, h Handler) (int64, error) { return rd.ReadAllSharded(batchOnly{h}, 4) },
