@@ -143,3 +143,19 @@ func BenchmarkSlim(b *testing.B) {
 	}
 	perRec(b, bs)
 }
+
+// BenchmarkRollingWindow sweeps the column blocks through a fresh
+// one-minute RollingWindow per pass, as the daemon's rebase lends it each
+// decoded block: the counts and the SHA-256 of 16 bytes per record.
+func BenchmarkRollingWindow(b *testing.B) {
+	bs, _ := benchInput(b)
+	b.ResetTimer()
+	for range b.N {
+		rw := NewRollingWindow(time.Minute, nil)
+		for _, cb := range bs.cols {
+			rw.HandleColumns(cb)
+		}
+		rw.Close()
+	}
+	perRec(b, bs)
+}

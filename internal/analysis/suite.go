@@ -143,6 +143,20 @@ func (s *Suite) Handle(r trace.Record) { s.HandleBatch([]trace.Record{r}) }
 // loop instead of being re-entered once per record.
 func (s *Suite) HandleBatch(rs []trace.Record) { s.sweep(refill(&s.scratch, rs)) }
 
+// IngestBlock implements trace.BlockIngester: the block is swept as a
+// batch, then recycled.
+func (s *Suite) IngestBlock(blk *trace.Block) {
+	s.HandleBatch(*blk)
+	trace.FreeBlock(blk)
+}
+
+// IngestColumns implements trace.ColumnIngester: a column-decoded segment
+// chunk is swept as it is, with no transpose, then recycled.
+func (s *Suite) IngestColumns(cb *trace.ColumnBlock) {
+	s.sweep(cb)
+	trace.FreeColumnBlock(cb)
+}
+
 // sweep runs every collector unit over one column block.
 func (s *Suite) sweep(cb *trace.ColumnBlock) {
 	for _, u := range s.sweeps {
@@ -216,6 +230,7 @@ func PerSlotKbs(t TableII, slots int) float64 {
 }
 
 var (
-	_ trace.Handler      = (*Suite)(nil)
-	_ trace.BatchHandler = (*Suite)(nil)
+	_ trace.Handler        = (*Suite)(nil)
+	_ trace.BatchHandler   = (*Suite)(nil)
+	_ trace.ColumnIngester = (*Suite)(nil)
 )

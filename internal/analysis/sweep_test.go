@@ -393,7 +393,8 @@ func TestColumnSweepsMatchRecordSweeps(t *testing.T) {
 // TestKindPastThreeBitsCountsAsOnDisk: the format stores three bits of
 // Kind, so a Kind 9 record reads back from a file as Kind 1. The suite
 // counts an in-memory record the way it counts it after that round trip,
-// whether it is handed a batch or one record at a time.
+// whether it is handed a batch or one record at a time, and the rolling
+// window hashes it that way.
 func TestKindPastThreeBitsCountsAsOnDisk(t *testing.T) {
 	recs := []trace.Record{
 		{T: 0, Dir: trace.In, Kind: 9, Client: 1, App: 40},
@@ -411,8 +412,9 @@ func TestKindPastThreeBitsCountsAsOnDisk(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	raw := file.Bytes()
 	disk := newTestSuite(t, SuiteConfig{Duration: time.Second})
-	if _, err := trace.NewReader(&file).ReadAll(disk); err != nil {
+	if _, err := trace.NewReader(bytes.NewReader(raw)).ReadAll(disk); err != nil {
 		t.Fatal(err)
 	}
 	want := disk.Kinds.Rows()
@@ -426,6 +428,24 @@ func TestKindPastThreeBitsCountsAsOnDisk(t *testing.T) {
 		if i >= len(want) || want[i].Kind != kind || want[i].Packets != 1 {
 			t.Fatalf("round-trip rows %+v, want one packet each of kinds 0, 1, 2", want)
 		}
+	}
+
+	// The daemon's window hashes the kind as the file holds it, too.
+	windows := func(feed func(*RollingWindow)) []WindowStats {
+		var ws []WindowStats
+		rw := NewRollingWindow(time.Second, func(w WindowStats) { ws = append(ws, w) })
+		feed(rw)
+		rw.Close()
+		return ws
+	}
+	memWin := windows(func(rw *RollingWindow) { rw.HandleBatch(recs) })
+	diskWin := windows(func(rw *RollingWindow) {
+		if _, err := trace.NewReader(bytes.NewReader(raw)).ReadAll(rw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(memWin, diskWin) {
+		t.Errorf("window in memory %+v, after a v4 round trip %+v", memWin, diskWin)
 	}
 }
 

@@ -52,7 +52,9 @@ type WindowStats struct {
 //
 // The collector is single-goroutine (feed it from one logical enqueuer,
 // e.g. alongside a sharded suite's dispatch). Records must arrive in
-// non-decreasing timestamp order — the same contract as Suite. A record with T exactly on a boundary opens the next window.
+// non-decreasing timestamp order — the same contract as Suite. A record with
+// T exactly on a boundary opens the next window; a late record counts into
+// the window that is open.
 type RollingWindow struct {
 	width  time.Duration
 	emit   func(WindowStats)
@@ -60,8 +62,12 @@ type RollingWindow struct {
 	open   bool
 	closed bool
 	h      hash.Hash
-	buf    []byte
+	buf    []byte // hashChunk packed 16-byte records on their way into h
 }
+
+// hashChunk is how many records the sweep packs before each write to the
+// window hash.
+const hashChunk = 1024
 
 // NewRollingWindow creates a windowed collector. width must be positive;
 // emit receives each completed window synchronously (keep it fast, or hand
@@ -73,32 +79,45 @@ func NewRollingWindow(width time.Duration, emit func(WindowStats)) *RollingWindo
 	if emit == nil {
 		emit = func(WindowStats) {}
 	}
-	return &RollingWindow{width: width, emit: emit, h: sha256.New()}
+	return &RollingWindow{width: width, emit: emit, h: sha256.New(), buf: make([]byte, 16*hashChunk)}
 }
 
 // Width returns the window width.
 func (rw *RollingWindow) Width() time.Duration { return rw.width }
 
-// Handle implements trace.Handler.
+// Handle implements trace.Handler: one record is a one-record batch.
 func (rw *RollingWindow) Handle(r trace.Record) {
 	rw.HandleBatch([]trace.Record{r})
 }
 
 // HandleBatch implements trace.BatchHandler.
-func (rw *RollingWindow) HandleBatch(rs []trace.Record) {
+func (rw *RollingWindow) HandleBatch(rs []trace.Record) { viaColumns(rs, rw.HandleColumns) }
+
+// HandleColumns is the collector's one sweep. Per window it finds the run
+// of records before the window's End, sums the run's counts in one pass and
+// packs its hash records straight from the columns. The flags byte reads as
+// it does from a file: bit 0 the direction, the next three bits the kind.
+// The block is only borrowed.
+func (rw *RollingWindow) HandleColumns(cb *trace.ColumnBlock) {
 	if rw.closed {
 		return
 	}
-	for _, r := range rs {
+	ts := cb.T
+	for i := 0; i < len(ts); {
 		if !rw.open {
-			rw.openAt(r.T)
-		} else if r.T >= rw.cur.End {
+			rw.openAt(ts[i])
+		} else if ts[i] >= rw.cur.End {
 			rw.flush(false)
-			rw.openAt(r.T)
+			rw.openAt(ts[i])
 		}
-		rw.add(r)
+		j, end := i+1, rw.cur.End
+		for j < len(ts) && ts[j] < end {
+			j++
+		}
+		rw.count(cb.Flags[i:j], cb.App[i:j])
+		rw.hashRun(cb, i, j)
+		i = j
 	}
-	rw.drainBuf()
 }
 
 // Close flushes the in-progress partial window (marked Final) and latches
@@ -123,36 +142,42 @@ func (rw *RollingWindow) openAt(t time.Duration) {
 	rw.open = true
 }
 
-func (rw *RollingWindow) add(r trace.Record) {
-	rw.cur.Records++
-	if r.Dir == trace.In {
-		rw.cur.PacketsIn++
-		rw.cur.AppBytesIn += int64(r.App)
-	} else {
-		rw.cur.PacketsOut++
-		rw.cur.AppBytesOut += int64(r.App)
+// count adds one run's records to the open window's counters.
+func (rw *RollingWindow) count(fs []uint8, as []uint16) {
+	var out, app, appOut int64
+	for k, f := range fs {
+		a := int64(as[k])
+		out += int64(f & 1)
+		app += a
+		appOut += a & -int64(f&1)
 	}
-	var rec [16]byte
-	binary.LittleEndian.PutUint64(rec[0:], uint64(r.T))
-	rec[8] = byte(r.Dir)
-	rec[9] = byte(r.Kind)
-	binary.LittleEndian.PutUint32(rec[10:], r.Client)
-	binary.LittleEndian.PutUint16(rec[14:], r.App)
-	rw.buf = append(rw.buf, rec[:]...)
-	if len(rw.buf) >= 1<<14 {
-		rw.drainBuf()
-	}
+	n := int64(len(fs))
+	rw.cur.Records += n
+	rw.cur.PacketsIn += n - out
+	rw.cur.PacketsOut += out
+	rw.cur.AppBytesIn += app - appOut
+	rw.cur.AppBytesOut += appOut
 }
 
-func (rw *RollingWindow) drainBuf() {
-	if len(rw.buf) > 0 {
-		rw.h.Write(rw.buf)
-		rw.buf = rw.buf[:0]
+// hashRun feeds records [lo, hi) of cb to the window hash, 16 little-endian
+// bytes each: T, direction, kind, client, app.
+func (rw *RollingWindow) hashRun(cb *trace.ColumnBlock, lo, hi int) {
+	for lo < hi {
+		m := min(hi-lo, hashChunk)
+		ts, fs, cs, as := cb.T[lo:lo+m], cb.Flags[lo:lo+m], cb.Client[lo:lo+m], cb.App[lo:lo+m]
+		buf := rw.buf[:16*m]
+		for k := range ts {
+			f := uint64(fs[k])
+			rec := buf[16*k : 16*k+16]
+			binary.LittleEndian.PutUint64(rec[0:], uint64(ts[k]))
+			binary.LittleEndian.PutUint64(rec[8:], f&1|f>>1&0x7<<8|uint64(cs[k])<<16|uint64(as[k])<<48)
+		}
+		rw.h.Write(buf)
+		lo += m
 	}
 }
 
 func (rw *RollingWindow) flush(final bool) {
-	rw.drainBuf()
 	w := rw.cur
 	w.Final = final
 	w.WireBytes = w.AppBytesIn + w.AppBytesOut +

@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"encoding/binary"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -115,4 +118,134 @@ func TestRollingWindowCloseLatches(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("emitted %d windows, want 1 (close latches)", n)
 	}
+}
+
+// recordWindow is the oracle for RollingWindow's column sweep: the
+// per-record body the collector ran before it had one, opening and
+// flushing windows through the collector's own openAt and flush.
+type recordWindow struct{ *RollingWindow }
+
+func (rw recordWindow) handle(rs []trace.Record) {
+	if rw.closed {
+		return
+	}
+	for _, r := range rs {
+		if !rw.open {
+			rw.openAt(r.T)
+		} else if r.T >= rw.cur.End {
+			rw.flush(false)
+			rw.openAt(r.T)
+		}
+		rw.add(r)
+	}
+}
+
+func (rw recordWindow) add(r trace.Record) {
+	rw.cur.Records++
+	if r.Dir == trace.In {
+		rw.cur.PacketsIn++
+		rw.cur.AppBytesIn += int64(r.App)
+	} else {
+		rw.cur.PacketsOut++
+		rw.cur.AppBytesOut += int64(r.App)
+	}
+	var rec [16]byte
+	binary.LittleEndian.PutUint64(rec[0:], uint64(r.T))
+	rec[8] = byte(r.Dir)
+	rec[9] = byte(r.Kind)
+	binary.LittleEndian.PutUint32(rec[10:], r.Client)
+	binary.LittleEndian.PutUint16(rec[14:], r.App)
+	rw.h.Write(rec[:])
+}
+
+// windowStream is a seeded stream for the window oracle: bursts a few
+// microseconds apart, records placed exactly on window bounds, gaps that
+// skip several windows, and now and then a late record.
+func windowStream(seed int64, n int, width time.Duration) []trace.Record {
+	rng := rand.New(rand.NewSource(seed))
+	rs := make([]trace.Record, n)
+	var t time.Duration
+	for i := range rs {
+		switch x := rng.Intn(1000); {
+		case x < 5: // onto the next bound
+			t += width - t%width
+		case x < 8: // skip several windows
+			t += time.Duration(2+rng.Intn(5)) * width
+		case x < 12 && t > width: // late: before the open window starts
+			rs[i] = windowRecord(rng, t-t%width-time.Duration(1+rng.Intn(int(width))))
+			continue
+		default:
+			t += time.Duration(rng.Intn(3000)) * time.Microsecond
+		}
+		rs[i] = windowRecord(rng, t)
+	}
+	return rs
+}
+
+func windowRecord(rng *rand.Rand, t time.Duration) trace.Record {
+	return trace.Record{
+		T:      t,
+		Dir:    trace.Direction(rng.Intn(2)),
+		Kind:   trace.Kind(rng.Intn(8)),
+		Client: rng.Uint32() >> uint(rng.Intn(32)),
+		App:    uint16(rng.Intn(1 << 16)),
+	}
+}
+
+// TestRollingWindowColumnsMatchRecords: the column sweep emits exactly the
+// windows the per-record body does — counts, bounds, rates and hash — over
+// seeded streams cut into random blocks, fed as record batches and as
+// column blocks, with and without a Close before the stream ends.
+func TestRollingWindowColumnsMatchRecords(t *testing.T) {
+	const width = 50 * time.Millisecond
+	for seed := int64(1); seed <= 8; seed++ {
+		rs := windowStream(seed, 20000, width)
+		rng := rand.New(rand.NewSource(-seed))
+		for _, cut := range []int{len(rs), len(rs) / 3} { // cut < len: Close mid-window
+			var want []WindowStats
+			oracle := recordWindow{NewRollingWindow(width, func(w WindowStats) { want = append(want, w) })}
+			oracle.handle(rs[:cut])
+			oracle.Close()
+			oracle.handle(rs[cut:])
+
+			for _, leg := range []string{"batches", "columns"} {
+				var got []WindowStats
+				rw := NewRollingWindow(width, func(w WindowStats) { got = append(got, w) })
+				for lo := 0; lo < len(rs); {
+					if lo >= cut && !rw.closed {
+						rw.Close()
+					}
+					hi := min(len(rs), lo+1+rng.Intn(3*trace.BlockSize/2))
+					if !rw.closed {
+						hi = min(hi, cut)
+					}
+					if leg == "batches" {
+						rw.HandleBatch(rs[lo:hi])
+					} else {
+						cb := columnsOf(rs[lo:hi])
+						rw.HandleColumns(cb)
+						trace.FreeColumnBlock(cb)
+					}
+					lo = hi
+				}
+				rw.Close()
+				if len(want) < 10 {
+					t.Fatalf("seed %d: only %d windows; the stream should span many", seed, len(want))
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d, cut %d, %s: column sweep emitted %d windows, the record body %d; first difference at %d",
+						seed, cut, leg, len(got), len(want), firstWindowDiff(got, want))
+				}
+			}
+		}
+	}
+}
+
+func firstWindowDiff(a, b []WindowStats) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }

@@ -53,9 +53,10 @@ type IngestOptions struct {
 	// Extra, when non-nil, receives the decoded record stream in order
 	// alongside the analysis suite — the daemon tees its cumulative
 	// collectors and rolling window here so one decode pass serves both
-	// the per-file row and the service-wide state. The tee forgoes the
-	// zero-copy block hand-off (the fan-out is not a BlockIngester), so
-	// leave it nil for plain one-shot ingests.
+	// the per-file row and the service-wide state. A v4 file reaches both
+	// as column blocks (trace.Fanout is a ColumnIngester); one that
+	// implements trace.ColumnIngester takes them without an interleave,
+	// a plain handler gets records.
 	Extra trace.Handler
 }
 

@@ -70,7 +70,7 @@ type Config struct {
 type Engine struct {
 	cfg       Config
 	suite     *analysis.Suite
-	sink      trace.Handler
+	sink      trace.ColumnIngester
 	closeSink func()
 	win       *analysis.RollingWindow
 
@@ -109,7 +109,9 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, suite: suite, seen: make(map[string]bool)}
-	e.sink, e.closeSink = suite.Sink(cfg.Parallelism)
+	sink, closeSink := suite.Sink(cfg.Parallelism)
+	// Both of Sink's shapes, the suite and its shard, take column blocks.
+	e.sink, e.closeSink = sink.(trace.ColumnIngester), closeSink
 	e.win = analysis.NewRollingWindow(cfg.Window, e.recordWindow)
 	return e, nil
 }
@@ -128,11 +130,12 @@ func (e *Engine) recordWindow(w analysis.WindowStats) {
 // rebase shifts each file's records onto the service timeline and fans
 // them to the cumulative sink and the rolling window. It is the
 // IngestOptions.Extra handler for one file: end tracks the file's own span
-// so the engine can advance the offset afterwards.
+// so the engine can advance the offset afterwards. A v4 file reaches it as
+// column blocks (trace.Fanout passes them through); records are transposed
+// once into the same path.
 type rebase struct {
-	e       *Engine
-	end     time.Duration
-	scratch trace.Block
+	e   *Engine
+	end time.Duration
 }
 
 func (f *rebase) Handle(r trace.Record) { f.HandleBatch([]trace.Record{r}) }
@@ -141,16 +144,26 @@ func (f *rebase) HandleBatch(rs []trace.Record) {
 	if len(rs) == 0 {
 		return
 	}
-	f.scratch = append(f.scratch[:0], rs...)
+	cb := trace.NewColumnBlock()
+	cb.AppendFrom(rs)
+	f.IngestColumns(cb)
+}
+
+func (f *rebase) IngestBlock(blk *trace.Block) {
+	f.HandleBatch(*blk)
+	trace.FreeBlock(blk)
+}
+
+// IngestColumns shifts cb's T column in place, lends the block to the
+// window, then passes ownership to the cumulative sink.
+func (f *rebase) IngestColumns(cb *trace.ColumnBlock) {
 	off := f.e.offset
-	for i := range f.scratch {
-		if f.scratch[i].T > f.end {
-			f.end = f.scratch[i].T
-		}
-		f.scratch[i].T += off
+	for i, t := range cb.T {
+		f.end = max(f.end, t)
+		cb.T[i] = t + off
 	}
-	trace.Dispatch(f.e.sink, f.scratch)
-	f.e.win.HandleBatch(f.scratch)
+	f.e.win.HandleColumns(cb)
+	f.e.sink.IngestColumns(cb)
 }
 
 // IngestFile feeds one trace file through the service: the per-file run
@@ -318,3 +331,5 @@ func (e *Engine) Suite() *analysis.Suite { return e.suite }
 
 // Windows returns how many completed windows the engine recorded.
 func (e *Engine) Windows() int64 { return e.windows }
+
+var _ trace.ColumnIngester = (*rebase)(nil)

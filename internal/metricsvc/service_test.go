@@ -3,7 +3,10 @@ package metricsvc_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -38,9 +41,16 @@ func spoolRecords(seed, count int, span time.Duration) []trace.Record {
 
 func writeSpoolFile(t *testing.T, dir, name string, recs []trace.Record) {
 	t.Helper()
+	writeSpoolWith(t, dir, name, recs, trace.NewWriter, 512)
+}
+
+// writeSpoolWith writes recs into dir/name with a writer from newWriter cut
+// into segments of segPayload bytes.
+func writeSpoolWith(t *testing.T, dir, name string, recs []trace.Record, newWriter func(io.Writer) *trace.Writer, segPayload int) {
+	t.Helper()
 	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	w.SegmentPayload = 512
+	w := newWriter(&buf)
+	w.SegmentPayload = segPayload
 	for _, r := range recs {
 		if err := w.Write(r); err != nil {
 			t.Fatal(err)
@@ -260,5 +270,73 @@ func TestServiceRunLoop(t *testing.T) {
 	}
 	if !strings.Contains(report.String(), "files=") {
 		t.Errorf("no report lines emitted: %q", report.String())
+	}
+}
+
+// TestServiceRowsPinned pins what a seeded three-file spool leaves in the
+// store: the window rows (bounds, counts, rates and content hashes), the
+// service row (hash, records and cumulative summary) and the per-file rows,
+// at every parallelism. The files mix a v4 file cut into full-size segments, a v2
+// file and a v4 file cut small, so the rows cover column and record
+// delivery alike. A change that moves either digest changes store bytes.
+func TestServiceRowsPinned(t *testing.T) {
+	const (
+		pinnedWindowRows = "aa8e13be629182441b99f78a3bf80e3ec8b0cbe4214a38bbe82aecdd40f6ce75"
+		pinnedServiceRow = "11db5049b76b1e20d38ff585a3742223c1aef8b3887a7ca04e5bc3b06cc99d54"
+		pinnedFileRows   = "c409844d368bb6838c4585aef3036a56aa4bd25c90cba8bc33c26abd520e41c4"
+	)
+	spool := t.TempDir()
+	writeSpoolWith(t, spool, "a.cst", spoolRecords(11, 12000, 150*time.Second), trace.NewWriter, trace.DefaultSegmentPayload)
+	writeSpoolWith(t, spool, "b.cst", spoolRecords(12, 5000, 100*time.Second), trace.NewWriterV2, 2048)
+	writeSpoolWith(t, spool, "c.cst", spoolRecords(13, 8000, 130*time.Second), trace.NewWriter, 4096)
+
+	for _, par := range []int{1, 2, cstrace.AutoWorkers} {
+		st, err := metricstore.Open(filepath.Join(t.TempDir(), "m.csms"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := metricsvc.New(metricsvc.Config{
+			Store: st, Spool: spool, Window: 20 * time.Second,
+			Parallelism: par, Now: fixedClock(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := eng.Sweep(); err != nil || n != 3 {
+			t.Fatalf("parallelism %d: Sweep = %d, %v; want 3, nil", par, n, err)
+		}
+		if _, err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wins, svc, files := sha256.New(), sha256.New(), sha256.New()
+		for _, r := range st.Runs() {
+			row, err := json.Marshal(struct {
+				Hash    string
+				Records int64
+				Summary analysis.Summary
+				Window  *analysis.WindowStats
+			}{r.Hash, r.Records, r.Summary, r.Window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch r.Kind {
+			case metricstore.KindWindow:
+				wins.Write(row)
+			case metricstore.KindService:
+				svc.Write(row)
+			case metricstore.KindTrace:
+				files.Write(row)
+			}
+		}
+		st.Close()
+		if got := hex.EncodeToString(wins.Sum(nil)); got != pinnedWindowRows {
+			t.Errorf("parallelism %d: window rows digest %s, pinned %s", par, got, pinnedWindowRows)
+		}
+		if got := hex.EncodeToString(svc.Sum(nil)); got != pinnedServiceRow {
+			t.Errorf("parallelism %d: service row digest %s, pinned %s", par, got, pinnedServiceRow)
+		}
+		if got := hex.EncodeToString(files.Sum(nil)); got != pinnedFileRows {
+			t.Errorf("parallelism %d: file rows digest %s, pinned %s", par, got, pinnedFileRows)
+		}
 	}
 }

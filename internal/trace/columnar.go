@@ -220,6 +220,16 @@ func FreeColumnBlock(cb *ColumnBlock) {
 	columnBlockPool.Put(cb)
 }
 
+// clone returns a pooled copy of cb.
+func (cb *ColumnBlock) clone() *ColumnBlock {
+	c := NewColumnBlock()
+	c.T = append(c.T, cb.T...)
+	c.Flags = append(c.Flags, cb.Flags...)
+	c.Client = append(c.Client, cb.Client...)
+	c.App = append(c.App, cb.App...)
+	return c
+}
+
 func (cb *ColumnBlock) truncate(n int) {
 	cb.T = cb.T[:n]
 	cb.Flags = cb.Flags[:n]
@@ -409,11 +419,12 @@ func (d *colDecoder) apps(as []uint16) (n int, err error) {
 }
 
 // inflateColumnarInto reconstructs the raw columnar payload of a compressed
-// columnar segment into dst (len si.RawLen): the raw header followed by the
-// four runs, each either copied (stored literally) or inflated with the
-// scratch decoder. On damage it returns the contiguous raw prefix
-// recovered before the error, so the column decoders can deliver the
-// records complete in every column up to the damage.
+// columnar segment into dst (len si.RawLen, or less when p is too short to
+// fill that): the raw header followed by the four runs, each either copied
+// (stored literally) or inflated with the scratch decoder. On damage it
+// returns the contiguous raw prefix recovered before the error, so the
+// column decoders can deliver the records complete in every column up to
+// the damage.
 func (sc *segScratch) inflateColumnarInto(dst, p []byte, si SegmentInfo) ([]byte, error) {
 	rawL, stoL, poff, err := storedColHeaders(p, si)
 	if err != nil {
@@ -423,14 +434,17 @@ func (sc *segScratch) inflateColumnarInto(dst, p []byte, si SegmentInfo) ([]byte
 	off := colHeaderLen
 	for c := range rawL {
 		raw, sto := rawL[c], stoL[c]
-		stored := clampRun(p, poff, sto)
+		stored, out := clampRun(p, poff, sto), clampRun(dst, off, raw)
 		if sto == raw {
-			n := copy(dst[off:off+raw], stored)
+			n := copy(out, stored)
 			if n < raw {
 				return dst[:off+n], fmt.Errorf("%w: %s column truncated after %d of %d bytes", ErrCorrupt, colNames[c], n, raw)
 			}
 		} else {
-			n, err := sc.inflateRun(dst[off:off+raw], stored)
+			n, err := sc.inflateRun(out, stored)
+			if err == nil && n < raw {
+				err = errShortfall
+			}
 			if err != nil {
 				return dst[:off+n], fmt.Errorf("%w: %s column damaged after %d of %d raw bytes: %w", ErrCorrupt, colNames[c], n, raw, err)
 			}

@@ -3,6 +3,7 @@ package trace
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -327,20 +328,33 @@ func (sc *segScratch) inflateRun(dst, stored []byte) (int, error) {
 // damaged stream it returns the bytes recovered before the damage alongside
 // an ErrCorrupt-wrapped error, so callers can decode the partial prefix and
 // preserve records-before-error delivery.
+//
+// The slab is sized by the bytes at hand, not only by the header: p can
+// inflate to no more than colHeaderLen + len(p)×maxFlateExpansion bytes, so
+// a frame scan that met a header lying in both PayloadLen and RawLen, with
+// a few KiB behind it, allocates a few MiB, and the shortfall is ErrCorrupt.
 func (sc *segScratch) decompress(p []byte, si SegmentInfo) ([]byte, error) {
-	if cap(sc.raw) < si.RawLen {
-		sc.raw = slabFor(si.RawLen)
+	n := min(si.RawLen, colHeaderLen+len(p)*maxFlateExpansion)
+	if cap(sc.raw) < n {
+		sc.raw = slabFor(n)
 	}
-	dst := sc.raw[:si.RawLen]
+	dst := sc.raw[:n]
 	if si.Columnar() {
 		return sc.inflateColumnarInto(dst, p, si)
 	}
-	n, err := sc.inflateRun(dst, p)
+	got, err := sc.inflateRun(dst, p)
+	if err == nil && got < si.RawLen {
+		err = errShortfall
+	}
 	if err != nil {
-		return dst[:n], fmt.Errorf("%w: compressed payload damaged after %d of %d raw bytes: %w", ErrCorrupt, n, si.RawLen, err)
+		return dst[:got], fmt.Errorf("%w: compressed payload damaged after %d of %d raw bytes: %w", ErrCorrupt, got, si.RawLen, err)
 	}
 	return dst, nil
 }
+
+// errShortfall is the cause reported when a compressed payload's stored
+// bytes are too few to inflate to the raw size its header declares.
+var errShortfall = errors.New("stored bytes too few for the declared raw size")
 
 // readFrame reads the current segment's stored payload off the stream into
 // sc.frame, for Read and the frame scan. It returns the bytes that arrived

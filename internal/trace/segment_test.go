@@ -687,6 +687,74 @@ func TestSerialScanBoundsHeaderAlloc(t *testing.T) {
 	}
 }
 
+// TestCompressedSlabBoundedByStoredBytes: the inflate slab is sized by the
+// stored bytes at hand, not by the header alone. On the frame scan, a v4
+// frame lying in both PayloadLen and RawLen (2³¹ each) with 4 KiB of payload
+// behind it fails with ErrCorrupt having allocated a few MiB, not the
+// 2 GiB the header asks for. On the index source, a RawLen at flate's
+// expansion bound, agreed by frame and index, is corruption too, and costs
+// no more than that bound of the segment's stored bytes.
+func TestCompressedSlabBoundedByStoredBytes(t *testing.T) {
+	const allocLimit = 64 << 20
+	bounded := func(name string, read func() (int64, error)) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := read()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > allocLimit {
+			t.Errorf("%s: allocated %d MiB (limit %d MiB)", name, alloc>>20, allocLimit>>20)
+		}
+	}
+
+	_, raw := versionStream(t, 4, 20000, DefaultSegmentPayload)
+	ix, err := ReadIndex(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg := ix.Segments[0]; !seg.Compressed() || !seg.Columnar() || seg.PayloadLen < 4<<10 {
+		t.Fatalf("first segment %+v: want a compressed columnar payload of at least 4 KiB", seg)
+	}
+	frame := headerLen + segHeaderLenV3 + 4 + 4<<10
+	lying := bytes.Clone(raw[:frame])
+	binary.LittleEndian.PutUint32(lying[headerLen+4:], 1<<31)
+	binary.LittleEndian.PutUint32(lying[headerLen+segHeaderLenV3:], 1<<31)
+	for _, workers := range []int{1, 2} {
+		bounded(fmt.Sprintf("frame scan, %d workers", workers), func() (int64, error) {
+			return NewReader(onlyReader{bytes.NewReader(lying)}).ReadAllSharded(&Collect{}, workers)
+		})
+	}
+	bounded("ReadAll", func() (int64, error) {
+		return NewReader(onlyReader{bytes.NewReader(lying)}).ReadAll(&Collect{})
+	})
+
+	_, small := versionStream(t, 4, 20000, 1<<12)
+	ix, err = ReadIndex(bytes.NewReader(small), int64(len(small)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := ix.Segments[0]
+	if !seg.Compressed() {
+		t.Fatal("first segment stored raw")
+	}
+	rawLen := uint32(seg.PayloadLen * maxFlateExpansion)
+	indexOff := int64(binary.LittleEndian.Uint64(small[len(small)-footerLen+8:]))
+	mut := bytes.Clone(small)
+	binary.LittleEndian.PutUint32(mut[seg.Offset+segHeaderLenV3:], rawLen)
+	binary.LittleEndian.PutUint32(mut[indexOff+indexHeaderLen+20:], rawLen)
+	if _, err := ReadIndex(bytes.NewReader(mut), int64(len(mut))); err != nil {
+		t.Fatalf("the lie must pass the index checks: %v", err)
+	}
+	for _, workers := range []int{1, 4} {
+		bounded(fmt.Sprintf("index source, %d workers", workers), func() (int64, error) {
+			return NewReader(bytes.NewReader(mut)).ReadAllSharded(&Collect{}, workers)
+		})
+	}
+}
+
 // TestV2IndexSegmentDisagreement: an index entry that contradicts the
 // segment's own frame header is corruption, not silent mis-decode.
 func TestV2IndexSegmentDisagreement(t *testing.T) {

@@ -18,8 +18,8 @@ import (
 // ordered. Segments come from one of two sources: the index (ReadAt at the
 // offsets it lists) or, when there is no usable index, a scan of the frames
 // off the stream. A sink that can take ownership of pooled blocks (the
-// sharded analysis suite) gets them with no copy; any other sink rides the
-// same chain through a HandleBatch adapter.
+// analysis suites, a Fanout) gets them with no copy; any other sink rides
+// the same chain through a HandleBatch adapter.
 
 // BlockIngester is implemented by sinks that can take ownership of decoded
 // blocks in-place — most notably the sharded analysis suite, which fans a
@@ -65,9 +65,9 @@ func (b batchIngester) IngestBlock(blk *Block) {
 // the segments of an indexed (v2+) trace on max(workers, 2) goroutines and
 // delivering in file order — so the stream, and any report computed from
 // it, is byte-identical to ReadAll's. When h implements BlockIngester
-// (analysis.ShardedSuite does) the decode workers hand it their pooled
-// blocks directly, with no re-batching copy; a ColumnIngester additionally
-// receives v4 segments still column-separated.
+// the decode workers hand it their pooled blocks directly, with no
+// re-batching copy; a ColumnIngester (the analysis suites, a Fanout)
+// additionally receives v4 segments still column-separated.
 //
 // A seekable source with a valid index is read through the index. A
 // non-seekable source or a damaged index is read by scanning its frames

@@ -24,7 +24,7 @@
 // with a segment index and footer, so Reader.ReadAllSharded can fan
 // segment decode out across worker goroutines with in-order delivery,
 // handing the decoded blocks — v4 segments still as columns — straight to
-// a ColumnIngester or BlockIngester (the sharded analysis suite) with no
+// a ColumnIngester or BlockIngester (the analysis suites, a Tee) with no
 // re-batching copy. The same engine reads a non-seekable source or a file
 // with a damaged index by scanning its frames instead of seeking by the
 // index; only v1 files are read record by record. PCAP{,NG}Writer and
@@ -138,8 +138,8 @@ type HandlerFunc func(Record)
 // Handle implements Handler.
 func (f HandlerFunc) Handle(r Record) { f(r) }
 
-// Fanout delivers one stream to several handlers in order, on the batch
-// path whenever a downstream supports it.
+// Fanout delivers one stream to several handlers in order, on the column
+// or batch path whenever a downstream supports it.
 type Fanout struct{ hs []Handler }
 
 // Tee fans one stream out to several handlers in order.
@@ -158,6 +158,50 @@ func (f *Fanout) HandleBatch(rs []Record) {
 		Dispatch(h, rs)
 	}
 }
+
+// IngestBlock implements BlockIngester: the block is lent to every member
+// as a batch, then recycled.
+func (f *Fanout) IngestBlock(blk *Block) {
+	f.HandleBatch(*blk)
+	FreeBlock(blk)
+}
+
+// IngestColumns implements ColumnIngester, so a column-decoded segment
+// reaches the members without being interleaved for each of them. Every
+// ColumnIngester member takes a block of its own: a pooled copy, except the
+// last one, which takes cb itself. Record-only members share one interleave,
+// made before any member owns cb (an owner may rewrite or recycle it).
+func (f *Fanout) IngestColumns(cb *ColumnBlock) {
+	last := -1
+	var recs *Block
+	for i, h := range f.hs {
+		if _, ok := h.(ColumnIngester); ok {
+			last = i
+		} else if recs == nil {
+			recs = NewBlock()
+			*recs = cb.AppendRecords(*recs)
+		}
+	}
+	for i, h := range f.hs {
+		ci, ok := h.(ColumnIngester)
+		switch {
+		case !ok:
+			Dispatch(h, *recs)
+		case i == last:
+			ci.IngestColumns(cb)
+		default:
+			ci.IngestColumns(cb.clone())
+		}
+	}
+	if recs != nil {
+		FreeBlock(recs)
+	}
+	if last < 0 {
+		FreeColumnBlock(cb)
+	}
+}
+
+var _ ColumnIngester = (*Fanout)(nil)
 
 // FilterHandler passes through only records matching its predicate.
 type FilterHandler struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -214,6 +215,55 @@ func TestShardedColumnDelivery(t *testing.T) {
 		for i := range recs {
 			if got.records[i] != recs[i] {
 				t.Fatalf("workers=%d: record %d = %+v, want %+v", workers, i, got.records[i], recs[i])
+			}
+		}
+	}
+}
+
+// scribbleColumns collects what it is given like columnCollect, then
+// overwrites every column block it owns before recycling it — so a member of
+// a Fanout that shared its block with another would corrupt that member's
+// stream.
+type scribbleColumns struct{ columnCollect }
+
+func (c *scribbleColumns) IngestColumns(cb *ColumnBlock) {
+	c.colIngests++
+	c.records = cb.AppendRecords(c.records)
+	clear(cb.T)
+	clear(cb.Flags)
+	clear(cb.Client)
+	clear(cb.App)
+	FreeColumnBlock(cb)
+}
+
+// TestFanoutColumnDelivery: a Tee of a column sink, a record sink and a
+// column sink behind the read engine hands each member ReadAll's stream,
+// v2 and v4, at 1 and 4 workers, with every pooled block back. On v4 the
+// column members take columns; the first one's copy is its own to rewrite.
+func TestFanoutColumnDelivery(t *testing.T) {
+	for _, version := range []int{2, 4} {
+		_, raw := versionStream(t, version, 30000, 1<<12)
+		var want Collect
+		if _, err := NewReader(bytes.NewReader(raw)).ReadAll(&want); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			out := poolOut.Load()
+			first, recs, last := &scribbleColumns{}, &Collect{}, &scribbleColumns{}
+			n, err := NewReader(bytes.NewReader(raw)).ReadAllSharded(Tee(first, recs, last), workers)
+			if err != nil || n != int64(len(want.Records)) {
+				t.Fatalf("v%d, %d workers: read %d records, %v; want %d", version, workers, n, err, len(want.Records))
+			}
+			for name, got := range map[string][]Record{"first column sink": first.records, "record sink": recs.Records, "last column sink": last.records} {
+				if !slices.Equal(got, want.Records) {
+					t.Errorf("v%d, %d workers: %s got %d records, not ReadAll's stream of %d", version, workers, name, len(got), len(want.Records))
+				}
+			}
+			if cols := version == 4; (first.colIngests > 0) != cols || (last.colIngests > 0) != cols {
+				t.Errorf("v%d, %d workers: column ingests %d and %d", version, workers, first.colIngests, last.colIngests)
+			}
+			if now := poolOut.Load(); now != out {
+				t.Errorf("v%d, %d workers: %d pooled blocks not returned", version, workers, now-out)
 			}
 		}
 	}
