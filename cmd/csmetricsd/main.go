@@ -1,10 +1,11 @@
 // Command csmetricsd is the standalone continuous-analysis daemon: it
 // watches a spool directory for trace files (*.cst), ingests each new one
 // into a metrics store (content-addressed, so re-delivered files are
-// free), threads every record through a cumulative analysis suite and a
-// rolling trace-time window, and records completed windows plus — on
-// shutdown — a whole-session service summary. Query the resulting store
-// with `cstrace -mode list/show/trend`.
+// free), threads every record through a cumulative summary (the four
+// collectors a stored analysis.Summary reads) and a rolling trace-time
+// window, and records completed windows plus — on shutdown — a
+// whole-session service summary. Query the resulting store with
+// `cstrace -mode list/show/trend`.
 //
 // Usage:
 //
@@ -42,7 +43,7 @@ func main() {
 		cadence     = flag.Duration("cadence", 2*time.Second, "spool poll cadence")
 		report      = flag.Duration("report", 30*time.Second, "rolling-report cadence when idle (<0 disables)")
 		window      = flag.Duration("window", time.Minute, "rolling trace-time window width")
-		parallelStr = flag.String("parallel", "auto", "collector parallelism (1 = serial, \"auto\" = budget-granted)")
+		parallelStr = flag.String("parallel", "auto", "segment decode workers per file (1 = the fewest, \"auto\" = the whole worker budget)")
 		label       = flag.String("label", "", "operator tag recorded on every run")
 		forDur      = flag.Duration("for", 0, "exit after this long (0 = run until SIGINT/SIGTERM)")
 	)

@@ -68,7 +68,7 @@ func main() {
 		format      = flag.Int("format", 4, "trace format version to write (gen): 4 = columnar compressed, 3 = compressed+indexed, 2 = indexed, 1 = legacy")
 		compress    = flag.Int("compress", 0, "v3/v4 segment compression (gen): 0 = default flate level, 1-9 = explicit level, -1 = store uncompressed")
 		players     = flag.Int("players", 100000, "target concurrent players (provision)")
-		parallelStr = flag.String("parallel", "auto", "worker goroutines: collector shards and segment decode (week/quick/analyze/scenario/ingest), trace-writer compression (gen/scenario -out); 1 = single-threaded, \"auto\" = self-tuned from the worker budget; results identical")
+		parallelStr = flag.String("parallel", "auto", "worker goroutines: collector shards (week/quick/analyze/scenario), segment decode (analyze/ingest), trace-writer compression (gen/scenario -out); 1 = single-threaded, \"auto\" = self-tuned from the worker budget; results identical")
 		servers     = flag.Int("servers", 8, "fleet size (scenario)")
 		stagger     = flag.Duration("stagger", 0, "per-server launch stagger (scenario)")
 		spike       = flag.Float64("spike", 6, "launch-day arrival surge multiplier (scenario; <=1 disables)")

@@ -13,9 +13,10 @@ import (
 // gamesim output. BenchmarkUnit/<unit> sweeps the stream, cut into BlockSize
 // column blocks (the shape a v4 segment decodes to), through one of the five
 // shard units; BenchmarkSuite sweeps it through all five, so the unit rows
-// add up to it. BenchmarkTranspose is the AppendFrom every record-fed path
-// pays before the sweeps, and BenchmarkSlim is a fleet server's slim suite
-// fed the generator's own blocks.
+// add up to it, and BenchmarkSummarySuite sweeps it through the metrics
+// store's four collectors. BenchmarkTranspose is the AppendFrom every
+// record-fed path pays before the sweeps, and BenchmarkSlim is a fleet
+// server's slim suite fed the generator's own blocks.
 //
 // The clock unit carries the four interval windows. The 1 s × 18 000 and
 // 30 min × 200 windows span 5 h and 100 h, so on any shorter trace they
@@ -114,6 +115,23 @@ func BenchmarkSuite(b *testing.B) {
 	for range b.N {
 		b.StopTimer()
 		s := mustSuite(b, sc)
+		b.StartTimer()
+		for _, cb := range bs.cols {
+			s.sweep(cb)
+		}
+	}
+	perRec(b, bs)
+}
+
+// BenchmarkSummarySuite sweeps the column blocks through a fresh
+// SummarySuite per pass: the four collectors the metrics store keeps, where
+// BenchmarkSuite runs all of them.
+func BenchmarkSummarySuite(b *testing.B) {
+	bs, _ := benchInput(b)
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		s := NewSummarySuite()
 		b.StartTimer()
 		for _, cb := range bs.cols {
 			s.sweep(cb)

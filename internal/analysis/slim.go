@@ -36,8 +36,11 @@ func (s *SlimSuite) Handle(r trace.Record) { s.HandleBatch([]trace.Record{r}) }
 // HandleBatch implements trace.BatchHandler: the batch is transposed once
 // into the suite's scratch columns, and one run-finder pass at a one-minute
 // width feeds both collectors.
-func (s *SlimSuite) HandleBatch(rs []trace.Record) {
-	sweepClock(refill(&s.scratch, rs), time.Minute, func(bins []clockBin) {
+func (s *SlimSuite) HandleBatch(rs []trace.Record) { s.sweep(refill(&s.scratch, rs)) }
+
+// sweep is the slim suite's one clock pass over a column block.
+func (s *SlimSuite) sweep(cb *trace.ColumnBlock) {
+	sweepClock(cb, time.Minute, func(bins []clockBin) {
 		s.Count.addBins(bins)
 		s.Minutes.addBins(bins, time.Minute)
 	})

@@ -77,7 +77,12 @@ type KindStat struct {
 // lets the metrics store compare a daemon's incremental ingest against a
 // one-shot analysis of the same records.
 func Summarize(s *Suite, span time.Duration) Summary {
-	c := &s.Count
+	return summarize(&s.Count, s.Minutes, s.Gaps, s.Kinds, span)
+}
+
+// summarize is the one Summary body: Summarize reads it off a full suite,
+// SummarySuite.Summary off the four collectors it keeps.
+func summarize(c *Counters, minutes *MinuteSeries, gaps *Interarrival, kinds *KindBreakdown, span time.Duration) Summary {
 	if span <= 0 {
 		span = c.End
 	}
@@ -103,17 +108,17 @@ func Summarize(s *Suite, span time.Duration) Summary {
 	if c.PacketsOut > 0 {
 		sum.MeanAppOut = float64(c.AppBytesOut) / float64(c.PacketsOut)
 	}
-	if s.Minutes != nil {
-		sum.MinuteKbs = SeriesPercentiles(s.Minutes.KbsTotal())
+	if minutes != nil {
+		sum.MinuteKbs = SeriesPercentiles(minutes.KbsTotal())
 	}
-	if s.Gaps != nil {
-		sum.IAInP50Micros = s.Gaps.Quantile(trace.In, 0.5).Microseconds()
-		sum.IAOutP50Micros = s.Gaps.Quantile(trace.Out, 0.5).Microseconds()
-		sum.IAInCV = s.Gaps.CV(trace.In)
-		sum.IAOutCV = s.Gaps.CV(trace.Out)
+	if gaps != nil {
+		sum.IAInP50Micros = gaps.Quantile(trace.In, 0.5).Microseconds()
+		sum.IAOutP50Micros = gaps.Quantile(trace.Out, 0.5).Microseconds()
+		sum.IAInCV = gaps.CV(trace.In)
+		sum.IAOutCV = gaps.CV(trace.Out)
 	}
-	if s.Kinds != nil {
-		for _, row := range s.Kinds.Rows() {
+	if kinds != nil {
+		for _, row := range kinds.Rows() {
 			sum.Kinds = append(sum.Kinds, KindStat{
 				Kind:      row.Kind.String(),
 				Packets:   row.Packets,
@@ -124,6 +129,65 @@ func Summarize(s *Suite, span time.Duration) Summary {
 	}
 	return sum
 }
+
+// SummarySuite is exactly the collectors a Summary reads — Counters, the
+// minute series, Interarrival and KindBreakdown — and nothing else: the
+// metrics store's analysis, for a per-file ingest and the daemon's
+// cumulative state alike. Each block gets SlimSuite's one-minute clock
+// pass, which feeds Counters and the minute series, then the interarrival
+// and kind column sweeps. Records must arrive in
+// non-decreasing time order, as for a Suite; fed the same stream, Summary
+// equals Summarize over a full Suite.
+type SummarySuite struct {
+	slim  *SlimSuite
+	gaps  *Interarrival
+	kinds *KindBreakdown
+}
+
+// NewSummarySuite builds an empty summary suite.
+func NewSummarySuite() *SummarySuite {
+	return &SummarySuite{slim: NewSlimSuite(0), gaps: NewInterarrival(), kinds: NewKindBreakdown()}
+}
+
+// Handle implements trace.Handler: one record is a one-record batch.
+func (s *SummarySuite) Handle(r trace.Record) { s.HandleBatch([]trace.Record{r}) }
+
+// HandleBatch implements trace.BatchHandler: the batch is transposed once
+// into scratch columns and swept.
+func (s *SummarySuite) HandleBatch(rs []trace.Record) { s.sweep(refill(&s.slim.scratch, rs)) }
+
+// IngestBlock implements trace.BlockIngester: the block is swept as a
+// batch, then recycled.
+func (s *SummarySuite) IngestBlock(blk *trace.Block) {
+	s.HandleBatch(*blk)
+	trace.FreeBlock(blk)
+}
+
+// IngestColumns implements trace.ColumnIngester: a column-decoded segment
+// chunk is swept as it is, then recycled.
+func (s *SummarySuite) IngestColumns(cb *trace.ColumnBlock) {
+	s.sweep(cb)
+	trace.FreeColumnBlock(cb)
+}
+
+func (s *SummarySuite) sweep(cb *trace.ColumnBlock) {
+	s.slim.sweep(cb)
+	s.gaps.HandleColumns(cb)
+	s.kinds.HandleColumns(cb)
+}
+
+// Summary digests what the suite has seen so far, exactly as Summarize
+// does a full Suite fed the same records; span has the same meaning. The
+// suite needs no Close and stays usable afterwards.
+func (s *SummarySuite) Summary(span time.Duration) Summary {
+	return summarize(&s.slim.Count, s.slim.Minutes, s.gaps, s.kinds, span)
+}
+
+var (
+	_ trace.BatchHandler   = (*SummarySuite)(nil)
+	_ trace.BlockIngester  = (*SummarySuite)(nil)
+	_ trace.ColumnIngester = (*SummarySuite)(nil)
+)
 
 // SeriesPercentiles computes nearest-rank percentiles over a rate series
 // (typically per-minute kbs). An empty series yields zeros.

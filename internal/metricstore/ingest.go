@@ -40,9 +40,10 @@ func HashFile(path string) (string, int64, error) {
 
 // IngestOptions tunes a trace-file ingest.
 type IngestOptions struct {
-	// Parallelism is the collector/decode parallelism, exactly as
-	// cstrace's -parallel flag: 0/1 serial, n>1 sharded, sched.Auto
-	// budget-granted.
+	// Parallelism sizes the segment decode workers, as cstrace's
+	// -parallel flag does: n workers (two at the least), sched.Auto a
+	// grant of the whole worker budget. The analysis itself — the four
+	// collectors a Summary reads — runs on the in-order delivery path.
 	Parallelism int
 	// Source overrides the recorded source (defaults to the file path);
 	// Label is the operator tag.
@@ -51,7 +52,7 @@ type IngestOptions struct {
 	// Now overrides the recorded ingest time (tests); zero means now.
 	Now time.Time
 	// Extra, when non-nil, receives the decoded record stream in order
-	// alongside the analysis suite — the daemon tees its cumulative
+	// alongside the summary suite — the daemon tees its cumulative
 	// collectors and rolling window here so one decode pass serves both
 	// the per-file row and the service-wide state. A v4 file reaches both
 	// as column blocks (trace.Fanout is a ColumnIngester); one that
@@ -60,8 +61,9 @@ type IngestOptions struct {
 	Extra trace.Handler
 }
 
-// IngestTraceFile analyzes one trace file through the sharded-suite path
-// and records the result. The file's SHA-256 is its content address: if
+// IngestTraceFile analyzes one trace file into a Summary — through an
+// analysis.SummarySuite, which computes exactly what the row stores — and
+// records the result. The file's SHA-256 is its content address: if
 // the store already holds it, the file is not even opened for analysis and
 // the existing row is returned with added=false.
 //
@@ -83,16 +85,12 @@ func IngestTraceFile(st *Store, path string, opts IngestOptions) (*Run, bool, er
 	}
 	defer f.Close()
 
-	suite, err := analysis.NewSuite(analysis.SuiteConfig{})
-	if err != nil {
-		return nil, false, err
-	}
+	sum := analysis.NewSummarySuite()
 	rd := trace.NewReader(f)
 	rd.Salvage = true
-	sink, closeSink := suite.Sink(opts.Parallelism)
-	h := sink
+	var h trace.Handler = sum
 	if opts.Extra != nil {
-		h = trace.Tee(sink, opts.Extra)
+		h = trace.Tee(sum, opts.Extra)
 	}
 	decodePar := opts.Parallelism
 	if opts.Parallelism == sched.Auto {
@@ -101,7 +99,6 @@ func IngestTraceFile(st *Store, path string, opts IngestOptions) (*Run, bool, er
 		defer lease.Release()
 	}
 	n, rerr := rd.ReadAllSharded(h, decodePar)
-	closeSink()
 	warning := rd.Warning()
 	if rerr != nil {
 		// Salvage covers indexed traces; a damaged v1 stream (or damage
@@ -131,7 +128,7 @@ func IngestTraceFile(st *Store, path string, opts IngestOptions) (*Run, bool, er
 		FileBytes:    size,
 		Records:      n,
 		Warning:      warning,
-		Summary:      analysis.Summarize(suite, 0),
+		Summary:      sum.Summary(0),
 	}
 	return st.Ingest(run)
 }

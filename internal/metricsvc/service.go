@@ -2,9 +2,12 @@
 // cmd/csmetricsd: it watches a spool directory
 // for trace files, ingests each new file through the metricstore path
 // (content-addressed, so re-delivery is free), and threads every record
-// through service-wide state — a cumulative analysis suite and a rolling
-// trace-time window — recording completed windows and, on shutdown, a
-// whole-service run into the same store the per-file rows land in.
+// through service-wide state — a cumulative analysis.SummarySuite (the
+// four collectors a stored Summary reads: counters, the minute series,
+// interarrivals and the kind mix) and a rolling trace-time window —
+// recording completed windows and, on shutdown, a whole-service run into
+// the same store the per-file rows land in. The engine starts no
+// goroutines of its own; only the per-file segment decode runs in parallel.
 //
 // Files are stitched onto one service-wide timeline by rebasing: each
 // file's records are shifted by the running offset, and the offset then
@@ -51,8 +54,9 @@ type Config struct {
 	ReportEvery time.Duration
 	// Window is the rolling trace-time window width (default 1m).
 	Window time.Duration
-	// Parallelism follows cstrace's -parallel flag: 0/1 serial, n>1
-	// sharded collectors, sched.Auto budget-granted.
+	// Parallelism sizes each file's segment decode workers, as
+	// metricstore.IngestOptions.Parallelism does: n workers (two at the
+	// least), sched.Auto a grant of the whole worker budget.
 	Parallelism int
 	// Label tags every row this engine records.
 	Label string
@@ -65,14 +69,12 @@ type Config struct {
 }
 
 // Engine is the continuous-analysis service. It is single-goroutine: call
-// IngestFile/Sweep/Run/Close from one goroutine only (the collector
-// parallelism behind the cumulative sink is internal).
+// IngestFile/Sweep/Run/Close from one goroutine only. Between calls it
+// holds no goroutines.
 type Engine struct {
-	cfg       Config
-	suite     *analysis.Suite
-	sink      trace.ColumnIngester
-	closeSink func()
-	win       *analysis.RollingWindow
+	cfg Config
+	sum *analysis.SummarySuite
+	win *analysis.RollingWindow
 
 	offset     time.Duration // service-timeline rebase for the next file
 	fileHashes []string      // content hash of every spool file seen, in order
@@ -104,14 +106,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	suite, err := analysis.NewSuite(analysis.SuiteConfig{})
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{cfg: cfg, suite: suite, seen: make(map[string]bool)}
-	sink, closeSink := suite.Sink(cfg.Parallelism)
-	// Both of Sink's shapes, the suite and its shard, take column blocks.
-	e.sink, e.closeSink = sink.(trace.ColumnIngester), closeSink
+	e := &Engine{cfg: cfg, sum: analysis.NewSummarySuite(), seen: make(map[string]bool)}
 	e.win = analysis.NewRollingWindow(cfg.Window, e.recordWindow)
 	return e, nil
 }
@@ -128,7 +123,7 @@ func (e *Engine) recordWindow(w analysis.WindowStats) {
 }
 
 // rebase shifts each file's records onto the service timeline and fans
-// them to the cumulative sink and the rolling window. It is the
+// them to the cumulative summary suite and the rolling window. It is the
 // IngestOptions.Extra handler for one file: end tracks the file's own span
 // so the engine can advance the offset afterwards. A v4 file reaches it as
 // column blocks (trace.Fanout passes them through); records are transposed
@@ -155,7 +150,7 @@ func (f *rebase) IngestBlock(blk *trace.Block) {
 }
 
 // IngestColumns shifts cb's T column in place, lends the block to the
-// window, then passes ownership to the cumulative sink.
+// window, then passes ownership to the cumulative summary suite.
 func (f *rebase) IngestColumns(cb *trace.ColumnBlock) {
 	off := f.e.offset
 	for i, t := range cb.T {
@@ -163,16 +158,17 @@ func (f *rebase) IngestColumns(cb *trace.ColumnBlock) {
 		cb.T[i] = t + off
 	}
 	f.e.win.HandleColumns(cb)
-	f.e.sink.IngestColumns(cb)
+	f.e.sum.IngestColumns(cb)
 }
 
 // IngestFile feeds one trace file through the service: the per-file run
 // row is recorded exactly as a one-shot ingest would (salvage mode, same
 // Summary), and — when the file is new to the store — its records also
-// flow, rebased onto the service timeline, into the cumulative suite and
-// the rolling window. A file the store already holds is deduplicated
-// without being opened; it still counts toward the service row's content
-// hash, so replaying a whole spool against a warm store changes nothing.
+// flow, rebased onto the service timeline, into the cumulative summary
+// suite and the rolling window. A file the store already holds is
+// deduplicated without being opened; it still counts toward the service
+// row's content hash, so replaying a whole spool against a warm store
+// changes nothing.
 func (e *Engine) IngestFile(path string) (*metricstore.Run, bool, error) {
 	if e.closed {
 		return nil, false, errors.New("metricsvc: engine is closed")
@@ -244,9 +240,7 @@ func (e *Engine) Sweep() (int, error) {
 	return added, nil
 }
 
-// report writes one k=v status line. It reads only engine-owned state, so
-// it is safe mid-stream even with a sharded cumulative sink (the suite's
-// collectors may still be sweeping in their workers).
+// report writes one k=v status line from the engine's own counters.
 func (e *Engine) report() {
 	if e.cfg.Report == nil {
 		return
@@ -284,8 +278,8 @@ func (e *Engine) Run(ctx context.Context) error {
 	}
 }
 
-// Close flushes the partial rolling window, finalizes the cumulative
-// suite, and records the whole-service run row — content-addressed by the
+// Close flushes the partial rolling window, digests the cumulative
+// summary suite, and records the whole-service run row — content-addressed by the
 // ordered per-file hashes, so rerunning the same spool into the same store
 // dedupes to the existing service row. It returns that row (nil when the
 // engine saw no files). Close is idempotent.
@@ -295,8 +289,7 @@ func (e *Engine) Close() (*metricstore.Run, error) {
 	}
 	e.closed = true
 	e.win.Close()
-	e.closeSink()
-	e.final = analysis.Summarize(e.suite, 0)
+	e.final = e.sum.Summary(0)
 	e.report()
 	if len(e.fileHashes) == 0 {
 		return nil, e.emitErr
@@ -322,12 +315,9 @@ func (e *Engine) Close() (*metricstore.Run, error) {
 	return e.serviceRun, err
 }
 
-// FinalSummary returns the cumulative suite's summary over everything the
-// engine analyzed. Only valid after Close.
+// FinalSummary returns the cumulative summary over everything the engine
+// analyzed. Only valid after Close.
 func (e *Engine) FinalSummary() analysis.Summary { return e.final }
-
-// Suite exposes the cumulative suite for table rendering after Close.
-func (e *Engine) Suite() *analysis.Suite { return e.suite }
 
 // Windows returns how many completed windows the engine recorded.
 func (e *Engine) Windows() int64 { return e.windows }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -337,6 +338,57 @@ func TestServiceRowsPinned(t *testing.T) {
 		}
 		if got := hex.EncodeToString(files.Sum(nil)); got != pinnedFileRows {
 			t.Errorf("parallelism %d: file rows digest %s, pinned %s", par, got, pinnedFileRows)
+		}
+	}
+}
+
+// TestEngineHoldsNoGoroutines: between calls the engine holds no
+// goroutines at any parallelism — not after New, not after a Sweep (the
+// per-file decode workers are gone when IngestFile returns), not after
+// Close.
+func TestEngineHoldsNoGoroutines(t *testing.T) {
+	for _, par := range []int{1, 4, cstrace.AutoWorkers} {
+		spool := t.TempDir()
+		writeSpoolWith(t, spool, "a.cst", spoolRecords(21, 6000, 90*time.Second), trace.NewWriter, 4096)
+		st, err := metricstore.Open(filepath.Join(t.TempDir(), "m.csms"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		check := func(when string) {
+			t.Helper()
+			// A joined worker may still be returning from its last call.
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); n != base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if n != base {
+				t.Errorf("parallelism %d, %s: %d goroutines, want %d as before New", par, when, n, base)
+			}
+		}
+		eng, err := metricsvc.New(metricsvc.Config{
+			Store: st, Spool: spool, Window: 20 * time.Second,
+			Parallelism: par, Now: fixedClock(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("after New")
+		if n, err := eng.Sweep(); err != nil || n != 1 {
+			t.Fatalf("parallelism %d: first Sweep = %d, %v; want 1, nil", par, n, err)
+		}
+		check("after the first Sweep")
+		writeSpoolWith(t, spool, "b.cst", spoolRecords(22, 3000, 60*time.Second), trace.NewWriterV2, 2048)
+		if n, err := eng.Sweep(); err != nil || n != 1 {
+			t.Fatalf("parallelism %d: second Sweep = %d, %v; want 1, nil", par, n, err)
+		}
+		check("after the second Sweep")
+		if _, err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check("after Close")
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
