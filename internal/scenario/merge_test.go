@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"cmp"
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -84,6 +86,7 @@ type shape struct {
 	k, maxBlocks, maxRecs int
 	ticks                 []time.Duration
 	stagger               time.Duration // server i starts at (i % 4)·stagger
+	grid                  time.Duration // timestamp grid, ≤ every tick; 0 means 10 ms
 }
 
 // maxTick is the shape's longest block span.
@@ -91,14 +94,14 @@ func (sh shape) maxTick() time.Duration { return slices.Max(sh.ticks) }
 
 // randomStreams builds k sorted per-server block streams the way gamesim
 // does: server i emits one block per tick of ticks[i % len], each holding
-// 1..maxRecs records inside that tick window. Timestamps sit on a 10 ms
-// grid, so exact-T ties across servers, within a server and across a
-// server's block boundary are all common. Stream lengths are random, so
+// 1..maxRecs records inside that tick window. Timestamps sit on a grid
+// (10 ms unless the shape sets one), so exact-T ties across servers,
+// within a server and across a server's block boundary are all common. Stream lengths are random, so
 // streams end early and some are empty. Every record is unique — Client is
 // the server, App the record's position in its stream — so comparing merged
 // streams compares orders exactly.
 func randomStreams(rng *rand.Rand, sh shape) [][]*fleetBlock {
-	const grid = 10 * time.Millisecond
+	grid := cmp.Or(sh.grid, 10*time.Millisecond)
 	streams := make([][]*fleetBlock, sh.k)
 	for i := range streams {
 		tick := sh.ticks[i%len(sh.ticks)]
@@ -132,7 +135,7 @@ func feed(streams [][]*fleetBlock, wg *sync.WaitGroup) []chan *fleetBlock {
 		}
 		go func(ch chan *fleetBlock, blocks []*fleetBlock) {
 			for _, b := range blocks {
-				ch <- &fleetBlock{recs: slices.Clone(b.recs), minT: b.minT}
+				ch <- cloneBlock(b)
 			}
 			close(ch)
 			if wg != nil {
@@ -153,20 +156,54 @@ func recordMerge(t *testing.T, streams [][]*fleetBlock) []trace.Record {
 	return got.Records
 }
 
-func assertSameMerge(t *testing.T, streams [][]*fleetBlock, slack time.Duration) {
-	t.Helper()
-	want := oracle(streams, slack)
-	got := recordMerge(t, streams)
-	if len(got) != len(want) {
-		t.Fatalf("record merge emitted %d records, block merge + sort %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: tournament gave %+v, block merge + sort gave %+v", i, got[i], want[i])
+// pack re-blocks each per-tick stream the way serverSink hands it off:
+// consecutive generator blocks end to end, a cut where each later one
+// starts, and a hand-off once the block holds size records.
+func pack(streams [][]*fleetBlock, size int) [][]*fleetBlock {
+	out := make([][]*fleetBlock, len(streams))
+	for i, s := range streams {
+		var cur *fleetBlock
+		for _, b := range s {
+			if cur == nil {
+				cur = &fleetBlock{minT: b.minT}
+			} else {
+				cur.cuts = append(cur.cuts, len(cur.recs))
+			}
+			cur.recs = append(cur.recs, b.recs...)
+			if len(cur.recs) >= size {
+				out[i], cur = append(out[i], cur), nil
+			}
+		}
+		if cur != nil {
+			out[i] = append(out[i], cur)
 		}
 	}
-	if !slices.IsSortedFunc(got, func(a, b trace.Record) int { return int(a.T - b.T) }) {
-		t.Fatal("merged stream not time-ordered")
+	return out
+}
+
+// assertSameMerge checks the tournament against the oracle on the per-tick
+// streams as given, then on the same streams packed into hand-off blocks of
+// each of the sizes.
+func assertSameMerge(t *testing.T, streams [][]*fleetBlock, slack time.Duration, sizes ...int) {
+	t.Helper()
+	want := oracle(streams, slack)
+	check := func(what string, got []trace.Record) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: record merge emitted %d records, block merge + sort %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: record %d: tournament gave %+v, block merge + sort gave %+v", what, i, got[i], want[i])
+			}
+		}
+		if !slices.IsSortedFunc(got, func(a, b trace.Record) int { return int(a.T - b.T) }) {
+			t.Fatalf("%s: merged stream not time-ordered", what)
+		}
+	}
+	check("per tick", recordMerge(t, streams))
+	for _, size := range sizes {
+		check(fmt.Sprintf("hand-off size %d", size), recordMerge(t, pack(streams, size)))
 	}
 }
 
@@ -175,26 +212,82 @@ func assertSameMerge(t *testing.T, streams [][]*fleetBlock, slack time.Duration)
 // forced exact-T ties, empty streams, streams that end early, staggered
 // starts, mixed ticks (including a 250 ms one the block merge could not
 // take) and single-record blocks — the tournament's stream equals the
-// reference block merge put through a SortBuffer, record for record.
+// reference block merge put through a SortBuffer, record for record. The
+// hand-off leg feeds the same streams packed into cut-carrying blocks: one
+// record (a block per tick), a few ticks, and the whole stream in one.
 func TestLoserTreeMatchesHeapMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	sizes := rand.New(rand.NewSource(70))
+	for trial := 0; trial < 60; trial++ {
+		sh := propertyShape(trial, rng)
+		few := 2 + sizes.Intn(4*sh.maxRecs)
+		assertSameMerge(t, randomStreams(rng, sh), mergeSlack(sh), 1, few, math.MaxInt)
+	}
+}
+
+// propertyShape is the property test's shape for a trial: k drawn from
+// rng (1, 2, 3 and 8 first), cycling through the paper's 50 ms tick, a
+// 70 ms stagger, mixed ticks with a 20 ms stagger, and single-record
+// blocks.
+func propertyShape(trial int, rng *rand.Rand) shape {
 	paper := []time.Duration{50 * time.Millisecond}
 	mixed := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond, 30 * time.Millisecond}
-	for trial := 0; trial < 60; trial++ {
-		sh := shape{k: 1 + rng.Intn(17), maxBlocks: 40, maxRecs: 6, ticks: paper}
-		switch trial % 4 {
-		case 1:
-			sh.stagger = 70 * time.Millisecond
-		case 2:
-			sh.ticks, sh.stagger = mixed, 20*time.Millisecond
-		case 3:
-			sh.maxRecs = 1
-		}
-		if fixed := []int{1, 2, 3, 8}; trial < len(fixed) {
-			sh.k = fixed[trial]
-		}
-		assertSameMerge(t, randomStreams(rng, sh), max(200*time.Millisecond, 2*sh.maxTick()))
+	sh := shape{k: 1 + rng.Intn(17), maxBlocks: 40, maxRecs: 6, ticks: paper}
+	switch trial % 4 {
+	case 1:
+		sh.stagger = 70 * time.Millisecond
+	case 2:
+		sh.ticks, sh.stagger = mixed, 20*time.Millisecond
+	case 3:
+		sh.maxRecs = 1
 	}
+	if fixed := []int{1, 2, 3, 8}; trial < len(fixed) {
+		sh.k = fixed[trial]
+	}
+	return sh
+}
+
+// mergeSlack is a SortBuffer slack the oracle needs for sh: more than its
+// longest block span.
+func mergeSlack(sh shape) time.Duration { return max(200*time.Millisecond, 2*sh.maxTick()) }
+
+// FuzzMerge drives the property test's comparison from fuzzer-chosen
+// shapes: up to 17 streams, two tick lengths, the timestamp grid (a coarse
+// one forces ties), the stagger, records per tick, and the hand-off size.
+// The tournament over the packed streams must equal the oracle over the
+// per-tick ones.
+func FuzzMerge(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 8; trial++ {
+		sh := propertyShape(trial, rng)
+		ms := func(d time.Duration) uint8 { return uint8(d / time.Millisecond) }
+		// The fuzz body adds one to k, the ticks, the grid, the records per
+		// tick and the hand-off size.
+		f.Add(int64(trial), uint8(sh.k-1), ms(sh.ticks[0])-1, ms(sh.ticks[len(sh.ticks)-1])-1,
+			uint8(9), ms(sh.stagger), uint8(sh.maxRecs-1), uint16(trial*3))
+	}
+	f.Add(int64(9), uint8(16), uint8(249), uint8(29), uint8(29), uint8(20), uint8(5), uint16(0xffff))
+	f.Fuzz(func(t *testing.T, seed int64, k, tick1, tick2, grid, stagger, maxRecs uint8, handoff uint16) {
+		ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+		sh := shape{
+			k:         1 + int(k)%17,
+			maxBlocks: 30,
+			maxRecs:   1 + int(maxRecs)%8,
+			ticks:     []time.Duration{ms(1 + int(tick1)), ms(1 + int(tick2))},
+			stagger:   ms(int(stagger)),
+		}
+		sh.grid = ms(1 + int(grid)%(1+int(min(tick1, tick2))))
+		size := 1 + int(handoff)
+		if handoff == 0xffff {
+			size = math.MaxInt
+		}
+		streams := randomStreams(rand.New(rand.NewSource(seed)), sh)
+		want := oracle(streams, mergeSlack(sh))
+		got := recordMerge(t, pack(streams, size))
+		if !slices.Equal(got, want) {
+			t.Fatalf("shape %+v, hand-off %d: tournament (%d records) differs from block merge + sort (%d)", sh, size, len(got), len(want))
+		}
+	})
 }
 
 // TestLoserTreeSingleStream pins the N=1 degenerate case: the tree is a
@@ -240,7 +333,8 @@ func TestLoserTreeExhaustedLosesTies(t *testing.T) {
 }
 
 // TestMergeRejectsRegressingStream: order is checked, not assumed. A stream
-// that goes back in time — inside a block or across a block boundary — ends
+// that goes back in time — inside a block, across a block boundary or
+// across a cut inside a hand-off block — ends
 // the merge with an error naming the server and both timestamps, after
 // every record that precedes the regression has been delivered, and with the
 // senders able to finish.
@@ -251,6 +345,10 @@ func TestMergeRejectsRegressingStream(t *testing.T) {
 		for _, n := range ts {
 			blk.recs = append(blk.recs, trace.Record{T: ms(n), Client: server})
 		}
+		return blk
+	}
+	cut := func(blk *fleetBlock, cuts ...int) *fleetBlock {
+		blk.cuts = cuts
 		return blk
 	}
 	// More blocks after the fault than the channel holds: a sender the
@@ -268,6 +366,7 @@ func TestMergeRejectsRegressingStream(t *testing.T) {
 	}{
 		{"within a block", []*fleetBlock{block(1, 10, 60, 40, 70)}},
 		{"across blocks", []*fleetBlock{block(1, 10, 60), block(1, 40, 70)}},
+		{"across a cut", []*fleetBlock{cut(block(1, 10, 60, 40, 70), 2)}},
 	} {
 		streams := [][]*fleetBlock{
 			append([]*fleetBlock{block(0, 0, 50, 100)}, tail(0)...),
@@ -292,5 +391,71 @@ func TestMergeRejectsRegressingStream(t *testing.T) {
 		if want := []time.Duration{0, ms(10), ms(50), ms(60)}; !slices.Equal(ts, want) {
 			t.Errorf("%s: delivered %v before the error, want %v", tc.name, ts, want)
 		}
+	}
+}
+
+// TestServerSinkHandoff pins the hand-off packing: blocks start only at a
+// batch's first record, with a cut at the first record of every later
+// non-empty batch and none for an empty one; timestamps carry the offset
+// and minT is the block's first record; a block goes as soon as it holds
+// handoffRecs records, a batch larger than a pooled block's capacity
+// arrives whole, and flush sends the partial tail.
+func TestServerSinkHandoff(t *testing.T) {
+	const offset = 5 * time.Second
+	sizes := []int{3, 0, 50, 1, 700, 0, 400, 3 * handoffRecs, 20, 1500, 0, 7}
+	ch := make(chan *fleetBlock, len(sizes))
+	ss := &serverSink{out: ch, offset: offset}
+	var want []trace.Record
+	var starts []int // where each non-empty batch begins in want
+	var ts time.Duration
+	for i, n := range sizes {
+		batch := make([]trace.Record, n)
+		for r := range batch {
+			batch[r] = trace.Record{T: ts, Client: uint32(i), App: uint16(r)}
+			ts += time.Millisecond
+		}
+		if n > 0 {
+			starts = append(starts, len(want))
+		}
+		for _, r := range batch {
+			r.T += offset
+			want = append(want, r)
+		}
+		ss.HandleBatch(batch)
+		if n > 0 && batch[0].T+offset != want[starts[len(starts)-1]].T {
+			t.Fatalf("batch %d: the sink shifted the generator's block in place", i)
+		}
+	}
+	if len(ch) != 3 {
+		t.Fatalf("%d blocks handed off before flush, want 3", len(ch))
+	}
+	ss.flush()
+	close(ch)
+	var got []trace.Record
+	var gotStarts []int
+	for blk := range ch {
+		final := len(got)+len(blk.recs) == len(want)
+		if blk.minT != blk.recs[0].T {
+			t.Errorf("block at record %d: minT %v, first record at %v", len(got), blk.minT, blk.recs[0].T)
+		}
+		lastStart := 0
+		if len(blk.cuts) > 0 {
+			lastStart = blk.cuts[len(blk.cuts)-1]
+		}
+		if full := len(blk.recs) >= handoffRecs; full == final || lastStart >= handoffRecs {
+			t.Errorf("block at record %d holds %d records (last batch from %d), final %v: not handed off at %d",
+				len(got), len(blk.recs), lastStart, final, handoffRecs)
+		}
+		gotStarts = append(gotStarts, len(got))
+		for _, c := range blk.cuts {
+			gotStarts = append(gotStarts, len(got)+c)
+		}
+		got = append(got, blk.recs...)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("handed off %d records, want the %d fed, shifted by %v", len(got), len(want), offset)
+	}
+	if !slices.Equal(gotStarts, starts) {
+		t.Fatalf("blocks and cuts start batches at %v, want %v", gotStarts, starts)
 	}
 }

@@ -10,19 +10,36 @@ import (
 	"cstrace/internal/units"
 )
 
-// streamDepth bounds each server's in-flight block channel: enough to keep
-// the generator ahead of the merge, small enough that a fast server
+// streamDepth bounds each server's in-flight hand-off channel: enough to
+// keep the generator ahead of the merge, small enough that a fast server
 // backpressures instead of buffering its whole trace.
 const streamDepth = 4
 
-// fleetBlock is one per-tick block from one server, tagged for the merge.
-// Per-server block order needs no tag: each stream's channel is FIFO and
-// the merge holds exactly one current block per stream.
+// handoffRecs is the hand-off size: a server's sink packs consecutive
+// generator blocks (≈ 50 records a tick on the paper's server) into one
+// fleetBlock and sends it once it holds this many records, so the merge
+// pays a channel send, a wake-up and a pool round trip per ≈ 1 000
+// records instead of per tick.
+const handoffRecs = 1024
+
+// fleetBlock is one hand-off from one server: consecutive generator blocks
+// packed end to end, time-shifted into the fleet clock. The merge breaks
+// exact-T ties by the minT of the *generator* block a record came from, so
+// the block keeps where each one starts. Per-server block order needs no
+// tag: each stream's channel is FIFO and the merge holds exactly one
+// current block per stream.
 type fleetBlock struct {
 	recs trace.Block
-	minT time.Duration // recs[0].T (offset applied): the merge's tie-break
+	minT time.Duration // recs[0].T: the first generator block's minimum
+	cuts []int         // where each later generator block starts in recs, ascending
 }
 
+// fleetBlockPool recycles hand-off blocks between the senders and the
+// merge. A block holds handoffRecs records plus one tick's overshoot, well
+// inside trace.BlockSize, and a larger tick still arrives whole because
+// the sink appends. The capacity stays trace.BlockSize all the same: with
+// half of it the fleet's smaller live heap drew a second collection per
+// run, which empties every pool and costs more than the blocks save.
 var fleetBlockPool = sync.Pool{
 	New: func() any {
 		return &fleetBlock{recs: make(trace.Block, 0, trace.BlockSize)}
@@ -31,12 +48,15 @@ var fleetBlockPool = sync.Pool{
 
 // serverSink receives one server's per-tick batches on its worker
 // goroutine: each batch feeds the optional per-server collectors in local
-// time, then a time-shifted copy is tagged and sent to the merge.
+// time, then a time-shifted copy is appended to the block being packed,
+// which goes to the merge once it holds handoffRecs records. flush sends
+// the partial block left at the end of the run.
 type serverSink struct {
 	out    chan<- *fleetBlock
 	offset time.Duration
 	per    *analysis.Suite     // full per-box suite; may be nil
 	slim   *analysis.SlimSuite // slim per-box set; may be nil
+	blk    *fleetBlock         // the block being packed; nil after a hand-off
 }
 
 // HandleBatch implements trace.BatchHandler.
@@ -50,22 +70,41 @@ func (s *serverSink) HandleBatch(rs []trace.Record) {
 	if s.slim != nil {
 		s.slim.HandleBatch(rs)
 	}
-	blk := fleetBlockPool.Get().(*fleetBlock)
-	blk.recs = append(blk.recs[:0], rs...)
+	blk := s.blk
+	if blk == nil {
+		blk = fleetBlockPool.Get().(*fleetBlock)
+		blk.recs, blk.cuts = blk.recs[:0], blk.cuts[:0]
+		// The generator emits in time order, so the first record is the
+		// minimum; the merge checks that as it consumes the block.
+		blk.minT = rs[0].T + s.offset
+		s.blk = blk
+	} else {
+		blk.cuts = append(blk.cuts, len(blk.recs))
+	}
+	n := len(blk.recs)
+	blk.recs = append(blk.recs, rs...)
 	if s.offset != 0 {
-		for i := range blk.recs {
-			blk.recs[i].T += s.offset
+		shifted := blk.recs[n:]
+		for i := range shifted {
+			shifted[i].T += s.offset
 		}
 	}
-	// The generator emits in time order, so the first record is the
-	// minimum; the merge checks that as it consumes the block.
-	blk.minT = blk.recs[0].T
-	s.out <- blk
+	if len(blk.recs) >= handoffRecs {
+		s.flush()
+	}
 }
 
 // Handle implements trace.Handler (the generator emits whole blocks, but
 // keep the record path correct for any per-record producer).
 func (s *serverSink) Handle(r trace.Record) { s.HandleBatch([]trace.Record{r}) }
+
+// flush hands the block being packed, if any, to the merge.
+func (s *serverSink) flush() {
+	if s.blk != nil {
+		s.out <- s.blk
+		s.blk = nil
+	}
+}
 
 // taggedEvent carries a session event through the cross-server event merge.
 type taggedEvent struct {
@@ -190,6 +229,7 @@ func Run(cfg Config) (*Result, error) {
 				events[i] = append(events[i], taggedEvent{ev: e, server: i})
 			}
 			st, err := gamesim.Run(sp.Game, ss, ev)
+			ss.flush()
 			if per != nil {
 				per.Close()
 			}

@@ -179,7 +179,7 @@ type Writer struct {
 	segCount int
 	index    []SegmentInfo
 
-	cs   compScratch   // segment compressor state (sync path)
+	cs   *compScratch  // segment compressor state (sync path), pooled; nil until the first segment and after Flush
 	pipe *compPipeline // async compression pipeline, nil until started
 
 	sorted *SortBuffer // the SortWindow stage, nil until the first write
@@ -558,6 +558,9 @@ func (w *Writer) flushSegment() error {
 	payload := raw
 	var flags uint32
 	if w.version >= version3 {
+		if w.cs == nil {
+			w.cs = compScratchPool.Get().(*compScratch)
+		}
 		var err error
 		if payload, flags, err = w.cs.encode(int(w.version), raw, w.level()); err != nil {
 			return w.latchIO(err)
@@ -665,6 +668,10 @@ func (w *Writer) Flush() error {
 				}
 				return err
 			}
+		}
+		if w.cs != nil {
+			compScratchPool.Put(w.cs)
+			w.cs = nil
 		}
 		if err := w.writeIndexAndFooter(); err != nil {
 			return w.latchIO(err)

@@ -31,6 +31,12 @@ type compScratch struct {
 	out     []byte        // assembled stored payload (v4)
 }
 
+// compScratchPool keeps compressor scratch between pipeline workers and
+// writers — a flate.Writer is ≈ 1 MB of state — the way slabPool keeps the
+// slabs. A flate.Writer reset per stream codes exactly as a fresh one, so
+// the bytes do not depend on which scratch a segment gets.
+var compScratchPool = sync.Pool{New: func() any { return new(compScratch) }}
+
 // deflate runs p through flate at level, returning the compressed bytes
 // (valid until the next call).
 func (cs *compScratch) deflate(p []byte, level int) ([]byte, error) {
@@ -245,7 +251,8 @@ func (p *compPipeline) submit(raw []byte, meta segMeta) error {
 
 func (p *compPipeline) worker() {
 	defer p.wg.Done()
-	var cs compScratch
+	cs := compScratchPool.Get().(*compScratch)
+	defer compScratchPool.Put(cs)
 	for job := range p.jobs {
 		res := compResult{raw: job.raw, meta: job.meta}
 		payload, flags, err := cs.encode(int(p.w.version), job.raw, p.level)
