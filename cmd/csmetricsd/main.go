@@ -39,7 +39,7 @@ func main() {
 
 	var (
 		storePath   = flag.String("store", "", "metrics store file (created if missing)")
-		spool       = flag.String("spool", "", "directory watched for .cst trace files")
+		spool       = flag.String("spool", "", "directory watched for .cst trace files; each must arrive whole, by rename")
 		cadence     = flag.Duration("cadence", 2*time.Second, "spool poll cadence")
 		report      = flag.Duration("report", 30*time.Second, "rolling-report cadence when idle (<0 disables)")
 		window      = flag.Duration("window", time.Minute, "rolling trace-time window width")

@@ -2,9 +2,11 @@ package analysis
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
+	"cstrace/internal/stats"
 	"cstrace/internal/trace"
 	"cstrace/internal/units"
 )
@@ -74,11 +76,15 @@ func TestSizeDist(t *testing.T) {
 		rec(0, trace.In, 1, 40),
 		rec(0, trace.Out, 1, 130),
 	})
-	if s.In.Total() != 2 || s.Out.Total() != 1 || s.Total().Total() != 3 {
-		t.Fatal("totals")
+	hist := func(vs ...int) *stats.IntHistogram {
+		h := stats.NewIntHistogram(500)
+		for _, v := range vs {
+			h.Add(v)
+		}
+		return h
 	}
-	if s.In.Count(40) != 2 || s.Out.Count(130) != 1 {
-		t.Error("counts")
+	if !reflect.DeepEqual(s.In, hist(40, 40)) || !reflect.DeepEqual(s.Out, hist(130)) || !reflect.DeepEqual(s.Total(), hist(40, 40, 130)) {
+		t.Fatal("counts")
 	}
 	if s.In.Mean() != 40 {
 		t.Error("mean")
@@ -157,10 +163,10 @@ func TestFlowBandwidth(t *testing.T) {
 	)
 	fb.HandleBatch(rs)
 
-	if fb.NumFlows() != 2 {
-		t.Fatalf("flows = %d", fb.NumFlows())
+	if n := len(flowsOf(fb, 0)); n != 2 {
+		t.Fatalf("flows = %d", n)
 	}
-	qual := fb.Flows(30 * time.Second)
+	qual := flowsOf(fb, 30*time.Second)
 	if len(qual) != 1 || qual[0].Client != 1 {
 		t.Fatalf("qualifying flows: %+v", qual)
 	}
@@ -169,13 +175,53 @@ func TestFlowBandwidth(t *testing.T) {
 	if math.Abs(qual[0].MeanKbs()*1e3-wantBps) > 1e-9 {
 		t.Errorf("MeanKbs = %v, want %v bps", qual[0].MeanKbs()*1e3, wantBps)
 	}
-	h := fb.Histogram(30*time.Second, 150e3, 75)
-	if h.Total() != 1 {
-		t.Errorf("histogram total = %d", h.Total())
+	var total int64
+	for _, c := range histCounts(fb.Histogram(30*time.Second, 150e3, 75)) {
+		total += c
 	}
-	if fb.FractionBelow(30*time.Second, 56e3) != 1 {
-		t.Error("FractionBelow")
+	if total != 1 {
+		t.Errorf("histogram total = %d", total)
 	}
+	if fractionBelow(fb, 30*time.Second, 56e3) != 1 {
+		t.Error("fractionBelow")
+	}
+}
+
+// flowsOf lists fb's sessions lasting at least minDuration.
+func flowsOf(fb *FlowBandwidth, minDuration time.Duration) []FlowStats {
+	var out []FlowStats
+	fb.each(func(f *FlowStats) {
+		if f.Duration() >= minDuration {
+			out = append(out, *f)
+		}
+	})
+	return out
+}
+
+// fractionBelow is the fraction of fb's sessions lasting at least
+// minDuration whose mean bandwidth is below bps (the modem barrier is
+// 56 kb/s).
+func fractionBelow(fb *FlowBandwidth, minDuration time.Duration, bps float64) float64 {
+	fs := flowsOf(fb, minDuration)
+	if len(fs) == 0 {
+		return 0
+	}
+	below := 0
+	for _, f := range fs {
+		if f.MeanKbs()*1e3 < bps {
+			below++
+		}
+	}
+	return float64(below) / float64(len(fs))
+}
+
+// histCounts is h's per-bin counts.
+func histCounts(h *stats.Histogram) []int64 {
+	out := make([]int64, h.NumBins())
+	for i := range out {
+		out[i] = h.Count(i)
+	}
+	return out
 }
 
 func TestVarTimePeriodicProcess(t *testing.T) {

@@ -116,17 +116,6 @@ func (fb *FlowBandwidth) HandleColumns(cb *trace.ColumnBlock) {
 	}
 }
 
-// NumFlows returns the number of sessions observed.
-func (fb *FlowBandwidth) NumFlows() int {
-	n := len(fb.flows)
-	for _, f := range fb.dense {
-		if f != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Histogram bins mean session bandwidth (bits/sec) for sessions lasting at
 // least minDuration, over [0, maxBps) with the given number of bins —
 // Fig 11 uses sessions > 30 s on [0, 150000) b/s.
@@ -138,34 +127,4 @@ func (fb *FlowBandwidth) Histogram(minDuration time.Duration, maxBps float64, bi
 		}
 	})
 	return h
-}
-
-// Flows returns per-session stats for sessions lasting at least minDuration.
-func (fb *FlowBandwidth) Flows(minDuration time.Duration) []FlowStats {
-	out := make([]FlowStats, 0, fb.NumFlows())
-	fb.each(func(f *FlowStats) {
-		if f.Duration() >= minDuration {
-			out = append(out, *f)
-		}
-	})
-	return out
-}
-
-// FractionBelow returns the fraction of qualifying sessions whose mean
-// bandwidth is below bps (e.g. the modem barrier at 56 kb/s).
-func (fb *FlowBandwidth) FractionBelow(minDuration time.Duration, bps float64) float64 {
-	var total, below int
-	fb.each(func(f *FlowStats) {
-		if f.Duration() < minDuration {
-			return
-		}
-		total++
-		if f.MeanKbs()*1e3 < bps {
-			below++
-		}
-	})
-	if total == 0 {
-		return 0
-	}
-	return float64(below) / float64(total)
 }

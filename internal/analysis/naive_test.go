@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"cstrace/internal/gamesim"
+	"cstrace/internal/stats"
+	"cstrace/internal/timeseries"
 	"cstrace/internal/trace"
 	"cstrace/internal/units"
 )
@@ -116,6 +118,16 @@ func series(m map[int64]int64, minLen int64) []float64 {
 	return out
 }
 
+// minuteBinner holds xs as one-minute bins, for comparing with a
+// collector's binner.
+func minuteBinner(xs []float64) *timeseries.Binner {
+	b := timeseries.MustBinner(time.Minute)
+	for i, x := range xs {
+		b.Add(time.Duration(i)*time.Minute, x)
+	}
+	return b
+}
+
 // meanVar is the two-pass mean and population variance.
 func meanVar(xs []float64) (mean, variance float64) {
 	for _, x := range xs {
@@ -137,21 +149,25 @@ func (n *naive) check(t *testing.T, s *Suite, label string) {
 	if want := (Counters{n.pkts[trace.In], n.pkts[trace.Out], n.app[trace.In], n.app[trace.Out], n.end}); s.Count != want {
 		fail("counters", s.Count, want)
 	}
-	for d, h := range []interface{ Count(int) int64 }{s.Sizes.In, s.Sizes.Out} {
-		for v := 0; v <= n.cfg.MaxPayload; v++ {
-			if h.Count(v) != n.sizes[d][v] {
-				fail(fmt.Sprintf("size %d count, dir %d", v, d), h.Count(v), n.sizes[d][v])
+	for d, h := range []*stats.IntHistogram{s.Sizes.In, s.Sizes.Out} {
+		want := stats.NewIntHistogram(n.cfg.MaxPayload)
+		for v, c := range n.sizes[d] {
+			for range c {
+				want.Add(v)
 			}
+		}
+		if !reflect.DeepEqual(h, want) {
+			fail(fmt.Sprintf("size histogram, dir %d", d), h.CDF(), want.CDF())
 		}
 	}
 	minutes := int64(n.cfg.Duration / time.Minute)
 	m := s.Minutes
-	for d, got := range [2][2][]float64{{m.BitsIn.Bins(), m.PktsIn.Bins()}, {m.BitsOut.Bins(), m.PktsOut.Bins()}} {
-		if want := series(n.minuteBits[d], minutes); !slices.Equal(got[0], want) {
-			fail(fmt.Sprintf("minute bits, dir %d", d), got[0], want)
+	for d, got := range [2][2]*timeseries.Binner{{m.BitsIn, m.PktsIn}, {m.BitsOut, m.PktsOut}} {
+		if want := minuteBinner(series(n.minuteBits[d], minutes)); !reflect.DeepEqual(got[0], want) {
+			fail(fmt.Sprintf("minute bits, dir %d", d), got[0].Rates(), want.Rates())
 		}
-		if want := series(n.minutePkts[d], minutes); !slices.Equal(got[1], want) {
-			fail(fmt.Sprintf("minute packets, dir %d", d), got[1], want)
+		if want := minuteBinner(series(n.minutePkts[d], minutes)); !reflect.DeepEqual(got[1], want) {
+			fail(fmt.Sprintf("minute packets, dir %d", d), got[1].Rates(), want.Rates())
 		}
 	}
 	for i, spec := range n.cfg.Windows {
@@ -188,7 +204,7 @@ func (n *naive) check(t *testing.T, s *Suite, label string) {
 	for _, f := range n.flows {
 		flows = append(flows, f)
 	}
-	got := s.Flows.Flows(0)
+	got := flowsOf(s.Flows, 0)
 	for _, fs := range [][]FlowStats{flows, got} {
 		slices.SortFunc(fs, func(a, b FlowStats) int { return int(a.Client) - int(b.Client) })
 	}

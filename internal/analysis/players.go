@@ -48,14 +48,3 @@ func (p *PlayerSeries) Finish(duration time.Duration) {
 
 // Counts returns the per-minute distinct-player series.
 func (p *PlayerSeries) Counts() []float64 { return p.counts }
-
-// Max returns the series maximum.
-func (p *PlayerSeries) Max() float64 {
-	var m float64
-	for _, c := range p.counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -26,14 +27,14 @@ func shardWorkload(t testing.TB) gamesim.Config {
 func suiteFingerprint(s *Suite) map[string]any {
 	tick, corr := s.Tick.Tick()
 	fp := map[string]any{
-		"tableII":  s.Count.TableII(s.Duration()),
+		"tableII":  s.Count.TableII(s.cfg.Duration),
 		"tableIII": s.Count.TableIII(),
 		"sizesIn":  s.Sizes.In.CDF(),
 		"sizesOut": s.Sizes.Out.CDF(),
 		"minutes":  s.Minutes.KbsTotal(),
 		"pps":      s.Minutes.PPSTotal(),
-		"flows":    s.Flows.NumFlows(),
-		"flowHist": s.Flows.Histogram(30*time.Second, 150e3, 30).PDF(),
+		"flows":    len(flowsOf(s.Flows, 0)),
+		"flowHist": histCounts(s.Flows.Histogram(30*time.Second, 150e3, 30)),
 		"vt":       s.VT.Points(),
 		"kinds":    s.Kinds.Rows(),
 		"gapsInCV": s.Gaps.CV(trace.In),
@@ -291,17 +292,29 @@ func TestSinkAutoFollowsBudget(t *testing.T) {
 	}
 	closeSink()
 
-	runtime.GOMAXPROCS(4)
+	// Eight cores against a grant capped at maxAutoShardWorkers leave at
+	// least three free, so the probe below cannot mistake the uncharged
+	// floor grant of an exhausted budget for a free worker.
+	runtime.GOMAXPROCS(8)
 	h2, closeSink2 := newTestSuite(t, SuiteConfig{Duration: time.Hour}).Sink(sched.Auto)
 	sh, sharded := h2.(*ShardedSuite)
 	if !sharded {
-		t.Fatalf("four-core budget: Sink(Auto) = %T, want *ShardedSuite", h2)
+		t.Fatalf("eight-core budget: Sink(Auto) = %T, want *ShardedSuite", h2)
 	}
-	if free := sched.Default().Free(); free != 4-len(sh.workers) {
-		t.Errorf("budget free %d while the auto sink holds %d workers of 4", free, len(sh.workers))
+	if free := budgetFree(); free != 8-len(sh.workers) {
+		t.Errorf("budget free %d while the auto sink holds %d workers of 8", free, len(sh.workers))
 	}
 	closeSink2()
-	if free := sched.Default().Free(); free != 4 {
-		t.Errorf("budget free %d after close, want 4 (lease leaked)", free)
+	if free := budgetFree(); free != 8 {
+		t.Errorf("budget free %d after close, want 8 (lease leaked)", free)
 	}
+}
+
+// budgetFree is the shared budget's free share, read by leasing all of
+// it. An exhausted budget also reads 1 (the uncharged floor grant), so
+// callers assert only where at least two workers should be free.
+func budgetFree() int {
+	l := sched.Default().Acquire(math.MaxInt)
+	defer l.Release()
+	return l.Workers()
 }

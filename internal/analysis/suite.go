@@ -179,9 +179,6 @@ func (s *Suite) Close() {
 	s.Tick.Flush()
 }
 
-// Duration returns the nominal trace duration.
-func (s *Suite) Duration() time.Duration { return s.cfg.Duration }
-
 // Window returns the collected interval window matching the given interval,
 // or nil.
 func (s *Suite) Window(interval time.Duration) *IntervalWindow {

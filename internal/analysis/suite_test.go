@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -37,8 +38,8 @@ func TestPlayerSeries(t *testing.T) {
 	if c[2] != 2 || c[3] != 2 {
 		t.Errorf("tail = %v", c[2:])
 	}
-	if p.Max() != 3 {
-		t.Errorf("Max = %v", p.Max())
+	if m := slices.Max(c); m != 3 {
+		t.Errorf("max = %v", m)
 	}
 }
 
@@ -144,7 +145,7 @@ func TestSuiteEndToEnd(t *testing.T) {
 	}
 
 	// Fig 12: inbound sizes narrow around 40 B, outbound wide.
-	if f := suite.Sizes.In.FractionBelow(60); f < 0.95 {
+	if f := suite.Sizes.In.CDF()[59]; f < 0.95 {
 		t.Errorf("inbound packets <60B = %.2f, want >0.95 (Fig 13)", f)
 	}
 	outCDF := suite.Sizes.Out.CDF()
@@ -177,13 +178,13 @@ func TestSuiteEndToEnd(t *testing.T) {
 	}
 
 	// Fig 11: most sessions below the modem barrier.
-	if fr := suite.Flows.FractionBelow(30*time.Second, 56e3); fr < 0.9 {
+	if fr := fractionBelow(suite.Flows, 30*time.Second, 56e3); fr < 0.9 {
 		t.Errorf("fraction below 56kbs = %.2f", fr)
 	}
 
 	// Fig 3 series exists and respects slot bound + churn.
-	if suite.Players.Max() > float64(cfg.Slots)+5 {
-		t.Errorf("player series max %.0f implausibly high", suite.Players.Max())
+	if m := slices.Max(suite.Players.Counts()); m > float64(cfg.Slots)+5 {
+		t.Errorf("player series max %.0f implausibly high", m)
 	}
 	if got := len(suite.Players.Counts()); got != 60 {
 		t.Errorf("player series has %d minutes, want 60", got)
@@ -218,7 +219,7 @@ func cv(xs []float64) float64 {
 	if m == 0 {
 		return 0
 	}
-	return stats.StdDev(xs) / m
+	return math.Sqrt(stats.Variance(xs)) / m
 }
 
 func TestSuiteWindowLookup(t *testing.T) {

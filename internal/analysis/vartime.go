@@ -86,9 +86,6 @@ func (v *VarTime) Close(duration time.Duration) {
 // first for exact results).
 func (v *VarTime) Points() []hurst.Point { return v.ladder.Points() }
 
-// Base returns the base interval.
-func (v *VarTime) Base() time.Duration { return v.base }
-
 // RegionEstimates fits the Hurst parameter in the paper's three regions:
 // below the server tick (m < tick), the plateau between the tick and the map
 // rotation period, and beyond the map period.

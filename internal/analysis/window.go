@@ -82,9 +82,6 @@ func NewRollingWindow(width time.Duration, emit func(WindowStats)) *RollingWindo
 	return &RollingWindow{width: width, emit: emit, h: sha256.New(), buf: make([]byte, 16*hashChunk)}
 }
 
-// Width returns the window width.
-func (rw *RollingWindow) Width() time.Duration { return rw.width }
-
 // Handle implements trace.Handler: one record is a one-record batch.
 func (rw *RollingWindow) Handle(r trace.Record) {
 	rw.HandleBatch([]trace.Record{r})

@@ -333,19 +333,6 @@ func (r *Registrant) Pause() {
 	<-r.done
 }
 
-// Resume restarts heartbeats after a Pause.
-func (r *Registrant) Resume() {
-	select {
-	case <-r.done:
-	default:
-		return // still running
-	}
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
-	r.beat()
-	go r.loop()
-}
-
 // Query asks the master for the current server list.
 func Query(masterAddr string, timeout time.Duration) ([]netip.AddrPort, error) {
 	conn, err := net.Dial("udp", masterAddr)

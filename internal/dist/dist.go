@@ -190,19 +190,6 @@ func (t Truncated) Sample(r *RNG) float64 {
 	return v
 }
 
-// Empirical samples uniformly from a table of values — with the table built
-// from evenly spaced quantiles this is inverse-CDF sampling of the fitted
-// distribution.
-type Empirical struct{ Values []float64 }
-
-// Sample implements Sampler.
-func (e Empirical) Sample(r *RNG) float64 {
-	if len(e.Values) == 0 {
-		return 0
-	}
-	return e.Values[r.Intn(len(e.Values))]
-}
-
 // Mixture samples one of its components with the configured weights.
 type Mixture struct {
 	samplers []Sampler

@@ -11,7 +11,7 @@ import (
 )
 
 // The batch-native traffic plane. The control plane (arrivals, departures,
-// map rotation, rounds) runs on the simulation kernel; the per-tick traffic —
+// map rotation, rounds) runs on an event queue (events.go); the per-tick traffic —
 // the half a billion records of a full week — is made one tick window at a
 // time, in two stages on the same goroutine:
 //

@@ -271,7 +271,7 @@ func TestRecordedWindowsAllocateNothing(t *testing.T) {
 		at += dt
 	}
 	for at < 3*time.Minute {
-		s.kernel.RunUntil(at)
+		s.runUntil(at)
 		window()
 	}
 	if len(s.players) < cfg.Slots/2 {

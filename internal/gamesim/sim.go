@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cstrace/internal/dist"
-	"cstrace/internal/eventsim"
 	"cstrace/internal/sched"
 	"cstrace/internal/trace"
 )
@@ -109,9 +108,9 @@ type sim struct {
 	h      trace.Handler
 	plan   tickPlan // the emission window being planned, then filled
 	ev     EventFunc
-	kernel eventsim.Sim
+	events eventQueue
 
-	rng      *dist.RNG     // control-plane randomness (consumed only by kernel events)
+	rng      *dist.RNG     // control-plane randomness (consumed only by control-plane events)
 	sizes    dist.Splitter // per-window payload-size streams (indexed by tick)
 	fill     *dist.RNG     // the current window's size stream: one generator, re-keyed per window
 	jitter   dist.Splitter // per-session schedule-jitter streams (indexed by session id)
@@ -190,13 +189,12 @@ func newSim(cfg Config, h trace.Handler, ev EventFunc) (*sim, error) {
 
 	s.warm = cfg.Warmup == 0
 	if !s.warm {
-		s.kernel.At(cfg.Warmup, func(now time.Duration) { s.startRecording(now) })
+		s.events.at(cfg.Warmup, event{kind: evStartRecording})
 	}
 	s.scheduleFreshArrival()
 	s.scheduleMapCycle(0)
 	for _, o := range cfg.Outages {
-		o := o
-		s.kernel.At(cfg.Warmup+o.At, func(now time.Duration) { s.outageStart(o.Duration) })
+		s.events.at(cfg.Warmup+o.At, event{kind: evOutageStart, d: o.Duration})
 	}
 	s.newRound(0)
 	return s, nil
@@ -209,7 +207,7 @@ func (s *sim) run() Stats {
 	total := cfg.Warmup + cfg.Duration
 	if s.h == nil {
 		// Control plane only: no per-tick traffic.
-		s.kernel.RunUntil(total)
+		s.runUntil(total)
 	} else {
 		dt := cfg.TickInterval
 		for t := cfg.Warmup; t < total; t += dt {
@@ -227,8 +225,40 @@ func (s *sim) run() Stats {
 func (s *sim) planWindow(t, end time.Duration) {
 	s.window = t
 	s.plan.reset()
-	s.kernel.RunUntil(t)
+	s.runUntil(t)
 	s.buildWindow(t, end)
+}
+
+// runUntil fires every control-plane event due at or before limit, in
+// (time, scheduling order), and leaves the clock at limit.
+func (s *sim) runUntil(limit time.Duration) {
+	for {
+		e, ok := s.events.next(limit)
+		if !ok {
+			return
+		}
+		now := e.at
+		switch e.kind {
+		case evStartRecording:
+			s.startRecording(now)
+		case evOutageStart:
+			s.outageStart(e.d)
+		case evOutageEnd:
+			s.outageEnd(now)
+		case evArrival:
+			s.arrival(now)
+		case evAttempt:
+			s.attemptOnce(now, e.client, true)
+		case evDeparture:
+			s.disconnect(now, e.p, true)
+		case evMapEnd:
+			s.mapEnd(now)
+		case evMapResume:
+			s.setPaused(now, false)
+			s.newRound(now)
+			s.scheduleMapCycle(now)
+		}
+	}
 }
 
 // fillWindow is the fill stage: it sorts the planned window, samples its open
@@ -351,24 +381,33 @@ func (s *sim) integrateCount(now time.Duration) {
 // at the peak rate, kept with probability λ(t)/λmax. The launch-spike
 // multiplier raises λmax so the surged rate is still properly bounded.
 func (s *sim) scheduleFreshArrival() {
+	gap := time.Duration(s.rng.ExpFloat64() / s.peakRate() * float64(time.Second))
+	s.events.after(gap, event{kind: evArrival})
+}
+
+// arrival is one thinning candidate: an attempt with probability
+// λ(now)/λmax, then the next candidate.
+func (s *sim) arrival(now time.Duration) {
+	if s.rng.Float64()*s.peakRate() <= s.attemptRate(now) {
+		if s.rng.Bool(s.cfg.TouristFrac) {
+			// A one-time visitor: a fresh identity that will not
+			// retry if refused.
+			s.nextTourist++
+			s.attemptOnce(now, uint32(s.cfg.Population)+s.nextTourist, false)
+		} else {
+			s.attemptOnce(now, uint32(s.zipf.Rank(s.rng))+1, true)
+		}
+	}
+	s.scheduleFreshArrival()
+}
+
+// peakRate is λmax, the thinning's candidate rate.
+func (s *sim) peakRate() float64 {
 	peak := s.cfg.AttemptRate * (1 + s.cfg.DiurnalAmp)
 	if s.cfg.SpikeMult > 1 {
 		peak *= s.cfg.SpikeMult
 	}
-	gap := time.Duration(s.rng.ExpFloat64() / peak * float64(time.Second))
-	s.kernel.After(gap, func(now time.Duration) {
-		if s.rng.Float64()*peak <= s.attemptRate(now) {
-			if s.rng.Bool(s.cfg.TouristFrac) {
-				// A one-time visitor: a fresh identity that will not
-				// retry if refused.
-				s.nextTourist++
-				s.attemptOnce(now, uint32(s.cfg.Population)+s.nextTourist, false)
-			} else {
-				s.attemptOnce(now, uint32(s.zipf.Rank(s.rng))+1, true)
-			}
-		}
-		s.scheduleFreshArrival()
-	})
+	return peak
 }
 
 // attemptRate is the instantaneous fresh-attempt rate λ(t): the base rate
@@ -408,7 +447,7 @@ func (s *sim) attemptOnce(now time.Duration, client uint32, mayRetry bool) {
 		s.emit(trace.Record{T: s.window, Dir: trace.Out, Kind: trace.KindHandshake, Client: 0, App: rejectBytes})
 		if mayRetry && s.rng.Bool(s.cfg.RetryProb) {
 			delay := time.Duration(s.cfg.RetryDelay.Sample(s.rng) * float64(time.Second))
-			s.kernel.After(delay, func(now time.Duration) { s.attemptOnce(now, client, true) })
+			s.events.after(delay, event{kind: evAttempt, client: client})
 		}
 		return
 	}
@@ -464,9 +503,7 @@ func (s *sim) connect(now time.Duration, client uint32) {
 	if d < s.cfg.MinSession {
 		d = s.cfg.MinSession
 	}
-	s.kernel.After(time.Duration(d*float64(time.Second)), func(now time.Duration) {
-		s.disconnect(now, p, true)
-	})
+	s.events.after(time.Duration(d*float64(time.Second)), event{kind: evDeparture, p: p})
 }
 
 // disconnect removes p; polite disconnects emit the leave datagram, timeout
@@ -494,21 +531,19 @@ func (s *sim) disconnect(now time.Duration, p *player, polite bool) {
 
 func (s *sim) scheduleMapCycle(start time.Duration) {
 	s.stats.MapsPlayed++
-	end := start + s.cfg.MapDuration
-	s.kernel.At(end, func(now time.Duration) {
-		s.setPaused(now, true)
-		// Some players quit rather than sit through the change.
-		for i := len(s.players) - 1; i >= 0; i-- {
-			if s.rng.Bool(s.cfg.MapLeaveProb) {
-				s.disconnect(now, s.players[i], true)
-			}
+	s.events.at(start+s.cfg.MapDuration, event{kind: evMapEnd})
+}
+
+// mapEnd starts the changeover; the next map starts a pause later.
+func (s *sim) mapEnd(now time.Duration) {
+	s.setPaused(now, true)
+	// Some players quit rather than sit through the change.
+	for i := len(s.players) - 1; i >= 0; i-- {
+		if s.rng.Bool(s.cfg.MapLeaveProb) {
+			s.disconnect(now, s.players[i], true)
 		}
-		s.kernel.After(s.cfg.MapChangePause, func(now time.Duration) {
-			s.setPaused(now, false)
-			s.newRound(now)
-			s.scheduleMapCycle(now)
-		})
-	})
+	}
+	s.events.after(s.cfg.MapChangePause, event{kind: evMapResume})
 }
 
 // --- rounds / activity ---
@@ -545,24 +580,25 @@ func (s *sim) activity(t time.Duration) float64 {
 
 func (s *sim) outageStart(d time.Duration) {
 	s.outage = true
-	s.kernel.After(d, func(now time.Duration) {
-		s.outage = false
-		// Both sides time out; everyone is dropped at the same instant
-		// (the paper: "all of the players or a majority of players were
-		// disconnected ... at identical points in time").
-		for i := len(s.players) - 1; i >= 0; i-- {
-			p := s.players[i]
-			s.disconnect(now, p, false)
-			// Players who recorded the address reconnect promptly; the
-			// rest relied on server auto-discovery and drift back via
-			// the normal arrival process.
-			if s.rng.Bool(s.cfg.ReconnectProb) {
-				client := p.client
-				delay := time.Duration(s.cfg.ReconnectIn.Sample(s.rng) * float64(time.Second))
-				s.kernel.After(delay, func(now time.Duration) { s.attemptOnce(now, client, true) })
-			}
+	s.events.after(d, event{kind: evOutageEnd})
+}
+
+func (s *sim) outageEnd(now time.Duration) {
+	s.outage = false
+	// Both sides time out; everyone is dropped at the same instant
+	// (the paper: "all of the players or a majority of players were
+	// disconnected ... at identical points in time").
+	for i := len(s.players) - 1; i >= 0; i-- {
+		p := s.players[i]
+		s.disconnect(now, p, false)
+		// Players who recorded the address reconnect promptly; the
+		// rest relied on server auto-discovery and drift back via
+		// the normal arrival process.
+		if s.rng.Bool(s.cfg.ReconnectProb) {
+			delay := time.Duration(s.cfg.ReconnectIn.Sample(s.rng) * float64(time.Second))
+			s.events.after(delay, event{kind: evAttempt, client: p.client})
 		}
-	})
+	}
 }
 
 // --- traffic generation ---

@@ -384,7 +384,7 @@ func TestMapsPlayedCount(t *testing.T) {
 }
 
 // TestControlPlaneOnlyRunIsCheapAndEquivalent pins what lazy warm-up relies
-// on: the control-plane stream is consumed only by kernel events, so every
+// on: the control-plane stream is consumed only by control-plane events, so every
 // session-level statistic and the whole event sequence are the same whether
 // or not a packet is ever planned — through a warm-up longer than a map
 // cycle included.

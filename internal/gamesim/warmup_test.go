@@ -47,7 +47,7 @@ func hashSim(t *testing.T, cfg Config, prep func(*sim)) (int, uint64, Stats) {
 }
 
 // tickedWarmup is the reference warm-up: one window per tick from time
-// zero, the kernel run to each window's start and every connected player
+// zero, the event queue run to each window's start and every connected player
 // planned across it, nothing recorded. It is what Run did before warm-up
 // went lazy; the production run that follows must find nothing left to
 // catch up.

@@ -47,9 +47,6 @@ func (d *Dyadic) Add(x float64) {
 	}
 }
 
-// BaseCount returns the number of base values fed.
-func (d *Dyadic) BaseCount() int64 { return d.wf[0].N() }
-
 // Points returns variance-time points for every level with at least two
 // complete blocks.
 func (d *Dyadic) Points() []Point {

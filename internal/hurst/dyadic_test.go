@@ -62,8 +62,8 @@ func TestDyadicBaseCount(t *testing.T) {
 	for i := 0; i < 37; i++ {
 		d.Add(1)
 	}
-	if d.BaseCount() != 37 {
-		t.Errorf("BaseCount = %d", d.BaseCount())
+	if n := d.wf[0].N(); n != 37 {
+		t.Errorf("base count = %d", n)
 	}
 	// A constant stream has zero variance at every level; points must not
 	// report positive normalized variance.

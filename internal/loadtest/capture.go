@@ -178,9 +178,6 @@ func Spawn(cfg SpawnConfig) (*Spawned, error) {
 // Addr returns the server's bound UDP address.
 func (s *Spawned) Addr() string { return s.srv.Addr().String() }
 
-// Stats returns the server's counters.
-func (s *Spawned) Stats() gameserver.Stats { return s.srv.Stats() }
-
 // Target returns the harness target for this server, with Kill wired as
 // the disturbance hook.
 func (s *Spawned) Target() Target {

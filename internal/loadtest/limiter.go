@@ -1,7 +1,6 @@
 package loadtest
 
 import (
-	"context"
 	"time"
 )
 
@@ -76,26 +75,4 @@ func (l *Limiter) Delay(now time.Time) time.Duration {
 		return 0
 	}
 	return time.Duration((1 - l.tokens) / l.rate * float64(time.Second))
-}
-
-// Wait blocks until a token is available or ctx is done, consuming the
-// token on success.
-func (l *Limiter) Wait(ctx context.Context) error {
-	for {
-		now := time.Now()
-		if l.Allow(now) {
-			return nil
-		}
-		d := l.Delay(now)
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		t := time.NewTimer(d)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package loadtest
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -120,17 +119,5 @@ func TestLimiterDelay(t *testing.T) {
 	// Unlimited limiter never delays.
 	if d := NewLimiter(0, 1).Delay(t0); d != 0 {
 		t.Fatalf("unlimited Delay = %v, want 0", d)
-	}
-}
-
-func TestLimiterWaitHonorsContext(t *testing.T) {
-	l := NewLimiter(0.001, 1) // one token per ~17 minutes
-	if err := l.Wait(context.Background()); err != nil {
-		t.Fatalf("first Wait should use the initial token: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := l.Wait(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("Wait = %v, want DeadlineExceeded", err)
 	}
 }

@@ -95,19 +95,19 @@ func TestLiveLoopbackCapture(t *testing.T) {
 	// connect requests and disconnects — nothing under the 5 B header+id
 	// floor, nothing above the small-message ceiling — and the fixed-size
 	// command must dominate the inbound mix.
-	in, out := a.Suite.Sizes.In, a.Suite.Sizes.Out
-	if f := in.FractionBelow(5); f > 0 {
+	in, out := a.Suite.Sizes.In.CDF(), a.Suite.Sizes.Out.CDF()
+	if f := in[4]; f > 0 {
 		t.Errorf("%.4f of inbound payloads below the 5 B protocol floor", f)
 	}
-	if f := in.FractionBelow(65); f != 1 {
+	if f := in[64]; f != 1 {
 		t.Errorf("%.4f of inbound payloads within the 64 B client-message ceiling, want all", f)
 	}
-	if cmds := in.Count(36); cmds < in.Total()/2 {
-		t.Errorf("36 B user commands are %d of %d inbound packets, want majority", cmds, in.Total())
+	if f := in[36] - in[35]; f < 0.5 {
+		t.Errorf("36 B user commands are %.4f of inbound packets, want majority", f)
 	}
 	// Outbound is snapshots (10 + 13/entity, at most 8 players here) plus
 	// handshake replies.
-	if f := out.FractionBelow(10 + 13*8 + 1); f != 1 {
+	if f := out[10+13*8]; f != 1 {
 		t.Errorf("%.4f of outbound payloads within a full-house snapshot, want all", f)
 	}
 

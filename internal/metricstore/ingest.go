@@ -138,7 +138,6 @@ func IngestTraceFile(st *Store, path string, opts IngestOptions) (*Run, bool, er
 // stream order. Tee it alongside the real consumer, then Sum.
 type StreamHasher struct {
 	h   hash.Hash
-	n   int64
 	buf []byte
 }
 
@@ -165,11 +164,7 @@ func (sh *StreamHasher) HandleBatch(rs []trace.Record) {
 			sh.buf = sh.buf[:0]
 		}
 	}
-	sh.n += int64(len(rs))
 }
-
-// Records returns how many records were hashed.
-func (sh *StreamHasher) Records() int64 { return sh.n }
 
 // Sum returns the hex digest of everything hashed so far.
 func (sh *StreamHasher) Sum() string {

@@ -15,6 +15,11 @@
 // engine is therefore equivalent — collector state and all — to analyzing
 // their concatenation in one shot, which is what the golden-equality test
 // in this package proves against cstrace's AnalyzeTrace.
+//
+// Spool files must arrive whole, by rename: write "name.cst.part" (any
+// other extension) and rename it to "name.cst" once complete. The sweep
+// reads a *.cst file as soon as it sees the name, and a file that does not
+// parse as a trace is logged and skipped for good.
 package metricsvc
 
 import (
@@ -84,7 +89,6 @@ type Engine struct {
 	lastWin                         *analysis.WindowStats
 	emitErr                         error
 	closed                          bool
-	final                           analysis.Summary
 	serviceRun                      *metricstore.Run
 }
 
@@ -210,7 +214,9 @@ func warnNote(w string) string {
 
 // Sweep ingests, in name order, every spool file not yet seen by this
 // engine. It returns how many files were newly analyzed (store
-// deduplicates don't count).
+// deduplicates don't count). A file that is not a trace (a trace format
+// error) is logged through Config.Logf and marked seen; any other error
+// stops the sweep and is returned.
 func (e *Engine) Sweep() (int, error) {
 	entries, err := os.ReadDir(e.cfg.Spool)
 	if err != nil {
@@ -230,7 +236,12 @@ func (e *Engine) Sweep() (int, error) {
 	for _, name := range names {
 		_, fresh, err := e.IngestFile(filepath.Join(e.cfg.Spool, name))
 		if err != nil {
-			return added, fmt.Errorf("metricsvc: ingesting %s: %w", name, err)
+			if !errors.Is(err, trace.ErrBadMagic) && !errors.Is(err, trace.ErrBadVersion) && !errors.Is(err, trace.ErrCorrupt) {
+				return added, fmt.Errorf("metricsvc: ingesting %s: %w", name, err)
+			}
+			if e.cfg.Logf != nil {
+				e.cfg.Logf("skipping %s: %v", name, err)
+			}
 		}
 		e.seen[name] = true
 		if fresh {
@@ -289,7 +300,7 @@ func (e *Engine) Close() (*metricstore.Run, error) {
 	}
 	e.closed = true
 	e.win.Close()
-	e.final = e.sum.Summary(0)
+	final := e.sum.Summary(0)
 	e.report()
 	if len(e.fileHashes) == 0 {
 		return nil, e.emitErr
@@ -305,7 +316,7 @@ func (e *Engine) Close() (*metricstore.Run, error) {
 		Label:      e.cfg.Label,
 		IngestedAt: e.cfg.Now().UTC(),
 		Records:    e.records,
-		Summary:    e.final,
+		Summary:    final,
 	}
 	stored, _, err := e.cfg.Store.Ingest(run)
 	if err == nil {
@@ -314,10 +325,6 @@ func (e *Engine) Close() (*metricstore.Run, error) {
 	}
 	return e.serviceRun, err
 }
-
-// FinalSummary returns the cumulative summary over everything the engine
-// analyzed. Only valid after Close.
-func (e *Engine) FinalSummary() analysis.Summary { return e.final }
 
 // Windows returns how many completed windows the engine recorded.
 func (e *Engine) Windows() int64 { return e.windows }

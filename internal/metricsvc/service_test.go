@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -46,7 +47,8 @@ func writeSpoolFile(t *testing.T, dir, name string, recs []trace.Record) {
 }
 
 // writeSpoolWith writes recs into dir/name with a writer from newWriter cut
-// into segments of segPayload bytes.
+// into segments of segPayload bytes. The file arrives whole, by rename, as
+// the spool contract asks.
 func writeSpoolWith(t *testing.T, dir, name string, recs []trace.Record, newWriter func(io.Writer) *trace.Writer, segPayload int) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -60,7 +62,11 @@ func writeSpoolWith(t *testing.T, dir, name string, recs []trace.Record, newWrit
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
+	part := filepath.Join(dir, name+".part")
+	if err := os.WriteFile(part, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(part, filepath.Join(dir, name)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -134,7 +140,10 @@ func TestServiceMatchesOneShotAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := eng.FinalSummary()
+	if svc == nil || svc.Kind != metricstore.KindService {
+		t.Fatalf("service row = %+v", svc)
+	}
+	got := svc.Summary
 
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("service summary diverges from one-shot analysis:\n got %+v\nwant %+v", got, want)
@@ -145,9 +154,6 @@ func TestServiceMatchesOneShotAnalysis(t *testing.T) {
 		t.Errorf("summary JSON diverges:\n got %s\nwant %s", gj, wj)
 	}
 
-	if svc == nil || svc.Kind != metricstore.KindService {
-		t.Fatalf("service row = %+v", svc)
-	}
 	if svc.Records != 7500 {
 		t.Errorf("service row records = %d, want 7500", svc.Records)
 	}
@@ -271,6 +277,90 @@ func TestServiceRunLoop(t *testing.T) {
 	}
 	if !strings.Contains(report.String(), "files=") {
 		t.Errorf("no report lines emitted: %q", report.String())
+	}
+}
+
+// TestSweepSkipsNonTrace: a spool file that is not a trace is logged and
+// marked seen; the files after it are still ingested, and later sweeps do
+// not trip over it again.
+func TestSweepSkipsNonTrace(t *testing.T) {
+	spool := t.TempDir()
+	writeSpoolFile(t, spool, "a.cst", spoolRecords(1, 1000, 30*time.Second))
+	if err := os.WriteFile(filepath.Join(spool, "b.cst"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeSpoolFile(t, spool, "c.cst", spoolRecords(3, 1000, 30*time.Second))
+	st, err := metricstore.Open(filepath.Join(t.TempDir(), "m.csms"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var log strings.Builder
+	eng, err := metricsvc.New(metricsvc.Config{
+		Store: st, Spool: spool, Now: fixedClock(),
+		Logf: func(format string, args ...any) { fmt.Fprintf(&log, format+"\n", args...) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := eng.Sweep(); err != nil || n != 2 {
+		t.Fatalf("Sweep = %d, %v; want 2, nil", n, err)
+	}
+	if !strings.Contains(log.String(), "skipping b.cst") || !strings.Contains(log.String(), "bad magic") {
+		t.Errorf("b.cst not logged as skipped: %q", log.String())
+	}
+	if n, err := eng.Sweep(); err != nil || n != 0 {
+		t.Fatalf("second Sweep = %d, %v; want 0, nil", n, err)
+	}
+	if _, err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSweepWaitsForRename: a file still being written under its .part name
+// is not read, however torn; once renamed it is ingested whole.
+func TestSweepWaitsForRename(t *testing.T) {
+	spool := t.TempDir()
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for _, r := range spoolRecords(2, 1000, 30*time.Second) {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	part := filepath.Join(spool, "b.cst.part")
+	if err := os.WriteFile(part, buf.Bytes()[:buf.Len()/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := metricstore.Open(filepath.Join(t.TempDir(), "m.csms"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	eng, err := metricsvc.New(metricsvc.Config{Store: st, Spool: spool, Now: fixedClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := eng.Sweep(); err != nil || n != 0 || st.Len() != 0 {
+		t.Fatalf("Sweep over a torn .part = %d, %v (%d rows); want 0, nil and no rows", n, err, st.Len())
+	}
+	if err := os.WriteFile(part, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(part, filepath.Join(spool, "b.cst")); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := eng.Sweep(); err != nil || n != 1 {
+		t.Fatalf("Sweep after the rename = %d, %v; want 1, nil", n, err)
+	}
+	if run := st.Runs()[0]; run.Records != 1000 || run.Warning != "" {
+		t.Errorf("ingested %d records (warning %q), want all 1000", run.Records, run.Warning)
+	}
+	if _, err := eng.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

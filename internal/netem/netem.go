@@ -151,7 +151,6 @@ type Link struct {
 	freeAt     time.Duration // when the transmitter frees up
 	lastOut    time.Duration // last forwarded timestamp (order clamp)
 	lastT      time.Duration // last arrival seen (to drain the queue)
-	scratch    trace.Block   // survivors of the current batch
 	stats      LinkStats
 }
 
@@ -179,9 +178,10 @@ func NewLink(rate float64, prop, jitterSD time.Duration, bufBytes int, seed uint
 // Stats returns the accumulated statistics.
 func (l *Link) Stats() *LinkStats { return &l.stats }
 
-// process runs one record through the link, returning the restamped record
-// or ok=false when the queue dropped it.
-func (l *Link) process(r trace.Record) (fwd trace.Record, ok bool) {
+// Handle implements trace.Handler: the record is queued, serialized and
+// forwarded restamped with its delivery time, or dropped when the queue
+// is full.
+func (l *Link) Handle(r trace.Record) {
 	l.stats.Offered++
 	l.drainTo(r.T)
 	l.lastT = r.T
@@ -189,7 +189,7 @@ func (l *Link) process(r trace.Record) (fwd trace.Record, ok bool) {
 	wire := int64(r.Wire())
 	if l.queueBytes+wire > int64(l.bufBytes) {
 		l.stats.Dropped++
-		return r, false
+		return
 	}
 	l.queueBytes += wire
 
@@ -223,28 +223,8 @@ func (l *Link) process(r trace.Record) (fwd trace.Record, ok bool) {
 	if out > l.stats.Span {
 		l.stats.Span = out
 	}
-	fwd = r
-	fwd.T = out
-	return fwd, true
-}
-
-// Handle implements trace.Handler.
-func (l *Link) Handle(r trace.Record) {
-	if fwd, ok := l.process(r); ok {
-		l.next.Handle(fwd)
-	}
-}
-
-// HandleBatch implements trace.BatchHandler: survivors of the whole block
-// forward downstream in one call.
-func (l *Link) HandleBatch(rs []trace.Record) {
-	l.scratch = l.scratch[:0]
-	for _, r := range rs {
-		if fwd, ok := l.process(r); ok {
-			l.scratch = append(l.scratch, fwd)
-		}
-	}
-	trace.Dispatch(l.next, l.scratch)
+	r.T = out
+	l.next.Handle(r)
 }
 
 // drainTo releases queue occupancy for packets fully serialized by t. The
@@ -273,7 +253,6 @@ func (l *Link) drainTo(t time.Duration) {
 // arrival times.
 type LastMile struct {
 	down, up *Link
-	scratch  trace.Block
 }
 
 // New builds a LastMile from a profile. Both directions forward to next.
@@ -296,23 +275,6 @@ func (m *LastMile) Handle(r trace.Record) {
 	} else {
 		m.up.Handle(r)
 	}
-}
-
-// HandleBatch implements trace.BatchHandler. Records route per direction in
-// arrival order and the survivors of both links forward as one block in
-// that same order, so the downstream sees exactly the per-record stream.
-func (m *LastMile) HandleBatch(rs []trace.Record) {
-	m.scratch = m.scratch[:0]
-	for _, r := range rs {
-		l := m.up
-		if r.Dir == trace.Out {
-			l = m.down
-		}
-		if fwd, ok := l.process(r); ok {
-			m.scratch = append(m.scratch, fwd)
-		}
-	}
-	trace.Dispatch(m.down.next, m.scratch)
 }
 
 // Down returns downlink statistics (server → client).

@@ -1,9 +1,6 @@
 package packet
 
-import (
-	"fmt"
-	"net/netip"
-)
+import "net/netip"
 
 // Endpoint is a hashable transport endpoint: an IPv4 address and UDP port.
 // Endpoints are comparable and usable as map keys, in the manner of
@@ -12,6 +9,3 @@ type Endpoint struct {
 	Addr netip.Addr
 	Port uint16
 }
-
-// String renders "a.b.c.d:port".
-func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.Addr, e.Port) }

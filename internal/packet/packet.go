@@ -2,16 +2,15 @@
 // the trace consists of: Ethernet (optionally 802.1Q-tagged), IPv4 and UDP,
 // with the game payload as the application layer.
 //
-// The API follows the shape of the gopacket library — layers expose their
-// contents and payload, a zero-allocation Parser decodes a known stack into
-// preallocated layer structs, and flows/endpoints give hashable src/dst
-// identities — but is implemented entirely on the standard library.
+// The API follows the shape of the gopacket library — a zero-allocation
+// Parser decodes a known stack into preallocated layer structs, and
+// endpoints give hashable src/dst identities — but is implemented entirely
+// on the standard library.
 package packet
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net/netip"
 )
 
@@ -19,52 +18,11 @@ import (
 type LayerType uint8
 
 const (
-	LayerTypeNone LayerType = iota
-	LayerTypeEthernet
+	LayerTypeEthernet LayerType = iota + 1
 	LayerTypeIPv4
 	LayerTypeUDP
-	LayerTypeTCP
 	LayerTypePayload
 )
-
-// String returns the layer name.
-func (t LayerType) String() string {
-	switch t {
-	case LayerTypeEthernet:
-		return "Ethernet"
-	case LayerTypeIPv4:
-		return "IPv4"
-	case LayerTypeUDP:
-		return "UDP"
-	case LayerTypeTCP:
-		return "TCP"
-	case LayerTypePayload:
-		return "Payload"
-	}
-	return "None"
-}
-
-// Layer is one decoded protocol layer.
-type Layer interface {
-	// LayerType identifies the layer.
-	LayerType() LayerType
-	// LayerContents returns the bytes that make up this layer's header.
-	LayerContents() []byte
-	// LayerPayload returns the bytes this layer carries.
-	LayerPayload() []byte
-}
-
-// DecodingLayer is a layer that can decode itself from bytes in place,
-// allowing allocation-free parsing (gopacket's DecodingLayer).
-type DecodingLayer interface {
-	Layer
-	// DecodeFromBytes parses data into the receiver. The receiver keeps
-	// references into data; the caller must not mutate it while the layer
-	// is in use.
-	DecodeFromBytes(data []byte) error
-	// NextLayerType reports the type of this layer's payload.
-	NextLayerType() LayerType
-}
 
 // Common decode errors.
 var (
@@ -83,11 +41,6 @@ const (
 // MAC is a 6-byte Ethernet address.
 type MAC [6]byte
 
-// String renders the address in colon-hex form.
-func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
-}
-
 // Ethernet is the link layer. The capture link the paper's byte accounting
 // implies was 802.1Q-tagged; HasVLAN/VLANID carry the tag when present.
 type Ethernet struct {
@@ -97,20 +50,13 @@ type Ethernet struct {
 	VLANID         uint16 // 12-bit VLAN identifier
 	VLANPriority   uint8  // 3-bit PCP
 
-	contents []byte
-	payload  []byte
+	payload []byte
 }
 
-// LayerType implements Layer.
-func (e *Ethernet) LayerType() LayerType { return LayerTypeEthernet }
-
-// LayerContents implements Layer.
-func (e *Ethernet) LayerContents() []byte { return e.contents }
-
-// LayerPayload implements Layer.
+// LayerPayload returns the bytes this layer carries.
 func (e *Ethernet) LayerPayload() []byte { return e.payload }
 
-// NextLayerType implements DecodingLayer.
+// NextLayerType reports the type of this layer's payload.
 func (e *Ethernet) NextLayerType() LayerType {
 	if e.EtherType == EtherTypeIPv4 {
 		return LayerTypeIPv4
@@ -118,7 +64,8 @@ func (e *Ethernet) NextLayerType() LayerType {
 	return LayerTypePayload
 }
 
-// DecodeFromBytes implements DecodingLayer.
+// DecodeFromBytes parses data into the receiver, which keeps references
+// into data.
 func (e *Ethernet) DecodeFromBytes(data []byte) error {
 	if len(data) < 14 {
 		return ErrTruncated
@@ -142,7 +89,6 @@ func (e *Ethernet) DecodeFromBytes(data []byte) error {
 		hdr = 18
 	}
 	e.EtherType = et
-	e.contents = data[:hdr]
 	e.payload = data[hdr:]
 	return nil
 }
@@ -188,34 +134,25 @@ type IPv4 struct {
 	Checksum uint16
 	Src, Dst netip.Addr
 
-	contents []byte
-	payload  []byte
+	payload []byte
 }
 
 // IPProtoUDP is the IPv4 protocol number for UDP.
 const IPProtoUDP = 17
 
-// LayerType implements Layer.
-func (ip *IPv4) LayerType() LayerType { return LayerTypeIPv4 }
-
-// LayerContents implements Layer.
-func (ip *IPv4) LayerContents() []byte { return ip.contents }
-
-// LayerPayload implements Layer.
+// LayerPayload returns the bytes this layer carries.
 func (ip *IPv4) LayerPayload() []byte { return ip.payload }
 
-// NextLayerType implements DecodingLayer.
+// NextLayerType reports the type of this layer's payload.
 func (ip *IPv4) NextLayerType() LayerType {
-	switch ip.Protocol {
-	case IPProtoUDP:
+	if ip.Protocol == IPProtoUDP {
 		return LayerTypeUDP
-	case IPProtoTCP:
-		return LayerTypeTCP
 	}
 	return LayerTypePayload
 }
 
-// DecodeFromBytes implements DecodingLayer.
+// DecodeFromBytes parses data into the receiver, which keeps references
+// into data.
 func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	if len(data) < 20 {
 		return ErrTruncated
@@ -244,7 +181,6 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	if Checksum(data[:ihl]) != 0 {
 		return ErrBadChecksum
 	}
-	ip.contents = data[:ihl]
 	ip.payload = data[ihl:ip.TotalLen]
 	return nil
 }
@@ -284,23 +220,17 @@ type UDP struct {
 	Length           uint16
 	Checksum         uint16
 
-	contents []byte
-	payload  []byte
+	payload []byte
 }
 
-// LayerType implements Layer.
-func (u *UDP) LayerType() LayerType { return LayerTypeUDP }
-
-// LayerContents implements Layer.
-func (u *UDP) LayerContents() []byte { return u.contents }
-
-// LayerPayload implements Layer.
+// LayerPayload returns the bytes this layer carries.
 func (u *UDP) LayerPayload() []byte { return u.payload }
 
-// NextLayerType implements DecodingLayer.
+// NextLayerType reports the type of this layer's payload.
 func (u *UDP) NextLayerType() LayerType { return LayerTypePayload }
 
-// DecodeFromBytes implements DecodingLayer.
+// DecodeFromBytes parses data into the receiver, which keeps references
+// into data.
 func (u *UDP) DecodeFromBytes(data []byte) error {
 	if len(data) < 8 {
 		return ErrTruncated
@@ -312,7 +242,6 @@ func (u *UDP) DecodeFromBytes(data []byte) error {
 	if int(u.Length) < 8 || int(u.Length) > len(data) {
 		return ErrBadLength
 	}
-	u.contents = data[:8]
 	u.payload = data[8:u.Length]
 	return nil
 }
@@ -333,18 +262,6 @@ func (u *UDP) SerializeTo(b []byte) (int, error) {
 	binary.BigEndian.PutUint16(b[6:8], u.Checksum)
 	return 8, nil
 }
-
-// Payload is the application layer: raw bytes.
-type Payload []byte
-
-// LayerType implements Layer.
-func (p Payload) LayerType() LayerType { return LayerTypePayload }
-
-// LayerContents implements Layer.
-func (p Payload) LayerContents() []byte { return p }
-
-// LayerPayload implements Layer.
-func (p Payload) LayerPayload() []byte { return nil }
 
 // Checksum computes the 16-bit one's-complement Internet checksum of data.
 // A buffer containing a correct embedded checksum sums to zero.

@@ -225,40 +225,14 @@ func TestLayerAccessors(t *testing.T) {
 	if err := p.DecodeLayers(frame, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Eth.LayerContents()) != 14 {
-		t.Error("eth contents")
+	if len(p.Eth.LayerPayload()) != 20+8+3 {
+		t.Error("eth payload")
 	}
-	if len(p.IP.LayerContents()) != 20 {
-		t.Error("ip contents")
-	}
-	if len(p.UDP.LayerContents()) != 8 {
-		t.Error("udp contents")
+	if len(p.IP.LayerPayload()) != 8+3 {
+		t.Error("ip payload")
 	}
 	if got := p.UDP.LayerPayload(); string(got) != "xyz" {
 		t.Errorf("udp payload = %q", got)
-	}
-	pl := Payload([]byte("xyz"))
-	if pl.LayerType() != LayerTypePayload || pl.LayerPayload() != nil {
-		t.Error("payload layer")
-	}
-}
-
-func TestLayerTypeString(t *testing.T) {
-	names := map[LayerType]string{
-		LayerTypeNone: "None", LayerTypeEthernet: "Ethernet",
-		LayerTypeIPv4: "IPv4", LayerTypeUDP: "UDP", LayerTypePayload: "Payload",
-	}
-	for lt, want := range names {
-		if lt.String() != want {
-			t.Errorf("%d.String() = %q, want %q", lt, lt.String(), want)
-		}
-	}
-}
-
-func TestMACString(t *testing.T) {
-	m := MAC{0xde, 0xad, 0xbe, 0xef, 0x00, 0x01}
-	if m.String() != "de:ad:be:ef:00:01" {
-		t.Errorf("MAC.String() = %q", m.String())
 	}
 }
 

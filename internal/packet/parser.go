@@ -2,14 +2,12 @@ package packet
 
 // Parser decodes an Ethernet frame into preallocated layers without
 // allocating, in the manner of gopacket's DecodingLayerParser. It handles
-// the stacks the trace tooling processes — Ethernet(+802.1Q)/IPv4 over UDP
-// (game traffic) and TCP (bulk/web baseline) — and it is the hot path for
-// bulk trace processing.
+// the stack the trace tooling processes: Ethernet(+802.1Q)/IPv4 over UDP
+// (game traffic).
 type Parser struct {
 	Eth Ethernet
 	IP  IPv4
 	UDP UDP
-	TCP TCP
 	// AppPayload aliases into the most recent packet's application bytes.
 	AppPayload []byte
 }
@@ -36,23 +34,15 @@ func (p *Parser) DecodeLayers(data []byte, decoded *[]LayerType) error {
 	}
 	*decoded = append(*decoded, LayerTypeIPv4)
 
-	switch p.IP.NextLayerType() {
-	case LayerTypeUDP:
-		if err := p.UDP.DecodeFromBytes(p.IP.LayerPayload()); err != nil {
-			return err
-		}
-		*decoded = append(*decoded, LayerTypeUDP)
-		p.AppPayload = p.UDP.LayerPayload()
-	case LayerTypeTCP:
-		if err := p.TCP.DecodeFromBytes(p.IP.LayerPayload()); err != nil {
-			return err
-		}
-		*decoded = append(*decoded, LayerTypeTCP)
-		p.AppPayload = p.TCP.LayerPayload()
-	default:
+	if p.IP.NextLayerType() != LayerTypeUDP {
 		p.AppPayload = p.IP.LayerPayload()
 		return nil
 	}
+	if err := p.UDP.DecodeFromBytes(p.IP.LayerPayload()); err != nil {
+		return err
+	}
+	*decoded = append(*decoded, LayerTypeUDP)
+	p.AppPayload = p.UDP.LayerPayload()
 	if len(p.AppPayload) > 0 {
 		*decoded = append(*decoded, LayerTypePayload)
 	}
@@ -94,39 +84,5 @@ func (s *Serializer) Frame(eth *Ethernet, ip *IPv4, udp *UDP, payload []byte) ([
 		return nil, err
 	}
 	copy(b[off+udp.HeaderLen():], payload)
-	return b, nil
-}
-
-// TCPFrame assembles an Ethernet/IPv4/TCP frame, computing the TCP checksum
-// over the pseudo-header. As with Frame, the returned slice is owned by the
-// Serializer and valid until the next call.
-//
-// eth.EtherType, ip.TotalLen, ip.Protocol and tcp.Checksum are set here.
-func (s *Serializer) TCPFrame(eth *Ethernet, ip *IPv4, tcp *TCP, payload []byte) ([]byte, error) {
-	ethLen := eth.HeaderLen()
-	total := ethLen + ip.HeaderLen() + tcp.HeaderLen() + len(payload)
-	if cap(s.buf) < total {
-		s.buf = make([]byte, total)
-	}
-	b := s.buf[:total]
-
-	eth.EtherType = EtherTypeIPv4
-	ip.Protocol = IPProtoTCP
-	ip.TotalLen = uint16(ip.HeaderLen() + tcp.HeaderLen() + len(payload))
-
-	if _, err := eth.SerializeTo(b); err != nil {
-		return nil, err
-	}
-	if _, err := ip.SerializeTo(b[ethLen:]); err != nil {
-		return nil, err
-	}
-	if err := tcp.ComputeChecksum(ip.Src, ip.Dst, payload); err != nil {
-		return nil, err
-	}
-	off := ethLen + ip.HeaderLen()
-	if _, err := tcp.SerializeTo(b[off:]); err != nil {
-		return nil, err
-	}
-	copy(b[off+tcp.HeaderLen():], payload)
 	return b, nil
 }

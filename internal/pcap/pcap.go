@@ -21,12 +21,8 @@ const (
 	MagicNanoseconds  = 0xa1b23c4d
 )
 
-// LinkType values (from the pcap specification).
-const (
-	LinkTypeNull     uint32 = 0
-	LinkTypeEthernet uint32 = 1
-	LinkTypeRaw      uint32 = 101
-)
+// LinkTypeEthernet is the pcap link type of Ethernet frames.
+const LinkTypeEthernet uint32 = 1
 
 // maxSnapLen is libpcap's maximum snap length: no capture tool stores more
 // than this many bytes of one packet.

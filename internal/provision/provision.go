@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"cstrace/internal/netem"
-	"cstrace/internal/units"
 )
 
 // PlayerBudget is the steady-state demand of one active player as seen at
@@ -331,12 +330,4 @@ func PlanFor(b PlayerBudget, players, slots int, tick time.Duration) (Plan, erro
 	p.PeakPPS = burst/peakWindow + b.InPPS*float64(players)
 	p.MinLookupPPS = RequiredLookupPPS(demand, servers, DefaultLatencyBudget, 0.25)
 	return p, nil
-}
-
-// PerSlotKbs reproduces the paper's headline: bandwidth divided by slots.
-func PerSlotKbs(b PlayerBudget, meanPlayers float64, slots int) units.BitsPerSecond {
-	if slots == 0 {
-		return 0
-	}
-	return units.BitsPerSecond(b.TotalBps() * meanPlayers / float64(slots))
 }

@@ -21,7 +21,7 @@ func TestPaperBudget(t *testing.T) {
 		t.Errorf("TotalBps = %.0f", tb)
 	}
 	// The headline: bandwidth per slot ≈ 40 kbs (modem saturation).
-	kbs := float64(PerSlotKbs(b, 18.05, 22)) / 1e3
+	kbs := b.TotalBps() * 18.05 / 22 / 1e3
 	if kbs < 38 || kbs > 42 {
 		t.Errorf("per-slot = %.1f kbs, want ≈40", kbs)
 	}

@@ -67,14 +67,6 @@ func (b *Budget) Total() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Free returns the currently unacquired share of the budget (never
-// negative; floor grants do not drive it below zero).
-func (b *Budget) Free() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.free()
-}
-
 func (b *Budget) free() int {
 	if f := b.Total() - b.used; f > 0 {
 		return f

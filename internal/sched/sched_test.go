@@ -5,39 +5,46 @@ import (
 	"testing"
 )
 
+// freeOf is b's unacquired share.
+func freeOf(b *Budget) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.free()
+}
+
 func TestAcquireBoundsAndFloor(t *testing.T) {
 	b := NewBudget(4)
-	if b.Total() != 4 || b.Free() != 4 {
-		t.Fatalf("fresh budget: total %d free %d", b.Total(), b.Free())
+	if b.Total() != 4 || freeOf(b) != 4 {
+		t.Fatalf("fresh budget: total %d free %d", b.Total(), freeOf(b))
 	}
 	l1 := b.Acquire(3)
-	if l1.Workers() != 3 || b.Free() != 1 {
-		t.Fatalf("acquire 3: got %d workers, %d free", l1.Workers(), b.Free())
+	if l1.Workers() != 3 || freeOf(b) != 1 {
+		t.Fatalf("acquire 3: got %d workers, %d free", l1.Workers(), freeOf(b))
 	}
 	l2 := b.Acquire(3)
-	if l2.Workers() != 1 || b.Free() != 0 {
-		t.Fatalf("acquire over free share: got %d workers, %d free", l2.Workers(), b.Free())
+	if l2.Workers() != 1 || freeOf(b) != 0 {
+		t.Fatalf("acquire over free share: got %d workers, %d free", l2.Workers(), freeOf(b))
 	}
 	// Exhausted: floor grant of one, uncharged.
 	l3 := b.Acquire(2)
 	if l3.Workers() != 1 {
 		t.Fatalf("exhausted budget must floor-grant 1, got %d", l3.Workers())
 	}
-	if b.Free() != 0 {
-		t.Fatalf("floor grant must not be charged, free %d", b.Free())
+	if freeOf(b) != 0 {
+		t.Fatalf("floor grant must not be charged, free %d", freeOf(b))
 	}
 	l3.Release()
-	if b.Free() != 0 {
-		t.Fatalf("releasing a floor grant must not inflate the pool, free %d", b.Free())
+	if freeOf(b) != 0 {
+		t.Fatalf("releasing a floor grant must not inflate the pool, free %d", freeOf(b))
 	}
 	l1.Release()
 	l1.Release() // idempotent
-	if b.Free() != 3 {
-		t.Fatalf("after releasing 3: free %d", b.Free())
+	if freeOf(b) != 3 {
+		t.Fatalf("after releasing 3: free %d", freeOf(b))
 	}
 	l2.Release()
-	if b.Free() != 4 {
-		t.Fatalf("fully released: free %d", b.Free())
+	if freeOf(b) != 4 {
+		t.Fatalf("fully released: free %d", freeOf(b))
 	}
 }
 
@@ -112,7 +119,7 @@ func TestConcurrentAccountingBalances(t *testing.T) {
 		}(1 + i%5)
 	}
 	wg.Wait()
-	if b.Free() != 6 {
-		t.Fatalf("tokens leaked: free %d of 6", b.Free())
+	if freeOf(b) != 6 {
+		t.Fatalf("tokens leaked: free %d of 6", freeOf(b))
 	}
 }

@@ -1,19 +1,14 @@
 package stats
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // Histogram is a fixed-width-bin histogram over [Min, Max). Samples outside
 // the range are clamped into the first/last bin so no mass is lost; the
 // paper's figures do the same (e.g. the packet-size PDF is "truncated at 500
 // bytes as only a negligible number of packets exceeded this").
 type Histogram struct {
-	min, max float64
-	width    float64
-	counts   []int64
-	total    int64
+	min, width float64
+	counts     []int64
 }
 
 // NewHistogram creates a histogram with nbins equal bins spanning [min, max).
@@ -26,7 +21,6 @@ func NewHistogram(min, max float64, nbins int) (*Histogram, error) {
 	}
 	return &Histogram{
 		min:    min,
-		max:    max,
 		width:  (max - min) / float64(nbins),
 		counts: make([]int64, nbins),
 	}, nil
@@ -42,14 +36,7 @@ func MustHistogram(min, max float64, nbins int) *Histogram {
 }
 
 // Add records one sample.
-func (h *Histogram) Add(x float64) { h.AddN(x, 1) }
-
-// AddN records a sample observed n times.
-func (h *Histogram) AddN(x float64, n int64) {
-	i := h.binOf(x)
-	h.counts[i] += n
-	h.total += n
-}
+func (h *Histogram) Add(x float64) { h.counts[h.binOf(x)]++ }
 
 func (h *Histogram) binOf(x float64) int {
 	i := int((x - h.min) / h.width)
@@ -65,122 +52,8 @@ func (h *Histogram) binOf(x float64) int {
 // NumBins returns the number of bins.
 func (h *Histogram) NumBins() int { return len(h.counts) }
 
-// Total returns the total number of samples recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
 // Count returns the count in bin i.
 func (h *Histogram) Count(i int) int64 { return h.counts[i] }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.min + (float64(i)+0.5)*h.width
-}
-
-// BinLow returns the inclusive lower edge of bin i.
-func (h *Histogram) BinLow(i int) float64 { return h.min + float64(i)*h.width }
-
-// PDF returns the probability mass in each bin (the paper's "probability
-// density function" figures plot per-bin probability mass).
-func (h *Histogram) PDF() []float64 {
-	out := make([]float64, len(h.counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.counts {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
-}
-
-// CDF returns the cumulative probability at the upper edge of each bin.
-func (h *Histogram) CDF() []float64 {
-	out := make([]float64, len(h.counts))
-	if h.total == 0 {
-		return out
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		out[i] = float64(cum) / float64(h.total)
-	}
-	return out
-}
-
-// Mean returns the histogram mean using bin centers.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var s float64
-	for i, c := range h.counts {
-		s += h.BinCenter(i) * float64(c)
-	}
-	return s / float64(h.total)
-}
-
-// Quantile returns the x value at cumulative probability q, interpolated
-// within the containing bin.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	target := q * float64(h.total)
-	var cum float64
-	for i, c := range h.counts {
-		next := cum + float64(c)
-		if next >= target {
-			var frac float64
-			if c > 0 {
-				frac = (target - cum) / float64(c)
-			}
-			return h.BinLow(i) + frac*h.width
-		}
-		cum = next
-	}
-	return h.max
-}
-
-// FractionBelow returns the fraction of samples with value < x.
-func (h *Histogram) FractionBelow(x float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if x <= h.min {
-		return 0
-	}
-	if x >= h.max {
-		return 1
-	}
-	pos := (x - h.min) / h.width
-	full := int(pos)
-	var cum int64
-	for i := 0; i < full && i < len(h.counts); i++ {
-		cum += h.counts[i]
-	}
-	f := float64(cum)
-	if full < len(h.counts) {
-		f += (pos - float64(full)) * float64(h.counts[full])
-	}
-	return f / float64(h.total)
-}
-
-// Merge adds the counts of o (which must have identical geometry).
-func (h *Histogram) Merge(o *Histogram) error {
-	if h.min != o.min || h.max != o.max || len(h.counts) != len(o.counts) {
-		return errors.New("stats: Histogram.Merge: geometry mismatch")
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-	return nil
-}
 
 // IntHistogram is a dense histogram over small non-negative integers
 // (one bin per value). It is the workhorse for packet-size distributions,
@@ -211,9 +84,6 @@ func (h *IntHistogram) Add(v int) {
 	h.sum += int64(v)
 }
 
-// Total returns the number of samples.
-func (h *IntHistogram) Total() int64 { return h.total }
-
 // Merge adds the samples of o (whose value range must not exceed h's) —
 // the write-back half of collectors that tally into per-part histograms and
 // combine once, and of derived views like "total = in + out".
@@ -233,29 +103,6 @@ func (h *IntHistogram) Mean() float64 {
 	return float64(h.sum) / float64(h.total)
 }
 
-// Count returns the number of samples with value v.
-func (h *IntHistogram) Count(v int) int64 {
-	if v < 0 || v >= len(h.counts) {
-		return 0
-	}
-	return h.counts[v]
-}
-
-// Max returns the largest representable value.
-func (h *IntHistogram) Max() int { return len(h.counts) - 1 }
-
-// PDF returns per-value probability mass for values 0..Max.
-func (h *IntHistogram) PDF() []float64 {
-	out := make([]float64, len(h.counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.counts {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
-}
-
 // CDF returns cumulative probability for values <= v, for v = 0..Max.
 func (h *IntHistogram) CDF() []float64 {
 	out := make([]float64, len(h.counts))
@@ -268,18 +115,6 @@ func (h *IntHistogram) CDF() []float64 {
 		out[i] = float64(cum) / float64(h.total)
 	}
 	return out
-}
-
-// FractionBelow returns the fraction of samples strictly less than v.
-func (h *IntHistogram) FractionBelow(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var cum int64
-	for i := 0; i < v && i < len(h.counts); i++ {
-		cum += h.counts[i]
-	}
-	return float64(cum) / float64(h.total)
 }
 
 // BinnedPDF groups values into bins of the given width and returns the

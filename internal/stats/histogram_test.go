@@ -1,9 +1,7 @@
 package stats
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewHistogramValidation(t *testing.T) {
@@ -31,103 +29,12 @@ func TestHistogramBinning(t *testing.T) {
 	if h.Count(9) != 2 {
 		t.Errorf("bin 9 count = %d, want 2", h.Count(9))
 	}
-	if h.Total() != 5 {
-		t.Errorf("total = %d", h.Total())
+	var total int64
+	for i := range h.NumBins() {
+		total += h.Count(i)
 	}
-}
-
-func TestHistogramPDFCDFInvariants(t *testing.T) {
-	f := func(samples []float64) bool {
-		h := MustHistogram(-100, 100, 40)
-		for _, x := range samples {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			h.Add(x)
-		}
-		pdf := h.PDF()
-		cdf := h.CDF()
-		var sum float64
-		prev := 0.0
-		for i := range pdf {
-			if pdf[i] < 0 {
-				return false
-			}
-			sum += pdf[i]
-			if cdf[i] < prev-1e-12 { // CDF monotone non-decreasing
-				return false
-			}
-			prev = cdf[i]
-		}
-		if h.Total() == 0 {
-			return sum == 0
-		}
-		return almost(sum, 1, 1e-9) && almost(cdf[len(cdf)-1], 1, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := MustHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	if q := h.Quantile(0.5); !almost(q, 50, 1.0) {
-		t.Errorf("median = %v, want ~50", q)
-	}
-	if q := h.Quantile(0); q != 0 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := h.Quantile(1); q != 100 {
-		t.Errorf("q1 = %v", q)
-	}
-	empty := MustHistogram(0, 1, 2)
-	if !math.IsNaN(empty.Quantile(0.5)) {
-		t.Error("empty histogram quantile should be NaN")
-	}
-}
-
-func TestHistogramFractionBelow(t *testing.T) {
-	h := MustHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	if f := h.FractionBelow(5); !almost(f, 0.5, 0.06) {
-		t.Errorf("FractionBelow(5) = %v", f)
-	}
-	if h.FractionBelow(-1) != 0 || h.FractionBelow(11) != 1 {
-		t.Error("out-of-range FractionBelow")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := MustHistogram(0, 10, 5)
-	b := MustHistogram(0, 10, 5)
-	a.Add(1)
-	b.Add(9)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != 2 || a.Count(4) != 1 {
-		t.Error("merge did not combine counts")
-	}
-	c := MustHistogram(0, 20, 5)
-	if err := a.Merge(c); err == nil {
-		t.Error("want geometry mismatch error")
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := MustHistogram(0, 10, 10)
-	h.Add(2.5)
-	h.Add(7.5)
-	if !almost(h.Mean(), 5, 1e-9) {
-		t.Errorf("Mean = %v", h.Mean())
-	}
-	if MustHistogram(0, 1, 1).Mean() != 0 {
-		t.Error("empty mean")
+	if total != 5 {
+		t.Errorf("total = %d", total)
 	}
 }
 
@@ -138,21 +45,15 @@ func TestIntHistogram(t *testing.T) {
 	h.Add(130)
 	h.Add(700) // clamped into last bin but exact sum preserved
 	h.Add(-3)  // clamped to 0... value counted as 0
-	if h.Total() != 5 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Count(40) != 2 {
-		t.Errorf("Count(40) = %d", h.Count(40))
-	}
-	if h.Count(500) != 1 {
-		t.Errorf("Count(500) = %d (clamp)", h.Count(500))
+	cdf := h.CDF()
+	for v, want := range map[int]float64{0: 1.0 / 5, 39: 1.0 / 5, 40: 3.0 / 5, 130: 4.0 / 5, 499: 4.0 / 5, 500: 1} {
+		if cdf[v] != want {
+			t.Errorf("CDF[%d] = %v, want %v", v, cdf[v], want)
+		}
 	}
 	wantMean := (40.0 + 40 + 130 + 700 + 0) / 5
 	if !almost(h.Mean(), wantMean, 1e-9) {
 		t.Errorf("Mean = %v, want %v", h.Mean(), wantMean)
-	}
-	if h.Count(-1) != 0 || h.Count(1000) != 0 {
-		t.Error("out-of-range Count should be 0")
 	}
 }
 
@@ -161,20 +62,12 @@ func TestIntHistogramPDFCDF(t *testing.T) {
 	for v := 0; v <= 10; v++ {
 		h.Add(v)
 	}
-	pdf := h.PDF()
 	cdf := h.CDF()
-	var sum float64
-	for _, p := range pdf {
-		sum += p
-	}
-	if !almost(sum, 1, 1e-12) {
-		t.Errorf("pdf sum = %v", sum)
-	}
 	if !almost(cdf[10], 1, 1e-12) {
 		t.Errorf("cdf end = %v", cdf[10])
 	}
-	if !almost(h.FractionBelow(5), 5.0/11, 1e-12) {
-		t.Errorf("FractionBelow(5) = %v", h.FractionBelow(5))
+	if !almost(cdf[4], 5.0/11, 1e-12) {
+		t.Errorf("cdf[4] = %v", cdf[4])
 	}
 }
 

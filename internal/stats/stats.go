@@ -1,6 +1,6 @@
 // Package stats provides the descriptive statistics the trace analysis is
-// built on: streaming moments, histograms, empirical distributions,
-// least-squares fits and quantiles.
+// built on: streaming moments, histograms, least-squares fits and
+// quantiles.
 //
 // Everything here is stdlib-only and allocation-conscious: the analysis
 // pipeline feeds hundreds of millions of samples through these types.
@@ -29,29 +29,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// AddN incorporates a sample observed n times.
-func (w *Welford) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		w.Add(x)
-	}
-}
-
-// Merge combines another accumulator into w (parallel Welford merge).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.mean += d * float64(o.n) / float64(n)
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.n = n
-}
-
 // N returns the number of samples.
 func (w *Welford) N() int64 { return w.n }
 
@@ -66,44 +43,22 @@ func (w *Welford) Variance() float64 {
 	return w.m2 / float64(w.n)
 }
 
-// SampleVariance returns the Bessel-corrected variance (0 if n < 2).
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Summary holds one-pass summary statistics including extremes and a sum.
+// Summary is a Welford accumulator that also keeps the largest sample.
 type Summary struct {
 	Welford
-	min, max float64
-	sum      float64
+	max float64
 }
 
 // Add incorporates one sample.
 func (s *Summary) Add(x float64) {
-	if s.Welford.n == 0 || x < s.min {
-		s.min = x
-	}
 	if s.Welford.n == 0 || x > s.max {
 		s.max = x
 	}
-	s.sum += x
 	s.Welford.Add(x)
 }
 
-// Min returns the smallest sample seen (0 if empty).
-func (s *Summary) Min() float64 { return s.min }
-
 // Max returns the largest sample seen (0 if empty).
 func (s *Summary) Max() float64 { return s.max }
-
-// Sum returns the total of all samples.
-func (s *Summary) Sum() float64 { return s.sum }
 
 // Mean of a slice. Returns 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -130,9 +85,6 @@ func Variance(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// StdDev returns the population standard deviation of a slice.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. xs need not be sorted.
@@ -208,27 +160,4 @@ func FitLine(xs, ys []float64) (LinearFit, error) {
 		fit.R2 = 1 // perfectly flat data is perfectly fit by a flat line
 	}
 	return fit, nil
-}
-
-// Autocovariance returns the lag-k autocovariance of xs.
-func Autocovariance(xs []float64, k int) float64 {
-	n := len(xs)
-	if k < 0 || k >= n {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for i := 0; i+k < n; i++ {
-		s += (xs[i] - m) * (xs[i+k] - m)
-	}
-	return s / float64(n)
-}
-
-// Autocorrelation returns the lag-k autocorrelation of xs in [-1, 1].
-func Autocorrelation(xs []float64, k int) float64 {
-	v := Autocovariance(xs, 0)
-	if v == 0 {
-		return 0
-	}
-	return Autocovariance(xs, k) / v
 }

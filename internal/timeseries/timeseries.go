@@ -52,14 +52,8 @@ func (b *Binner) Add(t time.Duration, v float64) {
 	b.bins[i] += v
 }
 
-// Interval returns the bin width.
-func (b *Binner) Interval() time.Duration { return b.interval }
-
 // Len returns the number of bins so far.
 func (b *Binner) Len() int { return len(b.bins) }
-
-// Bins returns the underlying bin values. The slice is owned by the binner.
-func (b *Binner) Bins() []float64 { return b.bins }
 
 // PadTo extends the series with zero bins so it covers through time t.
 // Needed because quiet tails (e.g. an outage at end of trace) otherwise
@@ -99,24 +93,6 @@ func Aggregate(xs []float64, m int) []float64 {
 		out[k] = s / float64(m)
 	}
 	return out
-}
-
-// AggregateSum is Aggregate without the 1/m normalization (block sums).
-func AggregateSum(xs []float64, m int) []float64 {
-	out := Aggregate(xs, m)
-	for i := range out {
-		out[i] *= float64(m)
-	}
-	return out
-}
-
-// Window returns the first n values of xs (or all of them, if shorter);
-// the paper's small-scale figures plot "the first 200 intervals".
-func Window(xs []float64, n int) []float64 {
-	if n > len(xs) {
-		n = len(xs)
-	}
-	return xs[:n]
 }
 
 // Point is one (x, y) sample of a derived series such as a variance-time

@@ -23,7 +23,7 @@ func TestBinnerAdd(t *testing.T) {
 	b.Add(10*time.Millisecond, 1)
 	b.Add(25*time.Millisecond, 5)
 	b.Add(-time.Millisecond, 2) // clamped to bin 0
-	bins := b.Bins()
+	bins := b.bins
 	if len(bins) != 3 {
 		t.Fatalf("bins = %v", bins)
 	}
@@ -77,7 +77,8 @@ func TestAggregate(t *testing.T) {
 }
 
 func TestAggregateSumPreservesTotalProperty(t *testing.T) {
-	// Property: sum of AggregateSum equals sum of the consumed prefix.
+	// Property: m times the sum of Aggregate equals the sum of the
+	// consumed prefix.
 	f := func(raw []float64, m8 uint8) bool {
 		m := int(m8)%8 + 1
 		xs := make([]float64, 0, len(raw))
@@ -86,10 +87,9 @@ func TestAggregateSumPreservesTotalProperty(t *testing.T) {
 				xs = append(xs, x)
 			}
 		}
-		agg := AggregateSum(xs, m)
 		var sumAgg, sumPrefix float64
-		for _, v := range agg {
-			sumAgg += v
+		for _, v := range Aggregate(xs, m) {
+			sumAgg += v * float64(m)
 		}
 		n := (len(xs) / m) * m
 		for _, v := range xs[:n] {
@@ -131,15 +131,5 @@ func TestAggregateMeanInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestWindow(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	if got := Window(xs, 2); len(got) != 2 || got[1] != 2 {
-		t.Errorf("Window = %v", got)
-	}
-	if got := Window(xs, 10); len(got) != 3 {
-		t.Errorf("Window beyond length = %v", got)
 	}
 }

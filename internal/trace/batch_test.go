@@ -83,17 +83,6 @@ func TestBatchGoldenTee(t *testing.T) {
 	equalStreams(t, "tee[1]", a2.Records, b2.Records)
 }
 
-// TestBatchGoldenFilter: the batch path compacts exactly the records the
-// per-record path passes.
-func TestBatchGoldenFilter(t *testing.T) {
-	recs := testStream(20_000)
-	keep := func(r Record) bool { return r.Dir == Out && r.App > 100 }
-	var a, b Collect
-	feedRecords(Filter(keep, &a), recs)
-	feedBlocks(Filter(keep, &b), recs)
-	equalStreams(t, "filter", a.Records, b.Records)
-}
-
 // TestBatchGoldenSortBuffer: a per-record feed and a block feed release the
 // same totally ordered stream, including tie order.
 func TestBatchGoldenSortBuffer(t *testing.T) {
@@ -145,20 +134,16 @@ func TestSortBufferMixedFeeds(t *testing.T) {
 }
 
 // TestBatchGoldenComposite runs the stream through the full stage stack
-// (filter → sort → tee) on both paths.
+// (sort → tee) on both paths.
 func TestBatchGoldenComposite(t *testing.T) {
 	recs := testStream(20_000)
-	build := func(c *Collect) (Handler, *SortBuffer) {
-		sb := NewSortBuffer(50*time.Millisecond, Tee(c))
-		return Filter(func(r Record) bool { return r.Kind != KindWeb }, sb), sb
-	}
 	var a, b Collect
-	ha, sa := build(&a)
-	feedRecords(ha, recs)
+	sa := NewSortBuffer(50*time.Millisecond, Tee(&a))
+	feedRecords(sa, recs)
 	sa.Flush()
-	hb, sbuf := build(&b)
-	feedBlocks(hb, recs)
-	sbuf.Flush()
+	sb := NewSortBuffer(50*time.Millisecond, Tee(&b))
+	feedBlocks(sb, recs)
+	sb.Flush()
 	equalStreams(t, "composite", a.Records, b.Records)
 }
 

@@ -147,6 +147,3 @@ func (ts *timeSorter) done(pend *[]Record) {
 func (s *SortBuffer) Flush() {
 	s.release(1<<63 - 1)
 }
-
-// Pending returns the number of buffered records.
-func (s *SortBuffer) Pending() int { return len(s.pend) }

@@ -13,9 +13,9 @@
 // path that amortizes dispatch at half-a-billion-packet scale. Dispatch
 // bridges a block onto either interface, Batch adapts a per-record
 // downstream, and Batcher/LockedBatcher adapt per-record producers — so
-// any stage composes with any other. Tee fans a stream out, Filter
-// subsets it, and SortBuffer restores strict time order to
-// bounded-disorder streams for order-sensitive consumers.
+// any stage composes with any other. Tee fans a stream out, and
+// SortBuffer restores strict time order to bounded-disorder streams for
+// order-sensitive consumers.
 //
 // Writer/Reader persist streams in a delta-encoded binary format
 // (docs/FORMAT.md is the byte-level spec). NewWriter emits format v4:
@@ -202,37 +202,6 @@ func (f *Fanout) IngestColumns(cb *ColumnBlock) {
 }
 
 var _ ColumnIngester = (*Fanout)(nil)
-
-// FilterHandler passes through only records matching its predicate.
-type FilterHandler struct {
-	keep    func(Record) bool
-	next    Handler
-	scratch Block
-}
-
-// Filter passes through only records matching keep.
-func Filter(keep func(Record) bool, next Handler) *FilterHandler {
-	return &FilterHandler{keep: keep, next: next}
-}
-
-// Handle implements Handler.
-func (f *FilterHandler) Handle(r Record) {
-	if f.keep(r) {
-		f.next.Handle(r)
-	}
-}
-
-// HandleBatch implements BatchHandler: matching records compact into a
-// scratch block delivered downstream in one call.
-func (f *FilterHandler) HandleBatch(rs []Record) {
-	f.scratch = f.scratch[:0]
-	for _, r := range rs {
-		if f.keep(r) {
-			f.scratch = append(f.scratch, r)
-		}
-	}
-	Dispatch(f.next, f.scratch)
-}
 
 // Collect appends records to a slice; convenient in tests and for small
 // windows of a trace.

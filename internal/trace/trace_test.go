@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -32,19 +33,6 @@ func TestDirectionKindStrings(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
 		}
-	}
-}
-
-func TestTeeAndFilter(t *testing.T) {
-	var a, b Collect
-	h := Tee(&a, Filter(func(r Record) bool { return r.Dir == In }, &b))
-	h.Handle(Record{Dir: In})
-	h.Handle(Record{Dir: Out})
-	if len(a.Records) != 2 {
-		t.Errorf("tee a got %d", len(a.Records))
-	}
-	if len(b.Records) != 1 || b.Records[0].Dir != In {
-		t.Errorf("filter b got %v", b.Records)
 	}
 }
 
@@ -267,18 +255,23 @@ func TestPCAPNGRoundTrip(t *testing.T) {
 
 func TestReadPCAPSkipsTCP(t *testing.T) {
 	// A TCP frame addressed at the server must be counted as skipped, not
-	// misparsed as a game record.
+	// misparsed as a game record. It is a UDP frame to the server port
+	// with the IPv4 protocol set to TCP (6) and the header checksum redone.
 	var s packet.Serializer
 	eth := &packet.Ethernet{}
 	ip := &packet.IPv4{
 		TTL: 64,
 		Src: ClientAddr(1), Dst: DefaultServerAddr,
 	}
-	tcp := &packet.TCP{SrcPort: 1234, DstPort: DefaultServerPort, SYN: true}
-	frame, err := s.TCPFrame(eth, ip, tcp, nil)
+	udp := &packet.UDP{SrcPort: 1234, DstPort: DefaultServerPort}
+	frame, err := s.Frame(eth, ip, udp, make([]byte, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
+	hdr := frame[eth.HeaderLen() : eth.HeaderLen()+ip.HeaderLen()]
+	hdr[9] = 6
+	hdr[10], hdr[11] = 0, 0
+	binary.BigEndian.PutUint16(hdr[10:12], packet.Checksum(hdr))
 	var buf bytes.Buffer
 	w := pcap.NewWriter(&buf, pcap.LinkTypeEthernet, 65535)
 	ci := pcap.CaptureInfo{

@@ -40,12 +40,6 @@ const (
 // Bytes is a byte count that formats itself in the paper's binary units.
 type Bytes int64
 
-// GiB returns the count in binary gigabytes.
-func (b Bytes) GiB() float64 { return float64(b) / GiB }
-
-// MiB returns the count in binary megabytes.
-func (b Bytes) MiB() float64 { return float64(b) / MiB }
-
 // String renders the count the way the paper's tables do ("64.42 GB").
 func (b Bytes) String() string {
 	v := float64(b)
@@ -104,15 +98,6 @@ func PacketRate(packets int64, seconds float64) PacketsPerSecond {
 	}
 	return PacketsPerSecond(float64(packets) / seconds)
 }
-
-// ModemRate is the nominal last-mile bottleneck the paper identifies:
-// the ubiquitous 56 kbps modem, whose typical realized throughput is
-// 40-50 kbs. The paper observes per-player bandwidth pegged at ~40 kbs.
-const (
-	ModemRate        BitsPerSecond = 56e3
-	ModemTypicalLow  BitsPerSecond = 40e3
-	ModemTypicalHigh BitsPerSecond = 50e3
-)
 
 // Duration formatting: the paper writes the trace length as
 // "7 d, 6 h, 1 m, 17.03 s".

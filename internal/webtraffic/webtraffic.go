@@ -17,9 +17,8 @@
 // Byte accounting: trace.Record.Wire() adds the 58-byte UDP framing the
 // rest of the repository uses. A TCP header is 12 bytes larger than a UDP
 // header, so web records carry App = TCP payload + TCPHeaderDelta, which
-// makes Wire() exact for TCP packets while reusing the shared Record type.
-// Use AppBytes() on the Stats — not raw App sums — for application-level
-// byte counts.
+// makes Wire() exact for TCP packets while reusing the shared Record type:
+// a record's TCP payload is App - TCPHeaderDelta.
 package webtraffic
 
 import (
@@ -142,8 +141,6 @@ type Stats struct {
 	PacketsOut int64 // server → client
 	WireIn     int64 // bytes on the wire
 	WireOut    int64
-	PayloadIn  int64 // TCP payload bytes
-	PayloadOut int64
 
 	// Span is the time of the last record (connections outlive the
 	// arrival window while they drain).
@@ -152,10 +149,6 @@ type Stats struct {
 
 // Packets returns the total packet count.
 func (s Stats) Packets() int64 { return s.PacketsIn + s.PacketsOut }
-
-// AppBytes returns total TCP payload bytes (application data proper,
-// excluding the TCPHeaderDelta adjustment embedded in Record.App).
-func (s Stats) AppBytes() int64 { return s.PayloadIn + s.PayloadOut }
 
 // MeanWirePacket returns the mean on-the-wire packet size in bytes across
 // both directions — the number the paper's §IV-A compares against routers'
@@ -227,11 +220,9 @@ func Generate(cfg Config, h trace.Handler) (Stats, error) {
 		case trace.In:
 			st.PacketsIn++
 			st.WireIn += int64(r.Wire())
-			st.PayloadIn += int64(r.App) - TCPHeaderDelta
 		case trace.Out:
 			st.PacketsOut++
 			st.WireOut += int64(r.Wire())
-			st.PayloadOut += int64(r.App) - TCPHeaderDelta
 		}
 		h.Handle(r)
 	}
