@@ -1,12 +1,16 @@
 // Package dist provides the deterministic random-variate machinery shared by
 // every stochastic component of the reproduction: a splittable seeded RNG and
 // a small algebra of samplers (constant, uniform, exponential, normal,
-// lognormal, Pareto, truncation, mixtures, empirical quantile tables) plus a
-// Zipf rank sampler for the skewed client-popularity model.
+// lognormal, Pareto, truncation, mixtures) plus a Zipf rank sampler for the
+// skewed client-popularity model, and TruncNormal, the truncated normal a
+// caller draws with its first try inline.
 //
 // Everything is driven by an explicit *RNG so that simulations are exactly
 // reproducible from a single seed, and independent subsystems can Split()
-// their own streams without perturbing one another.
+// their own streams without perturbing one another. Underneath is PCG, a
+// value-type copy of math/rand/v2's generator and ziggurat normal sampler
+// (pcg.go) that a hot loop can hold in registers; it draws exactly what the
+// standard library draws from the same seeds.
 package dist
 
 import (
@@ -15,16 +19,18 @@ import (
 	"math/rand/v2"
 )
 
-// RNG is a deterministic, seedable random source. It wraps math/rand/v2's
-// PCG so that a given seed always yields the same stream on every platform.
+// RNG is a deterministic, seedable random source: math/rand/v2's PCG,
+// held by value (see PCG), behind a rand.Rand for the draws PCG does not
+// make itself. A given seed yields the same stream on every platform.
 type RNG struct {
-	r   *rand.Rand
-	pcg *rand.PCG // r's source (r itself holds no state), kept for Splitter.Rekey
+	pcg PCG
+	r   *rand.Rand // draws from &pcg
 }
 
 func newRNG(a, b uint64) *RNG {
-	pcg := rand.NewPCG(a, b)
-	return &RNG{r: rand.New(pcg), pcg: pcg}
+	g := &RNG{pcg: PCG{hi: a, lo: b}}
+	g.r = rand.New(&g.pcg)
+	return g
 }
 
 // NewRNG creates a generator from a seed.
@@ -35,13 +41,13 @@ func NewRNG(seed uint64) *RNG {
 // Split derives an independent generator from this one. The parent advances,
 // so successive Splits yield distinct streams.
 func (g *RNG) Split() *RNG {
-	return newRNG(g.r.Uint64(), g.r.Uint64())
+	return newRNG(g.pcg.Uint64(), g.pcg.Uint64())
 }
 
-// Splitter derives an indexed family of independent RNG streams from one
-// point in a parent stream: Stream(i) depends only on the two key words
+// Splitter derives an indexed family of independent PCG streams from one
+// point in a parent stream: stream i depends only on the two key words
 // drawn when the Splitter was created and on i, never on how many other
-// streams were created or in what order. That is what lets work units
+// streams were seeded or in what order. That is what lets work units
 // (one simulation tick, one player session) be reached lazily, skipped or
 // visited out of order while sampling exactly the values a sequential run
 // would.
@@ -52,7 +58,7 @@ type Splitter struct {
 // NewSplitter draws the key material for an indexed stream family,
 // advancing the parent by two words.
 func (g *RNG) NewSplitter() Splitter {
-	return Splitter{k1: g.r.Uint64(), k2: g.r.Uint64()}
+	return Splitter{k1: g.pcg.Uint64(), k2: g.pcg.Uint64()}
 }
 
 // splitmix64 is the SplitMix64 finalizer: a bijective mixer whose output is
@@ -65,30 +71,19 @@ func splitmix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// key is the PCG seed pair of the family's i-th stream.
-func (s Splitter) key(i uint64) (a, b uint64) {
-	return splitmix64(s.k1 ^ i), splitmix64(s.k2 + i*0x9E3779B97F4A7C15)
-}
-
-// Stream returns the i-th stream of the family. Calls are pure: the same
-// (Splitter, i) always yields an identical generator.
-func (s Splitter) Stream(i uint64) *RNG {
-	return newRNG(s.key(i))
-}
-
-// Rekey turns g, whatever it was, into the family's i-th stream in place:
-// from here on it draws exactly what Stream(i) would, with nothing
-// allocated. A consumer that walks the family one stream at a time (one
-// simulation tick after another) keeps a single generator and re-keys it.
-func (s Splitter) Rekey(g *RNG, i uint64) {
-	g.pcg.Seed(s.key(i))
+// Seed turns p, whatever it drew before, into the family's i-th stream.
+// Calls are pure: the same (Splitter, i) always seeds the same stream. A
+// consumer that walks the family one stream at a time (one simulation tick
+// after another) keeps a single generator and re-seeds it.
+func (s Splitter) Seed(p *PCG, i uint64) {
+	p.Seed(splitmix64(s.k1^i), splitmix64(s.k2+i*0x9E3779B97F4A7C15))
 }
 
 // Float64 returns a uniform value in [0,1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+func (g *RNG) Float64() float64 { return g.pcg.float64() }
 
 // Uint64 returns a uniform 64-bit value.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
+func (g *RNG) Uint64() uint64 { return g.pcg.Uint64() }
 
 // Intn returns a uniform value in [0,n). n must be > 0.
 func (g *RNG) Intn(n int) int { return g.r.IntN(n) }
@@ -96,8 +91,9 @@ func (g *RNG) Intn(n int) int { return g.r.IntN(n) }
 // ExpFloat64 returns an exponential variate with mean 1.
 func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 
-// NormFloat64 returns a standard normal variate.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
+// NormFloat64 returns a standard normal variate: the draw
+// rand.Rand.NormFloat64 makes, through PCG.Norm.
+func (g *RNG) NormFloat64() float64 { return g.pcg.Norm() }
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool {
@@ -107,7 +103,7 @@ func (g *RNG) Bool(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return g.r.Float64() < p
+	return g.Float64() < p
 }
 
 // Sampler draws real-valued variates from a distribution.
@@ -181,6 +177,31 @@ func (t Truncated) Sample(r *RNG) float64 {
 		}
 	}
 	v := t.S.Sample(r)
+	if v < t.Low {
+		return t.Low
+	}
+	if v > t.High {
+		return t.High
+	}
+	return v
+}
+
+// TruncNormal is Truncated{S: Normal{Mu, Sigma}, Low, High} as a concrete
+// type, for a caller that inlines the first try: it draws
+// v = Mu + Sigma·z (z from the ziggurat, NormFast first) and keeps v when
+// Low ≤ v ≤ High; otherwise the draw finishes in Resample. Sample-for-sample
+// that is Truncated's draw from the same stream.
+type TruncNormal struct{ Mu, Sigma, Low, High float64 }
+
+// Resample finishes a draw whose first try fell outside [Low, High]: up to
+// 63 more tries, then one clamped draw, as Truncated's 64-try loop does.
+func (t TruncNormal) Resample(p *PCG) float64 {
+	for i := 1; i < 64; i++ {
+		if v := t.Mu + t.Sigma*p.Norm(); v >= t.Low && v <= t.High {
+			return v
+		}
+	}
+	v := t.Mu + t.Sigma*p.Norm()
 	if v < t.Low {
 		return t.Low
 	}

@@ -133,6 +133,10 @@ func Dial(cfg BotConfig) (*Bot, error) {
 			_ = conn.SetReadDeadline(time.Time{})
 			return b, nil
 		case protocol.MsgConnectReject:
+			var rej protocol.ConnectReject
+			if rej.Unmarshal(buf[:n]) != nil {
+				continue // a malformed reject is no answer; keep waiting
+			}
 			conn.Close()
 			return nil, ErrServerFull
 		default:

@@ -3,10 +3,12 @@ package gameserver
 import (
 	"context"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"cstrace/internal/protocol"
 	"cstrace/internal/trace"
 )
 
@@ -238,5 +240,97 @@ func TestGarbageDatagramsIgnored(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	if srv.NumClients() != 0 {
 		t.Error("garbage should not create clients")
+	}
+}
+
+// TestStrayDisconnectLeavesSessionUp: a disconnect datagram ends the session
+// at its source address only when it decodes and names that client's slot.
+// A truncated one and one carrying another slot's id leave the session up;
+// the client's own disconnect removes it.
+func TestStrayDisconnectLeavesSessionUp(t *testing.T) {
+	srv, cancel, _ := startServer(t, 2)
+	defer cancel()
+
+	conn, err := netDial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req, err := (&protocol.ConnectRequest{Name: "raw"}).Marshal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var acc protocol.ConnectAccept
+	for buf := make([]byte, 2048); ; {
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatalf("no accept: %v", err)
+		}
+		if acc.Unmarshal(buf[:n]) == nil {
+			break
+		}
+	}
+	bye := func(id uint8) []byte {
+		b, err := (&protocol.Disconnect{PlayerID: id, Reason: "bye"}).Marshal(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for name, msg := range map[string][]byte{
+		"truncated": bye(acc.PlayerID)[:4],
+		"wrong id":  bye(acc.PlayerID + 1),
+	} {
+		if _, err := conn.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(100 * time.Millisecond)
+		if n := srv.NumClients(); n != 1 {
+			t.Fatalf("%s disconnect: %d clients, want the session still up", name, n)
+		}
+	}
+	if _, err := conn.Write(bye(acc.PlayerID)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Second); srv.NumClients() != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the client's own disconnect left its session up")
+		}
+	}
+	if got := srv.Stats().Disconnects; got != 1 {
+		t.Errorf("disconnects = %d, want 1", got)
+	}
+}
+
+// TestDialIgnoresMalformedReject: a reject that does not decode is no
+// answer; Dial keeps waiting and takes the accept that follows it.
+func TestDialIgnoresMalformedReject(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	go func() {
+		buf := make([]byte, 2048)
+		_, from, err := pc.ReadFrom(buf)
+		if err != nil {
+			return
+		}
+		rej, _ := (&protocol.ConnectReject{Reason: "server full"}).Marshal(nil)
+		acc, _ := (&protocol.ConnectAccept{PlayerID: 3, TickMillis: 50, MapName: "de_dust"}).Marshal(nil)
+		pc.WriteTo(rej[:4], from) // claims 11 reason bytes, carries none
+		pc.WriteTo(acc, from)
+	}()
+	b, err := Dial(DefaultBotConfig(pc.LocalAddr().String()))
+	if err != nil {
+		t.Fatalf("Dial: %v, want the accept after the malformed reject", err)
+	}
+	defer b.conn.Close()
+	if b.PlayerID() != 3 || b.MapName() != "de_dust" {
+		t.Errorf("slot %d on %q, want 3 on de_dust", b.PlayerID(), b.MapName())
 	}
 }

@@ -293,6 +293,12 @@ func (s *Server) handleDatagram(from netip.AddrPort, b []byte) {
 		}
 		s.handleUserCmd(from, cmd)
 	case protocol.MsgDisconnect:
+		// Only the client at this address, naming its own slot, can leave:
+		// a truncated or stray datagram must not end a live session.
+		var bye protocol.Disconnect
+		if bye.Unmarshal(b) != nil || c == nil || bye.PlayerID != c.id {
+			return
+		}
 		s.removeClient(from, false)
 	case protocol.MsgInfoRequest:
 		s.handleInfoRequest(from)

@@ -126,8 +126,8 @@ func BenchmarkSortPlan(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(recs*b.N), "ns/rec")
 }
 
-// BenchmarkFillSizes times re-keying the fill generator and sampling the open
-// sizes of the same windows, sorted.
+// BenchmarkFillSizes times re-seeding the fill generator and sampling the
+// open sizes of the same windows, sorted.
 func BenchmarkFillSizes(b *testing.B) {
 	ws, ticks, recs := captureWindows(b)
 	for j := range ws {
@@ -135,7 +135,7 @@ func BenchmarkFillSizes(b *testing.B) {
 	}
 	cfg := busyConfig(1, 0, 10*time.Minute)
 	sizes := dist.NewRNG(1).NewSplitter()
-	rng := sizes.Stream(0)
+	var rng dist.PCG
 	var p tickPlan
 	var st Stats
 	b.ReportAllocs()
@@ -143,8 +143,8 @@ func BenchmarkFillSizes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j := range ws {
 			p.restore(&ws[j])
-			sizes.Rekey(rng, ticks[j])
-			fillSizes(&cfg, &p, rng, &st)
+			sizes.Seed(&rng, ticks[j])
+			fillSizes(&cfg, &p, &rng, &st)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(recs*b.N), "ns/rec")

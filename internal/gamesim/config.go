@@ -18,6 +18,7 @@ package gamesim
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"cstrace/internal/dist"
@@ -80,12 +81,17 @@ type Config struct {
 	SpikeDecay time.Duration
 
 	// Client command stream.
-	CmdRate      float64      // inbound packets/sec per ordinary client
-	CmdJitter    float64      // fractional jitter on the inter-command gap
-	InPayload    dist.Sampler // bytes per command packet
-	EliteFrac    float64      // fraction of clients on high-rate configs
-	EliteCmdRate float64      // their inbound packet rate
-	EliteSnapHz  float64      // their requested update rate (server side)
+	CmdRate   float64 // inbound packets/sec per ordinary client
+	CmdJitter float64 // fractional jitter on the inter-command gap
+	// InPayload sizes each command packet: a normal in bytes, redrawn while
+	// it falls outside [Low, High] (after 64 tries the next draw is clamped
+	// into the band). Its fields must be finite with Sigma ≥ 0 and
+	// 0 ≤ Low ≤ High ≤ 65535. It is one concrete band, not a dist.Sampler,
+	// so the fill stage draws the first try inline.
+	InPayload    dist.TruncNormal
+	EliteFrac    float64 // fraction of clients on high-rate configs
+	EliteCmdRate float64 // their inbound packet rate
+	EliteSnapHz  float64 // their requested update rate (server side)
 
 	// Server snapshot sizing: payload ~ SnapBase + SnapPerPlayer * players
 	// * activity + Normal(0, SnapSigma), clamped to [SnapMin, SnapMax].
@@ -150,8 +156,11 @@ func (c *Config) Validate() error {
 		return errors.New("gamesim: SnapMax must be in (0, 65535]")
 	case c.MapDuration <= 0:
 		return errors.New("gamesim: MapDuration must be positive")
-	case c.RetryDelay == nil || c.InPayload == nil || c.RoundDuration == nil || c.ReconnectIn == nil:
+	case c.RetryDelay == nil || c.RoundDuration == nil || c.ReconnectIn == nil:
 		return errors.New("gamesim: all samplers must be set")
+	case !finite(c.InPayload.Mu, c.InPayload.Sigma, c.InPayload.Low, c.InPayload.High) ||
+		c.InPayload.Sigma < 0 || c.InPayload.Low < 0 || c.InPayload.Low > c.InPayload.High || c.InPayload.High > 65535:
+		return errors.New("gamesim: InPayload must be finite with Sigma ≥ 0 and 0 ≤ Low ≤ High ≤ 65535")
 	case c.BurstSpacing < 0 || c.BurstSpacing > 0 && !c.DesynchronizeTicks &&
 		time.Duration(c.Slots-1) > (c.TickInterval-1)/c.BurstSpacing: // (Slots−1)·BurstSpacing ≥ TickInterval
 		return errors.New("gamesim: BurstSpacing must be non-negative, and a burst must end inside its tick")
@@ -178,6 +187,16 @@ func (c *Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// finite reports whether every value is neither NaN nor infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // PaperDuration is the length of the paper's trace: 7 d, 6 h, 1 m, 17 s.
@@ -212,7 +231,7 @@ func PaperConfig(seed uint64) Config {
 		// 437.12 pps inbound / ~18 players ≈ 24.2 pps per client.
 		CmdRate:      24.3,
 		CmdJitter:    0.30,
-		InPayload:    dist.Truncated{S: dist.Normal{Mu: 40.1, Sigma: 4.2}, Low: 28, High: 64},
+		InPayload:    dist.TruncNormal{Mu: 40.1, Sigma: 4.2, Low: 28, High: 64},
 		EliteFrac:    0.013,
 		EliteCmdRate: 44,
 		EliteSnapHz:  44,

@@ -34,6 +34,12 @@ type genKnobs struct {
 	OutMs      uint16
 	WarmTicks  uint16 // Warmup: WarmTicks mod 40 000 ticks
 	DurMs      uint16 // Duration: DurMs mod 30 001 ms
+	// The command-size band, as offsets from the base config's InPayload,
+	// so that zero (what an older, shorter corpus entry reads) keeps it.
+	InMuDeci    int16 // Mu += InMuDeci/10
+	InSigmaDeci int16 // Sigma += InSigmaDeci/10
+	InLow       int16 // Low += InLow
+	InHigh      int16 // High += InHigh
 }
 
 func (k genKnobs) bytes() []byte {
@@ -63,6 +69,10 @@ func (k genKnobs) config() Config {
 	}
 	c.Warmup = time.Duration(k.WarmTicks%40_000) * c.TickInterval
 	c.Duration = time.Duration(k.DurMs%30_001) * time.Millisecond
+	c.InPayload.Mu += float64(k.InMuDeci) / 10
+	c.InPayload.Sigma += float64(k.InSigmaDeci) / 10
+	c.InPayload.Low += float64(k.InLow)
+	c.InPayload.High += float64(k.InHigh)
 	return c
 }
 
@@ -121,6 +131,11 @@ func FuzzGeneratorConfig(f *testing.F) {
 	add(func(k *genKnobs) { k.Base, k.Desync, k.WarmTicks = 1, true, 36_960 })
 	add(func(k *genKnobs) { k.Desync, k.ElitePct = true, 25 })
 	add(func(k *genKnobs) { k.OutAtMs, k.OutMs = 5000, 3000 })
+	// Command bands: a narrow one (many redraws), one far above the mean
+	// (every command runs out of tries and is clamped), no spread.
+	add(func(k *genKnobs) { k.InLow, k.InHigh = 12, -23 })
+	add(func(k *genKnobs) { k.InMuDeci = 3000 })
+	add(func(k *genKnobs) { k.InSigmaDeci = -42 })
 	// Configs Validate rejects: each one used to hang Run or break its order.
 	add(func(k *genKnobs) { k.LogoPacket, k.LogoDown = 0, 255 })
 	add(func(k *genKnobs) { k.LogoRate = 0 })
@@ -132,6 +147,9 @@ func FuzzGeneratorConfig(f *testing.F) {
 	add(func(k *genKnobs) { k.EliteSnap = -1 })
 	add(func(k *genKnobs) { k.SnapMin = 421 })
 	add(func(k *genKnobs) { k.SnapMin = -1 })
+	add(func(k *genKnobs) { k.InSigmaDeci = -43 })
+	add(func(k *genKnobs) { k.InLow = 37 })
+	add(func(k *genKnobs) { k.InLow = -29 })
 	for _, k := range seeds {
 		f.Add(k.bytes())
 	}

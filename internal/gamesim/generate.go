@@ -25,7 +25,7 @@ import (
 //	        order from the window's own RNG stream, keyed by tick index from
 //	        a dist.Splitter. Stream i depends only on (seed, i), so a window
 //	        samples the same sizes whatever was or was not recorded before it;
-//	        the simulation keeps one generator and re-keys it per window.
+//	        the simulation keeps one generator and re-seeds it per window.
 //
 // Because every window is sorted before delivery and window time ranges
 // never overlap, the emitted stream is strictly time-ordered — downstream
@@ -167,47 +167,86 @@ func sortPlanWide(p *tickPlan) {
 }
 
 // fillSizes samples the window's open payload sizes in record order from the
-// window's RNG stream and adds the window's traffic to st (the fill stage is
-// the first point where every payload size is known). The snapshot mean is a
-// per-window constant, so it is hoisted out of the loop; command sizes
-// remain one sampler call each (the truncated normal consumes a variable
-// number of draws, which is exactly why each window owns a whole stream).
-func fillSizes(cfg *Config, p *tickPlan, rng *dist.RNG, st *Stats) {
+// window's generator and adds the window's traffic to st (the fill stage is
+// the first point where every payload size is known). Every open size is
+// mu + sigma·z for one standard normal z, with mu, sigma and the band
+// [lo, hi] read from small arrays indexed by the record's direction plus its
+// elite mark: a snapshot outside its band is clamped into [SnapMin,
+// SnapMax], a command outside InPayload's band is redrawn (the truncated
+// normal consumes a variable number of draws, which is exactly why each
+// window owns a whole stream).
+//
+// The loop keeps the generator in a local, so its state stays in registers,
+// with the step and the ziggurat's fast half inlined, and it makes no call:
+// a draw that misses the fast half or its band leaves it for the rare path
+// below, which hands the generator to NormSlow and Resample through rng and
+// takes it back.
+func fillSizes(cfg *Config, p *tickPlan, rng *dist.PCG, st *Stats) {
+	// Array indexes: a command is In (0) with App 0; a snapshot is Out (1)
+	// with App 0, or eliteMark (1) when elite. Index 3 is never used; it
+	// makes the arrays a power of two long, so an index masked with &3 needs
+	// no bounds check.
+	const command = 0
+	in := cfg.InPayload
 	muOrd := cfg.SnapBase + cfg.SnapPerPlayer*float64(p.n)*p.act
-	muElite := muOrd * 0.6
-	sigma := cfg.SnapSigma
-	lo, hi := float64(cfg.SnapMin), float64(cfg.SnapMax)
-	var pIn, pOut, bIn, bOut int64
-	for i := range p.recs {
-		r := &p.recs[i]
-		switch {
-		case r.Kind != trace.KindGame: // handshakes and logo packets are sized
-		case r.Dir == trace.In:
-			r.App = uint16(cfg.InPayload.Sample(rng))
-		default:
-			mu := muOrd
-			if r.App == eliteMark {
-				mu = muElite
+	snapLo, snapHi := float64(cfg.SnapMin), float64(cfg.SnapMax)
+	mu := [4]float64{in.Mu, muOrd, muOrd * 0.6}
+	sigma := [4]float64{in.Sigma, cfg.SnapSigma, cfg.SnapSigma}
+	lo := [4]float64{in.Low, snapLo, snapLo}
+	hi := [4]float64{in.High, snapHi, snapHi}
+
+	g := *rng
+	recs := p.recs
+	for i := 0; i < len(recs); i++ {
+		var u uint64
+		var k uint
+		for ; i < len(recs); i++ {
+			r := &recs[i]
+			if r.Kind == trace.KindGame { // handshakes and logo packets are sized
+				k = (uint(r.Dir) + uint(r.App)) & 3
+				g, u = g.Next()
+				z, ok := dist.NormFast(u)
+				v := mu[k] + sigma[k]*z
+				if !ok || v < lo[k] || v > hi[k] {
+					break
+				}
+				r.App = uint16(v)
 			}
-			v := mu + sigma*rng.NormFloat64()
-			if v < lo {
-				v = lo
-			}
-			if v > hi {
-				v = hi
-			}
-			r.App = uint16(v)
 		}
-		if r.Dir == trace.In {
-			pIn++
-			bIn += int64(r.App)
-		} else {
-			pOut++
-			bOut += int64(r.App)
+		if i == len(recs) {
+			break
 		}
+		// Record i drew u and missed the ziggurat's fast half or its band.
+		*rng = g
+		z, ok := dist.NormFast(u)
+		if !ok {
+			z = rng.NormSlow(u)
+		}
+		v := mu[k] + sigma[k]*z
+		if k == command && (v < lo[k] || v > hi[k]) {
+			v = in.Resample(rng)
+		}
+		g = *rng
+		if v < lo[k] {
+			v = lo[k]
+		}
+		if v > hi[k] {
+			v = hi[k]
+		}
+		recs[i].App = uint16(v)
 	}
-	st.PacketsIn += pIn
-	st.PacketsOut += pOut
-	st.AppBytesIn += bIn
+	*rng = g
+
+	// The tallies take no branch on direction (0 In, 1 Out).
+	var out, bOut, bAll int64
+	for i := range recs {
+		d, app := int64(recs[i].Dir), int64(recs[i].App)
+		out += d
+		bOut += app * d
+		bAll += app
+	}
+	st.PacketsIn += int64(len(recs)) - out
+	st.PacketsOut += out
+	st.AppBytesIn += bAll - bOut
 	st.AppBytesOut += bOut
 }

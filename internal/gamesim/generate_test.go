@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cstrace/internal/dist"
 	"cstrace/internal/sched"
 	"cstrace/internal/trace"
 )
@@ -283,5 +284,112 @@ func TestRecordedWindowsAllocateNothing(t *testing.T) {
 	}
 	if sink.n == before {
 		t.Fatal("the counted windows delivered no records")
+	}
+}
+
+// fillOracle is the fill stage as it was written before the draws were
+// inlined: a switch per record, each command drawn by a 64-try truncated
+// normal loop, each snapshot clamped, the tallies split by direction.
+func fillOracle(cfg *Config, p *tickPlan, g *dist.PCG, st *Stats) {
+	muOrd := cfg.SnapBase + cfg.SnapPerPlayer*float64(p.n)*p.act
+	lo, hi := float64(cfg.SnapMin), float64(cfg.SnapMax)
+	in := cfg.InPayload
+	command := func() float64 {
+		for i := 0; i < 64; i++ {
+			if v := in.Mu + in.Sigma*g.Norm(); v >= in.Low && v <= in.High {
+				return v
+			}
+		}
+		v := in.Mu + in.Sigma*g.Norm()
+		if v < in.Low {
+			return in.Low
+		}
+		if v > in.High {
+			return in.High
+		}
+		return v
+	}
+	for i := range p.recs {
+		r := &p.recs[i]
+		switch {
+		case r.Kind != trace.KindGame:
+		case r.Dir == trace.In:
+			r.App = uint16(command())
+		default:
+			mu := muOrd
+			if r.App == eliteMark {
+				mu = muOrd * 0.6
+			}
+			v := mu + cfg.SnapSigma*g.Norm()
+			if v < lo {
+				v = lo
+			}
+			if v > hi {
+				v = hi
+			}
+			r.App = uint16(v)
+		}
+		if r.Dir == trace.In {
+			st.PacketsIn++
+			st.AppBytesIn += int64(r.App)
+		} else {
+			st.PacketsOut++
+			st.AppBytesOut += int64(r.App)
+		}
+	}
+}
+
+// TestFillSizesMatchesOracle: fillSizes sizes every window exactly as
+// fillOracle does — the same sizes, the same totals, and the generator left
+// at the same point — on busy and launch-day servers, with the desync
+// ablation and many elites, and with command and snapshot bands that send
+// many draws down the rare path: narrow, far from the mean, no spread.
+func TestFillSizesMatchesOracle(t *testing.T) {
+	cfgs := map[string]Config{
+		"busy":       busyConfig(4, 0, time.Minute),
+		"launch day": launchServer(11, 2, time.Minute),
+	}
+	mod := func(name string, f func(*Config)) {
+		c := busyConfig(5, 0, time.Minute)
+		f(&c)
+		cfgs[name] = c
+	}
+	mod("desync, many elites", func(c *Config) { c.DesynchronizeTicks, c.EliteFrac = true, 0.3 })
+	mod("narrow command band", func(c *Config) { c.InPayload.Low, c.InPayload.High = 44, 45 })
+	mod("command band far above", func(c *Config) { c.InPayload.Low, c.InPayload.High = 90, 95 })
+	mod("no command spread", func(c *Config) { c.InPayload.Sigma = 0 })
+	mod("narrow snapshot band", func(c *Config) { c.SnapMin, c.SnapMax = 100, 120 })
+	for name, cfg := range cfgs {
+		s, err := newSim(cfg, &countSink{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want Stats
+		var windows, recs int
+		dt := cfg.TickInterval
+		for at := cfg.Warmup; at < cfg.Warmup+cfg.Duration; at += dt {
+			s.planWindow(at, at+dt)
+			sortPlan(&s.plan)
+			ref := tickPlan{n: s.plan.n, act: s.plan.act, recs: slices.Clone(s.plan.recs)}
+			var g, h dist.PCG
+			s.sizes.Seed(&g, uint64(at/dt))
+			s.sizes.Seed(&h, uint64(at/dt))
+			fillSizes(&s.cfg, &s.plan, &g, &got)
+			fillOracle(&s.cfg, &ref, &h, &want)
+			if !slices.Equal(s.plan.recs, ref.recs) {
+				t.Fatalf("%s, window at %v: sizes differ from the oracle's", name, at)
+			}
+			if g != h {
+				t.Fatalf("%s, window at %v: the fill drew a different number of words", name, at)
+			}
+			windows++
+			recs += len(ref.recs)
+		}
+		if got != want {
+			t.Fatalf("%s: totals %+v, oracle %+v", name, got, want)
+		}
+		if recs < 1000 {
+			t.Fatalf("%s: %d records in %d windows: too little traffic to compare", name, recs, windows)
+		}
 	}
 }

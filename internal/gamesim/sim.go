@@ -2,7 +2,6 @@ package gamesim
 
 import (
 	"math"
-	"math/rand/v2"
 	"time"
 
 	"cstrace/internal/dist"
@@ -91,7 +90,7 @@ type player struct {
 
 	nextCmd  time.Duration
 	cmdGap   time.Duration
-	jit      rand.PCG      // command-gap jitter: the session's own stream, held inline
+	jit      dist.PCG      // command-gap jitter: the session's own stream, held inline
 	nextSnap time.Duration // used by elites and the desync ablation
 	snapGap  time.Duration
 
@@ -112,7 +111,7 @@ type sim struct {
 
 	rng      *dist.RNG     // control-plane randomness (consumed only by control-plane events)
 	sizes    dist.Splitter // per-window payload-size streams (indexed by tick)
-	fill     *dist.RNG     // the current window's size stream: one generator, re-keyed per window
+	fill     dist.PCG      // the current window's size stream: one generator, re-seeded per window
 	jitter   dist.Splitter // per-session schedule-jitter streams (indexed by session id)
 	roundRNG *dist.RNG     // round schedule
 	zipf     *dist.Zipf
@@ -180,7 +179,6 @@ func newSim(cfg Config, h trace.Handler, ev EventFunc) (*sim, error) {
 	s.roundRNG = s.rng.Split()
 	s.sizes = schedRNG.NewSplitter()
 	s.jitter = schedRNG.NewSplitter()
-	s.fill = s.sizes.Stream(0)
 	var err error
 	s.zipf, err = dist.NewZipf(cfg.Population, cfg.PopularityExp)
 	if err != nil {
@@ -270,8 +268,8 @@ func (s *sim) fillWindow(tick uint64) {
 		return
 	}
 	sortPlan(p)
-	s.sizes.Rekey(s.fill, tick)
-	fillSizes(&s.cfg, p, s.fill, &s.stats)
+	s.sizes.Seed(&s.fill, tick)
+	fillSizes(&s.cfg, p, &s.fill, &s.stats)
 	trace.Dispatch(s.h, p.recs)
 }
 
@@ -467,7 +465,8 @@ func (s *sim) connect(now time.Duration, client uint32) {
 		connectedAt: now,
 		elite:       s.rng.Bool(s.cfg.EliteFrac),
 	}
-	key := s.jitter.Stream(uint64(p.session))
+	var key dist.PCG
+	s.jitter.Seed(&key, uint64(p.session))
 	p.jit.Seed(key.Uint64(), key.Uint64())
 	rate := s.cfg.CmdRate
 	if p.elite {
@@ -615,7 +614,7 @@ func (s *sim) buildWindow(start, end time.Duration) {
 		// schedules still advance so streams resume naturally.
 		for _, p := range s.players {
 			for p.nextCmd < end {
-				p.nextCmd += s.jitteredGap(p)
+				p.nextCmd += s.jitteredGap(p.jit.Uint64(), p.cmdGap)
 			}
 			for p.nextSnap < end {
 				p.nextSnap += p.snapGap
@@ -663,12 +662,18 @@ func (s *sim) advance(p *player, start, end time.Duration, paused bool, plan *ti
 	if paused {
 		gapScale = keepaliveDivisor
 	}
-	for p.nextCmd < end {
-		if record && p.nextCmd >= start {
-			plan.append(p.nextCmd-w, trace.In, trace.KindGame, p.session, 0)
+	// The schedule and its generator ride in locals: in the player they
+	// would make a round trip through memory per command.
+	jit, next := p.jit, p.nextCmd
+	var word uint64
+	for next < end {
+		if record && next >= start {
+			plan.append(next-w, trace.In, trace.KindGame, p.session, 0)
 		}
-		p.nextCmd += s.jitteredGap(p) * gapScale
+		jit, word = jit.Next()
+		next += s.jitteredGap(word, p.cmdGap) * gapScale
 	}
+	p.jit, p.nextCmd = jit, next
 
 	if paused {
 		// No snapshots and no logo packets; the snapshot phase keeps time.
@@ -712,12 +717,13 @@ func (s *sim) advance(p *player, start, end time.Duration, paused bool, plan *ti
 	}
 }
 
-// jitteredGap draws p's next inter-command interval: the base gap under
-// symmetric fractional jitter from the session's own generator (inline in the
-// player: a heap RNG each costs three cache misses per player per window).
-func (s *sim) jitteredGap(p *player) time.Duration {
-	u := float64(p.jit.Uint64()>>11) / (1 << 53) // uniform in [0, 1)
-	return time.Duration(float64(p.cmdGap) * (1 + s.cfg.CmdJitter*(2*u-1)))
+// jitteredGap is a player's next inter-command interval for the word w drawn
+// from the session's own generator (inline in the player: a heap RNG each
+// costs three cache misses per player per window): the base gap cmdGap under
+// symmetric fractional jitter.
+func (s *sim) jitteredGap(w uint64, cmdGap time.Duration) time.Duration {
+	u := float64(w>>11) / (1 << 53) // uniform in [0, 1)
+	return time.Duration(float64(cmdGap) * (1 + s.cfg.CmdJitter*(2*u-1)))
 }
 
 func (s *sim) finish() {

@@ -49,7 +49,16 @@ func TestValidate(t *testing.T) {
 		"SnapMax past uint16":            {func(c *Config) { c.SnapMax = 70000 }, true},
 		"zero MapDuration":               {func(c *Config) { c.MapDuration = 0 }, true},
 		"no RetryDelay":                  {func(c *Config) { c.RetryDelay = nil }, true},
-		"no InPayload":                   {func(c *Config) { c.InPayload = nil }, true},
+		"NaN command mean":               {func(c *Config) { c.InPayload.Mu = math.NaN() }, true},
+		"infinite command spread":        {func(c *Config) { c.InPayload.Sigma = math.Inf(1) }, true},
+		"infinite command ceiling":       {func(c *Config) { c.InPayload.High = math.Inf(1) }, true},
+		"negative command spread":        {func(c *Config) { c.InPayload.Sigma = -1 }, true},
+		"command band upside down":       {func(c *Config) { c.InPayload.Low, c.InPayload.High = 64, 28 }, true},
+		"negative command floor":         {func(c *Config) { c.InPayload.Low = -1 }, true},
+		"command ceiling past uint16":    {func(c *Config) { c.InPayload.High = 65536 }, true},
+		"command band of one point":      {func(c *Config) { c.InPayload.Low, c.InPayload.High = 40, 40 }, false},
+		"command band of all of uint16":  {func(c *Config) { c.InPayload.Low, c.InPayload.High = 0, 65535 }, false},
+		"no command spread":              {func(c *Config) { c.InPayload.Sigma = 0 }, false},
 		"outage before the trace":        {func(c *Config) { c.Outages = []Outage{{At: -time.Second, Duration: time.Second}} }, true},
 		"outage past the trace":          {func(c *Config) { c.Outages = []Outage{{At: 0, Duration: 2 * PaperDuration}} }, true},
 		"zero-byte logo packets":         {func(c *Config) { c.LogoPacket, c.LogoDownloadProb = 0, 1 }, true},

@@ -70,7 +70,8 @@ type IngestOptions struct {
 // Damaged captures still ingest: the reader runs in Salvage mode, so a
 // crashed v2+ capture is recovered via the rebuilt segment index and a
 // damaged v1 stream degrades to the records-before-error serial scan. In
-// both cases the degradation note lands in the run row's Warning.
+// both cases the degradation note lands in the run row's Warning. A damaged
+// file with no intact record stores no row: the error wraps trace.ErrCorrupt.
 func IngestTraceFile(st *Store, path string, opts IngestOptions) (*Run, bool, error) {
 	hashHex, size, err := HashFile(path)
 	if err != nil {
@@ -100,14 +101,25 @@ func IngestTraceFile(st *Store, path string, opts IngestOptions) (*Run, bool, er
 	}
 	n, rerr := rd.ReadAllSharded(h, decodePar)
 	warning := rd.Warning()
-	if rerr != nil {
+	damaged := rerr != nil && (errors.Is(rerr, trace.ErrCorrupt) || errors.Is(rerr, io.ErrUnexpectedEOF))
+	if rerr != nil && !damaged {
+		return nil, false, fmt.Errorf("metricstore: analyzing %s: %w", path, rerr)
+	}
+	if n == 0 && (damaged || warning != "") {
+		// Nothing survived the damage. A row would record an empty run
+		// for good, and the whole file, arriving later, would get a
+		// second row under its own hash.
+		cause := warning
+		if rerr != nil {
+			cause = rerr.Error()
+		}
+		return nil, false, fmt.Errorf("metricstore: %s: %w: no intact records to salvage (%s)", path, trace.ErrCorrupt, cause)
+	}
+	if damaged {
 		// Salvage covers indexed traces; a damaged v1 stream (or damage
 		// past what salvage could repair) surfaces here. Keep the records
 		// scanned before the damage — that is the whole point of ingesting
-		// crashed captures — but only when there are any.
-		if n == 0 || !(errors.Is(rerr, trace.ErrCorrupt) || errors.Is(rerr, io.ErrUnexpectedEOF)) {
-			return nil, false, fmt.Errorf("metricstore: analyzing %s: %w", path, rerr)
-		}
+		// crashed captures.
 		if warning == "" {
 			warning = fmt.Sprintf("scan stopped after %d records: %v", n, rerr)
 		} else {

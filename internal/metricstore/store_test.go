@@ -3,6 +3,7 @@ package metricstore
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -358,5 +359,30 @@ func TestIngestRejectsBadHash(t *testing.T) {
 	}
 	if _, _, err := st.Ingest(&Run{Hash: "ZZZZZZZZZZZZZZZZ"}); err == nil {
 		t.Fatal("non-hex hash accepted")
+	}
+}
+
+// TestIngestNothingSalvagedAddsNoRow: a v4 capture cut to 20 bytes (the
+// file header and a few bytes of the first frame) holds no intact record.
+// Ingest fails with an error wrapping trace.ErrCorrupt — which the daemon's
+// sweep logs and skips — and stores no row, so no empty run stays behind.
+func TestIngestNothingSalvagedAddsNoRow(t *testing.T) {
+	path := testTrace(t, "torn.cst", false, 900, time.Millisecond)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:20], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2, sched.Auto} {
+		st := openStore(t, filepath.Join(t.TempDir(), "m.csms"))
+		run, added, err := IngestTraceFile(st, path, IngestOptions{Parallelism: par})
+		if !errors.Is(err, trace.ErrCorrupt) {
+			t.Fatalf("parallelism %d: err = %v, want one wrapping trace.ErrCorrupt", par, err)
+		}
+		if run != nil || added || st.Len() != 0 {
+			t.Fatalf("parallelism %d: run %v, added %v, %d rows: want no row", par, run, added, st.Len())
+		}
 	}
 }

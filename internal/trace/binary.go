@@ -559,7 +559,7 @@ func (w *Writer) flushSegment() error {
 	var flags uint32
 	if w.version >= version3 {
 		if w.cs == nil {
-			w.cs = compScratchPool.Get().(*compScratch)
+			w.cs = getCompScratch()
 		}
 		var err error
 		if payload, flags, err = w.cs.encode(int(w.version), raw, w.level()); err != nil {
@@ -670,7 +670,7 @@ func (w *Writer) Flush() error {
 			}
 		}
 		if w.cs != nil {
-			compScratchPool.Put(w.cs)
+			putCompScratch(w.cs)
 			w.cs = nil
 		}
 		if err := w.writeIndexAndFooter(); err != nil {

@@ -31,11 +31,45 @@ type compScratch struct {
 	out     []byte        // assembled stored payload (v4)
 }
 
-// compScratchPool keeps compressor scratch between pipeline workers and
-// writers — a flate.Writer is ≈ 1 MB of state — the way slabPool keeps the
-// slabs. A flate.Writer reset per stream codes exactly as a fresh one, so
-// the bytes do not depend on which scratch a segment gets.
-var compScratchPool = sync.Pool{New: func() any { return new(compScratch) }}
+// compScratchFree keeps compressor scratch between pipeline workers and
+// writers: a scratch's two flate.Writers are ≈ 2 MB of state (≈ 1.2 MB at
+// level 2, 0.7 MB Huffman-only). It is a free list, not a sync.Pool, because
+// every GC empties a pool, and a writer started after one reallocated both
+// coders. It keeps at most compScratchKeep scratches; one returned to a full
+// list is left to the GC. A flate.Writer reset per stream codes exactly as
+// a fresh one, so the bytes do not depend on which scratch a segment gets.
+var compScratchFree struct {
+	mu   sync.Mutex
+	list []*compScratch
+}
+
+// compScratchKeep bounds the free list: ≈ 16 MB of idle coders at most.
+const compScratchKeep = 8
+
+// getCompScratch takes a scratch off the free list, or makes one.
+func getCompScratch() *compScratch {
+	f := &compScratchFree
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.list)
+	if n == 0 {
+		return new(compScratch)
+	}
+	cs := f.list[n-1]
+	f.list[n-1] = nil
+	f.list = f.list[:n-1]
+	return cs
+}
+
+// putCompScratch returns cs to the free list unless it is full.
+func putCompScratch(cs *compScratch) {
+	f := &compScratchFree
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.list) < compScratchKeep {
+		f.list = append(f.list, cs)
+	}
+}
 
 // deflate runs p through flate at level, returning the compressed bytes
 // (valid until the next call).
@@ -251,8 +285,8 @@ func (p *compPipeline) submit(raw []byte, meta segMeta) error {
 
 func (p *compPipeline) worker() {
 	defer p.wg.Done()
-	cs := compScratchPool.Get().(*compScratch)
-	defer compScratchPool.Put(cs)
+	cs := getCompScratch()
+	defer putCompScratch(cs)
 	for job := range p.jobs {
 		res := compResult{raw: job.raw, meta: job.meta}
 		payload, flags, err := cs.encode(int(p.w.version), job.raw, p.level)

@@ -287,3 +287,42 @@ func TestPinnedV4File(t *testing.T) {
 		}
 	}
 }
+
+// TestCompScratchFreeList: compressor scratch survives between writers —
+// the free list hands back what was returned to it, most recent first, so a
+// GC between two writers no longer costs two fresh flate.Writers — and it
+// keeps at most compScratchKeep scratches, leaving the rest to the GC.
+func TestCompScratchFreeList(t *testing.T) {
+	free := func() int {
+		compScratchFree.mu.Lock()
+		defer compScratchFree.mu.Unlock()
+		return len(compScratchFree.list)
+	}
+	var held []*compScratch
+	for free() > 0 { // start from an empty list
+		held = append(held, getCompScratch())
+	}
+	defer func() { // leave the list as it was
+		for free() > 0 {
+			getCompScratch()
+		}
+		for _, cs := range held {
+			putCompScratch(cs)
+		}
+	}()
+	put := make([]*compScratch, compScratchKeep+3)
+	for i := range put {
+		put[i] = getCompScratch()
+	}
+	for _, cs := range put {
+		putCompScratch(cs)
+	}
+	if n := free(); n != compScratchKeep {
+		t.Fatalf("free list holds %d scratches, want %d", n, compScratchKeep)
+	}
+	for i := compScratchKeep - 1; i >= 0; i-- {
+		if cs := getCompScratch(); cs != put[i] {
+			t.Fatalf("get %d: a fresh scratch, want the one returned %d-th", compScratchKeep-i, i)
+		}
+	}
+}
