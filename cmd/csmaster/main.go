@@ -1,7 +1,7 @@
 // Command csmaster runs the master server behind "dynamic server
 // auto-discovery" (§III-A): game servers register with heartbeats
 // (csserver -master), clients fetch the list and probe each entry
-// (csbot -browse).
+// (csload -master).
 //
 //	csmaster -addr 127.0.0.1:27010 -ttl 5m
 package main

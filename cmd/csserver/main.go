@@ -1,7 +1,7 @@
 // Command csserver runs the reference UDP game server: a 50 ms snapshot
 // broadcast loop with slot-limited admission, the live counterpart of the
-// workload the paper traces. Point csbot instances at it and watch the
-// traffic structure emerge.
+// workload the paper traces. Point csload at it (csload -targets addr) and
+// watch the traffic structure emerge.
 //
 //	csserver -addr 127.0.0.1:27015 -slots 22 -stats 10s
 //	csserver -master 127.0.0.1:27010            # also register for discovery

@@ -14,13 +14,14 @@
 //	cstrace -mode salvage -in torn.cst     recover a crashed capture: scan and validate the
 //	                                       segment frames, report the intact prefix, and
 //	                                       (-out fixed.cst) rewrite it as a sealed v4 trace
-//	cstrace -mode pcap  -out trace.pcap    export a (short) trace as pcap or pcapng
+//	cstrace -mode pcap  -out trace.pcap    export a (short) trace as a classic pcap capture
 //	cstrace -mode web   -seed 1            web/TCP baseline through the NAT device
 //	cstrace -mode aggregate -seed 1        population self-similarity study
 //	cstrace -mode provision                capacity planning from the paper's budget
 //	cstrace -mode scenario -servers 8      multi-server fleet: merged aggregate analysis
 //	                                       (-out fleet.cst persists the merged trace as v4;
-//	                                       -store metrics.csms records the run)
+//	                                       -store metrics.csms records the run; -perslim
+//	                                       adds per-server Table II rows)
 //	cstrace -mode ingest -store m.csms a.cst b.cst
 //	                                       analyze trace files into the metrics store
 //	                                       (content-addressed: re-ingest is a no-op)
@@ -39,7 +40,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"cstrace"
@@ -50,6 +50,7 @@ import (
 	"cstrace/internal/population"
 	"cstrace/internal/provision"
 	"cstrace/internal/report"
+	"cstrace/internal/scenario"
 	"cstrace/internal/sched"
 	"cstrace/internal/trace"
 	"cstrace/internal/webtraffic"
@@ -62,9 +63,9 @@ func main() {
 	var (
 		mode        = flag.String("mode", "quick", "week | quick | nat | gen | analyze | index | salvage | pcap | web | aggregate | provision | scenario | ingest | list | show | trend")
 		seed        = flag.Uint64("seed", 1, "simulation seed")
-		duration    = flag.Duration("duration", 0, "override trace duration (gen/quick/pcap/web/scenario)")
+		duration    = flag.Duration("duration", 0, "override trace duration (week/quick/gen/pcap/web/scenario; 0 = the mode's default, negative is an error)")
 		inFile      = flag.String("in", "", "input trace file (analyze/index)")
-		outFile     = flag.String("out", "", "output file (gen/pcap/scenario; .pcapng selects pcapng)")
+		outFile     = flag.String("out", "", "output file (gen/pcap/scenario)")
 		format      = flag.Int("format", 4, "trace format version to write (gen): 4 = columnar compressed, 3 = compressed+indexed, 2 = indexed, 1 = legacy")
 		compress    = flag.Int("compress", 0, "v3/v4 segment compression (gen): 0 = default flate level, 1-9 = explicit level, -1 = store uncompressed")
 		players     = flag.Int("players", 100000, "target concurrent players (provision)")
@@ -72,8 +73,7 @@ func main() {
 		servers     = flag.Int("servers", 8, "fleet size (scenario)")
 		stagger     = flag.Duration("stagger", 0, "per-server launch stagger (scenario)")
 		spike       = flag.Float64("spike", 6, "launch-day arrival surge multiplier (scenario; <=1 disables)")
-		perServer   = flag.Bool("perserver", false, "print the per-server breakdown with full per-box suites (scenario)")
-		perSlim     = flag.Bool("perslim", false, "like -perserver but with the slim per-box collector set (counters + minute series); scales to hundreds of servers")
+		perSlim     = flag.Bool("perslim", false, "print each server's Table II from a slim per-box collector set (counters + minute series); scales to hundreds of servers (scenario)")
 		depths      = flag.Bool("depths", false, "print each collector group's units and channel-depth stats after a sharded run (week/quick/analyze/scenario)")
 		from        = flag.Duration("from", 0, "analyze only records at or after this offset (analyze)")
 		to          = flag.Duration("to", 0, "analyze only records before this offset (analyze; 0 = end of trace)")
@@ -90,6 +90,10 @@ func main() {
 	parallel, err := sched.ParseWorkers(*parallelStr)
 	if err != nil {
 		log.Fatalf("-parallel: %v", err)
+	}
+	// 0 means each mode's default length; a negative length means nothing.
+	if *duration < 0 {
+		log.Fatalf("-duration: negative duration %v", *duration)
 	}
 
 	start := time.Now()
@@ -120,8 +124,6 @@ func main() {
 		perMode := cstrace.PerServerNone
 		if *perSlim {
 			perMode = cstrace.PerServerSlim
-		} else if *perServer {
-			perMode = cstrace.PerServerFull
 		}
 		err = runScenario(*seed, *servers, *duration, *stagger, *spike, parallel, perMode, *outFile, *depths, *storePath, *label)
 	case "ingest":
@@ -484,20 +486,20 @@ func runPcap(seed uint64, d time.Duration, out string) error {
 	if d == 0 {
 		d = time.Minute
 	}
+	cfg := gamesim.PaperConfig(seed)
+	cfg.Duration = d
+	cfg.Outages = nil
+	// Reject the config before os.Create truncates an existing capture.
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("pcap: %w", err)
+	}
 	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 
-	cfg := gamesim.PaperConfig(seed)
-	cfg.Duration = d
-	cfg.Outages = nil
-	start := time.Date(2002, 4, 11, 8, 55, 4, 0, time.UTC)
-	pw := trace.NewPCAPWriter(f, start)
-	if strings.HasSuffix(out, ".pcapng") {
-		pw = trace.NewPCAPNGWriter(f, start)
-	}
+	pw := trace.NewPCAPWriter(f, time.Date(2002, 4, 11, 8, 55, 4, 0, time.UTC))
 	// The generator's stream is strictly time-ordered, so packets write
 	// in emission order.
 	var n int64
@@ -568,6 +570,15 @@ func runScenario(seed uint64, servers int, duration, stagger time.Duration, spik
 	cfg.Spec.SpikeMult = spike
 	cfg.Parallelism = parallel
 	cfg.PerServer = perMode
+	// Build and check the fleet before os.Create truncates an existing
+	// trace; RunScenario runs the built servers as they are.
+	var err error
+	if cfg.Servers, err = cfg.Spec.Build(); err != nil {
+		return err
+	}
+	if err := (&scenario.Config{Servers: cfg.Servers}).Validate(); err != nil {
+		return err
+	}
 
 	// -out persists the merged fleet stream as an indexed, compressed v4
 	// trace. The merge emits strict time order, which is what the Writer
@@ -591,7 +602,6 @@ func runScenario(seed uint64, servers int, duration, stagger time.Duration, spik
 	var mst *metricstore.Store
 	var hasher *metricstore.StreamHasher
 	if storePath != "" {
-		var err error
 		mst, err = metricstore.Open(storePath)
 		if err != nil {
 			return err
@@ -636,23 +646,14 @@ func runScenario(seed uint64, servers int, duration, stagger time.Duration, spik
 	if err := res.WriteReport(os.Stdout); err != nil {
 		return err
 	}
-	if perMode != cstrace.PerServerNone {
+	if perMode == cstrace.PerServerSlim {
 		// Per-box collectors run on each server's own clock: the paper's
 		// single-server predictability, once per box. The slim set carries
-		// the same headline table at a fraction of the collection cost.
-		label := "suites"
-		if perMode == cstrace.PerServerSlim {
-			label = "slim collectors"
-		}
-		fmt.Printf("Per-server %s (local clock)\n", label)
+		// the headline table at a fraction of the full suite's cost.
+		fmt.Println("Per-server slim collectors (local clock)")
 		fmt.Println("-------------------------------")
 		for _, s := range res.Servers {
-			var t2 analysis.TableII
-			if s.Suite != nil {
-				t2 = s.Suite.Count.TableII(s.Game.Duration)
-			} else {
-				t2 = s.Slim.TableII()
-			}
+			t2 := s.Slim.TableII()
 			fmt.Printf("  %-8s %8.1f kbs mean  %6.1f kbs/slot  %7.0f pps  in:out pkts %.2f\n",
 				s.Name, t2.MeanBW.Kbs(), t2.MeanBW.Kbs()/float64(s.Game.Slots),
 				float64(t2.MeanPPS), float64(t2.PacketsIn)/float64(t2.PacketsOut))

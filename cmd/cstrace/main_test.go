@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cstrace"
 	"cstrace/internal/analysis"
 	"cstrace/internal/sched"
 )
@@ -26,18 +28,70 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRemovedFlagsAreUnknown: a flag whose mechanism is gone is rejected by
-// name, not accepted and ignored (-genworkers sized the deleted worker-pool
-// fill stage).
-func TestRemovedFlagsAreUnknown(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-mode", "quick", "-duration", "1m", "-genworkers", "4")
+// runCLI runs cstrace with args as a child process and returns its stdout,
+// its stderr and its exit code.
+func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "CSTRACE_TEST_CLI=1")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("-genworkers was accepted:\n%s", out)
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	default:
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), "flag provided but not defined: -genworkers") {
-		t.Errorf("-genworkers failed for another reason (%v):\n%s", err, out)
+	return out.String(), errOut.String(), code
+}
+
+// TestRemovedFlagsAreUnknown: a flag whose mechanism is gone is rejected by
+// name, not accepted and ignored: -genworkers sized the deleted worker-pool
+// fill stage, and -perserver picked the deleted full per-box suites.
+func TestRemovedFlagsAreUnknown(t *testing.T) {
+	for flag, args := range map[string][]string{
+		"-genworkers": {"-mode", "quick", "-duration", "1m", "-genworkers", "4"},
+		"-perserver":  {"-mode", "scenario", "-servers", "2", "-duration", "1m", "-perserver"},
+	} {
+		t.Run(flag, func(t *testing.T) {
+			stdout, stderr, code := runCLI(t, args...)
+			if code != 2 {
+				t.Errorf("%s: exit %d, want 2 (a flag error)", flag, code)
+			}
+			if !strings.Contains(stderr, "flag provided but not defined: "+flag) {
+				t.Errorf("%s failed for another reason:\n%s", flag, stderr)
+			}
+			if stdout != "" {
+				t.Errorf("%s: printed a report:\n%s", flag, stdout)
+			}
+		})
+	}
+}
+
+// TestNegativeDurationRejected: -duration 0 means each mode's default
+// length, and a negative one is an error in every mode that reads it,
+// caught before any mode runs or opens a file.
+func TestNegativeDurationRejected(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "never")
+	for _, mode := range []string{"week", "quick", "web", "scenario", "gen", "pcap"} {
+		t.Run(mode, func(t *testing.T) {
+			stdout, stderr, code := runCLI(t, "-mode", mode, "-duration", "-1m", "-out", out)
+			if code != 1 {
+				t.Errorf("exit %d, want 1", code)
+			}
+			if !strings.Contains(stderr, "-duration: negative duration -1m0s") {
+				t.Errorf("stderr does not name the bad -duration:\n%s", stderr)
+			}
+			if stdout != "" {
+				t.Errorf("printed a report:\n%s", stdout)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("-out file exists after the rejection (stat: %v)", err)
+			}
+		})
 	}
 }
 
@@ -213,8 +267,9 @@ func TestDepthsTableAligns(t *testing.T) {
 }
 
 // TestRejectedInvocations is the table of command lines that must fail
-// before they touch anything: a rejected gen leaves a pre-existing -out
-// file byte-for-byte alone, and a rejected analyze prints no report.
+// before they touch anything: a rejected gen, pcap or scenario leaves a
+// pre-existing -out file byte-for-byte alone, and a rejected analyze prints
+// no report.
 func TestRejectedInvocations(t *testing.T) {
 	traceFile := filepath.Join(t.TempDir(), "existing.cst")
 	if err := runGen(5, time.Minute, traceFile, 4, 0, 1); err != nil {
@@ -238,6 +293,14 @@ func TestRejectedInvocations(t *testing.T) {
 			"gen: invalid -compress 11"},
 		{"gen compress on v2", func() error { return runGen(5, time.Minute, traceFile, 2, 6, 1) },
 			"gen: -compress needs -format 3 or 4"},
+		{"pcap negative duration", func() error { return runPcap(5, -time.Minute, traceFile) },
+			"pcap: gamesim: Duration must be positive"},
+		{"scenario no servers", func() error {
+			return runScenario(5, 0, time.Minute, 0, 6, 1, cstrace.PerServerNone, traceFile, false, "", "")
+		}, "scenario: Servers must be positive"},
+		{"scenario negative stagger", func() error {
+			return runScenario(5, 2, time.Minute, -time.Second, 6, 1, cstrace.PerServerNone, traceFile, false, "", "")
+		}, "scenario: server 1 (srv01): negative StartOffset"},
 		{"analyze inverted slice", func() error { return runAnalyze(traceFile, 1, 90*time.Second, 30*time.Second, false) },
 			"analyze: -from must precede -to"},
 		{"analyze empty slice", func() error { return runAnalyze(traceFile, 1, 30*time.Second, 30*time.Second, false) },

@@ -22,7 +22,7 @@ func main() {
 	// Region rollout: each server opens two minutes after the previous.
 	cfg.Spec.Stagger = 2 * time.Minute
 	cfg.Parallelism = runtime.GOMAXPROCS(0)
-	cfg.PerServer = cstrace.PerServerFull
+	cfg.PerServer = cstrace.PerServerSlim
 
 	res, err := cstrace.RunScenario(cfg)
 	if err != nil {
@@ -46,7 +46,7 @@ func main() {
 	// paper's single server; the fleet aggregate inherits that stability
 	// once the launch transient decays.
 	for _, s := range res.Servers {
-		t2 := s.Suite.Count.TableII(s.Game.Duration)
+		t2 := s.Slim.TableII()
 		fmt.Printf("  %s: %.1f kbs/slot on its own clock\n",
 			s.Name, t2.MeanBW.Kbs()/float64(s.Game.Slots))
 	}

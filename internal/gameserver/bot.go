@@ -76,7 +76,6 @@ type Bot struct {
 	cfg      BotConfig
 	conn     net.Conn
 	playerID uint8
-	mapName  string
 	rng      *dist.RNG
 
 	statsMu sync.Mutex
@@ -129,7 +128,6 @@ func Dial(cfg BotConfig) (*Bot, error) {
 				continue
 			}
 			b.playerID = acc.PlayerID
-			b.mapName = acc.MapName
 			_ = conn.SetReadDeadline(time.Time{})
 			return b, nil
 		case protocol.MsgConnectReject:
@@ -152,12 +150,6 @@ var ErrServerFull = errors.New("gameserver: server full")
 // longer than BotConfig.SnapshotTimeout — the client-side symptom of a
 // crashed or partitioned server, and the trigger for fail-over.
 var ErrServerSilent = errors.New("gameserver: server went silent")
-
-// PlayerID returns the granted slot id.
-func (b *Bot) PlayerID() uint8 { return b.playerID }
-
-// MapName returns the map reported by the server.
-func (b *Bot) MapName() string { return b.mapName }
 
 // Run plays until ctx is done: it streams user commands at CmdRate —
 // subject to the configured Drop/Jitter injection — and consumes

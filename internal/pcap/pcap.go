@@ -1,7 +1,8 @@
 // Package pcap reads and writes classic libpcap capture files, the format
-// the original study's tcpdump trace would have been stored in. Both the
-// microsecond (magic 0xa1b2c3d4) and nanosecond (0xa1b23c4d) variants are
-// supported, in either byte order.
+// the original study's tcpdump trace would have been stored in and the one
+// every capture tool reads. The writer stores nanosecond timestamps (magic
+// 0xa1b23c4d); the reader also takes the microsecond variant (0xa1b2c3d4),
+// in either byte order.
 //
 // Only the stdlib is used; the format is simple enough that binding libpcap
 // (as gopacket does) buys nothing for file processing.
@@ -55,7 +56,7 @@ type CaptureInfo struct {
 	Length int
 }
 
-// Writer writes a pcap file.
+// Writer writes a little-endian pcap file with nanosecond timestamps.
 type Writer struct {
 	w       io.Writer
 	hdr     FileHeader
@@ -83,11 +84,7 @@ func (w *Writer) WriteHeader() error {
 	}
 	w.wrote = true
 	var b [24]byte
-	magic := uint32(MagicMicroseconds)
-	if w.hdr.Nanosecond {
-		magic = MagicNanoseconds
-	}
-	binary.LittleEndian.PutUint32(b[0:4], magic)
+	binary.LittleEndian.PutUint32(b[0:4], MagicNanoseconds)
 	binary.LittleEndian.PutUint16(b[4:6], w.hdr.VersionMajor)
 	binary.LittleEndian.PutUint16(b[6:8], w.hdr.VersionMinor)
 	// thiszone and sigfigs are zero.
@@ -110,16 +107,9 @@ func (w *Writer) WritePacket(ci CaptureInfo, data []byte) error {
 	if uint32(len(data)) > w.hdr.SnapLen {
 		return ErrSnapLen
 	}
-	sec := ci.Timestamp.Unix()
-	var sub int64
-	if w.hdr.Nanosecond {
-		sub = int64(ci.Timestamp.Nanosecond())
-	} else {
-		sub = int64(ci.Timestamp.Nanosecond() / 1000)
-	}
 	b := w.scratch[:16]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(sec))
-	binary.LittleEndian.PutUint32(b[4:8], uint32(sub))
+	binary.LittleEndian.PutUint32(b[0:4], uint32(ci.Timestamp.Unix()))
+	binary.LittleEndian.PutUint32(b[4:8], uint32(ci.Timestamp.Nanosecond()))
 	binary.LittleEndian.PutUint32(b[8:12], uint32(ci.CaptureLength))
 	binary.LittleEndian.PutUint32(b[12:16], uint32(ci.Length))
 	if _, err := w.w.Write(b); err != nil {

@@ -225,3 +225,21 @@ func TestReadPacketBoundsCaptureLength(t *testing.T) {
 		}
 	}
 }
+
+// TestReadersNeverPanicOnRandomBytes: the file reader must reject arbitrary
+// input with errors, never panic — it is fed files straight from disk.
+func TestReadersNeverPanicOnRandomBytes(t *testing.T) {
+	f := func(data []byte) bool {
+		if r, err := NewReader(bytes.NewReader(data)); err == nil {
+			for i := 0; i < 10; i++ {
+				if _, _, err := r.ReadPacket(); err != nil {
+					break
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}

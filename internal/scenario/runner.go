@@ -47,14 +47,13 @@ var fleetBlockPool = sync.Pool{
 }
 
 // serverSink receives one server's per-tick batches on its worker
-// goroutine: each batch feeds the optional per-server collectors in local
+// goroutine: each batch feeds the optional slim per-server set in local
 // time, then a time-shifted copy is appended to the block being packed,
 // which goes to the merge once it holds handoffRecs records. flush sends
 // the partial block left at the end of the run.
 type serverSink struct {
 	out    chan<- *fleetBlock
 	offset time.Duration
-	per    *analysis.Suite     // full per-box suite; may be nil
 	slim   *analysis.SlimSuite // slim per-box set; may be nil
 	blk    *fleetBlock         // the block being packed; nil after a hand-off
 }
@@ -63,9 +62,6 @@ type serverSink struct {
 func (s *serverSink) HandleBatch(rs []trace.Record) {
 	if len(rs) == 0 {
 		return
-	}
-	if s.per != nil {
-		s.per.HandleBatch(rs)
 	}
 	if s.slim != nil {
 		s.slim.HandleBatch(rs)
@@ -117,11 +113,8 @@ type ServerResult struct {
 	Name  string
 	Game  gamesim.Config
 	Stats gamesim.Stats
-	// Suite is the server's own closed analysis suite (timestamps in the
-	// server's local clock); nil unless Config.PerServer is PerServerFull.
-	Suite *analysis.Suite
-	// Slim is the server's closed slim collector set; nil unless
-	// Config.PerServer is PerServerSlim.
+	// Slim is the server's closed slim collector set (timestamps in the
+	// server's local clock); nil unless Config.PerServer is PerServerSlim.
 	Slim *analysis.SlimSuite
 }
 
@@ -151,7 +144,7 @@ type Result struct {
 	Suite *analysis.Suite
 	// Stats sums the per-server generator statistics over the horizon.
 	Stats gamesim.Stats
-	// Servers holds per-server stats (and suites when requested).
+	// Servers holds per-server stats (and slim sets when requested).
 	Servers []ServerResult
 	// GroupDepths holds the aggregate suite's collector-group channel
 	// statistics when the merge fed a sharded sink; nil for serial runs.
@@ -202,13 +195,7 @@ func Run(cfg Config) (*Result, error) {
 	for i, sp := range cfg.Servers {
 		chans[i] = make(chan *fleetBlock, streamDepth)
 		sr := ServerResult{Name: sp.Name, Game: sp.Game}
-		switch cfg.PerServer {
-		case PerServerFull:
-			if sr.Suite, err = analysis.NewSuite(analysis.DefaultSuiteConfig(sp.Game.Duration)); err != nil {
-				closeSink()
-				return nil, err
-			}
-		case PerServerSlim:
+		if cfg.PerServer == PerServerSlim {
 			sr.Slim = analysis.NewSlimSuite(sp.Game.Duration)
 		}
 		res.Servers[i] = sr
@@ -217,28 +204,22 @@ func Run(cfg Config) (*Result, error) {
 	var wg sync.WaitGroup
 	for i, sp := range cfg.Servers {
 		wg.Add(1)
-		go func(i int, sp ServerSpec, per *analysis.Suite, slim *analysis.SlimSuite) {
+		go func(i int, sp ServerSpec, slim *analysis.SlimSuite) {
 			defer wg.Done()
 			defer close(chans[i])
-			ss := &serverSink{out: chans[i], offset: sp.StartOffset, per: per, slim: slim}
+			ss := &serverSink{out: chans[i], offset: sp.StartOffset, slim: slim}
 			ev := func(e gamesim.SessionEvent) {
-				if per != nil {
-					per.Observe(e)
-				}
 				e.T += sp.StartOffset
 				events[i] = append(events[i], taggedEvent{ev: e, server: i})
 			}
 			st, err := gamesim.Run(sp.Game, ss, ev)
 			ss.flush()
-			if per != nil {
-				per.Close()
-			}
 			if slim != nil {
 				slim.Close()
 			}
 			res.Servers[i].Stats = st
 			errs[i] = err
-		}(i, sp, res.Servers[i].Suite, res.Servers[i].Slim)
+		}(i, sp, res.Servers[i].Slim)
 	}
 
 	mergeErr := mergeStreams(chans, sink) // on this goroutine

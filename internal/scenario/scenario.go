@@ -10,7 +10,7 @@
 // servers, with staggered peaks, heterogeneous sizes and release-day demand
 // surges. The merged stream feeds a single analysis.Suite (optionally
 // sharded across cores), so every table and figure of the paper can be
-// produced for the fleet aggregate; per-server suites can be collected
+// produced for the fleet aggregate; a slim per-server collector set can run
 // alongside for per-box vs aggregate comparison.
 //
 // The merge is deterministic by construction: a tournament over the
@@ -174,10 +174,6 @@ type PerServerMode int
 const (
 	// PerServerNone collects nothing per box (the default).
 	PerServerNone PerServerMode = iota
-	// PerServerFull runs the complete paper suite per box — every table
-	// and figure, at full sweep cost. Right for small fleets studied in
-	// depth.
-	PerServerFull
 	// PerServerSlim runs the lightweight analysis.SlimSuite per box:
 	// counters and minute series only, a small fraction of the full
 	// suite's cost, so per-box collection scales to hundreds of servers.
@@ -197,8 +193,8 @@ type Config struct {
 	// with that grant (serial on one core). Results are byte-identical
 	// across settings.
 	Parallelism int
-	// PerServer selects per-box collection: nothing, the full paper suite,
-	// or the slim counters+minutes set.
+	// PerServer selects per-box collection: nothing, or the slim
+	// counters+minutes set.
 	PerServer PerServerMode
 	// Extra, if non-nil, receives the merged record stream, strictly
 	// time-ordered, in trace.BlockSize blocks — e.g. a plain trace.Writer

@@ -42,17 +42,11 @@ func ClientPort(client uint32) uint16 {
 	return uint16(20000 + client%40000)
 }
 
-// frameWriter is the packet-record sink shared by the classic pcap and
-// pcapng writers.
-type frameWriter interface {
-	WritePacket(ci pcap.CaptureInfo, data []byte) error
-}
-
-// PCAPWriter materializes records as Ethernet/IPv4/UDP frames in a pcap or
-// pcapng file. Payload bytes are zero-filled: the study analyzes sizes and
+// PCAPWriter materializes records as Ethernet/IPv4/UDP frames in a classic
+// pcap file. Payload bytes are zero-filled: the study analyzes sizes and
 // timing, not payload content.
 type PCAPWriter struct {
-	w          frameWriter
+	w          *pcap.Writer
 	ser        packet.Serializer
 	start      time.Time
 	serverAddr netip.Addr
@@ -63,17 +57,8 @@ type PCAPWriter struct {
 // NewPCAPWriter creates a PCAPWriter emitting the classic libpcap format.
 // start anchors record offsets to absolute capture timestamps.
 func NewPCAPWriter(w io.Writer, start time.Time) *PCAPWriter {
-	return newPCAPWriter(pcap.NewWriter(w, pcap.LinkTypeEthernet, 65535), start)
-}
-
-// NewPCAPNGWriter creates a PCAPWriter emitting pcapng.
-func NewPCAPNGWriter(w io.Writer, start time.Time) *PCAPWriter {
-	return newPCAPWriter(pcap.NewNgWriter(w, pcap.LinkTypeEthernet, 65535), start)
-}
-
-func newPCAPWriter(fw frameWriter, start time.Time) *PCAPWriter {
 	return &PCAPWriter{
-		w:          fw,
+		w:          pcap.NewWriter(w, pcap.LinkTypeEthernet, 65535),
 		start:      start,
 		serverAddr: DefaultServerAddr,
 		serverPort: DefaultServerPort,
@@ -111,12 +96,6 @@ func (pw *PCAPWriter) Write(r Record) error {
 	return pw.w.WritePacket(ci, frame)
 }
 
-// frameReader is the packet-record source shared by the classic pcap and
-// pcapng readers.
-type frameReader interface {
-	ReadPacket() (pcap.CaptureInfo, []byte, error)
-}
-
 // ReadPCAP parses a classic pcap file of game traffic, classifying direction
 // by the server endpoint, and feeds records to h. Packets that do not decode
 // as Ethernet/IPv4/UDP or that do not involve serverAddr are skipped; the
@@ -126,19 +105,6 @@ func ReadPCAP(r io.Reader, serverAddr netip.Addr, serverPort uint16, h Handler) 
 	if err != nil {
 		return 0, 0, err
 	}
-	return readFrames(pr, serverAddr, serverPort, h)
-}
-
-// ReadPCAPNG is ReadPCAP for pcapng captures.
-func ReadPCAPNG(r io.Reader, serverAddr netip.Addr, serverPort uint16, h Handler) (records, skipped int64, err error) {
-	pr, err := pcap.NewNgReader(r)
-	if err != nil {
-		return 0, 0, err
-	}
-	return readFrames(pr, serverAddr, serverPort, h)
-}
-
-func readFrames(pr frameReader, serverAddr netip.Addr, serverPort uint16, h Handler) (records, skipped int64, err error) {
 	var parser packet.Parser
 	var decoded []packet.LayerType
 	var start time.Time

@@ -27,8 +27,8 @@
 // a ColumnIngester or BlockIngester (the analysis suites, a Tee) with no
 // re-batching copy. The same engine reads a non-seekable source or a file
 // with a damaged index by scanning its frames instead of seeking by the
-// index; only v1 files are read record by record. PCAP{,NG}Writer and
-// ReadPCAP{,NG} exchange traces with standard capture tooling. See
+// index; only v1 files are read record by record. PCAPWriter and
+// ReadPCAP exchange traces with standard capture tooling. See
 // docs/ARCHITECTURE.md for the end-to-end data flow.
 package trace
 

@@ -225,34 +225,6 @@ func TestPCAPRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPCAPNGRoundTrip(t *testing.T) {
-	recs := []Record{
-		{T: 0, Dir: In, Client: 3, App: 38},
-		{T: 50 * time.Millisecond, Dir: Out, Client: 3, App: 188},
-		{T: 100 * time.Millisecond, Dir: Out, Client: 4, App: 97},
-	}
-	var buf bytes.Buffer
-	pw := NewPCAPNGWriter(&buf, time.Date(2002, 4, 11, 8, 55, 4, 0, time.UTC))
-	for _, r := range recs {
-		if err := pw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got Collect
-	n, skipped, err := ReadPCAPNG(&buf, DefaultServerAddr, DefaultServerPort, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 || skipped != 0 {
-		t.Fatalf("n=%d skipped=%d", n, skipped)
-	}
-	for i, r := range got.Records {
-		if r.T != recs[i].T || r.Dir != recs[i].Dir || r.App != recs[i].App {
-			t.Errorf("record %d: got %+v, want %+v", i, r, recs[i])
-		}
-	}
-}
-
 func TestReadPCAPSkipsTCP(t *testing.T) {
 	// A TCP frame addressed at the server must be counted as skipped, not
 	// misparsed as a game record. It is a UDP frame to the server port

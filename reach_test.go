@@ -21,8 +21,8 @@ import (
 // package exists to support tests.
 var reachExempt = []struct{ pattern, reason string }{
 	{`^faultio\.`, "test-only package: fault-injecting writers and readers for trace's fault matrix"},
-	{`^trace\.(ReadPCAP|ReadPCAPNG|readFrames)$`, "oracle: pcap/pcapng import reads back what -mode pcap exports"},
-	{`^pcap\.(Reader|NgReader|NewReader|NewNgReader|appendRead)(\.|$)`, "oracle: the capture-file reader under the pcap import"},
+	{`^trace\.ReadPCAP$`, "oracle: pcap import reads back what -mode pcap exports"},
+	{`^pcap\.(Reader|NewReader)(\.|$)`, "oracle: the capture-file reader under the pcap import"},
 	{`^packet\.(Parser\.DecodeLayers|(Ethernet|IPv4|UDP)\.(DecodeFromBytes|NextLayerType|LayerPayload))$`, "oracle: layer decoder under the pcap import, checked against Serializer"},
 	{`^protocol\.InfoRequest\.Unmarshal$`, "oracle: wire decoder the protocol tests round-trip against Marshal"},
 	{`^loadtest\.ParseMonitorLine$`, "oracle: parses the monitor lines Run prints"},

@@ -21,11 +21,10 @@ type Scenario = scenario.Spec
 // scenario package constants re-exported below.
 type PerServerMode = scenario.PerServerMode
 
-// Per-box collection modes: nothing, the full paper suite per server, or
-// the slim counters+minutes set that scales to hundreds of servers.
+// Per-box collection modes: nothing, or the slim counters+minutes set that
+// scales to hundreds of servers.
 const (
 	PerServerNone = scenario.PerServerNone
-	PerServerFull = scenario.PerServerFull
 	PerServerSlim = scenario.PerServerSlim
 )
 
@@ -51,9 +50,8 @@ type ScenarioConfig struct {
 	// ROADMAP 1a removes it.
 	GenWorkers int
 	// PerServer selects per-box collection alongside the aggregate:
-	// PerServerFull runs a complete per-server analysis suite for per-box
-	// vs aggregate comparison; PerServerSlim collects only counters and
-	// minute series per box, cheap enough for very large fleets.
+	// PerServerSlim collects counters and minute series per box for
+	// per-box vs aggregate comparison, cheap enough for very large fleets.
 	PerServer PerServerMode
 	// Extra, if non-nil, receives the merged fleet record stream, strictly
 	// time-ordered, in trace.BlockSize blocks.
@@ -85,7 +83,7 @@ type ScenarioResults struct {
 	// Reproduce returns: for a one-server scenario its report is
 	// byte-identical to the plain reproduction.
 	Aggregate *Results
-	// Servers holds per-server stats, and per-server suites when
+	// Servers holds per-server stats, and per-server slim sets when
 	// Config.PerServer was set.
 	Servers []scenario.ServerResult
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cstrace/internal/analysis"
+	"cstrace/internal/gamesim"
 	"cstrace/internal/metricstore"
 	"cstrace/internal/scenario"
 	"cstrace/internal/trace"
@@ -95,17 +96,18 @@ func TestScenarioDeterminism(t *testing.T) {
 }
 
 // TestScenarioAggregateConservation: every packet a server generates
-// reaches the aggregate suite exactly once through the merge.
+// reaches its per-box collectors and, through the merge, the aggregate
+// suite exactly once.
 func TestScenarioAggregateConservation(t *testing.T) {
-	res, err := RunScenario(ScenarioConfig{Spec: scenarioSpec(5, 3), PerServer: PerServerFull})
+	res, err := RunScenario(ScenarioConfig{Spec: scenarioSpec(5, 3), PerServer: PerServerSlim})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum int64
 	for _, s := range res.Servers {
 		sum += s.Stats.PacketsIn + s.Stats.PacketsOut
-		if got := s.Suite.Count.Packets(); got != s.Stats.PacketsIn+s.Stats.PacketsOut {
-			t.Errorf("%s: per-server suite saw %d packets, generator emitted %d",
+		if got := s.Slim.Count.Packets(); got != s.Stats.PacketsIn+s.Stats.PacketsOut {
+			t.Errorf("%s: per-server slim set saw %d packets, generator emitted %d",
 				s.Name, got, s.Stats.PacketsIn+s.Stats.PacketsOut)
 		}
 	}
@@ -120,32 +122,33 @@ func TestScenarioAggregateConservation(t *testing.T) {
 	}
 }
 
-// TestScenarioSlimPerServer: the slim per-box collector set must agree
-// exactly with the full per-box suite on the quantities both collect —
-// counters and minute series — at a fraction of the collection cost.
+// TestScenarioSlimPerServer: each server's slim per-box set must agree
+// exactly with a full paper suite fed that server's stream alone — its own
+// gamesim.Run on its own clock — on the quantities both collect: counters
+// and minute series.
 func TestScenarioSlimPerServer(t *testing.T) {
-	full, err := RunScenario(ScenarioConfig{Spec: scenarioSpec(9, 3), PerServer: PerServerFull})
-	if err != nil {
-		t.Fatal(err)
-	}
 	slim, err := RunScenario(ScenarioConfig{Spec: scenarioSpec(9, 3), PerServer: PerServerSlim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range full.Servers {
-		f, s := full.Servers[i], slim.Servers[i]
-		if s.Suite != nil || f.Slim != nil {
-			t.Fatalf("server %d: wrong collector set for mode", i)
-		}
+	for i, s := range slim.Servers {
 		if s.Slim == nil {
 			t.Fatalf("server %d: slim mode collected nothing", i)
 		}
-		ft2 := f.Suite.Count.TableII(f.Game.Duration)
+		full, err := analysis.NewSuite(analysis.DefaultSuiteConfig(s.Game.Duration))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gamesim.Run(s.Game, full, full.Observe); err != nil {
+			t.Fatal(err)
+		}
+		full.Close()
+		ft2 := full.Count.TableII(s.Game.Duration)
 		st2 := s.Slim.TableII()
 		if ft2 != st2 {
 			t.Errorf("server %d: slim Table II diverges from full suite:\nfull: %+v\nslim: %+v", i, ft2, st2)
 		}
-		fk, sk := f.Suite.Minutes.KbsTotal(), s.Slim.Minutes.KbsTotal()
+		fk, sk := full.Minutes.KbsTotal(), s.Slim.Minutes.KbsTotal()
 		if len(fk) != len(sk) {
 			t.Fatalf("server %d: minute series lengths %d vs %d", i, len(fk), len(sk))
 		}
@@ -155,6 +158,13 @@ func TestScenarioSlimPerServer(t *testing.T) {
 				break
 			}
 		}
+	}
+	none, err := RunScenario(ScenarioConfig{Spec: scenarioSpec(9, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if none.Servers[0].Slim != nil {
+		t.Error("PerServerNone collected a slim set")
 	}
 }
 
