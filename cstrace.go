@@ -32,6 +32,7 @@ package cstrace
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"cstrace/internal/analysis"
@@ -200,43 +201,7 @@ type TraceAnalysis struct {
 // the stream, noted in TraceAnalysis.Warning, and a v1 trace record by
 // record.
 func AnalyzeTrace(src io.Reader, parallelism int) (*TraceAnalysis, error) {
-	// The binary format stores records in non-decreasing time order (the
-	// Writer rejects anything else), the order the suite expects.
-	suite, err := analysis.NewSuite(analysis.SuiteConfig{})
-	if err != nil {
-		return nil, err
-	}
-	rd := trace.NewReader(src)
-	// The suite takes its budget share first (Sink resolves AutoWorkers);
-	// the decode stage then claims the remainder — the two run
-	// concurrently, so together they should cover the machine, not double
-	// it.
-	sink, closeSink := suite.Sink(parallelism)
-	decodePar := parallelism
-	if parallelism == sched.Auto {
-		lease := sched.Default().Acquire(sched.Default().Total())
-		decodePar = lease.Workers()
-		defer lease.Release()
-	}
-	n, err := rd.ReadAllSharded(sink, decodePar)
-	closeSink()
-	if err != nil {
-		return nil, err
-	}
-	a := &TraceAnalysis{
-		Records:  n,
-		Version:  rd.Version(),
-		Warning:  rd.Warning(),
-		Suite:    suite,
-		TableII:  suite.Count.TableII(0),
-		TableIII: suite.Count.TableIII(),
-		Regions: analysis.Regions(suite.VT.Points(), 10*time.Millisecond,
-			50*time.Millisecond, 30*time.Minute+48*time.Second),
-	}
-	if sh, ok := sink.(*analysis.ShardedSuite); ok {
-		a.GroupDepths = sh.Depths()
-	}
-	return a, nil
+	return AnalyzeTraceRange(src, parallelism, 0, math.MaxInt64)
 }
 
 // WriteReport renders the trace-derived tables and figures.
@@ -252,28 +217,46 @@ func (a *TraceAnalysis) WriteReport(w io.Writer) error {
 // one fails the call with trace.ErrCorrupt. Collectors that bin by
 // absolute time (minute series, interval windows) keep their absolute
 // positions; Table II/III rates are computed over the observed span of the
-// slice. parallelism shards the collector groups as in AnalyzeTrace.
+// slice. parallelism shards the collector groups as in AnalyzeTrace; the
+// whole trace (from ≤ 0, to = math.MaxInt64) also decodes on its workers.
 func AnalyzeTraceRange(src io.Reader, parallelism int, from, to time.Duration) (*TraceAnalysis, error) {
+	// The binary format stores records in non-decreasing time order (the
+	// Writer rejects anything else), the order the suite expects.
 	suite, err := analysis.NewSuite(analysis.SuiteConfig{})
 	if err != nil {
 		return nil, err
 	}
+	from = max(from, 0)
 	rd := trace.NewReader(src)
+	// The suite takes its budget share first (Sink resolves AutoWorkers);
+	// the decode stage then claims the remainder — the two run
+	// concurrently, so together they should cover the machine, not double
+	// it.
 	sink, closeSink := suite.Sink(parallelism)
-	n, err := rd.ReadRange(from, to, sink)
+	var n int64
+	if from == 0 && to == math.MaxInt64 {
+		decodePar := parallelism
+		if parallelism == sched.Auto {
+			lease := sched.Default().Acquire(sched.Default().Total())
+			decodePar = lease.Workers()
+			defer lease.Release()
+		}
+		n, err = rd.ReadAllSharded(sink, decodePar)
+	} else {
+		n, err = rd.ReadRange(from, to, sink)
+	}
 	closeSink()
 	if err != nil {
 		return nil, err
 	}
-	// Rates over the slice: the observed span from the range start to the
-	// last record seen (End), not the whole-trace duration.
-	span := suite.Count.End - from
 	a := &TraceAnalysis{
-		Records:  n,
-		Version:  rd.Version(),
-		Warning:  rd.Warning(),
-		Suite:    suite,
-		TableII:  suite.Count.TableII(span),
+		Records: n,
+		Version: rd.Version(),
+		Warning: rd.Warning(),
+		Suite:   suite,
+		// Rates over the observed span from the range start to the last
+		// record seen (End), not the whole-trace duration.
+		TableII:  suite.Count.TableII(suite.Count.End - from),
 		TableIII: suite.Count.TableIII(),
 		Regions: analysis.Regions(suite.VT.Points(), 10*time.Millisecond,
 			50*time.Millisecond, 30*time.Minute+48*time.Second),

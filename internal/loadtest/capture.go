@@ -110,7 +110,7 @@ type SpawnConfig struct {
 }
 
 // Spawned is a running in-process server: a real UDP socket driven by the
-// same gameserver code as cmd/csserver, plus the discovery registration and
+// same gameserver code as `cstrace -mode serve`, plus the discovery registration and
 // trace capture around it.
 type Spawned struct {
 	cfg    SpawnConfig
@@ -217,5 +217,5 @@ func (s *Spawned) Kill() error { return s.stop(false) }
 func (s *Spawned) Shutdown() error { return s.stop(true) }
 
 // errKillUnsupported reports a kill request against a target with no Kill
-// hook (an external process csload cannot reach).
+// hook (an external process the harness cannot reach).
 var errKillUnsupported = errors.New("loadtest: kill target has no Kill hook (external server?)")

@@ -165,7 +165,7 @@ func TestKillFailover(t *testing.T) {
 		t.Error("no sample shows the fleet below strength after the kill")
 	}
 
-	// The whole story must survive the JSON round trip csload -stats uses.
+	// The whole story must survive the JSON round trip `-mode load -stats` uses.
 	buf, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)

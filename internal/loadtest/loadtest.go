@@ -1,18 +1,19 @@
 // Package loadtest is a ctraffic-style socket load harness for the
 // reference game server: it drives N bot connections (gameserver.Bot over
 // internal/protocol) at a target user-command rate against one or more real
-// csserver processes, prints a continuous monitor line (active/failed
-// connections, packets sent/received/dropped, RTT percentiles from info
-// probes), injects disturbances — killing a server mid-run to exercise
-// master-browse fail-over, applying loss and delay on the client send path
-// — and emits a machine-readable JSON summary for offline analysis.
+// game servers (`cstrace -mode serve`), prints a continuous monitor line
+// (active/failed connections, packets sent/received/dropped, RTT
+// percentiles from info probes), injects disturbances — killing a server
+// mid-run to exercise master-browse fail-over, applying loss and delay on
+// the client send path — and emits a machine-readable JSON summary for
+// offline analysis.
 //
 // Where the rest of the repository simulates the paper's traffic in
 // process, this package pushes the same protocol through the kernel's UDP
-// stack: combined with a server-side trace capture (Capture / csserver
-// -trace) and cstrace.AnalyzeTrace, one run produces the simulated-vs-
-// actual comparison that validates the reproduction against real
-// networking end to end.
+// stack: combined with a server-side trace capture (Capture, or `cstrace
+// -mode serve -trace`) and cstrace.AnalyzeTrace, one run produces the
+// simulated-vs-actual comparison that validates the reproduction against
+// real networking end to end.
 package loadtest
 
 import (
@@ -226,7 +227,7 @@ type harness struct {
 }
 
 // Run drives the configured load until ctx is done or Duration elapses and
-// returns the run's statistics. It is the library form of cmd/csload.
+// returns the run's statistics. It is the library form of `cstrace -mode load`.
 func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {

@@ -162,7 +162,7 @@ type BotSummary struct {
 }
 
 // Stats is the machine-readable summary of one load run, written by
-// csload -stats for offline analysis and gating (tools/loadcheck).
+// `cstrace -mode load -stats` for offline analysis and gating (tools/loadcheck).
 type Stats struct {
 	// Run configuration echo.
 	Bots      int           `json:"bots"`

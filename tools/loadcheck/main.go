@@ -1,4 +1,4 @@
-// loadcheck validates a csload -stats JSON summary: the CI load smoke
+// loadcheck validates a `cstrace -mode load -stats` JSON summary: the CI load smoke
 // runs it after the harness to turn "the run printed numbers" into hard
 // assertions — traffic flowed, the fleet reached full strength, and (when
 // disturbance injection was on) the kill was recorded and recovered from.
@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	statsPath := flag.String("stats", "", "csload -stats JSON file to validate")
+	statsPath := flag.String("stats", "", "cstrace -mode load -stats JSON file to validate")
 	bots := flag.Int("bots", 0, "expected fleet size (0 = use the file's own bot count)")
 	expectKill := flag.Bool("expect-kill", false, "require a recorded and recovered kill event")
 	flag.Parse()
