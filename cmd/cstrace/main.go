@@ -31,6 +31,7 @@ import (
 	"cstrace/internal/gamesim"
 	"cstrace/internal/metricstore"
 	"cstrace/internal/nat"
+	"cstrace/internal/netem"
 	"cstrace/internal/population"
 	"cstrace/internal/provision"
 	"cstrace/internal/report"
@@ -60,7 +61,8 @@ var modes = []mode{
 	{"pcap", "export a (short) trace as a classic pcap capture", "", pcapMode},
 	{"web", "web/TCP baseline through the NAT device", "", webMode},
 	{"aggregate", "population self-similarity study", "", aggregateMode},
-	{"provision", "capacity planning from the paper's budget", "", provisionMode},
+	{"provision", "capacity planning from the paper's budget, checked by simulation", "", provisionMode},
+	{"lastmile", "one client's traffic through the era's access links (last-mile saturation)", "", lastmileMode},
 	{"scenario", "multi-server fleet: merged aggregate analysis", "", scenarioMode},
 	{"ingest", "analyze trace files into the metrics store (re-ingest is a no-op)", "FILE...", ingestMode},
 	{"list", "list the stored runs", "", listMode},
@@ -120,6 +122,13 @@ func parse(args []string) (string, func() error, error) {
 			name, args = a[len("-mode="):], args[1:]
 		}
 	}
+	for _, a := range args {
+		if a == "-mode" || a == "--mode" || strings.HasPrefix(a, "-mode=") || strings.HasPrefix(a, "--mode=") {
+			fmt.Fprintln(os.Stderr, "-mode must be the first argument")
+			listModes(os.Stderr)
+			return "", nil, errUsage
+		}
+	}
 	for _, m := range modes {
 		if m.name != name {
 			continue
@@ -140,6 +149,15 @@ func parse(args []string) (string, func() error, error) {
 			fmt.Fprintf(fs.Output(), "-mode %s takes no arguments, got %q\n", name, fs.Arg(0))
 			fs.Usage()
 			return "", nil, errUsage
+		}
+		// The flag package stops at the first operand, so a later flag
+		// would be taken for one.
+		for _, a := range fs.Args() {
+			if strings.HasPrefix(a, "-") {
+				fmt.Fprintf(fs.Output(), "-mode %s: %q after %s; flags go before %s\n", name, a, m.operands, m.operands)
+				fs.Usage()
+				return "", nil, errUsage
+			}
 		}
 		// 0 means each mode's default length; a negative length means nothing.
 		if d := fs.Lookup("duration"); d != nil && strings.HasPrefix(d.Value.String(), "-") {
@@ -793,6 +811,152 @@ func provisionMode(fs *flag.FlagSet) func() error {
 			fmt.Printf("  max servers behind it: %d\n",
 				provision.MaxServers(dev, demand, provision.DefaultLatencyBudget))
 		}
+		return provisionSweeps()
+	}
+}
+
+// provisionSweeps checks the analytic plan against simulation: per-server
+// bandwidth and packet rate at four slot counts, then the lowest
+// route-lookup capacity that keeps one busy server's incoming NAT loss
+// under 1% (the paper puts 1-2% at the edge of player tolerance).
+func provisionSweeps() error {
+	fmt.Println("Per-server requirements by slot count (15-minute busy-server samples)")
+	fmt.Println("slots | players | kbs total | pps total | kbs/slot")
+	for _, slots := range []int{8, 16, 22, 32} {
+		cfg := gamesim.PaperConfig(uint64(slots))
+		cfg.Duration = 15 * time.Minute
+		cfg.Warmup = 10 * time.Minute
+		cfg.Outages = nil
+		cfg.Slots = slots
+		cfg.AttemptRate = 0.5 // saturate
+		cfg.DiurnalAmp = 0
+
+		var c analysis.Counters
+		st, err := gamesim.Run(cfg, &c, nil)
+		if err != nil {
+			return err
+		}
+		t2 := c.TableII(cfg.Duration)
+		fmt.Printf("%5d | %7.1f | %9.0f | %9.0f | %8.1f\n",
+			slots, st.MeanPlayers(), t2.MeanBW.Kbs(), float64(t2.MeanPPS),
+			t2.MeanBW.Kbs()/float64(slots))
+	}
+
+	fmt.Println("\nMiddlebox capacity needed for <1% incoming loss (one 22-slot server)")
+	fmt.Println("capacity (pps) | loss in | loss out")
+	gameCfg := gamesim.NATExperimentConfig(7)
+	gameCfg.Duration = 10 * time.Minute
+	// The generator's stream is strictly time-ordered, as the NAT model
+	// requires.
+	var offered trace.Collect
+	if _, err := gamesim.Run(gameCfg, &offered, nil); err != nil {
+		return err
+	}
+	for _, capacity := range []float64{900, 1100, 1300, 1500, 1800, 2400} {
+		ncfg := nat.DefaultConfig(7)
+		ncfg.Capacity = capacity
+		dev, err := nat.New(ncfg, nil)
+		if err != nil {
+			return err
+		}
+		for _, r := range offered.Records {
+			dev.Handle(r)
+		}
+		c := dev.Counts()
+		marker := ""
+		if c.LossIn() < 0.01 {
+			marker = "  <- sufficient"
+		}
+		fmt.Printf("%14.0f | %6.2f%% | %7.3f%%%s\n",
+			capacity, c.LossIn()*100, c.LossOut()*100, marker)
+	}
+	fmt.Println("\nNote the point of the paper: the bit rate (~1 Mbs) is trivial;")
+	fmt.Println("the packet rate is what exhausts the middlebox.")
+	return nil
+}
+
+// lastmileMode replays the paper's central design claim (§III-A: the game
+// is built to saturate the narrowest last-mile link) through access-link
+// models. The busiest client of a busy quarter hour is pushed through each
+// access technology of the era, the paper's per-player budget is checked
+// against the same links, and an "l337" high-rate flow (Fig 11's tail) is
+// driven into a modem.
+func lastmileMode(*flag.FlagSet) func() error {
+	return func() error {
+		cfg := gamesim.PaperConfig(5)
+		cfg.Duration = 15 * time.Minute
+		cfg.Warmup = 10 * time.Minute
+		cfg.Outages = nil
+		cfg.AttemptRate *= 5
+		cfg.DiurnalAmp = 0
+		var all trace.Collect
+		if _, err := gamesim.Run(cfg, &all, nil); err != nil {
+			return err
+		}
+		counts := map[uint32]int{}
+		for _, r := range all.Records {
+			counts[r.Client]++
+		}
+		var busiest uint32 // the most packets; the lowest ID on a tie
+		for c, n := range counts {
+			if n > counts[busiest] || n == counts[busiest] && c < busiest {
+				busiest = c
+			}
+		}
+		var flow []trace.Record
+		for _, r := range all.Records {
+			if r.Client == busiest {
+				flow = append(flow, r)
+			}
+		}
+		fmt.Printf("busiest client: %d packets over %v\n\n", len(flow), cfg.Duration)
+
+		discard := trace.HandlerFunc(func(trace.Record) {})
+		fmt.Println("replay through access profiles (down = server→client):")
+		fmt.Printf("%-10s %9s %9s %11s %11s %9s\n",
+			"profile", "loss dn", "loss up", "delay dn", "p.max dn", "util dn")
+		for _, p := range netem.Profiles() {
+			lm, err := netem.New(p, 1, discard)
+			if err != nil {
+				return err
+			}
+			for _, r := range flow {
+				lm.Handle(r)
+			}
+			d, u := lm.Down(), lm.Up()
+			fmt.Printf("%-10s %8.2f%% %8.2f%% %10.1fms %10.1fms %8.2f\n",
+				p.Name, 100*d.LossRate(), 100*u.LossRate(),
+				1e3*d.Delay.Mean(), 1e3*d.Delay.Max(), d.Utilization())
+		}
+
+		fmt.Println("\nanalytic check against the paper's per-player budget:")
+		b := provision.PaperBudget()
+		fmt.Printf("%-10s %9s %9s %10s %s\n", "profile", "util dn", "util up", "sat.ratio", "verdict")
+		for _, p := range netem.Profiles() {
+			r := provision.CheckLastMile(b, p)
+			verdict := "comfortable"
+			if r.Saturated {
+				verdict = "saturated (by design)"
+			}
+			if !r.Fits {
+				verdict = "does not fit"
+			}
+			fmt.Printf("%-10s %9.2f %9.2f %10.2f %s\n",
+				p.Name, r.DownUtil, r.UpUtil, r.SaturationRatio, verdict)
+		}
+
+		// 250-byte snapshots every 20 ms: 123 kbs on the wire.
+		fmt.Println("\n\"l337\" config (high update rate) through a modem:")
+		lm, err := netem.New(netem.Modem56k(), 2, discard)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 3000; i++ {
+			lm.Handle(trace.Record{T: time.Duration(i) * 20 * time.Millisecond, Dir: trace.Out, App: 250})
+		}
+		d := lm.Down()
+		fmt.Printf("offered 123 kbs into 45 kbs: loss %.1f%%, goodput pegged at %.0f kbs\n",
+			100*d.LossRate(), float64(d.Goodput())/1e3)
 		return nil
 	}
 }

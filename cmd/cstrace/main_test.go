@@ -280,10 +280,12 @@ func TestDepthsTableAligns(t *testing.T) {
 
 // TestRejectedInvocations is the table of command lines that must fail
 // before they touch anything: a rejected gen, pcap, scenario, serve or load
-// leaves the files it names byte-for-byte alone, and a rejected analyze
-// prints no report.
+// leaves the files it names byte-for-byte alone, a rejected ingest creates
+// no store, and a rejected analyze prints no report. Runtime errors exit 1
+// and command-line errors 2.
 func TestRejectedInvocations(t *testing.T) {
 	dir := t.TempDir()
+	store := filepath.Join(dir, "x.csms")
 	traceFile := filepath.Join(dir, "existing.cst")
 	runMode(t, "-mode", "gen", "-seed", "5", "-duration", "1m", "-out", traceFile, "-parallel", "1")
 	before, err := os.ReadFile(traceFile)
@@ -308,38 +310,48 @@ func TestRejectedInvocations(t *testing.T) {
 		name string
 		args []string
 		want string
+		code int
 	}{
 		{"gen negative duration", []string{"-mode", "gen", "-seed", "5", "-duration", "-1m", "-out", traceFile, "-parallel", "1"},
-			"-duration: negative duration -1m0s"},
+			"-duration: negative duration -1m0s", 1},
 		{"gen unknown format", []string{"-mode", "gen", "-seed", "5", "-duration", "1m", "-out", traceFile, "-format", "9"},
-			"gen: unknown -format 9"},
+			"gen: unknown -format 9", 1},
 		{"gen bad compress", []string{"-mode", "gen", "-seed", "5", "-duration", "1m", "-out", traceFile, "-compress", "11"},
-			"gen: invalid -compress 11"},
+			"gen: invalid -compress 11", 1},
 		{"gen compress on v2", []string{"-mode", "gen", "-seed", "5", "-duration", "1m", "-out", traceFile, "-format", "2", "-compress", "6"},
-			"gen: -compress needs -format 3 or 4"},
+			"gen: -compress needs -format 3 or 4", 1},
 		{"pcap negative duration", []string{"-mode", "pcap", "-seed", "5", "-duration", "-1m", "-out", traceFile},
-			"-duration: negative duration -1m0s"},
+			"-duration: negative duration -1m0s", 1},
 		{"scenario no servers", []string{"-mode", "scenario", "-seed", "5", "-servers", "0", "-duration", "1m", "-parallel", "1", "-out", traceFile},
-			"scenario: Servers must be positive"},
+			"scenario: Servers must be positive", 1},
 		{"scenario negative stagger", []string{"-mode", "scenario", "-seed", "5", "-servers", "2", "-duration", "1m", "-stagger", "-1s", "-parallel", "1", "-out", traceFile},
-			"scenario: server 1 (srv01): negative StartOffset"},
+			"scenario: server 1 (srv01): negative StartOffset", 1},
 		{"analyze inverted slice", []string{"-mode", "analyze", "-in", traceFile, "-parallel", "1", "-from", "90s", "-to", "30s"},
-			"analyze: -from must precede -to"},
+			"analyze: -from must precede -to", 1},
 		{"analyze empty slice", []string{"-mode", "analyze", "-in", traceFile, "-parallel", "1", "-from", "30s", "-to", "30s"},
-			"analyze: -from must precede -to"},
+			"analyze: -from must precede -to", 1},
 		{"serve bad port", []string{"-mode", "serve", "-addr", "127.0.0.1:99999", "-trace", traceFile},
-			"invalid port"},
+			"invalid port", 1},
 		{"serve busy port", []string{"-mode", "serve", "-addr", busy.LocalAddr().String(), "-trace", traceFile},
-			"address already in use"},
+			"address already in use", 1},
 		{"load kill out of range", []string{"-mode", "load", "-spawn", "2", "-bots", "2", "-kill", "5", "-kill-after", "1s", "-trace", prefix, "-for", "1s"},
-			"-kill 5 names no spawned server"},
+			"-kill 5 names no spawned server", 1},
 		{"load zero rate", []string{"-mode", "load", "-spawn", "2", "-bots", "2", "-rate", "0", "-trace", prefix, "-for", "1s"},
-			"-bots and -rate must be positive"},
+			"-bots and -rate must be positive", 1},
+		{"ingest flag after a file", []string{"-mode", "ingest", "-store", store, traceFile, "-label", "night"},
+			`"-label" after FILE...; flags go before FILE...`, 2},
+		{"mode after a flag", []string{"-seed", "3", "-mode", "week"},
+			"-mode must be the first argument", 2},
+		{"mode= after a flag", []string{"-mode", "ingest", "-store", store, "-mode=list"},
+			"-mode must be the first argument", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stdout, stderr, code := runCLI(t, tc.args...)
-			if code != 1 || !strings.Contains(stderr, tc.want) {
-				t.Errorf("exit %d, stderr:\n%s\nwant exit 1 and an error containing %q", code, stderr, tc.want)
+			if code != tc.code || !strings.Contains(stderr, tc.want) {
+				t.Errorf("exit %d, stderr:\n%s\nwant exit %d and an error containing %q", code, stderr, tc.code, tc.want)
+			}
+			if _, err := os.Stat(store); !os.IsNotExist(err) {
+				t.Fatalf("rejected invocation created the store (stat: %v)", err)
 			}
 			if stdout != "" {
 				t.Errorf("rejected invocation printed a report:\n%s", stdout)
@@ -371,6 +383,7 @@ var modeFlags = map[string][]string{
 	"web":       {"duration", "seed"},
 	"aggregate": {"seed"},
 	"provision": {"players"},
+	"lastmile":  {},
 	"scenario":  {"depths", "duration", "label", "out", "parallel", "perslim", "seed", "servers", "spike", "stagger", "store"},
 	"ingest":    {"in", "label", "parallel", "store"},
 	"list":      {"json", "store"},

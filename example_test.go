@@ -58,16 +58,14 @@ func ExampleAnalyzeTrace() {
 	cfg.Game.Duration = 5 * time.Minute
 	cfg.Game.Warmup = 2 * time.Minute
 
-	// The generator's stream has bounded disorder; a SortBuffer restores
-	// the strict time order the trace writer requires.
+	// The generator's stream is strictly time-ordered, as the trace writer
+	// requires, so it goes straight in.
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf) // format v4: columnar + indexed + compressed
-	sorter := trace.NewSortBuffer(100*time.Millisecond, w)
-	cfg.Extra = sorter
+	cfg.Extra = w
 	if _, err := cstrace.Reproduce(cfg); err != nil {
 		log.Fatal(err)
 	}
-	sorter.Flush()
 	if err := w.Flush(); err != nil {
 		log.Fatal(err)
 	}

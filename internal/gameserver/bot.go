@@ -43,17 +43,6 @@ type BotConfig struct {
 	SnapshotTimeout time.Duration
 }
 
-// DefaultBotConfig returns an ordinary-client bot.
-func DefaultBotConfig(addr string) BotConfig {
-	return BotConfig{
-		ServerAddr:     addr,
-		Name:           "bot",
-		CmdRate:        24,
-		ConnectTimeout: 2 * time.Second,
-		Seed:           1,
-	}
-}
-
 // BotStats counts one bot's traffic.
 type BotStats struct {
 	CmdsSent int64

@@ -28,7 +28,7 @@ func TestBotDisconnectOnCancel(t *testing.T) {
 	defer stop()
 	defer srv.Close()
 
-	cfg := DefaultBotConfig(srv.Addr().String())
+	cfg := defaultBotConfig(srv.Addr().String())
 	cfg.CmdRate = 50
 	b, err := Dial(cfg)
 	if err != nil {
@@ -60,7 +60,7 @@ func TestBotDisconnectBypassesInjection(t *testing.T) {
 	defer stop()
 	defer srv.Close()
 
-	cfg := DefaultBotConfig(srv.Addr().String())
+	cfg := defaultBotConfig(srv.Addr().String())
 	cfg.CmdRate = 100
 	cfg.Drop = 1.0
 	cfg.Jitter = 20 * time.Millisecond
@@ -97,7 +97,7 @@ func TestBotJitterStillDelivers(t *testing.T) {
 	defer stop()
 	defer srv.Close()
 
-	cfg := DefaultBotConfig(srv.Addr().String())
+	cfg := defaultBotConfig(srv.Addr().String())
 	cfg.CmdRate = 100
 	cfg.Jitter = 5 * time.Millisecond
 	b, err := Dial(cfg)
@@ -125,7 +125,7 @@ func TestBotDetectsSilentServer(t *testing.T) {
 	srv, stop, _ := startServer(t, 4)
 	defer srv.Close()
 
-	cfg := DefaultBotConfig(srv.Addr().String())
+	cfg := defaultBotConfig(srv.Addr().String())
 	cfg.CmdRate = 50
 	cfg.SnapshotTimeout = 400 * time.Millisecond
 	b, err := Dial(cfg)

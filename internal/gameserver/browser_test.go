@@ -60,7 +60,7 @@ func TestQueryInfoLiveServer(t *testing.T) {
 
 func TestQueryInfoCountsConnectedPlayers(t *testing.T) {
 	s := startNamedServer(t, "occupancy", 22)
-	bcfg := DefaultBotConfig(s.Addr().String())
+	bcfg := defaultBotConfig(s.Addr().String())
 	bot, err := Dial(bcfg)
 	if err != nil {
 		t.Fatal(err)

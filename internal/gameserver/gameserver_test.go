@@ -45,7 +45,7 @@ func runBots(t *testing.T, ctx context.Context, addr string, n int, rate float64
 	t.Helper()
 	bots := make([]*Bot, 0, n)
 	for i := 0; i < n; i++ {
-		cfg := DefaultBotConfig(addr)
+		cfg := defaultBotConfig(addr)
 		cfg.Name = "bot"
 		cfg.CmdRate = rate
 		cfg.Seed = uint64(i + 1)
@@ -139,7 +139,7 @@ func TestServerFullRejects(t *testing.T) {
 	defer stop()
 	_ = runBots(t, ctx, srv.Addr().String(), 2, 20)
 
-	cfg := DefaultBotConfig(srv.Addr().String())
+	cfg := defaultBotConfig(srv.Addr().String())
 	cfg.Name = "latecomer"
 	_, err := Dial(cfg)
 	if !errors.Is(err, ErrServerFull) {
@@ -155,7 +155,7 @@ func TestDisconnectFreesSlot(t *testing.T) {
 	defer cancel()
 
 	ctx1, stop1 := context.WithCancel(context.Background())
-	b1, err := Dial(DefaultBotConfig(srv.Addr().String()))
+	b1, err := Dial(defaultBotConfig(srv.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDisconnectFreesSlot(t *testing.T) {
 		t.Fatalf("clients = %d after disconnect", n)
 	}
 	// The slot is reusable.
-	b2, err := Dial(DefaultBotConfig(srv.Addr().String()))
+	b2, err := Dial(defaultBotConfig(srv.Addr().String()))
 	if err != nil {
 		t.Fatalf("reconnect failed: %v", err)
 	}
@@ -187,7 +187,7 @@ func TestClientTimeout(t *testing.T) {
 
 	// Dial but never run: the bot sends no commands, so the server must
 	// time it out.
-	if _, err := Dial(DefaultBotConfig(srv.Addr().String())); err != nil {
+	if _, err := Dial(defaultBotConfig(srv.Addr().String())); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(4 * time.Second)
@@ -218,7 +218,7 @@ func TestListenValidation(t *testing.T) {
 }
 
 func TestDialValidation(t *testing.T) {
-	cfg := DefaultBotConfig("127.0.0.1:1")
+	cfg := defaultBotConfig("127.0.0.1:1")
 	cfg.CmdRate = 0
 	if _, err := Dial(cfg); err == nil {
 		t.Error("want error for zero cmd rate")
@@ -325,7 +325,7 @@ func TestDialIgnoresMalformedReject(t *testing.T) {
 		pc.WriteTo(rej[:4], from) // claims 11 reason bytes, carries none
 		pc.WriteTo(acc, from)
 	}()
-	b, err := Dial(DefaultBotConfig(pc.LocalAddr().String()))
+	b, err := Dial(defaultBotConfig(pc.LocalAddr().String()))
 	if err != nil {
 		t.Fatalf("Dial: %v, want the accept after the malformed reject", err)
 	}

@@ -9,7 +9,8 @@
 // The model is the classical M/G/∞ superposition Henderson applied to game
 // populations: players arrive Poisson and remain on-line for a session
 // drawn from some distribution, each contributing the paper's fixed
-// per-player packet and bit rates while present (§IV-B: aggregate traffic
+// per-player packet and bit rates (provision.PaperBudget) while present
+// (§IV-B: aggregate traffic
 // "is effectively linear to the number of active players"). With
 // heavy-tailed (Pareto, 1<α<2) sessions the occupancy process N(t) is
 // long-range dependent with H = (3−α)/2; with exponential sessions it is
@@ -118,37 +119,6 @@ func addInterval(bins []float64, binW, a, b float64) {
 		bins[i] += binW
 	}
 	bins[last] += b - float64(last)*binW
-}
-
-// PerPlayer is the per-active-player resource budget the paper's trace
-// yields: with a mean concurrent population of ≈18.05 players, Table II's
-// 798.11 pkts/sec and 883 kbs give ≈44 pkts/sec and ≈49 kbs per active
-// player (the famous 40 kbs figure is the same bandwidth divided by the 22
-// slots rather than the active mean).
-type PerPlayer struct {
-	PPS float64 // packets per second per active player
-	Bps float64 // bits per second per active player
-}
-
-// PaperPerPlayer returns the budget derived from Tables I-II.
-func PaperPerPlayer() PerPlayer {
-	const meanPlayers = 18.05
-	return PerPlayer{
-		PPS: 798.11 / meanPlayers,
-		Bps: 883e3 / meanPlayers,
-	}
-}
-
-// Scale converts an occupancy series into aggregate packet-rate and
-// bandwidth series under the paper's linear-in-players model.
-func (p PerPlayer) Scale(occupancy []float64) (pps, bps []float64) {
-	pps = make([]float64, len(occupancy))
-	bps = make([]float64, len(occupancy))
-	for i, n := range occupancy {
-		pps[i] = n * p.PPS
-		bps[i] = n * p.Bps
-	}
-	return pps, bps
 }
 
 // TheoreticalH returns the Hurst parameter an M/G/∞ occupancy process with

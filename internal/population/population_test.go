@@ -129,24 +129,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestPaperPerPlayer(t *testing.T) {
-	pp := PaperPerPlayer()
-	// 798.11/18.05 ≈ 44.2 pps; 883e3/18.05 ≈ 48.9 kbs.
-	if pp.PPS < 43 || pp.PPS > 46 {
-		t.Errorf("PPS = %.1f", pp.PPS)
-	}
-	if pp.Bps < 47e3 || pp.Bps > 50e3 {
-		t.Errorf("Bps = %.0f", pp.Bps)
-	}
-	pps, bps := pp.Scale([]float64{0, 1, 22})
-	if pps[0] != 0 || bps[0] != 0 {
-		t.Error("zero players must scale to zero traffic")
-	}
-	if math.Abs(pps[2]/pps[1]-22) > 1e-9 {
-		t.Error("scaling not linear")
-	}
-}
-
 func TestTheoreticalH(t *testing.T) {
 	if h := TheoreticalH(1.5); h != 0.75 {
 		t.Errorf("H(1.5) = %f", h)

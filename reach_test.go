@@ -41,7 +41,7 @@ func TestEveryInternalFunctionIsReached(t *testing.T) {
 	// opens, not what the go build below reads; reading every source
 	// here makes an edit anywhere invalidate a cached pass.
 	srcs := map[string][]byte{}
-	for _, root := range []string{"cmd", "examples", "tools", "bench", "internal"} {
+	for _, root := range []string{"cmd", "tools", "bench", "internal"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -63,7 +63,7 @@ func TestEveryInternalFunctionIsReached(t *testing.T) {
 
 	bin := t.TempDir()
 	const noInline = "-gcflags=cstrace/...=-l"
-	goCmd(t, "build", noInline, "-o", bin+string(filepath.Separator), "./cmd/...", "./examples/...", "./tools/...")
+	goCmd(t, "build", noInline, "-o", bin+string(filepath.Separator), "./cmd/...", "./tools/...")
 	goCmd(t, "build", "-C", "bench", noInline, "-o", filepath.Join(bin, "bench.exe"), ".")
 	ents, err := os.ReadDir(bin)
 	if err != nil {
