@@ -134,7 +134,7 @@ func BenchmarkSummarySuite(b *testing.B) {
 		s := NewSummarySuite()
 		b.StartTimer()
 		for _, cb := range bs.cols {
-			s.sweep(cb)
+			s.HandleColumns(cb)
 		}
 	}
 	perRec(b, bs)

@@ -154,7 +154,9 @@ func (s *SummarySuite) Handle(r trace.Record) { s.HandleBatch([]trace.Record{r})
 
 // HandleBatch implements trace.BatchHandler: the batch is transposed once
 // into scratch columns and swept.
-func (s *SummarySuite) HandleBatch(rs []trace.Record) { s.sweep(refill(&s.slim.scratch, rs)) }
+func (s *SummarySuite) HandleBatch(rs []trace.Record) {
+	s.HandleColumns(refill(&s.slim.scratch, rs))
+}
 
 // IngestBlock implements trace.BlockIngester: the block is swept as a
 // batch, then recycled.
@@ -166,11 +168,13 @@ func (s *SummarySuite) IngestBlock(blk *trace.Block) {
 // IngestColumns implements trace.ColumnIngester: a column-decoded segment
 // chunk is swept as it is, then recycled.
 func (s *SummarySuite) IngestColumns(cb *trace.ColumnBlock) {
-	s.sweep(cb)
+	s.HandleColumns(cb)
 	trace.FreeColumnBlock(cb)
 }
 
-func (s *SummarySuite) sweep(cb *trace.ColumnBlock) {
+// HandleColumns sweeps a column block the suite only borrows: the caller
+// keeps it, and may rewrite or recycle it once the call returns.
+func (s *SummarySuite) HandleColumns(cb *trace.ColumnBlock) {
 	s.slim.sweep(cb)
 	s.gaps.HandleColumns(cb)
 	s.kinds.HandleColumns(cb)

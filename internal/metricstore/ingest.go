@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"sync"
 	"time"
 
 	"cstrace/internal/analysis"
@@ -18,14 +19,30 @@ import (
 	"cstrace/internal/trace"
 )
 
+// hashBuf is HashReader's read buffer.
+type hashBuf [32 << 10]byte
+
+// hashBufs keeps HashReader's read buffers between calls. io.Copy from an
+// *os.File would make a fresh 32 KiB buffer for every file hashed.
+var hashBufs = sync.Pool{New: func() any { return new(hashBuf) }}
+
 // HashReader content-addresses a byte stream: hex SHA-256 plus length.
 func HashReader(r io.Reader) (string, int64, error) {
+	buf := hashBufs.Get().(*hashBuf)
+	defer hashBufs.Put(buf)
 	h := sha256.New()
-	n, err := io.Copy(h, r)
-	if err != nil {
-		return "", 0, err
+	var n int64
+	for {
+		m, err := r.Read(buf[:])
+		h.Write(buf[:m])
+		n += int64(m)
+		if err == io.EOF {
+			return hex.EncodeToString(h.Sum(nil)), n, nil
+		}
+		if err != nil {
+			return "", 0, err
+		}
 	}
-	return hex.EncodeToString(h.Sum(nil)), n, nil
 }
 
 // HashFile content-addresses a file's bytes.
@@ -43,7 +60,8 @@ type IngestOptions struct {
 	// Parallelism sizes the segment decode workers, as cstrace's
 	// -parallel flag does: n workers (two at the least), sched.Auto a
 	// grant of the whole worker budget. The analysis itself — the four
-	// collectors a Summary reads — runs on the in-order delivery path.
+	// collectors a Summary reads — runs on the in-order delivery path; an
+	// Extra tap may run stages of its own beside it.
 	Parallelism int
 	// Source overrides the recorded source (defaults to the file path);
 	// Label is the operator tag.
@@ -51,14 +69,59 @@ type IngestOptions struct {
 	Label  string
 	// Now overrides the recorded ingest time (tests); zero means now.
 	Now time.Time
+	// Hash and Size, when Hash is set, are the file's content address and
+	// length as HashFile reports them, computed ahead by the caller (the
+	// daemon hashes the next spool file while this one is read). With Hash
+	// empty the file is hashed here.
+	Hash string
+	Size int64
 	// Extra, when non-nil, receives the decoded record stream in order
-	// alongside the summary suite — the daemon tees its cumulative
-	// collectors and rolling window here so one decode pass serves both
-	// the per-file row and the service-wide state. A v4 file reaches both
-	// as column blocks (trace.Fanout is a ColumnIngester); one that
-	// implements trace.ColumnIngester takes them without an interleave,
-	// a plain handler gets records.
-	Extra trace.Handler
+	// after the summary suite has swept it — the daemon feeds its
+	// cumulative collectors and rolling window here so one decode pass
+	// serves both the per-file row and the service-wide state.
+	Extra Tap
+}
+
+// Tap takes an ingest's decoded blocks once the per-file summary suite is
+// done with them.
+type Tap interface {
+	// IngestColumns takes ownership of one swept block, in stream order,
+	// on the read engine's delivery path: the tap must eventually free it
+	// with trace.FreeColumnBlock, and may rewrite it first. A segment that
+	// decodes as records reaches the tap transposed.
+	IngestColumns(cb *trace.ColumnBlock)
+	// Join returns once the tap is done with every block handed to it.
+	// IngestTraceFile calls it when the read ends, whatever its outcome,
+	// and before it appends the run row.
+	Join()
+}
+
+// tapped is the read handler when a Tap rides along: the summary suite
+// borrows each block, then the tap takes it.
+type tapped struct {
+	sum *analysis.SummarySuite
+	tap Tap
+}
+
+func (t tapped) Handle(r trace.Record) { t.HandleBatch([]trace.Record{r}) }
+
+func (t tapped) HandleBatch(rs []trace.Record) {
+	if len(rs) == 0 {
+		return
+	}
+	cb := trace.NewColumnBlock()
+	cb.AppendFrom(rs)
+	t.IngestColumns(cb)
+}
+
+func (t tapped) IngestBlock(blk *trace.Block) {
+	t.HandleBatch(*blk)
+	trace.FreeBlock(blk)
+}
+
+func (t tapped) IngestColumns(cb *trace.ColumnBlock) {
+	t.sum.HandleColumns(cb)
+	t.tap.IngestColumns(cb)
 }
 
 // IngestTraceFile analyzes one trace file into a Summary — through an
@@ -73,9 +136,12 @@ type IngestOptions struct {
 // both cases the degradation note lands in the run row's Warning. A damaged
 // file with no intact record stores no row: the error wraps trace.ErrCorrupt.
 func IngestTraceFile(st *Store, path string, opts IngestOptions) (*Run, bool, error) {
-	hashHex, size, err := HashFile(path)
-	if err != nil {
-		return nil, false, err
+	hashHex, size := opts.Hash, opts.Size
+	if hashHex == "" {
+		var err error
+		if hashHex, size, err = HashFile(path); err != nil {
+			return nil, false, err
+		}
 	}
 	if existing := st.ByHash(hashHex); existing != nil {
 		return existing, false, nil
@@ -91,7 +157,7 @@ func IngestTraceFile(st *Store, path string, opts IngestOptions) (*Run, bool, er
 	rd.Salvage = true
 	var h trace.Handler = sum
 	if opts.Extra != nil {
-		h = trace.Tee(sum, opts.Extra)
+		h = tapped{sum, opts.Extra}
 	}
 	decodePar := opts.Parallelism
 	if opts.Parallelism == sched.Auto {
@@ -100,6 +166,9 @@ func IngestTraceFile(st *Store, path string, opts IngestOptions) (*Run, bool, er
 		defer lease.Release()
 	}
 	n, rerr := rd.ReadAllSharded(h, decodePar)
+	if opts.Extra != nil {
+		opts.Extra.Join()
+	}
 	warning := rd.Warning()
 	damaged := rerr != nil && (errors.Is(rerr, trace.ErrCorrupt) || errors.Is(rerr, io.ErrUnexpectedEOF))
 	if rerr != nil && !damaged {

@@ -6,8 +6,11 @@
 // four collectors a stored Summary reads: counters, the minute series,
 // interarrivals and the kind mix) and a rolling trace-time window —
 // recording completed windows and, on shutdown, a whole-service run into
-// the same store the per-file rows land in. The engine starts no
-// goroutines of its own; only the per-file segment decode runs in parallel.
+// the same store the per-file rows land in. While a file is read, the
+// rolling window and the cumulative suite run as two ordered stages on
+// goroutines of their own, beside the segment decode workers, and a
+// lookahead goroutine hashes the next spool file; every one of them has
+// ended when the call that started it returns.
 //
 // Files are stitched onto one service-wide timeline by rebasing: each
 // file's records are shifted by the running offset, and the offset then
@@ -32,6 +35,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"cstrace/internal/analysis"
@@ -61,7 +66,8 @@ type Config struct {
 	Window time.Duration
 	// Parallelism sizes each file's segment decode workers, as
 	// metricstore.IngestOptions.Parallelism does: n workers (two at the
-	// least), sched.Auto a grant of the whole worker budget.
+	// least), sched.Auto a grant of the whole worker budget. The two
+	// stages and the lookahead hash run beside them, whatever it is.
 	Parallelism int
 	// Label tags every row this engine records.
 	Label string
@@ -69,17 +75,21 @@ type Config struct {
 	Report io.Writer
 	// Logf, when non-nil, receives progress lines (one per ingested file).
 	Logf func(format string, args ...any)
-	// Now overrides the clock (tests); nil means time.Now.
+	// Now overrides the clock (tests); nil means time.Now. Window rows
+	// read it on the window stage's goroutine, but no two engine
+	// goroutines read it at once.
 	Now func() time.Time
 }
 
-// Engine is the continuous-analysis service. It is single-goroutine: call
-// IngestFile/Sweep/Run/Close from one goroutine only. Between calls it
-// holds no goroutines.
+// Engine is the continuous-analysis service. Call IngestFile/Sweep/Run/
+// Close from one goroutine only. Within a call it runs goroutines of its
+// own (the two stages while a file is read, the lookahead hash during a
+// Sweep); between calls it holds none.
 type Engine struct {
-	cfg Config
-	sum *analysis.SummarySuite
-	win *analysis.RollingWindow
+	cfg    Config
+	sum    *analysis.SummarySuite
+	win    *analysis.RollingWindow
+	stages stages
 
 	offset     time.Duration // service-timeline rebase for the next file
 	fileHashes []string      // content hash of every spool file seen, in order
@@ -112,6 +122,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg, sum: analysis.NewSummarySuite(), seen: make(map[string]bool)}
 	e.win = analysis.NewRollingWindow(cfg.Window, e.recordWindow)
+	// At most stageDepth+2 hand-offs are out at once: the slower stage's
+	// queue, the block it sweeps and the one being sent to it.
+	e.stages = stages{e: e, free: make(chan *lent, stageDepth+2)}
 	return e, nil
 }
 
@@ -126,43 +139,85 @@ func (e *Engine) recordWindow(w analysis.WindowStats) {
 	}
 }
 
-// rebase shifts each file's records onto the service timeline and fans
-// them to the cumulative summary suite and the rolling window. It is the
-// IngestOptions.Extra handler for one file: end tracks the file's own span
-// so the engine can advance the offset afterwards. A v4 file reaches it as
-// column blocks (trace.Fanout passes them through); records are transposed
-// once into the same path.
-type rebase struct {
-	e   *Engine
-	end time.Duration
+// stages is the engine's metricstore.Tap: it runs the service-wide state
+// beside each file's read. On the read engine's delivery path, once the
+// per-file suite has swept a block, IngestColumns rebases the block's T
+// column in place onto the service timeline (end tracks the file's own
+// span, so the engine can advance the offset afterwards) and lends it to
+// two goroutines, one running the rolling window and one the cumulative
+// summary suite; whichever is done with the block last frees it. The
+// goroutines start with a file's first block and Join ends them, so the
+// engine holds none between calls.
+type stages struct {
+	e        *Engine
+	end      time.Duration
+	win, sum chan *lent // nil while no stage runs
+	wg       sync.WaitGroup
+	free     chan *lent // spent hand-offs, kept for reuse
 }
 
-func (f *rebase) Handle(r trace.Record) { f.HandleBatch([]trace.Record{r}) }
+// stageDepth is how many blocks may wait at each stage. A few blocks let
+// the decode and the other stage run on while the window stage waits out a
+// row's fsync; BenchmarkEngineSweep on 2 vCPU read 39, 37.7 and 36.5 ns/rec
+// at depths 2, 8 and 32.
+const stageDepth = 8
 
-func (f *rebase) HandleBatch(rs []trace.Record) {
-	if len(rs) == 0 {
-		return
+// lent is one block on its way through both stages: refs counts the stages
+// not yet done with it.
+type lent struct {
+	cb   *trace.ColumnBlock
+	refs atomic.Int32
+}
+
+func (s *stages) IngestColumns(cb *trace.ColumnBlock) {
+	if s.win == nil {
+		s.win, s.sum = make(chan *lent, stageDepth), make(chan *lent, stageDepth)
+		s.wg.Add(2)
+		go s.run(s.win, s.e.win.HandleColumns)
+		go s.run(s.sum, s.e.sum.HandleColumns)
 	}
-	cb := trace.NewColumnBlock()
-	cb.AppendFrom(rs)
-	f.IngestColumns(cb)
-}
-
-func (f *rebase) IngestBlock(blk *trace.Block) {
-	f.HandleBatch(*blk)
-	trace.FreeBlock(blk)
-}
-
-// IngestColumns shifts cb's T column in place, lends the block to the
-// window, then passes ownership to the cumulative summary suite.
-func (f *rebase) IngestColumns(cb *trace.ColumnBlock) {
-	off := f.e.offset
+	off := s.e.offset
 	for i, t := range cb.T {
-		f.end = max(f.end, t)
+		s.end = max(s.end, t)
 		cb.T[i] = t + off
 	}
-	f.e.win.HandleColumns(cb)
-	f.e.sum.IngestColumns(cb)
+	var l *lent
+	select {
+	case l = <-s.free:
+	default:
+		l = new(lent)
+	}
+	l.cb = cb
+	l.refs.Store(2)
+	s.win <- l
+	s.sum <- l
+}
+
+// run is one stage: it sweeps every block it is lent, in stream order.
+func (s *stages) run(in <-chan *lent, sweep func(*trace.ColumnBlock)) {
+	defer s.wg.Done()
+	for l := range in {
+		sweep(l.cb)
+		if l.refs.Add(-1) == 0 {
+			trace.FreeColumnBlock(l.cb)
+			l.cb = nil
+			select {
+			case s.free <- l:
+			default:
+			}
+		}
+	}
+}
+
+// Join waits for both stages to finish the file's blocks and ends them.
+func (s *stages) Join() {
+	if s.win == nil {
+		return
+	}
+	close(s.win)
+	close(s.sum)
+	s.wg.Wait()
+	s.win, s.sum = nil, nil
 }
 
 // IngestFile feeds one trace file through the service: the per-file run
@@ -174,15 +229,23 @@ func (f *rebase) IngestColumns(cb *trace.ColumnBlock) {
 // row's content hash, so replaying a whole spool against a warm store
 // changes nothing.
 func (e *Engine) IngestFile(path string) (*metricstore.Run, bool, error) {
+	return e.ingest(path, digest{})
+}
+
+// ingest is IngestFile with the file's content address, when d holds one,
+// computed ahead.
+func (e *Engine) ingest(path string, d digest) (*metricstore.Run, bool, error) {
 	if e.closed {
 		return nil, false, errors.New("metricsvc: engine is closed")
 	}
-	fan := &rebase{e: e}
+	e.stages.end = 0
 	run, added, err := metricstore.IngestTraceFile(e.cfg.Store, path, metricstore.IngestOptions{
 		Parallelism: e.cfg.Parallelism,
 		Label:       e.cfg.Label,
 		Now:         e.cfg.Now().UTC(),
-		Extra:       fan,
+		Hash:        d.hash,
+		Size:        d.size,
+		Extra:       &e.stages,
 	})
 	if err != nil {
 		return nil, false, err
@@ -194,7 +257,7 @@ func (e *Engine) IngestFile(path string) (*metricstore.Run, bool, error) {
 	}
 	e.files++
 	e.records += run.Records
-	e.offset += fan.end
+	e.offset += e.stages.end
 	if e.cfg.Logf != nil {
 		e.cfg.Logf("ingested %s: run %s, %d records, v%d%s",
 			path, run.ID, run.Records, run.TraceVersion, warnNote(run.Warning))
@@ -212,11 +275,34 @@ func warnNote(w string) string {
 	return " (salvaged: " + w + ")"
 }
 
+// digest is a spool file's content address, hashed on a lookahead
+// goroutine while the file before it is read.
+type digest struct {
+	hash string
+	size int64
+	err  error
+}
+
+// hashAhead hashes path on a goroutine of its own, which sends the digest
+// and exits.
+func hashAhead(path string) <-chan digest {
+	c := make(chan digest, 1)
+	go func() {
+		var d digest
+		d.hash, d.size, d.err = metricstore.HashFile(path)
+		c <- d
+	}()
+	return c
+}
+
 // Sweep ingests, in name order, every spool file not yet seen by this
 // engine. It returns how many files were newly analyzed (store
 // deduplicates don't count). A file that is not a trace (a trace format
 // error) is logged through Config.Logf and marked seen; any other error
-// stops the sweep and is returned.
+// stops the sweep and is returned. While one file is read, the next one is
+// hashed on a lookahead goroutine; whether the store already holds it is
+// still decided at its own turn, and the lookahead has ended when Sweep
+// returns.
 func (e *Engine) Sweep() (int, error) {
 	entries, err := os.ReadDir(e.cfg.Spool)
 	if err != nil {
@@ -232,9 +318,25 @@ func (e *Engine) Sweep() (int, error) {
 		}
 	}
 	sort.Strings(names)
+	var ahead <-chan digest
+	defer func() {
+		if ahead != nil {
+			<-ahead
+		}
+	}()
 	added := 0
-	for _, name := range names {
-		_, fresh, err := e.IngestFile(filepath.Join(e.cfg.Spool, name))
+	for i, name := range names {
+		var d digest
+		if ahead != nil {
+			d, ahead = <-ahead, nil
+		}
+		if d.err != nil {
+			return added, fmt.Errorf("metricsvc: ingesting %s: %w", name, d.err)
+		}
+		if i+1 < len(names) {
+			ahead = hashAhead(filepath.Join(e.cfg.Spool, names[i+1]))
+		}
+		_, fresh, err := e.ingest(filepath.Join(e.cfg.Spool, name), d)
 		if err != nil {
 			if !errors.Is(err, trace.ErrBadMagic) && !errors.Is(err, trace.ErrBadVersion) && !errors.Is(err, trace.ErrCorrupt) {
 				return added, fmt.Errorf("metricsvc: ingesting %s: %w", name, err)
@@ -329,4 +431,4 @@ func (e *Engine) Close() (*metricstore.Run, error) {
 // Windows returns how many completed windows the engine recorded.
 func (e *Engine) Windows() int64 { return e.windows }
 
-var _ trace.ColumnIngester = (*rebase)(nil)
+var _ metricstore.Tap = (*stages)(nil)

@@ -447,12 +447,7 @@ func TestEngineHoldsNoGoroutines(t *testing.T) {
 		base := runtime.NumGoroutine()
 		check := func(when string) {
 			t.Helper()
-			// A joined worker may still be returning from its last call.
-			n := runtime.NumGoroutine()
-			for deadline := time.Now().Add(time.Second); n != base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-				time.Sleep(time.Millisecond)
-			}
-			if n != base {
+			if n := settledGoroutines(base); n != base {
 				t.Errorf("parallelism %d, %s: %d goroutines, want %d as before New", par, when, n, base)
 			}
 		}
@@ -473,12 +468,179 @@ func TestEngineHoldsNoGoroutines(t *testing.T) {
 			t.Fatalf("parallelism %d: second Sweep = %d, %v; want 1, nil", par, n, err)
 		}
 		check("after the second Sweep")
+		// Three new files: the lookahead hashes the next file while one is
+		// read.
+		writeSpoolWith(t, spool, "c.cst", spoolRecords(23, 4000, 60*time.Second), trace.NewWriter, 4096)
+		writeSpoolWith(t, spool, "d.cst", spoolRecords(24, 3000, 50*time.Second), trace.NewWriter, 4096)
+		writeSpoolWith(t, spool, "e.cst", spoolRecords(25, 5000, 70*time.Second), trace.NewWriter, 4096)
+		if n, err := eng.Sweep(); err != nil || n != 3 {
+			t.Fatalf("parallelism %d: three-file Sweep = %d, %v; want 3, nil", par, n, err)
+		}
+		check("after the three-file Sweep")
 		if _, err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
 		check("after Close")
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// settledGoroutines returns the goroutine count once it is back to base, or
+// after a second: a joined worker may still be returning from its last
+// call.
+func settledGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n != base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestSweepDedupesIdenticalFiles: two byte-identical spool files under
+// different names make one file row. The second is a dedupe, its records
+// never reach the cumulative suite, and the service row's hash still
+// chains both file hashes.
+func TestSweepDedupesIdenticalFiles(t *testing.T) {
+	spool := t.TempDir()
+	writeSpoolFile(t, spool, "a.cst", spoolRecords(31, 4000, 80*time.Second))
+	body, err := os.ReadFile(filepath.Join(spool, "a.cst"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(spool, "b.cst"), body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(body)
+	fileHash := hex.EncodeToString(sum[:])
+	chain := sha256.Sum256([]byte(fileHash + fileHash))
+
+	for _, par := range []int{1, cstrace.AutoWorkers} {
+		st, err := metricstore.Open(filepath.Join(t.TempDir(), "m.csms"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var report strings.Builder
+		eng, err := metricsvc.New(metricsvc.Config{
+			Store: st, Spool: spool, Window: 20 * time.Second,
+			Parallelism: par, Report: &report, Now: fixedClock(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := eng.Sweep(); err != nil || n != 1 {
+			t.Fatalf("parallelism %d: Sweep = %d, %v; want 1, nil", par, n, err)
+		}
+		svc, err := eng.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []*metricstore.Run
+		for _, r := range st.Runs() {
+			if r.Kind == metricstore.KindTrace {
+				files = append(files, r)
+			}
+		}
+		st.Close()
+		if len(files) != 1 || files[0].Hash != fileHash || filepath.Base(files[0].Source) != "a.cst" {
+			t.Fatalf("parallelism %d: file rows %+v, want one for a.cst", par, files)
+		}
+		if !strings.Contains(report.String(), "files=1 dedup=1 ") {
+			t.Errorf("parallelism %d: report %q, want files=1 dedup=1", par, report.String())
+		}
+		if svc.Records != files[0].Records || !reflect.DeepEqual(svc.Summary, files[0].Summary) {
+			t.Errorf("parallelism %d: service row %d records, %+v; want the one file's %d, %+v",
+				par, svc.Records, svc.Summary, files[0].Records, files[0].Summary)
+		}
+		if want := hex.EncodeToString(chain[:]); svc.Hash != want {
+			t.Errorf("parallelism %d: service hash %s, want %s over both file hashes", par, svc.Hash, want)
+		}
+	}
+}
+
+// TestSweepStopsAtUnreadableFile: a dangling symlink between two traces
+// stops the sweep with an error naming it, after the file before it is
+// ingested and before the file after it is, and leaves no goroutine behind.
+func TestSweepStopsAtUnreadableFile(t *testing.T) {
+	spool := t.TempDir()
+	writeSpoolFile(t, spool, "a.cst", spoolRecords(41, 3000, 60*time.Second))
+	if err := os.Symlink(filepath.Join(spool, "missing"), filepath.Join(spool, "b.cst")); err != nil {
+		t.Skipf("symlink: %v", err)
+	}
+	writeSpoolFile(t, spool, "c.cst", spoolRecords(43, 3000, 60*time.Second))
+
+	for _, par := range []int{1, cstrace.AutoWorkers} {
+		st, err := metricstore.Open(filepath.Join(t.TempDir(), "m.csms"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		eng, err := metricsvc.New(metricsvc.Config{
+			Store: st, Spool: spool, Window: 20 * time.Second,
+			Parallelism: par, Now: fixedClock(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := eng.Sweep()
+		if err == nil || !strings.Contains(err.Error(), "b.cst") || n != 1 {
+			t.Fatalf("parallelism %d: Sweep = %d, %v; want 1 and an error naming b.cst", par, n, err)
+		}
+		if got := settledGoroutines(base); got != base {
+			t.Errorf("parallelism %d: %d goroutines after the failed Sweep, want %d as before New", par, got, base)
+		}
+		var sources []string
+		for _, r := range st.Runs() {
+			if r.Kind == metricstore.KindTrace {
+				sources = append(sources, filepath.Base(r.Source))
+			}
+		}
+		if !reflect.DeepEqual(sources, []string{"a.cst"}) {
+			t.Errorf("parallelism %d: file rows for %v, want a.cst only", par, sources)
+		}
+		if _, err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+	}
+}
+
+// TestRowsLandInReadOrder: a file's run row follows every window row its
+// records closed and precedes the next file's, at every parallelism: the
+// stages are joined before the row is appended, so the store holds its
+// rows in the order a window swept on the delivery path leaves them.
+func TestRowsLandInReadOrder(t *testing.T) {
+	const want = "wwwwwwwtwwwwwtwwwwwwwtws" // w window, t trace file, s service
+	spool := t.TempDir()
+	writeSpoolWith(t, spool, "a.cst", spoolRecords(11, 12000, 150*time.Second), trace.NewWriter, trace.DefaultSegmentPayload)
+	writeSpoolWith(t, spool, "b.cst", spoolRecords(12, 5000, 100*time.Second), trace.NewWriterV2, 2048)
+	writeSpoolWith(t, spool, "c.cst", spoolRecords(13, 8000, 130*time.Second), trace.NewWriter, 4096)
+	for _, par := range []int{1, 2, cstrace.AutoWorkers} {
+		st, err := metricstore.Open(filepath.Join(t.TempDir(), "m.csms"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := metricsvc.New(metricsvc.Config{
+			Store: st, Spool: spool, Window: 20 * time.Second,
+			Parallelism: par, Now: fixedClock(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := eng.Sweep(); err != nil || n != 3 {
+			t.Fatalf("parallelism %d: Sweep = %d, %v; want 3, nil", par, n, err)
+		}
+		if _, err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var order strings.Builder
+		for _, r := range st.Runs() {
+			order.WriteByte(r.Kind[0])
+		}
+		st.Close()
+		if order.String() != want {
+			t.Errorf("parallelism %d: rows in order %s, want %s", par, order.String(), want)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"cstrace/internal/sched"
@@ -187,6 +188,56 @@ type Writer struct {
 	buf [3*binary.MaxVarintLen64 + 1]byte
 }
 
+// segBufs is a Writer's segment scratch: the interleaved buffer (v2/v3;
+// v4's assembly slab on the sync path) and v4's four column runs.
+type segBufs struct{ seg, d, f, c, a []byte }
+
+// segBufsFree keeps segment scratch between writers, so a Writer does not
+// regrow its buffers from nil: at the default segment size that growth was
+// ≈ 2 MB of allocation per Writer (BenchmarkWriter). Like compScratchFree it is a free list, not a sync.Pool, which
+// every GC would empty; it keeps at most segBufsKeep sets, and one returned
+// to a full list is left to the GC. The buffers hold no state between
+// segments, so the bytes written do not depend on which set a Writer gets.
+var segBufsFree struct {
+	mu   sync.Mutex
+	list []segBufs
+}
+
+// segBufsKeep bounds the free list.
+const segBufsKeep = 8
+
+// takeSegBufs gives w a set of segment scratch off the free list, if one
+// is there.
+func (w *Writer) takeSegBufs() {
+	f := &segBufsFree
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.list)
+	if n == 0 {
+		return
+	}
+	b := f.list[n-1]
+	f.list[n-1] = segBufs{}
+	f.list = f.list[:n-1]
+	w.seg, w.colD, w.colF, w.colC, w.colA = b.seg, b.d, b.f, b.c, b.a
+}
+
+// returnSegBufs hands w's segment scratch to the free list, unless the
+// Writer grew none or the list is full.
+func (w *Writer) returnSegBufs() {
+	b := segBufs{w.seg[:0], w.colD[:0], w.colF[:0], w.colC[:0], w.colA[:0]}
+	w.seg, w.colD, w.colF, w.colC, w.colA = nil, nil, nil, nil, nil
+	if cap(b.seg)+cap(b.d) == 0 {
+		return
+	}
+	f := &segBufsFree
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.list) < segBufsKeep {
+		f.list = append(f.list, b)
+	}
+}
+
 // DefaultSegmentPayload is the default segment payload target: 256 KiB
 // (~50 k records at the workload's ~5 B/record), large enough that framing
 // overhead is ~0.03 %, small enough that a few seconds of trace already
@@ -324,6 +375,9 @@ func (w *Writer) write(rs []Record) error {
 	if !w.wrote {
 		if err := w.writeHeader(); err != nil {
 			return err
+		}
+		if w.version >= version2 {
+			w.takeSegBufs()
 		}
 	}
 	if w.SortWindow <= 0 {
@@ -673,6 +727,7 @@ func (w *Writer) Flush() error {
 			putCompScratch(w.cs)
 			w.cs = nil
 		}
+		w.returnSegBufs()
 		if err := w.writeIndexAndFooter(); err != nil {
 			return w.latchIO(err)
 		}
